@@ -37,6 +37,7 @@ from .genericity import (
     obstruction_scan,
 )
 from .lie_tower import (
+    RANK_THRESHOLD,
     default_tower_order,
     dpsi_wrt_F,
     dpsi_wrt_X,
@@ -253,6 +254,14 @@ def _build_perturbation(cfg: dict, global_seed) -> PerturbationSpec:
     )
 
 
+def _scan_tolerances(cfg: dict) -> dict:
+    """The config's scan tolerances as keyword arguments; unset ones keep
+    the defaults of :func:`obstruction_scan`."""
+    tols = _check_keys(cfg.get("tolerances", {}), "tolerances",
+                       optional=("tol_zero", "tol_eq", "tol_crit"))
+    return {k: float(v) for k, v in tols.items()}
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -298,7 +307,7 @@ def _cmd_rank(cfg: dict, args) -> int:
     z = _build_point(cfg, field, system)
     m = int(cfg.get("tower_order", default_tower_order(field.dim)))
     which = cfg.get("jacobian", "F")
-    threshold = float(cfg.get("threshold", 1e-8))
+    threshold = float(cfg.get("threshold", RANK_THRESHOLD))
     xf = field.jet_field(z, max(m - 1, 0))
     if which == "F":
         result = dpsi_wrt_F(xf, m=m, threshold=threshold)
@@ -385,14 +394,10 @@ def _cmd_scan(cfg: dict, args) -> int:
     field, system, _ = _build_system(cfg["system"])
     F = _build_observable(cfg["observable"], field, system)
     sampler = _build_sampler(cfg["scan"], _global_seed(cfg, args))
-    tols = _check_keys(cfg.get("tolerances", {}), "tolerances",
-                       optional=("tol_zero", "tol_eq", "tol_crit"))
     m = cfg.get("tower_order")
     rep = obstruction_scan(
         field, F, sampler, m=int(m) if m is not None else None,
-        tol_zero=float(tols.get("tol_zero", 1e-6)),
-        tol_eq=float(tols.get("tol_eq", 1e-9)),
-        tol_crit=float(tols.get("tol_crit", 1e-9)),
+        **_scan_tolerances(cfg),
     )
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -417,16 +422,12 @@ def _cmd_perturb_experiment(cfg: dict, args) -> int:
     spec = _build_perturbation(cfg["perturbation"], gseed)
     sampler = _build_sampler(cfg["scan"], gseed)
     trials = int(cfg["trials"])
-    tols = _check_keys(cfg.get("tolerances", {}), "tolerances",
-                       optional=("tol_zero", "tol_eq", "tol_crit"))
     base = system if spec.target == "potential" else field
     m = cfg.get("tower_order")
     rep = genericity_experiment(
         base, F, spec, trials, sampler,
         m=int(m) if m is not None else None,
-        tol_zero=float(tols.get("tol_zero", 1e-6)),
-        tol_eq=float(tols.get("tol_eq", 1e-9)),
-        tol_crit=float(tols.get("tol_crit", 1e-9)),
+        **_scan_tolerances(cfg),
     )
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -28,6 +28,7 @@ from .jet_algebra import (
     jet_pad,
     jet_truncate,
     shift_base,
+    _space,
 )
 
 __all__ = [
@@ -244,8 +245,6 @@ def linear1d_field() -> PolynomialField:
 def _random_coeff_table(rng: np.random.Generator, dim: int, degree: int,
                         scale: float) -> np.ndarray:
     """Coefficients with geometric decay in the order, taming the dynamics."""
-    from .jet_algebra import _space
-
     sp = _space(dim, degree)
     raw = rng.normal(size=sp.size)
     return scale * raw * 0.5 ** sp.orders

@@ -30,6 +30,15 @@ from scipy.integrate import solve_ivp
 
 from .errors import ConfigError, InsufficientSamplesError, SingularityError
 from .jet_algebra import _stencil_1d
+from .mech import (
+    BodySystem,
+    NewtonianPotential,
+    angular_momentum,
+    build_hamiltonian_field,
+    hamiltonian,
+    moment_of_inertia,
+    pair_distances,
+)
 
 __all__ = [
     "MIN_SEPARATION",
@@ -96,15 +105,6 @@ def _system_of(field):
     return getattr(field, "system", None)
 
 
-def _min_sep_flat(system, z: np.ndarray) -> float:
-    q = z[: system.coord_dim].reshape(system.n_bodies, system.space_dim)
-    best = math.inf
-    for i in range(system.n_bodies):
-        for j in range(i + 1, system.n_bodies):
-            best = min(best, float(np.linalg.norm(q[i] - q[j])))
-    return best
-
-
 class Trajectory:
     """Sampled solution with per-sample conservation monitors.
 
@@ -143,39 +143,11 @@ class Trajectory:
             self.inertia = np.full(m, math.nan)
             self.min_sep = np.full(m, math.nan)
             return
-        nc = sysb.coord_dim
-        n, sd = sysb.n_bodies, sysb.space_dim
-        q = self.states[:, :nc].reshape(m, n, sd)
-        p = self.states[:, nc:].reshape(m, n, sd)
-        masses = sysb.masses
-        kin = 0.5 * np.sum(p ** 2 / masses[None, :, None], axis=(1, 2))
-        pot = np.zeros(m)
-        seps = []
-        from .mech import _bumps, _pair_terms
-
-        terms = _pair_terms(sysb.potential)
-        for i, j in sysb.pairs():
-            r = np.linalg.norm(q[:, i] - q[:, j], axis=1)
-            seps.append(r)
-            fr = np.zeros(m)
-            for beta, alpha in terms:
-                fr += beta * r ** alpha
-            pot -= masses[i] * masses[j] * fr
-        for bump in _bumps(sysb.potential):
-            pot += np.array([bump(row.ravel()) for row in q])
-        self.energy = kin + pot
-        self.min_sep = np.min(seps, axis=0)
-        if sd == 2:
-            self.angular_momentum = np.sum(
-                q[:, :, 0] * p[:, :, 1] - q[:, :, 1] * p[:, :, 0], axis=1)
-        elif sd == 3:
-            self.angular_momentum = np.linalg.norm(
-                np.sum(np.cross(q, p), axis=1), axis=1)
-        else:
-            self.angular_momentum = np.full(m, math.nan)
-        com = np.einsum("i,mid->md", masses, q) / masses.sum()
-        d = q - com[:, None, :]
-        self.inertia = np.sum(masses[None, :, None] * d ** 2, axis=(1, 2))
+        q = self.states[:, :sysb.coord_dim]
+        self.energy = hamiltonian(sysb, self.states)
+        self.angular_momentum = angular_momentum(sysb, self.states)
+        self.inertia = moment_of_inertia(sysb, q)
+        self.min_sep = pair_distances(sysb, q).min(axis=-1)
 
     @property
     def t_final(self) -> float:
@@ -275,8 +247,8 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     for h in steps:
         p_half = p - 0.5 * h * g
         q = q + h * p_half * minv
-        if system is not None and _min_sep_flat(
-                system, np.concatenate([q, p_half])) < MIN_SEPARATION:
+        if (system is not None
+                and pair_distances(system, q).min() < MIN_SEPARATION):
             status = "singular"
             break
         g = field.grad_v(q)
@@ -303,7 +275,8 @@ def _integrate_rk4(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
         k3 = np.asarray(field(z + 0.5 * h * k2), float)
         k4 = np.asarray(field(z + h * k3), float)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if system is not None and _min_sep_flat(system, z) < MIN_SEPARATION:
+        if (system is not None and pair_distances(
+                system, z[:system.coord_dim]).min() < MIN_SEPARATION):
             status = "singular"
             break
         times[filled] = times[filled - 1] + h
@@ -318,7 +291,8 @@ def _integrate_dop853(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     events = []
     if system is not None:
         def near_collision(t, y):
-            return _min_sep_flat(system, y) - MIN_SEPARATION
+            return (pair_distances(system, y[:system.coord_dim]).min()
+                    - MIN_SEPARATION)
 
         near_collision.terminal = True
         near_collision.direction = -1
@@ -348,7 +322,8 @@ def integrate(field, z0, cfg: IntegratorConfig) -> Trajectory:
     """
     z0 = _as_flat(z0)
     system = _system_of(field)
-    if system is not None and _min_sep_flat(system, z0) < MIN_SEPARATION:
+    if (system is not None and pair_distances(
+            system, z0[:system.coord_dim]).min() < MIN_SEPARATION):
         raise SingularityError("initial state is already near collision")
     if cfg.method == "stormer_verlet":
         times, states, status = _integrate_verlet(field, z0, cfg)
@@ -396,8 +371,6 @@ _FIG8_PERIOD = 6.32591398
 
 def figure8_system():
     """Three unit masses under the Newtonian pair law."""
-    from .mech import BodySystem, NewtonianPotential
-
     return BodySystem(3, 2, np.ones(3), NewtonianPotential())
 
 
@@ -419,8 +392,6 @@ def figure8_initial_conditions(refine: bool = True,
     ``z(T) - z(0)`` under a tight adaptive integration.  Returns
     ``(system, z0, period)``.
     """
-    from .mech import build_hamiltonian_field
-
     system = figure8_system()
     field = build_hamiltonian_field(system)
     theta = np.array([*_FIG8_VEL, _FIG8_PERIOD])

@@ -22,14 +22,21 @@ import numpy as np
 
 from .errors import ConfigError, InsufficientSamplesError, SingularityError
 from .fields import (
+    PolynomialField,
     PolynomialObservable,
     SumField,
     SumObservable,
     stream_rng,
 )
 from .flow import Trajectory
+from .jet_algebra import _space
 from .lie_tower import default_tower_order, obstruction_at
-from .mech import BodySystem, PerturbedPotential, build_hamiltonian_field
+from .mech import (
+    BodySystem,
+    PerturbedPotential,
+    build_hamiltonian_field,
+    pair_distances,
+)
 
 __all__ = [
     "TOL_ZERO",
@@ -91,8 +98,6 @@ class PerturbationSpec:
 
 
 def _alphas(dim: int, degree: int):
-    from .jet_algebra import _space
-
     return _space(dim, degree).alphas
 
 
@@ -130,8 +135,6 @@ def perturb(spec: PerturbationSpec, base, trial: int = 0):
         out.bump = bump
         return out
     if spec.target == "vector_field":
-        from .fields import PolynomialField
-
         dim = base.dim
         rng = stream_rng(spec.seed, _TAG_BUMP, trial, 1)
         alphas = _alphas(dim, spec.degree)
@@ -202,15 +205,7 @@ class Sampler:
             if system.com_fixed:
                 q = q - system.masses @ q / system.total_mass
                 p = p - p.sum(axis=0) / system.n_bodies
-            ok = True
-            for i in range(system.n_bodies):
-                for j in range(i + 1, system.n_bodies):
-                    if np.linalg.norm(q[i] - q[j]) < self.min_separation:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not (pair_distances(system, q) < self.min_separation).any():
                 return np.concatenate([q.ravel(), p.ravel()])
         raise InsufficientSamplesError(
             f"sample {index}: no collision-free draw in "
@@ -475,11 +470,8 @@ def classify_trajectory(traj: Trajectory, tol_inertia: float | None = None,
     energy = traj.energy
     drift = float((np.max(energy) - np.min(energy))
                   / max(abs(float(np.mean(energy))), 1e-300))
-    nc = system.coord_dim
-    q = traj.states[:, :nc].reshape(-1, system.n_bodies, system.space_dim)
     shape = 0.0
-    for i, j in system.pairs():
-        r = np.linalg.norm(q[:, i] - q[:, j], axis=1)
+    for r in pair_distances(system, traj.states[:, :system.coord_dim]).T:
         spread = float((np.max(r) - np.min(r)) / np.mean(r))
         shape = max(shape, spread)
     if tol_inertia is None:

@@ -300,15 +300,9 @@ def _tower_tangent(f: TruncatedJet, x: JetField, m: int, comp: int,
                         dot_coeffs[: _space(n, max(m - 1, 0)).size])
     out = np.empty(m)
     for k in range(m):
-        deg = g.degree - 1
-        new_gdot = None
-        for i in range(n):
-            term = jet_mul(jet_partial(gdot, i), jet_truncate(x.components[i], deg))
-            new_gdot = term if new_gdot is None else jet_add(new_gdot, term)
-        tang = jet_mul(jet_partial(g, comp), jet_truncate(xdot, deg))
-        new_gdot = jet_add(new_gdot, tang)
+        tang = jet_mul(jet_partial(g, comp), jet_truncate(xdot, g.degree - 1))
+        gdot = jet_add(lie_derivative(gdot, x), tang)
         g = lie_derivative(g, x)
-        gdot = new_gdot
         out[k] = gdot.value
     return out
 
@@ -442,6 +436,8 @@ def obstruction_at(
     """
     z = np.asarray(z, float)
     n = z.size
+    # Evaluating X first makes a collision fail before any jet table is built.
+    x_val = np.asarray(X(z), float)
     if hasattr(F, "jet"):
         fj = F.jet(z, m)
     else:
@@ -456,7 +452,6 @@ def obstruction_at(
         )
         xf = JetField(comps)
     psi = psi_tower(fj, xf, m)
-    x_val = np.asarray(X(z), float)
     grad_f = fj.gradient() if fj.degree >= 1 else np.zeros(n)
     if hasattr(F, "grad"):
         dot = float(np.dot(np.asarray(F.grad(z), float), x_val))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -49,11 +49,13 @@ __all__ = [
     "potential_from_json",
     "BodySystem",
     "PhaseState",
+    "pair_distances",
     "potential_value",
     "grad_potential",
     "potential_config_jet",
     "kinetic_energy",
     "hamiltonian",
+    "angular_momentum",
     "HamiltonianField",
     "build_hamiltonian_field",
     "moment_of_inertia",
@@ -268,7 +270,7 @@ class PhaseState:
         return PhaseState(z[:nc].reshape(shape), z[nc:].reshape(shape))
 
     def validate(self, system: BodySystem, com_tol: float = 1e-10) -> None:
-        _min_separation(self.q, raise_on_collision=True)
+        _check_collisions(system, pair_distances(system, self.q))
         if system.com_fixed:
             com = system.masses @ self.q / system.total_mass
             ptot = self.p.sum(axis=0)
@@ -283,99 +285,135 @@ class PhaseState:
                 "p": [[float(x) for x in row] for row in self.p]}
 
 
-def _as_q2d(system: BodySystem, q) -> np.ndarray:
+def _bodies(system: BodySystem, q) -> np.ndarray:
+    """``q`` as ``(..., n_bodies, space_dim)``; a flat last axis is split."""
     q = np.asarray(q, float)
-    if q.ndim == 1:
-        q = q.reshape(system.n_bodies, system.space_dim)
+    if q.shape[-1] != system.space_dim:
+        q = q.reshape(q.shape[:-1] + (system.n_bodies, system.space_dim))
     return q
 
 
-def _min_separation(q2d: np.ndarray, raise_on_collision: bool = False) -> float:
-    n = q2d.shape[0]
-    best = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = float(np.linalg.norm(q2d[i] - q2d[j]))
-            if raise_on_collision and r < COLLISION_TOL:
-                raise SingularityError(
-                    f"bodies {i} and {j} are separated by {r:.3e}", pair=(i, j)
-                )
-            best = min(best, r)
-    return best
+def _phase_bodies(system: BodySystem, state) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and momenta per body of a :class:`PhaseState` or of flat
+    phase vectors ``(..., phase_dim)``."""
+    if isinstance(state, PhaseState):
+        return state.q, state.p
+    z = np.asarray(state, float)
+    nc = system.coord_dim
+    return _bodies(system, z[..., :nc]), _bodies(system, z[..., nc:])
 
 
-def min_separation(system: BodySystem, q) -> float:
-    return _min_separation(_as_q2d(system, q))
+def _scalar_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def pair_distances(system: BodySystem, q) -> np.ndarray:
+    """Distances ``|q_i - q_j|`` for ``system.pairs()``, stacked on a last axis.
+
+    ``q`` holds configurations over any leading axes, flat
+    (``..., coord_dim``) or per body (``..., n_bodies, space_dim``).
+    """
+    q = _bodies(system, q)
+    pairs = system.pairs()
+    d = np.empty(q.shape[:-2] + (len(pairs), system.space_dim))
+    for k, (i, j) in enumerate(pairs):
+        d[..., k, :] = q[..., i, :] - q[..., j, :]
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def _check_collisions(system: BodySystem, r) -> None:
+    """Raise :class:`SingularityError` for the first pair closer than
+    ``COLLISION_TOL``.
+
+    ``r`` holds the distances of ``system.pairs()`` on its last axis, as an
+    array over any leading axes or as a list for one configuration.
+    """
+    if isinstance(r, np.ndarray):
+        r = r.reshape(-1, r.shape[-1]).min(axis=0)
+    for k, rk in enumerate(r):
+        if rk < COLLISION_TOL:
+            i, j = system.pairs()[k]
+            raise SingularityError(
+                f"bodies {i} and {j} are separated by {rk:.3e}", pair=(i, j))
 
 
 # -- energies ------------------------------------------------------------------
+#
+# Each accepts configurations or phase states over any leading axes and
+# returns a float for a single one.
 
 
-def potential_value(system: BodySystem, q) -> float:
+def potential_value(system: BodySystem, q):
     """``V(q)``; raises :class:`SingularityError` near collisions."""
-    q2d = _as_q2d(system, q)
+    q = _bodies(system, q)
+    r = pair_distances(system, q)
+    _check_collisions(system, r)
     terms = _pair_terms(system.potential)
     m = system.masses
-    total = 0.0
-    for i, j in system.pairs():
-        r = float(np.linalg.norm(q2d[i] - q2d[j]))
-        if r < COLLISION_TOL:
-            raise SingularityError(
-                f"bodies {i} and {j} are separated by {r:.3e}", pair=(i, j)
-            )
-        total -= m[i] * m[j] * _f_value(terms, r)
+    total = np.zeros(r.shape[:-1])
+    for k, (i, j) in enumerate(system.pairs()):
+        total -= m[i] * m[j] * _f_value(terms, r[..., k])
+    rows = q.reshape(-1, system.coord_dim)
     for bump in _bumps(system.potential):
-        total += bump(q2d.ravel())
-    return total
+        total += np.array([bump(row) for row in rows]).reshape(total.shape)
+    return _scalar_or_array(total)
 
 
 def grad_potential(system: BodySystem, q) -> np.ndarray:
     """Flat gradient of ``V``; the force is its negative."""
-    q2d = _as_q2d(system, q)
+    q2d = _bodies(system, q)
     terms = _pair_terms(system.potential)
-    m = system.masses
-    grad = np.zeros_like(q2d)
-    for i, j in system.pairs():
-        d = q2d[i] - q2d[j]
-        r = float(np.linalg.norm(d))
-        if r < COLLISION_TOL:
-            raise SingularityError(
-                f"bodies {i} and {j} are separated by {r:.3e}", pair=(i, j)
-            )
-        w = -m[i] * m[j] * _f_prime(terms, r) / r
-        grad[i] += w * d
-        grad[j] -= w * d
+    m = system.masses.tolist()
+    pairs = system.pairs()
+    diffs = [q2d[i] - q2d[j] for i, j in pairs]
+    # The force takes its distances as sqrt(d @ d), np.linalg.norm(d) bit for
+    # bit: pair_distances sums the squares in another order, which would move
+    # every trajectory in the last bit.
+    r = [math.sqrt(d @ d) for d in diffs]
+    _check_collisions(system, r)
+    grad = np.zeros(q2d.shape)
+    for (i, j), d, rk in zip(pairs, diffs, r):
+        wd = (-m[i] * m[j] * _f_prime(terms, rk) / rk) * d
+        grad[i] += wd
+        grad[j] -= wd
     out = grad.ravel()
     for bump in _bumps(system.potential):
         out = out + bump.grad(q2d.ravel())
     return out
 
 
-def kinetic_energy(system: BodySystem, p) -> float:
-    p2d = _as_q2d(system, p)
-    return float(0.5 * np.sum(p2d ** 2 / system.masses[:, None]))
+def kinetic_energy(system: BodySystem, p):
+    p = _bodies(system, p)
+    return _scalar_or_array(
+        0.5 * np.sum(p ** 2 / system.masses[:, None], axis=(-2, -1)))
 
 
-def hamiltonian(system: BodySystem, state: PhaseState) -> float:
-    return kinetic_energy(system, state.p) + potential_value(system, state.q)
+def hamiltonian(system: BodySystem, state):
+    """``H`` of a :class:`PhaseState` or of flat phase vectors."""
+    q, p = _phase_bodies(system, state)
+    return kinetic_energy(system, p) + potential_value(system, q)
 
 
-def moment_of_inertia(system: BodySystem, q) -> float:
+def moment_of_inertia(system: BodySystem, q):
     """``I = sum_i m_i |q_i - c|^2`` about the centre of mass ``c``."""
-    q2d = _as_q2d(system, q)
-    c = system.masses @ q2d / system.total_mass
-    d = q2d - c
-    return float(np.sum(system.masses[:, None] * d ** 2))
+    q = _bodies(system, q)
+    c = system.masses @ q / system.total_mass
+    d = q - c[..., None, :]
+    return _scalar_or_array(
+        np.sum(system.masses[:, None] * d ** 2, axis=(-2, -1)))
 
 
-def angular_momentum(system: BodySystem, state: PhaseState) -> float:
-    """Total angular momentum (scalar in the plane, norm in 3-D)."""
-    q, p = state.q, state.p
+def angular_momentum(system: BodySystem, state):
+    """Total angular momentum: scalar in the plane, norm in 3-D, NaN in
+    other dimensions."""
+    q, p = _phase_bodies(system, state)
     if system.space_dim == 2:
-        return float(np.sum(q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0]))
-    if system.space_dim == 3:
-        return float(np.linalg.norm(np.sum(np.cross(q, p), axis=0)))
-    return 0.0
+        out = np.sum(q[..., 0] * p[..., 1] - q[..., 1] * p[..., 0], axis=-1)
+    elif system.space_dim == 3:
+        out = np.linalg.norm(np.sum(np.cross(q, p), axis=-2), axis=-1)
+    else:
+        out = np.full(q.shape[:-2], math.nan)
+    return _scalar_or_array(out)
 
 
 # -- exact jets ----------------------------------------------------------------
@@ -412,17 +450,13 @@ def _pair_r2_jet(system: BodySystem, q2d: np.ndarray, i: int, j: int,
 
 def potential_config_jet(system: BodySystem, q, degree: int) -> TruncatedJet:
     """Exact Taylor jet of ``V`` about ``q`` in the configuration variables."""
-    q2d = _as_q2d(system, q)
+    q2d = _bodies(system, q)
+    _check_collisions(system, pair_distances(system, q2d))
     terms = _pair_terms(system.potential)
     m = system.masses
     out = TruncatedJet.zero(system.coord_dim, degree, q2d.ravel())
     for i, j in system.pairs():
         r2 = _pair_r2_jet(system, q2d, i, j, degree)
-        if r2.value < COLLISION_TOL ** 2:
-            raise SingularityError(
-                f"bodies {i} and {j} are separated by {math.sqrt(r2.value):.3e}",
-                pair=(i, j),
-            )
         pair_f = None
         for beta, alpha in terms:
             t = jet_scale(jet_pow(r2, alpha / 2.0), beta)
@@ -459,10 +493,7 @@ class HamiltonianField:
         return np.concatenate([z[nc:] * self.minv, -self.grad_v(z[:nc])])
 
     def energy(self, z) -> float:
-        z = np.asarray(z, float)
-        nc = self.system.coord_dim
-        return (float(0.5 * np.sum(z[nc:] ** 2 * self.minv))
-                + potential_value(self.system, z[:nc]))
+        return hamiltonian(self.system, z)
 
     def jet_field(self, z, degree: int) -> JetField:
         z = np.asarray(z, float)
@@ -520,10 +551,7 @@ class EnergyObservable:
         return self.system.phase_dim
 
     def __call__(self, z) -> float:
-        z = np.asarray(z, float)
-        nc = self.system.coord_dim
-        return (float(0.5 * np.sum(z[nc:] ** 2 * self._minv))
-                + potential_value(self.system, z[:nc]))
+        return hamiltonian(self.system, z)
 
     def grad(self, z) -> np.ndarray:
         z = np.asarray(z, float)
@@ -662,7 +690,6 @@ def releq_euler(system: BodySystem, ordering: tuple[int, int, int] = (0, 1, 2),
         raise ValueError("ordering must be a permutation of (0, 1, 2)")
     if gap <= 0:
         raise ValueError("gap must be positive")
-    terms = _pair_terms(system.potential)
     m = system.masses
 
     def lambdas(u: float) -> tuple[float, float]:
@@ -671,13 +698,9 @@ def releq_euler(system: BodySystem, ordering: tuple[int, int, int] = (0, 1, 2),
         x[ordering[1]] = gap
         x[ordering[2]] = gap * (1.0 + u)
         c = float(m @ x / system.total_mass)
-        g = np.zeros(3)
-        for i, j in system.pairs():
-            d = x[i] - x[j]
-            r = abs(d)
-            w = -m[i] * m[j] * _f_prime(terms, r) / r
-            g[i] += w * d
-            g[j] -= w * d
+        q = np.zeros((3, system.space_dim))
+        q[:, 0] = x
+        g = grad_potential(system, q).reshape(q.shape)[:, 0]
         a, b = ordering[0], ordering[2]
         return g[a] / (m[a] * (x[a] - c)), g[b] / (m[b] * (x[b] - c))
 
@@ -716,7 +739,7 @@ def releq_newton(system: BodySystem, initial_guess,
     rotational-gauge constraints.  Raises :class:`NoConvergenceError` with the
     final residual after ``max_iter`` iterations.
     """
-    guess = _recenter(system, _as_q2d(system, np.asarray(initial_guess, float)))
+    guess = _recenter(system, _bodies(system, initial_guess))
     nc = system.coord_dim
     sd = system.space_dim
     m = system.masses
@@ -815,7 +838,7 @@ def find_equilibria(system: BodySystem, n_starts: int = 24, seed: int = 0,
         if not sol.success:
             continue
         q = sol.x.reshape(system.n_bodies, system.space_dim)
-        if _min_separation(q) < 1e-3:
+        if pair_distances(system, q).min() < 1e-3:
             continue
         if np.max(np.abs(grad_potential(system, q))) > 1e-8:
             continue

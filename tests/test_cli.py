@@ -2,11 +2,20 @@
 
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from saarilab.cli import SCHEMA_VERSION, main
+from saarilab import jet_algebra
+from saarilab.cli import (
+    SCHEMA_VERSION,
+    _build_integrator,
+    _build_observable,
+    _build_system,
+    main,
+)
 from saarilab.mech import (
     BodySystem,
     NewtonianPotential,
@@ -361,7 +370,20 @@ def test_point_must_match_dimension(tmp_path, capsys):
     assert code == 2 and "length 2" in err
 
 
-def test_collision_point_exits_3(tmp_path, capsys):
+def test_collision_point_exits_3(tmp_path, capsys, monkeypatch):
+    # Record every jet table requested, under each name it is imported as.
+    space = jet_algebra._space
+    requested = []
+
+    def recording_space(dim, degree):
+        requested.append((dim, degree))
+        return space(dim, degree)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "saarilab":
+            for attr, value in list(vars(module).items()):
+                if value is space:
+                    monkeypatch.setattr(module, attr, recording_space)
     cfg = write_config(tmp_path, "t.json", {
         "system": NBODY2,
         "observable": {"kind": "energy"},
@@ -369,6 +391,46 @@ def test_collision_point_exits_3(tmp_path, capsys):
                   "p": [[0.0, 0.0], [0.0, 0.0]]},
     })
     assert run(capsys, ["tower", cfg])[0] == 3
+    # The default order is 9: a collision fails before its tables are built.
+    assert [r for r in requested if r[1] >= 9] == []
+
+
+def _readme_config_blocks() -> dict:
+    """The JSON objects of the README's "Common config blocks", by section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Common config blocks:", 1)[1]
+    block = block.split("```jsonc", 1)[1].split("```", 1)[0]
+    sections: dict[str, str] = {}
+    section = None
+    for line in block.strip().splitlines():
+        if line.strip().startswith("//"):
+            section = line.strip()[2:].strip()
+            sections[section] = ""
+        else:
+            sections[section] += line.split("//", 1)[0] + "\n"
+    decoder = json.JSONDecoder()
+    out = {}
+    for section, text in sections.items():
+        objects, pos = [], 0
+        text = text.strip()
+        while pos < len(text):
+            obj, pos = decoder.raw_decode(text, pos)
+            objects.append(obj)
+            while pos < len(text) and text[pos].isspace():
+                pos += 1
+        out[section] = objects
+    return out
+
+
+def test_readme_config_blocks_work_as_written():
+    blocks = _readme_config_blocks()
+    assert sorted(blocks) == ["integrators", "observables", "systems"]
+    built = [_build_system(cfg) for cfg in blocks["systems"]]
+    field, system, _ = next(b for b in built if b[2] == "nbody")
+    for cfg in blocks["observables"]:
+        _build_observable(cfg, field, system)
+    for cfg in blocks["integrators"]:
+        _build_integrator(cfg)
 
 
 def test_argparse_errors_surface_as_exit_2(capsys):

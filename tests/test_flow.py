@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from saarilab.errors import ConfigError, InsufficientSamplesError, SingularityError
-from saarilab.fields import SeparableOscillator, linear1d_field
+from saarilab.fields import (
+    PolynomialObservable,
+    SeparableOscillator,
+    linear1d_field,
+)
 from saarilab.flow import (
     MIN_SEPARATION,
     IntegratorConfig,
@@ -20,8 +24,13 @@ from saarilab.flow import (
 from saarilab.mech import (
     BodySystem,
     NewtonianPotential,
+    PerturbedPotential,
     PhaseState,
+    angular_momentum,
     build_hamiltonian_field,
+    hamiltonian,
+    moment_of_inertia,
+    pair_distances,
     releq_newton,
     releq_trajectory,
 )
@@ -151,6 +160,26 @@ def test_circular_orbit_conservation():
     lmax = np.max(np.abs(traj.angular_momentum - traj.angular_momentum[0]))
     assert lmax < 1e-10 * max(1.0, abs(traj.angular_momentum[0]))
     assert traj.energy_drift < 1e-10
+
+
+def test_monitors_equal_the_scalar_mech_functions_row_by_row():
+    bump = PolynomialObservable.from_coeffs(6, 2, {
+        (2, 0, 0, 0, 0, 0): 0.05, (1, 0, 0, 1, 0, 0): -0.03,
+        (0, 0, 0, 0, 1, 1): 0.02, (0, 1, 0, 0, 0, 0): 0.01})
+    system = BodySystem(3, 2, (1.0, 2.0, 0.5),
+                        PerturbedPotential(NewtonianPotential(), bump),
+                        com_fixed=False)
+    z0 = PhaseState(np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]]),
+                    np.array([[0.0, 0.4], [-0.3, -0.2], [0.3, -0.2]])).flat()
+    traj = integrate(build_hamiltonian_field(system), z0,
+                     IntegratorConfig("rk4", 0.01, max_time=0.5))
+    assert traj.status == "completed"
+    for row, z in enumerate(traj.states):
+        state = PhaseState.from_flat(system, z)
+        assert traj.energy[row] == hamiltonian(system, state)
+        assert traj.inertia[row] == moment_of_inertia(system, state.q)
+        assert traj.angular_momentum[row] == angular_momentum(system, state)
+        assert traj.min_sep[row] == min(pair_distances(system, state.q))
 
 
 def test_head_on_collision_halts():

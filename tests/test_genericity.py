@@ -12,6 +12,7 @@ from saarilab.fields import (
     coordinate_observable,
     oscillator_energy,
     oscillator_field,
+    stream_rng,
 )
 from saarilab.flow import IntegratorConfig, integrate
 from saarilab.genericity import (
@@ -19,6 +20,7 @@ from saarilab.genericity import (
     PerturbationSpec,
     Sampler,
     ScanReport,
+    _TAG_SAMPLE,
     classify_trajectory,
     genericity_experiment,
     obstruction_scan,
@@ -145,6 +147,50 @@ def test_sampler_projects_com_and_rejects_collisions():
         np.testing.assert_allclose(system.masses @ state.q, 0.0, atol=1e-12)
         np.testing.assert_allclose(state.p.sum(axis=0), 0.0, atol=1e-12)
         assert np.linalg.norm(state.q[0] - state.q[1]) >= 0.3
+
+
+def _draw_by_pair_loop(sampler, index, system):
+    """Reference rejection sampler: an explicit loop over the body pairs.
+
+    Returns the draw (None where every attempt is rejected) and the number
+    of rejected attempts.
+    """
+    lo, hi = sampler.box
+    nc = system.coord_dim
+    shape = (system.n_bodies, system.space_dim)
+    for attempt in range(sampler.max_attempts):
+        rng = stream_rng(sampler.seed, _TAG_SAMPLE, index, attempt)
+        z = rng.uniform(lo, hi, system.phase_dim)
+        q, p = z[:nc].reshape(shape), z[nc:].reshape(shape)
+        if system.com_fixed:
+            q = q - system.masses @ q / system.total_mass
+            p = p - p.sum(axis=0) / system.n_bodies
+        if not any(np.linalg.norm(q[i] - q[j]) < sampler.min_separation
+                   for i, j in system.pairs()):
+            return np.concatenate([q.ravel(), p.ravel()]), attempt
+    return None, sampler.max_attempts
+
+
+@pytest.mark.parametrize("system", [
+    two_body(),
+    BodySystem(3, 2, (1.0, 2.0, 0.5), NewtonianPotential()),
+    BodySystem(3, 3, (1.0, 1.0, 1.0), NewtonianPotential(), com_fixed=False),
+], ids=["2body", "3body-masses", "3body-3d-free"])
+def test_sampler_draws_match_the_pair_loop(system):
+    rejected = 0
+    for min_sep in (0.5, 1.0, 1.5):
+        s = Sampler(box=(-1.5, 1.5), count=40, seed=17,
+                    min_separation=min_sep, max_attempts=20)
+        for idx in range(s.count):
+            want, n_rejected = _draw_by_pair_loop(s, idx, system)
+            rejected += n_rejected
+            if want is None:
+                with pytest.raises(InsufficientSamplesError):
+                    s.draw(idx, system.phase_dim, system)
+            else:
+                np.testing.assert_array_equal(
+                    s.draw(idx, system.phase_dim, system), want)
+    assert rejected > 0
 
 
 def test_sampler_gives_up_when_separation_is_impossible():
