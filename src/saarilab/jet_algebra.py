@@ -130,24 +130,44 @@ def table_size(dim: int, degree: int) -> int:
     return math.comb(dim + degree, degree)
 
 
+#: Upper bound on the exponent-array elements one chunk of the triple build
+#: holds, so its temporaries stay a few MB whatever the table size.
+_CHUNK_ELEMENTS = 1 << 18
+
+
 class _JetSpace:
     """Precomputed index tables for one (dim, degree) coefficient layout.
 
     The graded-lex table is stable under degree extension: the table for
     degree ``d' < d`` is exactly the first ``table_size(dim, d')`` rows, so
     truncation is a slice and differentiation writes into a prefix.
+
+    :meth:`rank` maps exponent rows to table positions with array arithmetic.
+    With suffix sums ``s_i = alpha_i + ... + alpha_{dim-1}`` (so
+    ``s_0 = |alpha|``), the rows of order ``|alpha|`` that come after
+    ``alpha`` in lexicographic order number
+    ``sum_{i=1}^{dim-1} C(s_i + dim - i - 1, dim - i)`` (the combinatorial
+    number system), hence::
+
+        rank(alpha) = table_size(dim, |alpha|) - 1
+                      - sum_{i=1}^{dim-1} C(s_i + dim - i - 1, dim - i)
+
+    that is, the start of the order block, ``table_size(dim, |alpha| - 1)``,
+    plus the lexicographic rank inside the block.
+
+    The convolution triples ``(tri_i, tri_j, tri_k)`` list every
+    ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That order is
+    load-bearing: :func:`jet_mul` and :func:`shift_base` sum them with
+    ``np.bincount`` in this order, so any other order moves the last bits of
+    every product and every seeded report.
     """
 
     def __init__(self, dim: int, degree: int):
         self.dim = dim
         self.degree = degree
-        alphas = sorted(
-            itertools.chain.from_iterable(
-                _compositions(dim, k) for k in range(degree + 1)
-            ),
-            key=lambda a: (sum(a), a),
-        )
-        self.alphas = tuple(alphas)
+        alphas = tuple(itertools.chain.from_iterable(
+            _compositions(dim, k) for k in range(degree + 1)))
+        self.alphas = alphas
         self.size = len(alphas)
         self.exps = np.array(alphas, dtype=np.int64).reshape(self.size, dim)
         self.index = {a: i for i, a in enumerate(alphas)}
@@ -156,21 +176,33 @@ class _JetSpace:
             [math.prod(math.factorial(e) for e in a) for a in alphas], dtype=float
         )
         self.prefix = [table_size(dim, k) for k in range(degree + 1)]
+        # _block_end[n] = table_size(dim, n) - 1;
+        # _binom[i - 1, s] = C(s + dim - i - 1, dim - i) for i = 1 .. dim-1.
+        self._block_end = np.array(self.prefix, dtype=np.intp) - 1
+        self._binom = np.array(
+            [[math.comb(s + dim - i - 1, dim - i) for s in range(degree + 1)]
+             for i in range(1, dim)], dtype=np.intp).reshape(dim - 1, degree + 1)
 
         # Convolution triples: all (i, j, k) with alpha_i + alpha_j = alpha_k.
-        tri_i: list[int] = []
-        tri_j: list[int] = []
-        tri_k: list[int] = []
-        for i, a in enumerate(alphas):
-            room = degree - self.orders[i]
-            for j in range(self.prefix[room]):
-                b = alphas[j]
-                tri_i.append(i)
-                tri_j.append(j)
-                tri_k.append(self.index[tuple(x + y for x, y in zip(a, b))])
-        self.tri_i = np.array(tri_i, dtype=np.intp)
-        self.tri_j = np.array(tri_j, dtype=np.intp)
-        self.tri_k = np.array(tri_k, dtype=np.intp)
+        # Rows of order o pair with the first prefix[degree - o] rows.
+        starts = [0] + self.prefix
+        blocks = [(starts[o], self.prefix[o], self.prefix[degree - o])
+                  for o in range(degree + 1)]
+        n_tri = sum((stop - start) * width for start, stop, width in blocks)
+        self.tri_i = np.empty(n_tri, dtype=np.intp)
+        self.tri_j = np.empty(n_tri, dtype=np.intp)
+        self.tri_k = np.empty(n_tri, dtype=np.intp)
+        at = 0
+        for start, stop, width in blocks:
+            step = max(1, _CHUNK_ELEMENTS // (width * dim))
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                end = at + (hi - lo) * width
+                self.tri_i[at:end] = np.repeat(np.arange(lo, hi), width)
+                self.tri_j[at:end] = np.tile(np.arange(width), hi - lo)
+                sums = self.exps[lo:hi, None, :] + self.exps[None, :width, :]
+                self.tri_k[at:end] = self.rank(sums).ravel()
+                at = end
         # binom(alpha_k; alpha_i) = alpha_k! / (alpha_i! * alpha_j!)
         self.tri_binom = self.factorials[self.tri_k] / (
             self.factorials[self.tri_i] * self.factorials[self.tri_j]
@@ -181,17 +213,16 @@ class _JetSpace:
         self.diff_src: list[np.ndarray] = []
         self.diff_scale: list[np.ndarray] = []
         if degree >= 1:
-            t_size = self.prefix[degree - 1] if degree >= 1 else 0
-            for axis in range(dim):
-                src = np.empty(t_size, dtype=np.intp)
-                scale = np.empty(t_size, dtype=float)
-                for t in range(t_size):
-                    a = list(alphas[t])
-                    a[axis] += 1
-                    src[t] = self.index[tuple(a)]
-                    scale[t] = a[axis]
-                self.diff_src.append(src)
-                self.diff_scale.append(scale)
+            lower = self.exps[: self.prefix[degree - 1]]
+            for axis, unit in enumerate(np.eye(dim, dtype=np.int64)):
+                self.diff_src.append(self.rank(lower + unit))
+                self.diff_scale.append((lower[:, axis] + 1).astype(float))
+
+    def rank(self, exps: np.ndarray) -> np.ndarray:
+        """Table positions of the exponent rows ``exps[..., :]`` (orders <= degree)."""
+        suffix = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
+        later = self._binom[np.arange(self.dim - 1), suffix[..., 1:]].sum(axis=-1)
+        return self._block_end[suffix[..., 0]] - later
 
     def monomials(self, u: np.ndarray) -> np.ndarray:
         """All powers ``u**alpha`` over the table (0**0 == 1)."""
@@ -510,12 +541,10 @@ def embed_jet(a: TruncatedJet, big_dim: int, positions: Sequence[int],
         raise CombinabilityError("big base point does not restrict to the jet's base")
     sp_small = _space(a.dim, a.degree)
     sp_big = _space(big_dim, a.degree)
+    big_exps = np.zeros((sp_small.size, big_dim), dtype=np.int64)
+    big_exps[:, list(positions)] = sp_small.exps
     c = np.zeros(sp_big.size)
-    for idx_small, alpha in enumerate(sp_small.alphas):
-        big_alpha = [0] * big_dim
-        for k, e in enumerate(alpha):
-            big_alpha[positions[k]] = e
-        c[sp_big.index[tuple(big_alpha)]] = a.coeffs[idx_small]
+    c[sp_big.rank(big_exps)] = a.coeffs
     return TruncatedJet(big_dim, a.degree, base_point, c)
 
 

@@ -1,5 +1,6 @@
 """Truncated-jet arithmetic against hand-computed and closed-form oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -65,6 +66,71 @@ def test_space_tables_are_prefix_stable():
     # and every order-k block ends at the tabulated prefix boundary
     for k in range(5):
         assert all(sum(a) <= k for a in big.alphas[: big.prefix[k]])
+
+
+def _reference_tables(dim, degree):
+    """The per-triple loop the tables were first built with, kept as the oracle."""
+    alphas = []
+    for k in range(degree + 1):
+        for axes in itertools.combinations_with_replacement(range(dim), k):
+            alphas.append(tuple(axes.count(i) for i in range(dim)))
+    alphas.sort(key=lambda a: (sum(a), a))
+    index = {a: i for i, a in enumerate(alphas)}
+    factorials = np.array(
+        [math.prod(math.factorial(e) for e in a) for a in alphas], dtype=float)
+    prefix = [math.comb(dim + k, k) for k in range(degree + 1)]
+    tri_i, tri_j, tri_k = [], [], []
+    for i, a in enumerate(alphas):
+        for j in range(prefix[degree - sum(a)]):
+            tri_i.append(i)
+            tri_j.append(j)
+            tri_k.append(index[tuple(x + y for x, y in zip(a, alphas[j]))])
+    tri_i = np.array(tri_i, dtype=np.intp)
+    tri_j = np.array(tri_j, dtype=np.intp)
+    tri_k = np.array(tri_k, dtype=np.intp)
+    tri_binom = factorials[tri_k] / (factorials[tri_i] * factorials[tri_j])
+    diff_src, diff_scale = [], []
+    if degree >= 1:
+        for axis in range(dim):
+            src = np.empty(prefix[degree - 1], dtype=np.intp)
+            scale = np.empty(prefix[degree - 1], dtype=float)
+            for t in range(prefix[degree - 1]):
+                a = list(alphas[t])
+                a[axis] += 1
+                src[t] = index[tuple(a)]
+                scale[t] = a[axis]
+            diff_src.append(src)
+            diff_scale.append(scale)
+    return {"alphas": tuple(alphas), "tri_i": tri_i, "tri_j": tri_j,
+            "tri_k": tri_k, "tri_binom": tri_binom, "diff_src": diff_src,
+            "diff_scale": diff_scale}
+
+
+def _same_array(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 0), (1, 5), (2, 3), (3, 4), (4, 5),
+                                        (6, 7), (8, 5), (12, 4)])
+def test_space_tables_equal_the_reference_loop(dim, degree):
+    # jet_mul and shift_base sum the triples with bincount in table order, so
+    # the arrays must agree in value, dtype and order, not only as sets
+    sp = _space(dim, degree)
+    ref = _reference_tables(dim, degree)
+    assert sp.alphas == ref["alphas"]
+    for name in ("tri_i", "tri_j", "tri_k", "tri_binom"):
+        assert _same_array(getattr(sp, name), ref[name]), name
+    for name in ("diff_src", "diff_scale"):
+        got, want = getattr(sp, name), ref[name]
+        assert len(got) == len(want) == (dim if degree >= 1 else 0)
+        assert all(_same_array(g, w) for g, w in zip(got, want)), name
+    assert _same_array(sp.rank(sp.exps), np.arange(sp.size, dtype=np.intp))
+    assert [int(sp.rank(np.array(a))) for a in ref["alphas"]] == [
+        sp.index[a] for a in ref["alphas"]]
+    # any leading shape: rank works row by row
+    grid = sp.exps[::-1].reshape(1, sp.size, dim)
+    assert np.array_equal(sp.rank(grid), np.arange(sp.size)[::-1][None, :])
 
 
 def test_jet_requires_matching_table():
@@ -253,6 +319,37 @@ def test_embed_into_larger_space():
     assert g.coeff((0, 1, 0)) == 4.0
     assert g.coeff((0, 2, 0)) == 1.0
     assert jet_eval(g, (9.0, 2.5, -1.0)) == pytest.approx(6.25)
+
+
+def _embed_reference(a, big_dim, positions):
+    """The per-coefficient loop embed_jet was first written with."""
+    sp_small, sp_big = _space(a.dim, a.degree), _space(big_dim, a.degree)
+    c = np.zeros(sp_big.size)
+    for idx_small, alpha in enumerate(sp_small.alphas):
+        big_alpha = [0] * big_dim
+        for k, e in enumerate(alpha):
+            big_alpha[positions[k]] = e
+        c[sp_big.index[tuple(big_alpha)]] = a.coeffs[idx_small]
+    return c
+
+
+@pytest.mark.parametrize("dim,big_dim,positions,degree", [
+    (2, 5, [4, 1], 3),           # unsorted, non-contiguous
+    (3, 12, [7, 0, 11], 4),      # big dimension 12
+    (2, 2, [1, 0], 4),           # a permutation
+    (1, 12, [5], 0),             # degree 0
+    (4, 12, [2, 3, 9, 10], 0),
+])
+def test_embed_matches_the_reference_loop(dim, big_dim, positions, degree):
+    rng = np.random.default_rng(dim * 100 + big_dim + degree)
+    small_base = rng.normal(size=dim)
+    big_base = rng.normal(size=big_dim)
+    big_base[positions] = small_base
+    a = TruncatedJet(dim, degree, small_base,
+                     rng.normal(size=table_size(dim, degree)))
+    g = embed_jet(a, big_dim, positions, big_base)
+    assert g.coeffs.tobytes() == _embed_reference(a, big_dim, positions).tobytes()
+    assert np.array_equal(g.base_point, big_base)
 
 
 def test_pad_extends_degree():
