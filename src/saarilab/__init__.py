@@ -21,7 +21,6 @@ from .errors import (
     SingularityError,
 )
 from .jet_algebra import (
-    MultiIndex,
     TruncatedJet,
     JetField,
     jet_add,

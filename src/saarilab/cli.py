@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -404,8 +405,8 @@ def _cmd_scan(cfg: dict, args) -> int:
         "command": "scan",
         "sampler": sampler.to_json_dict(),
         "report": rep.to_json_dict(),
-        "zero_fraction": None if rep.n_nonexcluded == 0
-        else rep.n_obstruction_zero / rep.n_nonexcluded,
+        "zero_fraction": None if math.isnan(rep.zero_fraction)
+        else rep.zero_fraction,
     }
     _emit(report, _out_path(cfg, args))
     return 0

@@ -16,7 +16,7 @@ varies, using the measured energy drift as the noise floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .fields import (
     stream_rng,
 )
 from .flow import Trajectory
-from .jet_algebra import _space
+from .jet_algebra import TruncatedJet, table_size
 from .lie_tower import default_tower_order, obstruction_at
 from .mech import (
     BodySystem,
@@ -97,20 +97,13 @@ class PerturbationSpec:
         }
 
 
-def _alphas(dim: int, degree: int):
-    return _space(dim, degree).alphas
-
-
 def _bump_observable(spec: PerturbationSpec, dim: int,
-                     *stream: int) -> PolynomialObservable:
-    """iid N(0,1) * epsilon on every monomial coefficient up to the degree."""
-    rng = stream_rng(spec.seed, _TAG_BUMP, *stream)
-    alphas = _alphas(dim, spec.degree)
-    coeffs = rng.normal(size=len(alphas)) * spec.epsilon
-    return PolynomialObservable.from_coeffs(
-        dim, spec.degree,
-        {tuple(a): float(c) for a, c in zip(alphas, coeffs)},
-    )
+                     rng: np.random.Generator) -> PolynomialObservable:
+    """iid N(0,1) * epsilon on every monomial coefficient up to the degree,
+    in table order."""
+    coeffs = rng.normal(size=table_size(dim, spec.degree)) * spec.epsilon
+    return PolynomialObservable(
+        TruncatedJet(dim, spec.degree, np.zeros(dim), coeffs))
 
 
 def perturb(spec: PerturbationSpec, base, trial: int = 0):
@@ -130,22 +123,15 @@ def perturb(spec: PerturbationSpec, base, trial: int = 0):
     if spec.epsilon == 0.0:
         return base
     if spec.target == "observable":
-        bump = _bump_observable(spec, base.dim, trial, 0)
+        bump = _bump_observable(
+            spec, base.dim, stream_rng(spec.seed, _TAG_BUMP, trial, 0))
         out = SumObservable(base, bump)
         out.bump = bump
         return out
     if spec.target == "vector_field":
-        dim = base.dim
         rng = stream_rng(spec.seed, _TAG_BUMP, trial, 1)
-        alphas = _alphas(dim, spec.degree)
-        comps = []
-        for _ in range(dim):
-            coeffs = rng.normal(size=len(alphas)) * spec.epsilon
-            comps.append(PolynomialObservable.from_coeffs(
-                dim, spec.degree,
-                {tuple(a): float(c) for a, c in zip(alphas, coeffs)},
-            ))
-        bump = PolynomialField(tuple(comps))
+        bump = PolynomialField(tuple(
+            _bump_observable(spec, base.dim, rng) for _ in range(base.dim)))
         out = SumField(base, bump)
         out.bump = bump
         if hasattr(base, "system"):
@@ -154,7 +140,8 @@ def perturb(spec: PerturbationSpec, base, trial: int = 0):
     # potential bump lives on configuration space only
     if not isinstance(base, BodySystem):
         raise ConfigError("potential perturbation needs a BodySystem")
-    bump = _bump_observable(spec, base.coord_dim, trial, 2)
+    bump = _bump_observable(
+        spec, base.coord_dim, stream_rng(spec.seed, _TAG_BUMP, trial, 2))
     return BodySystem(
         n_bodies=base.n_bodies,
         space_dim=base.space_dim,
@@ -389,11 +376,7 @@ def genericity_experiment(base, F, spec: PerturbationSpec, trials: int,
             F_t = perturb(spec, F, trial=t)
         else:
             X_t = perturb(spec, base, trial=t)
-        trial_sampler = Sampler(
-            box=sampler.box, count=sampler.count,
-            seed=sampler.seed + t, min_separation=sampler.min_separation,
-            max_attempts=sampler.max_attempts,
-        )
+        trial_sampler = replace(sampler, seed=sampler.seed + t)
         rep = obstruction_scan(X_t, F_t, trial_sampler, m=m,
                                tol_zero=tol_zero, tol_eq=tol_eq,
                                tol_crit=tol_crit)

@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, total_ordering
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "MultiIndex",
     "TruncatedJet",
     "JetField",
     "jet_add",
@@ -61,70 +60,6 @@ MAX_SAMPLE_DEGREE = 8
 _EPS = float(np.finfo(float).eps)
 
 
-@total_ordering
-class MultiIndex:
-    """An exponent tuple ``alpha`` with graded-lexicographic total order."""
-
-    __slots__ = ("exponents", "order")
-
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"multi-index entries must be >= 0, got {exps}")
-        object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "order", sum(exps))
-
-    def __setattr__(self, name, value):  # immutability
-        raise AttributeError("MultiIndex is immutable")
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
-    def __getitem__(self, i: int) -> int:
-        return self.exponents[i]
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MultiIndex):
-            return self.exponents == other.exponents
-        if isinstance(other, tuple):
-            return self.exponents == other
-        return NotImplemented
-
-    def __lt__(self, other: "MultiIndex") -> bool:
-        return (self.order, self.exponents) < (other.order, other.exponents)
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(other) != len(self):
-            raise ValueError("dimension mismatch")
-        return MultiIndex(a + b for a, b in zip(self.exponents, other.exponents))
-
-    def factorial(self) -> int:
-        """``alpha! = prod_i alpha_i!``"""
-        out = 1
-        for e in self.exponents:
-            out *= math.factorial(e)
-        return out
-
-    @staticmethod
-    def zero(dim: int) -> "MultiIndex":
-        return MultiIndex((0,) * dim)
-
-    @staticmethod
-    def unit(dim: int, axis: int) -> "MultiIndex":
-        e = [0] * dim
-        e[axis] = 1
-        return MultiIndex(e)
-
-    def __repr__(self) -> str:
-        return f"MultiIndex{self.exponents}"
-
-
 def table_size(dim: int, degree: int) -> int:
     """Number of multi-indices with ``|alpha| <= degree`` in ``dim`` variables."""
     return math.comb(dim + degree, degree)
@@ -135,16 +70,38 @@ def table_size(dim: int, degree: int) -> int:
 _CHUNK_ELEMENTS = 1 << 18
 
 
+@lru_cache(maxsize=None)
+def _order_block(dim: int, order: int) -> np.ndarray:
+    """Exponent rows of total order ``order`` in ``dim`` variables.
+
+    Ascending lexicographic: each leading exponent in turn, in front of the
+    ``dim - 1`` block of the remaining order.
+    """
+    if dim == 1:
+        block = np.array([[order]], dtype=np.int64)
+    else:
+        parts = []
+        for head in range(order + 1):
+            rest = _order_block(dim - 1, order - head)
+            parts.append(np.column_stack(
+                (np.full(len(rest), head, dtype=np.int64), rest)))
+        block = np.concatenate(parts)
+    block.flags.writeable = False
+    return block
+
+
 class _JetSpace:
     """Precomputed index tables for one (dim, degree) coefficient layout.
 
-    The graded-lex table is stable under degree extension: the table for
-    degree ``d' < d`` is exactly the first ``table_size(dim, d')`` rows, so
-    truncation is a slice and differentiation writes into a prefix.
+    ``exps`` is the layout: row ``t`` holds the exponents of coefficient
+    ``t``, in graded-lex order.  The table is stable under degree extension:
+    the table for degree ``d' < d`` is exactly the first
+    ``table_size(dim, d')`` rows, so truncation is a slice and
+    differentiation writes into a prefix.
 
-    :meth:`rank` maps exponent rows to table positions with array arithmetic.
-    With suffix sums ``s_i = alpha_i + ... + alpha_{dim-1}`` (so
-    ``s_0 = |alpha|``), the rows of order ``|alpha|`` that come after
+    :meth:`rank` is the only lookup from exponents to table positions, by
+    array arithmetic.  With suffix sums ``s_i = alpha_i + ... + alpha_{dim-1}``
+    (so ``s_0 = |alpha|``), the rows of order ``|alpha|`` that come after
     ``alpha`` in lexicographic order number
     ``sum_{i=1}^{dim-1} C(s_i + dim - i - 1, dim - i)`` (the combinatorial
     number system), hence::
@@ -153,7 +110,8 @@ class _JetSpace:
                       - sum_{i=1}^{dim-1} C(s_i + dim - i - 1, dim - i)
 
     that is, the start of the order block, ``table_size(dim, |alpha| - 1)``,
-    plus the lexicographic rank inside the block.
+    plus the lexicographic rank inside the block.  Every term reads one suffix
+    sum, so :meth:`rank` is one gather from a small weight table and one sum.
 
     The convolution triples ``(tri_i, tri_j, tri_k)`` list every
     ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That order is
@@ -165,23 +123,23 @@ class _JetSpace:
     def __init__(self, dim: int, degree: int):
         self.dim = dim
         self.degree = degree
-        alphas = tuple(itertools.chain.from_iterable(
-            _compositions(dim, k) for k in range(degree + 1)))
-        self.alphas = alphas
-        self.size = len(alphas)
-        self.exps = np.array(alphas, dtype=np.int64).reshape(self.size, dim)
-        self.index = {a: i for i, a in enumerate(alphas)}
+        self.exps = np.concatenate(
+            [_order_block(dim, k) for k in range(degree + 1)])
+        self.size = len(self.exps)
         self.orders = self.exps.sum(axis=1)
-        self.factorials = np.array(
-            [math.prod(math.factorial(e) for e in a) for a in alphas], dtype=float
-        )
+        # Every partial product of alpha! divides degree!, and float64 holds
+        # such integers exactly up to degree 22, so the products are exact.
+        fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=float)
+        self.factorials = np.prod(fact[self.exps], axis=1)
         self.prefix = [table_size(dim, k) for k in range(degree + 1)]
-        # _block_end[n] = table_size(dim, n) - 1;
-        # _binom[i - 1, s] = C(s + dim - i - 1, dim - i) for i = 1 .. dim-1.
-        self._block_end = np.array(self.prefix, dtype=np.intp) - 1
-        self._binom = np.array(
-            [[math.comb(s + dim - i - 1, dim - i) for s in range(degree + 1)]
-             for i in range(1, dim)], dtype=np.intp).reshape(dim - 1, degree + 1)
+        # :meth:`rank` reads the suffix sums back to front, s = s_{dim-1-k}
+        # for k = 0 .. dim-1, and its term at _weight[k * (degree + 1) + s]:
+        # -C(s + k, k + 1) for k < dim - 1, table_size(dim, s) - 1 for s_0.
+        self._weight = np.array(
+            [-math.comb(s + k, k + 1) for k in range(dim - 1)
+             for s in range(degree + 1)] + [n - 1 for n in self.prefix],
+            dtype=np.intp)
+        self._weight_row = np.arange(dim, dtype=np.intp) * (degree + 1)
 
         # Convolution triples: all (i, j, k) with alpha_i + alpha_j = alpha_k.
         # Rows of order o pair with the first prefix[degree - o] rows.
@@ -219,24 +177,18 @@ class _JetSpace:
                 self.diff_scale.append((lower[:, axis] + 1).astype(float))
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
-        """Table positions of the exponent rows ``exps[..., :]`` (orders <= degree)."""
-        suffix = np.cumsum(exps[..., ::-1], axis=-1)[..., ::-1]
-        later = self._binom[np.arange(self.dim - 1), suffix[..., 1:]].sum(axis=-1)
-        return self._block_end[suffix[..., 0]] - later
+        """Table positions of the exponent rows ``exps[..., :]``.
+
+        The entries must be >= 0.  A row of order above the degree raises
+        IndexError, because its order indexes past the end of ``_weight``.
+        """
+        at = exps[..., ::-1].cumsum(axis=-1)
+        at += self._weight_row
+        return self._weight.take(at).sum(axis=-1)
 
     def monomials(self, u: np.ndarray) -> np.ndarray:
         """All powers ``u**alpha`` over the table (0**0 == 1)."""
         return np.prod(u[np.newaxis, :] ** self.exps, axis=1)
-
-
-def _compositions(dim: int, total: int):
-    """All exponent tuples of given total order, ascending lexicographic."""
-    if dim == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(dim - 1, total - head):
-            yield (head,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -252,6 +204,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _exponent_rows(dim: int, keys) -> np.ndarray:
+    """Multi-indices as an integer array of shape ``(k, dim)``.
+
+    Raises ValueError on a wrong length, a negative or a non-integer entry,
+    which :meth:`_JetSpace.rank` would otherwise map to a wrong position
+    (keys of mixed lengths already fail in ``np.asarray``).
+    """
+    rows = np.asarray(keys)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise ValueError(f"multi-indices must have {dim} entries, got {keys}")
+    if rows.dtype.kind not in "biu":
+        raise ValueError(f"multi-index entries must be integers, got {keys}")
+    rows = rows.astype(np.int64, copy=False)
+    if rows.min() < 0:
+        raise ValueError(f"multi-index entries must be >= 0, got {keys}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -310,18 +280,19 @@ class TruncatedJet:
         dim: int,
         degree: int,
         base_point,
-        entries: Mapping[MultiIndex | tuple, float],
+        entries: Mapping[tuple, float],
     ) -> "TruncatedJet":
         """Build a jet from a sparse ``{multi-index: coefficient}`` mapping."""
         space = _space(dim, degree)
         c = np.zeros(space.size)
-        for a, v in entries.items():
-            key = tuple(a)
-            if len(key) != dim:
-                raise ValueError(f"multi-index {key} has wrong dimension")
-            if sum(key) > degree:
-                raise ValueError(f"multi-index {key} exceeds degree {degree}")
-            c[space.index[key]] = v
+        if entries:
+            exps = _exponent_rows(dim, list(entries))
+            try:
+                c[space.rank(exps)] = list(entries.values())
+            except IndexError:
+                key = tuple(exps[exps.sum(axis=1).argmax()].tolist())
+                raise ValueError(
+                    f"multi-index {key} exceeds degree {degree}") from None
         return TruncatedJet(dim, degree, np.asarray(base_point, float), c)
 
     @staticmethod
@@ -344,22 +315,19 @@ class TruncatedJet:
         return np.array(self.coeffs[lo : lo + self.dim][::-1])
 
     def coeff(self, alpha) -> float:
-        space = _space(self.dim, self.degree)
-        key = tuple(alpha)
-        if sum(key) > self.degree:
+        exps = _exponent_rows(self.dim, [alpha])
+        try:
+            return float(self.coeffs[_space(self.dim, self.degree).rank(exps)[0]])
+        except IndexError:
             raise DegreeDeficitError(
-                f"coefficient {key} beyond jet degree {self.degree}"
-            )
-        return float(self.coeffs[space.index[key]])
+                f"coefficient {tuple(alpha)} beyond jet degree {self.degree}"
+            ) from None
 
-    def as_dict(self, *, drop_zeros: bool = True) -> dict[tuple, float]:
-        space = _space(self.dim, self.degree)
-        out = {}
-        for a, c in zip(space.alphas, self.coeffs):
-            if drop_zeros and c == 0.0:
-                continue
-            out[a] = float(c)
-        return out
+    def as_dict(self) -> dict[tuple, float]:
+        """The nonzero coefficients, keyed by exponent tuple in table order."""
+        nonzero = np.flatnonzero(self.coeffs)
+        rows = _space(self.dim, self.degree).exps[nonzero].tolist()
+        return {tuple(a): c for a, c in zip(rows, self.coeffs[nonzero].tolist())}
 
     # -- serialization -----------------------------------------------------
 
@@ -550,8 +518,8 @@ def embed_jet(a: TruncatedJet, big_dim: int, positions: Sequence[int],
 
 def partials_from_jet(a: TruncatedJet, alpha) -> float:
     """Partial-derivative value ``d^alpha f(base) = alpha! * c_alpha``."""
-    mi = alpha if isinstance(alpha, MultiIndex) else MultiIndex(alpha)
-    return a.coeff(mi) * mi.factorial()
+    alpha = tuple(alpha)
+    return a.coeff(alpha) * math.prod(math.factorial(int(e)) for e in alpha)
 
 
 # -- finite-difference jet extraction --------------------------------------
@@ -643,7 +611,7 @@ def jet_from_samples(
     errors[0] = abs(f0) * _EPS
     caches: dict[float, dict] = {}
     for idx in range(1, sp.size):
-        alpha = sp.alphas[idx]
+        alpha = tuple(sp.exps[idx].tolist())
         k = int(sp.orders[idx])
         base = _EPS ** (1.0 / (k + 4))
         steps = [base * m for m in _STEP_LADDER if base * m <= _MAX_STEP]

@@ -405,9 +405,9 @@ def _structural_check(matrix, spx, x_vals, grad_f, m, n) -> float:
         if reps > spx.degree:
             break
         for j in range(n):
-            alpha = [0] * n
+            alpha = np.zeros(n, dtype=np.int64)
             alpha[j] = reps
-            t = spx.index[tuple(alpha)]
+            t = int(spx.rank(alpha))
             base = x_vals[j] ** reps
             for i in range(n):
                 exact = grad_f[i] * base

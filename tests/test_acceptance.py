@@ -211,7 +211,7 @@ def test_criterion_3_structural_identities():
             for j in range(n):
                 alpha = [0] * n
                 alpha[j] = k
-                col = sp.index[tuple(alpha)] - 1
+                col = int(sp.rank(np.array(alpha))) - 1
                 closed = x_vals[j] ** k
                 got = res_f.matrix[k - 1, col]
                 dev = abs(got - closed) / max(1.0, abs(closed))
@@ -224,7 +224,7 @@ def test_criterion_3_structural_identities():
             for j in range(n):
                 alpha = [0] * n
                 alpha[j] = k - 1
-                t = spx.index[tuple(alpha)]
+                t = int(spx.rank(np.array(alpha)))
                 for comp in range(n):
                     closed = grad_f[comp] * x_vals[j] ** (k - 1)
                     got = res_x.matrix[k - 1, t * n + comp]

@@ -26,6 +26,7 @@ from saarilab.genericity import (
     obstruction_scan,
     perturb,
 )
+from saarilab.jet_algebra import table_size
 from saarilab.mech import (
     BodySystem,
     NewtonianPotential,
@@ -116,6 +117,29 @@ def test_potential_bump_adds_configuration_polynomial():
     assert potential_value(again, q) == bump_v
     with pytest.raises(ConfigError):
         perturb(spec, oscillator_field(), trial=0)
+
+
+def test_bumps_are_pinned_to_their_streams():
+    # seeded reports depend on these exact draws: stream (seed, 7, trial, k),
+    # k = 0 observable, 1 field components in order, 2 potential, in table order
+    seed, trial, degree, eps = 42, 2, 3, 1e-2
+
+    def draws(k, dim, count=1):
+        rng = stream_rng(seed, 7, trial, k)
+        return [rng.normal(size=table_size(dim, degree)) * eps
+                for _ in range(count)]
+
+    obs = perturb(PerturbationSpec("observable", degree, eps, seed),
+                  oscillator_energy(), trial=trial)
+    np.testing.assert_array_equal(obs.bump.coeffs, draws(0, 2)[0])
+    field = perturb(PerturbationSpec("vector_field", degree, eps, seed),
+                    oscillator_field(), trial=trial)
+    for comp, want in zip(field.bump.components, draws(1, 2, count=2),
+                          strict=True):
+        np.testing.assert_array_equal(comp.coeffs, want)
+    system = perturb(PerturbationSpec("potential", degree, eps, seed),
+                     two_body(), trial=trial)
+    np.testing.assert_array_equal(system.potential.bump.coeffs, draws(2, 4)[0])
 
 
 # -- phase-space sampling --------------------------------------------------------------

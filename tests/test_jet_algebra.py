@@ -15,7 +15,6 @@ from saarilab.errors import (
 )
 from saarilab.jet_algebra import (
     MAX_SAMPLE_DEGREE,
-    MultiIndex,
     TruncatedJet,
     embed_jet,
     jet_add,
@@ -49,33 +48,30 @@ def test_table_size_matches_binomial():
     assert table_size(4, 0) == 1
 
 
-def test_multiindex_ordering_is_graded():
-    a = MultiIndex((0, 2))
-    b = MultiIndex((1, 0))
-    assert b < a  # order 1 before order 2 regardless of lex rank
-    assert MultiIndex((1, 1)) < MultiIndex((2, 0))
-    assert (MultiIndex((1, 0)) + MultiIndex((0, 1))).exponents == (1, 1)
-    assert MultiIndex((3, 2)).factorial() == 12
-
-
 def test_space_tables_are_prefix_stable():
     # the degree-2 table is a prefix of the degree-4 table
     small = _space(3, 2)
     big = _space(3, 4)
-    assert big.alphas[: small.size] == small.alphas
+    assert np.array_equal(big.exps[: small.size], small.exps)
     # and every order-k block ends at the tabulated prefix boundary
     for k in range(5):
-        assert all(sum(a) <= k for a in big.alphas[: big.prefix[k]])
+        assert (big.exps[: big.prefix[k]].sum(axis=1) <= k).all()
+        assert (big.exps[big.prefix[k]:].sum(axis=1) > k).all()
 
 
-def _reference_tables(dim, degree):
-    """The per-triple loop the tables were first built with, kept as the oracle."""
+def _reference_layout(dim, degree):
+    """Graded-lex exponent tuples sorted by (order, tuple), and their index."""
     alphas = []
     for k in range(degree + 1):
         for axes in itertools.combinations_with_replacement(range(dim), k):
             alphas.append(tuple(axes.count(i) for i in range(dim)))
     alphas.sort(key=lambda a: (sum(a), a))
-    index = {a: i for i, a in enumerate(alphas)}
+    return alphas, {a: i for i, a in enumerate(alphas)}
+
+
+def _reference_tables(dim, degree):
+    """The per-triple loop the tables were first built with, kept as the oracle."""
+    alphas, index = _reference_layout(dim, degree)
     factorials = np.array(
         [math.prod(math.factorial(e) for e in a) for a in alphas], dtype=float)
     prefix = [math.comb(dim + k, k) for k in range(degree + 1)]
@@ -101,7 +97,9 @@ def _reference_tables(dim, degree):
                 scale[t] = a[axis]
             diff_src.append(src)
             diff_scale.append(scale)
-    return {"alphas": tuple(alphas), "tri_i": tri_i, "tri_j": tri_j,
+    return {"alphas": alphas, "index": index,
+            "exps": np.array(alphas, dtype=np.int64).reshape(len(alphas), dim),
+            "factorials": factorials, "tri_i": tri_i, "tri_j": tri_j,
             "tri_k": tri_k, "tri_binom": tri_binom, "diff_src": diff_src,
             "diff_scale": diff_scale}
 
@@ -118,8 +116,7 @@ def test_space_tables_equal_the_reference_loop(dim, degree):
     # the arrays must agree in value, dtype and order, not only as sets
     sp = _space(dim, degree)
     ref = _reference_tables(dim, degree)
-    assert sp.alphas == ref["alphas"]
-    for name in ("tri_i", "tri_j", "tri_k", "tri_binom"):
+    for name in ("exps", "factorials", "tri_i", "tri_j", "tri_k", "tri_binom"):
         assert _same_array(getattr(sp, name), ref[name]), name
     for name in ("diff_src", "diff_scale"):
         got, want = getattr(sp, name), ref[name]
@@ -127,7 +124,7 @@ def test_space_tables_equal_the_reference_loop(dim, degree):
         assert all(_same_array(g, w) for g, w in zip(got, want)), name
     assert _same_array(sp.rank(sp.exps), np.arange(sp.size, dtype=np.intp))
     assert [int(sp.rank(np.array(a))) for a in ref["alphas"]] == [
-        sp.index[a] for a in ref["alphas"]]
+        ref["index"][a] for a in ref["alphas"]]
     # any leading shape: rank works row by row
     grid = sp.exps[::-1].reshape(1, sp.size, dim)
     assert np.array_equal(sp.rank(grid), np.arange(sp.size)[::-1][None, :])
@@ -181,6 +178,33 @@ def test_json_roundtrip():
     np.testing.assert_array_equal(g.coeffs, f.coeffs)
     # zeros are omitted from the serialized form
     assert all(e["c"] != 0.0 for e in d["coeffs"])
+
+
+@pytest.mark.parametrize("alpha", [(1, 0, 0), (1,), (-1, 2), (2, -1),
+                                   (0.5, 0), (1, 0.25), (1.0, 0)])
+@pytest.mark.parametrize("entry", ["from_coeffs", "coeff", "from_json_dict"])
+def test_bad_multi_index_is_a_value_error(entry, alpha):
+    # wrong length, negative or non-integer: rank would place such a key in a
+    # wrong slot, so every entry point refuses it
+    with pytest.raises(ValueError):
+        if entry == "from_coeffs":
+            _jet(2, 3, (0.0, 0.0), {(0, 0): 1.0, alpha: 2.0})
+        elif entry == "coeff":
+            _jet(2, 3, (0.0, 0.0), {(1, 1): 1.0}).coeff(alpha)
+        else:
+            TruncatedJet.from_json_dict({
+                "dim": 2, "degree": 3, "base": [0.0, 0.0],
+                "coeffs": [{"alpha": [0, 0], "c": 1.0},
+                           {"alpha": list(alpha), "c": 2.0}]})
+
+
+def test_multi_index_beyond_the_degree():
+    # a jet has no coefficient there; building one with it is a bad input
+    f = _jet(2, 3, (0.0, 0.0), {(1, 1): 1.0})
+    with pytest.raises(DegreeDeficitError):
+        f.coeff((2, 2))
+    with pytest.raises(ValueError, match=r"\(0, 4\) exceeds degree 3"):
+        _jet(2, 3, (0.0, 0.0), {(1, 1): 1.0, (0, 4): 2.0})
 
 
 # -- arithmetic -------------------------------------------------------------------
@@ -323,13 +347,14 @@ def test_embed_into_larger_space():
 
 def _embed_reference(a, big_dim, positions):
     """The per-coefficient loop embed_jet was first written with."""
-    sp_small, sp_big = _space(a.dim, a.degree), _space(big_dim, a.degree)
-    c = np.zeros(sp_big.size)
-    for idx_small, alpha in enumerate(sp_small.alphas):
+    small_alphas, _ = _reference_layout(a.dim, a.degree)
+    big_alphas, big_index = _reference_layout(big_dim, a.degree)
+    c = np.zeros(len(big_alphas))
+    for idx_small, alpha in enumerate(small_alphas):
         big_alpha = [0] * big_dim
         for k, e in enumerate(alpha):
             big_alpha[positions[k]] = e
-        c[sp_big.index[tuple(big_alpha)]] = a.coeffs[idx_small]
+        c[big_index[tuple(big_alpha)]] = a.coeffs[idx_small]
     return c
 
 
@@ -450,7 +475,7 @@ def test_sampled_error_estimates_cover_actuals():
     assert est.coeff_errors is not None
     sp = _space(2, 3)
     for alpha, want in exact.items():
-        idx = sp.index[alpha]
+        idx = int(sp.rank(np.array(alpha)))
         actual = abs(est.coeffs[idx] - want)
         claimed = est.coeff_errors[idx]
         assert actual <= max(50 * claimed, 1e-12), (alpha, actual, claimed)
