@@ -83,11 +83,12 @@ class PolynomialObservable:
         return jet_eval(self.poly, z)
 
     def jet(self, z, degree: int) -> TruncatedJet:
-        padded = jet_pad(self.poly, degree) if degree > self.poly.degree else self.poly
-        out = shift_base(padded, np.asarray(z, float))
-        if degree < out.degree:
-            out = jet_truncate(out, degree)
-        return out
+        out = shift_base(self.poly, np.asarray(z, float))
+        # Bitwise equal to shifting the padded table: the padded zero
+        # coefficients add nothing, and the triples are prefix-stable.
+        if degree > out.degree:
+            return jet_pad(out, degree)
+        return jet_truncate(out, degree)
 
     def grad(self, z) -> np.ndarray:
         return self.jet(z, 1).gradient()

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -113,11 +114,23 @@ class _JetSpace:
     plus the lexicographic rank inside the block.  Every term reads one suffix
     sum, so :meth:`rank` is one gather from a small weight table and one sum.
 
-    The convolution triples ``(tri_i, tri_j, tri_k)`` list every
-    ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That order is
-    load-bearing: :func:`jet_mul` and :func:`shift_base` sum them with
-    ``np.bincount`` in this order, so any other order moves the last bits of
-    every product and every seeded report.
+    The convolution triples :attr:`triples` ``= (tri_i, tri_j, tri_k)`` list
+    every ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That
+    order is load-bearing: :func:`jet_mul` and :func:`shift_base` sum them
+    with ``np.bincount`` in this order, so any other order moves the last bits
+    of every product and every seeded report.  It also makes the triples
+    prefix-stable: for each ``i`` of a lower-degree table, that table's
+    triples are the first of the triples with that ``i`` here, and the rest
+    have ``|alpha_k|`` above its degree.
+
+    Only products need the triples, and they are the bulk of a large table
+    (38 567 100 of them at dim 12, degree 9), so they are built on the first
+    :func:`jet_mul` or :func:`shift_base` on this space, and :attr:`tri_binom`
+    on the first :func:`shift_base`.  A space used only for its layout,
+    :meth:`rank`, :func:`jet_partial` or :func:`embed_jet` never holds them.
+    :meth:`mul_buffers` gives each thread two float buffers of the triple
+    count, built on its first :func:`jet_mul` here and reused after, so a
+    product allocates only its output.
     """
 
     def __init__(self, dim: int, degree: int):
@@ -141,31 +154,6 @@ class _JetSpace:
             dtype=np.intp)
         self._weight_row = np.arange(dim, dtype=np.intp) * (degree + 1)
 
-        # Convolution triples: all (i, j, k) with alpha_i + alpha_j = alpha_k.
-        # Rows of order o pair with the first prefix[degree - o] rows.
-        starts = [0] + self.prefix
-        blocks = [(starts[o], self.prefix[o], self.prefix[degree - o])
-                  for o in range(degree + 1)]
-        n_tri = sum((stop - start) * width for start, stop, width in blocks)
-        self.tri_i = np.empty(n_tri, dtype=np.intp)
-        self.tri_j = np.empty(n_tri, dtype=np.intp)
-        self.tri_k = np.empty(n_tri, dtype=np.intp)
-        at = 0
-        for start, stop, width in blocks:
-            step = max(1, _CHUNK_ELEMENTS // (width * dim))
-            for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                end = at + (hi - lo) * width
-                self.tri_i[at:end] = np.repeat(np.arange(lo, hi), width)
-                self.tri_j[at:end] = np.tile(np.arange(width), hi - lo)
-                sums = self.exps[lo:hi, None, :] + self.exps[None, :width, :]
-                self.tri_k[at:end] = self.rank(sums).ravel()
-                at = end
-        # binom(alpha_k; alpha_i) = alpha_k! / (alpha_i! * alpha_j!)
-        self.tri_binom = self.factorials[self.tri_k] / (
-            self.factorials[self.tri_i] * self.factorials[self.tri_j]
-        )
-
         # Differentiation gathers: result index t (degree-1 table) reads from
         # alpha_t + e_axis with scale alpha_t[axis] + 1.
         self.diff_src: list[np.ndarray] = []
@@ -175,6 +163,48 @@ class _JetSpace:
             for axis, unit in enumerate(np.eye(dim, dtype=np.int64)):
                 self.diff_src.append(self.rank(lower + unit))
                 self.diff_scale.append((lower[:, axis] + 1).astype(float))
+        self._local = threading.local()
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(tri_i, tri_j, tri_k)``: all (i, j, k) with alpha_i + alpha_j = alpha_k."""
+        dim, degree, prefix = self.dim, self.degree, self.prefix
+        # Rows of order o pair with the first prefix[degree - o] rows.
+        starts = [0] + prefix
+        blocks = [(starts[o], prefix[o], prefix[degree - o])
+                  for o in range(degree + 1)]
+        n_tri = sum((stop - start) * width for start, stop, width in blocks)
+        tri_i = np.empty(n_tri, dtype=np.intp)
+        tri_j = np.empty(n_tri, dtype=np.intp)
+        tri_k = np.empty(n_tri, dtype=np.intp)
+        at = 0
+        for start, stop, width in blocks:
+            step = max(1, _CHUNK_ELEMENTS // (width * dim))
+            for lo in range(start, stop, step):
+                hi = min(lo + step, stop)
+                end = at + (hi - lo) * width
+                tri_i[at:end] = np.repeat(np.arange(lo, hi), width)
+                tri_j[at:end] = np.tile(np.arange(width), hi - lo)
+                sums = self.exps[lo:hi, None, :] + self.exps[None, :width, :]
+                tri_k[at:end] = self.rank(sums).ravel()
+                at = end
+        return tri_i, tri_j, tri_k
+
+    @cached_property
+    def tri_binom(self) -> np.ndarray:
+        """``binom(alpha_k; alpha_i) = alpha_k! / (alpha_i! * alpha_j!)`` per triple."""
+        tri_i, tri_j, tri_k = self.triples
+        f = self.factorials
+        return f[tri_k] / (f[tri_i] * f[tri_j])
+
+    def mul_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The calling thread's two gather buffers, one float per triple each."""
+        try:
+            return self._local.buffers
+        except AttributeError:
+            n_tri = len(self.triples[0])
+            self._local.buffers = (np.empty(n_tri), np.empty(n_tri))
+            return self._local.buffers
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
         """Table positions of the exponent rows ``exps[..., :]``.
@@ -255,7 +285,7 @@ class TruncatedJet:
             raise ValueError(
                 f"coefficient table must have length {space.size}, got {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
+        if not np.isfinite(coeffs).all():
             raise ValueError("jet coefficients must be finite")
         object.__setattr__(self, "base_point", base)
         object.__setattr__(self, "coeffs", coeffs)
@@ -396,8 +426,15 @@ def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     """Truncated Cauchy product; orders beyond the shared degree are dropped."""
     _check_combinable(a, b)
     sp = _space(a.dim, a.degree)
-    prod = a.coeffs[sp.tri_i] * b.coeffs[sp.tri_j]
-    c = np.bincount(sp.tri_k, weights=prod, minlength=sp.size)
+    tri_i, tri_j, tri_k = sp.triples
+    p, q = sp.mul_buffers()
+    # Positional arguments: the keyword forms cost more per call than the
+    # gather itself on small tables.  "clip" lets take write into ``out``
+    # unbuffered; the indices are in range by construction.
+    a.coeffs.take(tri_i, None, p, "clip")
+    b.coeffs.take(tri_j, None, q, "clip")
+    np.multiply(p, q, p)
+    c = np.bincount(tri_k, p, sp.size)
     return TruncatedJet(a.dim, a.degree, a.base_point, c)
 
 
@@ -488,9 +525,10 @@ def shift_base(a: TruncatedJet, new_base) -> TruncatedJet:
     """
     new_base = np.asarray(new_base, float)
     sp = _space(a.dim, a.degree)
+    tri_i, tri_j, tri_k = sp.triples
     zpow = sp.monomials(new_base - a.base_point)
-    contrib = sp.tri_binom * a.coeffs[sp.tri_k] * zpow[sp.tri_j]
-    c = np.bincount(sp.tri_i, weights=contrib, minlength=sp.size)
+    contrib = sp.tri_binom * a.coeffs[tri_k] * zpow[tri_j]
+    c = np.bincount(tri_i, weights=contrib, minlength=sp.size)
     return TruncatedJet(a.dim, a.degree, new_base, c)
 
 

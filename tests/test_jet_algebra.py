@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,8 +117,10 @@ def test_space_tables_equal_the_reference_loop(dim, degree):
     # the arrays must agree in value, dtype and order, not only as sets
     sp = _space(dim, degree)
     ref = _reference_tables(dim, degree)
-    for name in ("exps", "factorials", "tri_i", "tri_j", "tri_k", "tri_binom"):
+    for name in ("exps", "factorials", "tri_binom"):
         assert _same_array(getattr(sp, name), ref[name]), name
+    for name, got in zip(("tri_i", "tri_j", "tri_k"), sp.triples):
+        assert _same_array(got, ref[name]), name
     for name in ("diff_src", "diff_scale"):
         got, want = getattr(sp, name), ref[name]
         assert len(got) == len(want) == (dim if degree >= 1 else 0)
@@ -239,6 +242,49 @@ def test_mul_commutes_with_truncation():
         lhs = jet_truncate(jet_mul(a, b), 2)
         rhs = jet_mul(jet_truncate(a, 2), jet_truncate(b, 2))
         np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+
+
+def _fancy_index_product(a, b):
+    """The product as a gather-multiply-bincount over fresh arrays: the oracle."""
+    sp = _space(a.dim, a.degree)
+    tri_i, tri_j, tri_k = sp.triples
+    return np.bincount(tri_k, a.coeffs[tri_i] * b.coeffs[tri_j], sp.size)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 4), (3, 3), (8, 5), (12, 4)])
+def test_jet_mul_equals_the_fancy_index_product(dim, degree):
+    # jet_mul reuses per-thread gather buffers, so check squares and
+    # back-to-back products of different operands, bit for bit
+    rng = np.random.default_rng(dim * 100 + degree)
+    base = rng.uniform(-1.0, 1.0, dim)
+    a, b, c = (TruncatedJet(dim, degree, base,
+                            rng.normal(size=table_size(dim, degree)))
+               for _ in range(3))
+    pairs = [(a, b), (a, a), (c, b), (b, a), (a, b)]
+    got = [jet_mul(x, y).coeffs for x, y in pairs]
+    for (x, y), g in zip(pairs, got):
+        assert _same_array(g, _fancy_index_product(x, y))
+
+
+def test_warm_jet_mul_allocates_only_its_output():
+    sp = _space(8, 5)
+    rng = np.random.default_rng(85)
+    a, b = (TruncatedJet(8, 5, np.zeros(8), rng.normal(size=sp.size))
+            for _ in range(2))
+    jet_mul(a, b)  # builds the triples and this thread's buffers
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        jet_mul(b, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # one float64 array of the triple count is 162 792 bytes here; the output
+    # and the jet around it are 10 KB
+    assert peak - before < 8 * len(sp.triples[0])
 
 
 def test_incompatible_jets_refused():

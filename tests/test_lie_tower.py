@@ -1,5 +1,8 @@
 """Tower map tests: iterated Lie derivatives, Jacobians, exclusion flags."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from saarilab.fields import (
     random_polynomial_field,
     random_polynomial_observable,
 )
+from saarilab.genericity import Sampler
 from saarilab.jet_algebra import JetField, TruncatedJet, _space
 from saarilab.lie_tower import (
     RANK_THRESHOLD,
@@ -29,6 +33,13 @@ from saarilab.lie_tower import (
     lie_derivative,
     obstruction_at,
     psi_tower,
+)
+from saarilab.mech import (
+    BodySystem,
+    NewtonianPotential,
+    build_hamiltonian_field,
+    energy_observable,
+    inertia_observable,
 )
 
 
@@ -306,3 +317,45 @@ def test_default_tower_order():
     assert default_tower_order(2) == 3
     assert default_tower_order(8) == 9
     assert RANK_THRESHOLD == 1e-8
+
+
+def _two_body(masses=(1.0, 1.3)):
+    return BodySystem(2, 2, masses, NewtonianPotential())
+
+
+def test_tower_builds_triples_only_for_the_tables_it_multiplies():
+    # At m = 9 the inertia jet lives on the (8, 9) table, but only the
+    # degree-8 field jets are multiplied: the big table never needs triples.
+    system = _two_body()
+    z = Sampler(box=(-1.0, 1.0), count=1, seed=5).draw(0, 8, system)
+    obstruction_at(inertia_observable(system), build_hamiltonian_field(system),
+                   z, m=9)
+    assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
+    assert "triples" in vars(_space(8, 8))
+
+
+def test_concurrent_towers_equal_serial_ones():
+    # jet_mul gathers into per-thread buffers: threads sharing one table
+    # must not see each other's products
+    system = _two_body()
+    field = build_hamiltonian_field(system)
+    observables = (inertia_observable(system), energy_observable(system))
+    sampler = Sampler(box=(-1.5, 1.5), count=4, seed=3)
+    points = [sampler.draw(i, 8, system) for i in range(sampler.count)]
+    rounds = 20
+
+    def run(offset):
+        return [obstruction_at(F, field, points[(r + offset) % len(points)],
+                               m=5).psi.values.tobytes()
+                for r in range(rounds) for F in observables]
+
+    serial = [run(offset) for offset in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run, offset) for offset in (0, 1)]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial

@@ -6,8 +6,20 @@ import numpy as np
 import pytest
 
 from saarilab.errors import NoConvergenceError, SingularityError
-from saarilab.fields import PolynomialObservable
-from saarilab.jet_algebra import jet_eval, jet_from_samples
+from saarilab.fields import (
+    PolynomialObservable,
+    random_polynomial_field,
+    random_polynomial_observable,
+    stream_rng,
+)
+from saarilab.genericity import PerturbationSpec, perturb
+from saarilab.jet_algebra import (
+    jet_eval,
+    jet_from_samples,
+    jet_pad,
+    jet_truncate,
+    shift_base,
+)
 from saarilab.lie_tower import psi_tower
 from saarilab.mech import (
     BodySystem,
@@ -222,6 +234,45 @@ def test_inertia_observable_matches_direct_value():
     field = build_hamiltonian_field(system)
     psi = psi_tower(obs.jet(z, 1), field.jet_field(z, 0), 1)
     assert psi.values[0] == pytest.approx(2.0 * float(np.sum(q * p)), rel=1e-10)
+
+
+def _pad_then_shift(obs, z, degree):
+    """The route PolynomialObservable.jet took before: pad, shift, truncate."""
+    padded = jet_pad(obs.poly, degree) if degree > obs.poly.degree else obs.poly
+    out = shift_base(padded, np.asarray(z, float))
+    return jet_truncate(out, degree) if degree < out.degree else out
+
+
+def _observables_and_degrees():
+    rng = np.random.default_rng(17)
+    for system, degrees in ((two_body(masses=(1.0, 1.3)), (0, 1, 2, 3, 5, 7)),
+                            (three_body(masses=(1.0, 1.3, 0.7)), (1, 2, 4, 6))):
+        for _ in range(3):
+            z = rng.uniform(-1.5, 1.5, system.phase_dim)
+            yield inertia_observable(system), z, degrees
+    bumped = perturb(PerturbationSpec("potential", 3, 1e-2, 5), two_body(),
+                     trial=1)
+    yield bumped.potential.bump, rng.uniform(-1.5, 1.5, 4), range(7)
+    for dim in (1, 2, 3, 4):
+        for own in (1, 2, 3, 4):
+            srng = stream_rng(23, dim, own)
+            z = srng.uniform(-1.0, 1.0, dim)
+            degrees = range(own + 3)
+            yield random_polynomial_observable(dim, own, srng), z, degrees
+            for comp in random_polynomial_field(dim, own, srng).components:
+                yield comp, z, degrees
+
+
+def test_polynomial_jet_equals_the_pad_then_shift_route():
+    # shifting at the polynomial's own degree must not move a bit of any jet:
+    # degrees below, at and above the polynomial's own
+    for obs, z, degrees in _observables_and_degrees():
+        for degree in degrees:
+            got = obs.jet(z, degree)
+            want = _pad_then_shift(obs, z, degree)
+            assert got.degree == want.degree == degree
+            assert got.coeffs.tobytes() == want.coeffs.tobytes(), (obs.dim,
+                                                                   degree)
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
