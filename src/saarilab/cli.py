@@ -263,6 +263,16 @@ def _scan_tolerances(cfg: dict) -> dict:
     return {k: float(v) for k, v in tols.items()}
 
 
+def _tower_order(cfg: dict, default: int | None = None) -> int | None:
+    """The config's ``tower_order``, or ``default`` when it is absent."""
+    if "tower_order" not in cfg:
+        return default
+    m = cfg["tower_order"]
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ConfigError(f"tower_order must be an integer >= 1, got {m!r}")
+    return m
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -285,7 +295,7 @@ def _cmd_tower(cfg: dict, args) -> int:
     field, system, _ = _build_system(cfg["system"])
     F = _build_observable(cfg["observable"], field, system)
     z = _build_point(cfg, field, system)
-    m = int(cfg.get("tower_order", default_tower_order(field.dim)))
+    m = _tower_order(cfg, default_tower_order(field.dim))
     sample = obstruction_at(F, field, z, m=m)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -306,10 +316,10 @@ def _cmd_rank(cfg: dict, args) -> int:
                           "jacobian", "threshold", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     z = _build_point(cfg, field, system)
-    m = int(cfg.get("tower_order", default_tower_order(field.dim)))
+    m = _tower_order(cfg, default_tower_order(field.dim))
     which = cfg.get("jacobian", "F")
     threshold = float(cfg.get("threshold", RANK_THRESHOLD))
-    xf = field.jet_field(z, max(m - 1, 0))
+    xf = field.jet_field(z, m - 1)
     if which == "F":
         result = dpsi_wrt_F(xf, m=m, threshold=threshold)
     elif which == "X":
@@ -317,7 +327,7 @@ def _cmd_rank(cfg: dict, args) -> int:
             raise ConfigError("jacobian 'X' needs an observable block")
         F = _build_observable(cfg["observable"], field, system)
         fj = F.jet(z, m)
-        result = dpsi_wrt_X(fj, xf, m=m, method="exact", threshold=threshold)
+        result = dpsi_wrt_X(fj, xf, m=m, threshold=threshold)
     else:
         raise ConfigError(f"jacobian must be 'F' or 'X', got {which!r}")
     report = {
@@ -395,11 +405,8 @@ def _cmd_scan(cfg: dict, args) -> int:
     field, system, _ = _build_system(cfg["system"])
     F = _build_observable(cfg["observable"], field, system)
     sampler = _build_sampler(cfg["scan"], _global_seed(cfg, args))
-    m = cfg.get("tower_order")
-    rep = obstruction_scan(
-        field, F, sampler, m=int(m) if m is not None else None,
-        **_scan_tolerances(cfg),
-    )
+    rep = obstruction_scan(field, F, sampler, m=_tower_order(cfg),
+                           **_scan_tolerances(cfg))
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "scan",
@@ -424,10 +431,8 @@ def _cmd_perturb_experiment(cfg: dict, args) -> int:
     sampler = _build_sampler(cfg["scan"], gseed)
     trials = int(cfg["trials"])
     base = system if spec.target == "potential" else field
-    m = cfg.get("tower_order")
     rep = genericity_experiment(
-        base, F, spec, trials, sampler,
-        m=int(m) if m is not None else None,
+        base, F, spec, trials, sampler, m=_tower_order(cfg),
         **_scan_tolerances(cfg),
     )
     report = {

@@ -9,9 +9,10 @@ flow of ``X`` at a point ``z``::
 
 ``Psi(z) = 0`` is the obstruction to ``F`` being constant along the orbit
 through ``z`` (to order ``m``).  Everything runs on exact truncated jet
-arithmetic; the only finite differencing is the Jacobian of the tower with
-respect to the field's own Taylor coefficients, which is cross-checked
-against closed-form structural entries: in partial-derivative coordinates,
+arithmetic.  Both tower Jacobians are exact to roundoff: the tower is linear
+in the observable, and the field Jacobian propagates tangents through the
+tower.  The field Jacobian is cross-checked against closed-form structural
+entries: in partial-derivative coordinates,
 
     dPsi_k / dF_{j..j}   = (X^j(z))**k          (k repetitions),
     dPsi_k / dX^i_{j..j} = F_i(z) (X^j(z))**(k-1)   (k-1 repetitions),
@@ -53,15 +54,12 @@ __all__ = [
     "obstruction_at",
     "default_tower_order",
     "RANK_THRESHOLD",
-    "WRT_X_STEP_SCALE",
     "STRUCTURAL_TOL",
 ]
 
 #: Relative singular-value cutoff for numerical rank.
 RANK_THRESHOLD = 1e-8
-#: Finite-difference step scale for dpsi_wrt_X.
-WRT_X_STEP_SCALE = 1e-5
-#: Allowed relative deviation of finite-difference entries from the
+#: Allowed relative deviation of the field Jacobian's entries from the
 #: closed-form structural entries before the Jacobian is rejected.
 STRUCTURAL_TOL = 1e-6
 
@@ -154,26 +152,12 @@ class JacobianResult:
     matrix: np.ndarray
     rank_report: RankReport
     x_norm: float
-    grad_f_norm: float | None = None
     structural_deviation: float | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, float)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "rank_report": self.rank_report.to_json_dict(),
-            "rows": int(self.matrix.shape[0]),
-            "cols": int(self.matrix.shape[1]),
-            "x_norm": float(self.x_norm),
-        }
-        if self.grad_f_norm is not None:
-            out["grad_f_norm"] = float(self.grad_f_norm)
-        if self.structural_deviation is not None:
-            out["structural_deviation"] = float(self.structural_deviation)
-        return out
 
 
 @dataclass(frozen=True)
@@ -232,10 +216,14 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     return out
 
 
-def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
-    """First ``m`` iterated Lie derivatives of ``f`` along ``x`` at the base point."""
+def _check_tower_order(m: int) -> None:
     if m < 1:
         raise ValueError("tower order must be >= 1")
+
+
+def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
+    """First ``m`` iterated Lie derivatives of ``f`` along ``x`` at the base point."""
+    _check_tower_order(m)
     if f.degree < m:
         raise DegreeDeficitError(
             f"observable jet degree {f.degree} < tower order {m}"
@@ -254,33 +242,25 @@ def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
 
 def dpsi_wrt_F(
     x: JetField,
-    z=None,
     m: int | None = None,
-    jet_degree: int | None = None,
     threshold: float = RANK_THRESHOLD,
 ) -> JacobianResult:
     """Exact Jacobian of the tower with respect to the observable's jet.
 
     The tower is linear in ``F``, so the matrix is assembled by running
-    :func:`psi_tower` on each monomial basis jet (constant term excluded —
-    constants never move the tower).  Columns are in partial-derivative
-    coordinates; expected full rank is ``m``.
+    :func:`psi_tower` on each monomial basis jet of degree ``m`` (constant
+    term excluded — constants never move the tower).  Columns are in
+    partial-derivative coordinates; expected full rank is ``m``.
     """
     if m is None:
         m = default_tower_order(x.dim)
-    if jet_degree is None:
-        jet_degree = m
-    if jet_degree < m:
-        raise DegreeDeficitError(f"jet_degree {jet_degree} < tower order {m}")
-    if z is not None and not np.array_equal(np.asarray(z, float), x.base_point):
-        raise CombinabilityError("z differs from the field's base point")
-    sp = _space(x.dim, jet_degree)
-    cols = sp.size - 1
-    matrix = np.empty((m, cols))
+    _check_tower_order(m)
+    sp = _space(x.dim, m)
+    matrix = np.empty((m, sp.size - 1))
     for idx in range(1, sp.size):
         coeffs = np.zeros(sp.size)
         coeffs[idx] = 1.0 / sp.factorials[idx]
-        basis = TruncatedJet(x.dim, jet_degree, x.base_point, coeffs)
+        basis = TruncatedJet(x.dim, m, x.base_point, coeffs)
         matrix[:, idx - 1] = psi_tower(basis, x, m).values
     report = _rank_report(matrix, full_rank_expected=m, threshold=threshold)
     return JacobianResult(
@@ -290,111 +270,75 @@ def dpsi_wrt_F(
     )
 
 
-def _tower_tangent(f: TruncatedJet, x: JetField, m: int, comp: int,
-                   dot_coeffs: np.ndarray) -> np.ndarray:
-    """Directional derivative of the tower along a perturbation of X^comp."""
-    n = f.dim
-    g = jet_truncate(f, m)
-    gdot = TruncatedJet.zero(n, m, f.base_point)
-    xdot = TruncatedJet(n, m - 1 if m > 1 else 0, f.base_point,
-                        dot_coeffs[: _space(n, max(m - 1, 0)).size])
-    out = np.empty(m)
-    for k in range(m):
-        tang = jet_mul(jet_partial(g, comp), jet_truncate(xdot, g.degree - 1))
-        gdot = jet_add(lie_derivative(gdot, x), tang)
-        g = lie_derivative(g, x)
-        out[k] = gdot.value
-    return out
-
-
 def dpsi_wrt_X(
     f: TruncatedJet,
     x: JetField,
     m: int | None = None,
-    method: str = "fd",
-    step_scale: float = WRT_X_STEP_SCALE,
+    method: str = "exact",
     threshold: float = RANK_THRESHOLD,
-    structural_tol: float = STRUCTURAL_TOL,
 ) -> JacobianResult:
-    """Jacobian of the tower with respect to the field's jet coefficients.
+    """Exact Jacobian of the tower with respect to the field's jet coefficients.
 
     Coefficients of orders ``0..m-1`` of every component enter, in
     partial-derivative coordinates; columns are ordered by multi-index
-    (graded-lex), component fastest.  ``method="fd"`` uses central differences
-    with step ``step_scale * max(1, |coefficient|)`` per coefficient;
-    ``method="exact"`` propagates tangents through the tower (the tower is
-    polynomial in the coefficients, so this is exact to roundoff).
+    (graded-lex), component fastest.  Tangents are propagated through the
+    tower: with ``g_k = L_X^k F`` and a perturbation ``xdot`` of ``X^i``,
+    ``gdot_{k+1} = L_X gdot_k + (d_i g_k) xdot`` and ``gdot_0 = 0``, and row
+    ``k`` holds the value of ``gdot_k``.  The tower is polynomial in the
+    coefficients, so this is exact to roundoff.  ``method`` accepts only
+    ``"exact"``.
 
-    Either way the entries that the closed form pins — in row ``k``, the
-    columns of the pure-power coefficients ``X^i_{j..j}`` with ``k-1``
-    repetitions — are compared against ``F_i(z) (X^j(z))**(k-1)``; a relative
-    deviation beyond ``structural_tol`` raises
-    :class:`InternalConsistencyError`.
+    The entries that the closed form pins — in row ``k``, the columns of the
+    pure-power coefficients ``X^i_{j..j}`` with ``k-1`` repetitions — are
+    compared against ``F_i(z) (X^j(z))**(k-1)``; a relative deviation beyond
+    ``STRUCTURAL_TOL`` raises :class:`InternalConsistencyError`.
     """
     if m is None:
         m = default_tower_order(x.dim)
+    _check_tower_order(m)
     if f.degree < m:
         raise DegreeDeficitError(f"observable degree {f.degree} < tower order {m}")
     if x.degree < m - 1:
         raise DegreeDeficitError(f"field degree {x.degree} < {m - 1}")
-    if method not in ("fd", "exact"):
+    if method != "exact":
         raise ValueError(f"unknown method {method!r}")
     n = x.dim
-    xdeg = max(m - 1, 0)
-    x_work = x.truncated(xdeg)
-    spx = _space(n, xdeg)
-    f_work = jet_truncate(f, m)
-    cols = n * spx.size
-    matrix = np.empty((m, cols))
-    if method == "fd":
-        base_tables = [c.coeffs.copy() for c in x_work.components]
-        for t in range(spx.size):
-            fact = float(spx.factorials[t])
-            for i in range(n):
-                partial_value = base_tables[i][t] * fact
-                h = step_scale * max(1.0, abs(partial_value))
-                dc = h / fact
-                plus = [tbl if j != i else _bump(tbl, t, dc)
-                        for j, tbl in enumerate(base_tables)]
-                minus = [tbl if j != i else _bump(tbl, t, -dc)
-                         for j, tbl in enumerate(base_tables)]
-                xp = JetField(tuple(
-                    TruncatedJet(n, xdeg, x.base_point, tb) for tb in plus))
-                xm = JetField(tuple(
-                    TruncatedJet(n, xdeg, x.base_point, tb) for tb in minus))
-                col = (psi_tower(f_work, xp, m).values
-                       - psi_tower(f_work, xm, m).values) / (2.0 * h)
-                matrix[:, t * n + i] = col
-    else:
-        for t in range(spx.size):
-            fact = float(spx.factorials[t])
-            dot = np.zeros(_space(n, xdeg).size)
-            dot[t] = 1.0 / fact
-            for i in range(n):
-                matrix[:, t * n + i] = _tower_tangent(f_work, x_work, m, i, dot)
+    x_work = x.truncated(m - 1)
+    spx = _space(n, m - 1)
+    # The chain g_k and its partials do not depend on the column.
+    chain = [jet_truncate(f, m)]
+    for _ in range(m - 1):
+        chain.append(lie_derivative(chain[-1], x_work))
+    partials = [[jet_partial(g, i) for i in range(n)] for g in chain]
+    zero = TruncatedJet.zero(n, m, f.base_point)
+    matrix = np.empty((m, n * spx.size))
+    for t in range(spx.size):
+        dot = np.zeros(spx.size)
+        dot[t] = 1.0 / float(spx.factorials[t])
+        xdot = TruncatedJet(n, m - 1, f.base_point, dot)
+        xdots = [jet_truncate(xdot, g.degree - 1) for g in chain]
+        for i in range(n):
+            gdot = zero
+            for k in range(m):
+                tang = jet_mul(partials[k][i], xdots[k])
+                gdot = jet_add(lie_derivative(gdot, x_work), tang)
+                matrix[k, t * n + i] = gdot.value
 
     x_vals = x_work.values()
-    grad_f = f_work.gradient() if f_work.degree >= 1 else np.zeros(n)
+    grad_f = chain[0].gradient()
     deviation = _structural_check(matrix, spx, x_vals, grad_f, m, n)
-    if deviation > structural_tol:
+    if deviation > STRUCTURAL_TOL:
         raise InternalConsistencyError(
             f"tower Jacobian deviates from structural entries by {deviation:.3e} "
-            f"(tolerance {structural_tol:.1e})"
+            f"(tolerance {STRUCTURAL_TOL:.1e})"
         )
     report = _rank_report(matrix, full_rank_expected=m, threshold=threshold)
     return JacobianResult(
         matrix=matrix,
         rank_report=report,
         x_norm=float(np.linalg.norm(x_vals)),
-        grad_f_norm=float(np.linalg.norm(grad_f)),
         structural_deviation=float(deviation),
     )
-
-
-def _bump(table: np.ndarray, idx: int, delta: float) -> np.ndarray:
-    out = table.copy()
-    out[idx] += delta
-    return out
 
 
 def _structural_check(matrix, spx, x_vals, grad_f, m, n) -> float:

@@ -1,0 +1,118 @@
+"""Reference routes for the field Jacobian of the tower, used only by tests.
+
+``dpsi_wrt_X_fd`` central-differences the tower in each field coefficient and
+is the independent check on the tangent recursion of
+:func:`saarilab.lie_tower.dpsi_wrt_X`.  ``dpsi_wrt_X_per_column`` is that
+recursion as it was first written, rebuilding the Lie chain for every
+column; the library route must equal it bit for bit.
+"""
+
+import numpy as np
+
+from saarilab.errors import InternalConsistencyError
+from saarilab.jet_algebra import (
+    JetField,
+    TruncatedJet,
+    jet_add,
+    jet_mul,
+    jet_partial,
+    jet_truncate,
+    _space,
+)
+from saarilab.lie_tower import (
+    JacobianResult,
+    RANK_THRESHOLD,
+    STRUCTURAL_TOL,
+    _rank_report,
+    _structural_check,
+    lie_derivative,
+    psi_tower,
+)
+
+#: Finite-difference step scale: coefficient ``c`` moves by
+#: ``WRT_X_STEP_SCALE * max(1, |c|)`` in partial-derivative coordinates.
+WRT_X_STEP_SCALE = 1e-5
+
+
+def _bump(table: np.ndarray, idx: int, delta: float) -> np.ndarray:
+    out = table.copy()
+    out[idx] += delta
+    return out
+
+
+def dpsi_wrt_X_fd(f: TruncatedJet, x: JetField, m: int) -> JacobianResult:
+    """Field Jacobian of the tower by central differences.
+
+    Like :func:`dpsi_wrt_X`, it raises :class:`InternalConsistencyError`
+    when an entry pinned by the closed form deviates beyond
+    ``STRUCTURAL_TOL``.
+    """
+    n = x.dim
+    xdeg = m - 1
+    x_work = x.truncated(xdeg)
+    spx = _space(n, xdeg)
+    f_work = jet_truncate(f, m)
+    matrix = np.empty((m, n * spx.size))
+    base_tables = [c.coeffs.copy() for c in x_work.components]
+    for t in range(spx.size):
+        fact = float(spx.factorials[t])
+        for i in range(n):
+            partial_value = base_tables[i][t] * fact
+            h = WRT_X_STEP_SCALE * max(1.0, abs(partial_value))
+            dc = h / fact
+            plus = [tbl if j != i else _bump(tbl, t, dc)
+                    for j, tbl in enumerate(base_tables)]
+            minus = [tbl if j != i else _bump(tbl, t, -dc)
+                     for j, tbl in enumerate(base_tables)]
+            xp = JetField(tuple(
+                TruncatedJet(n, xdeg, x.base_point, tb) for tb in plus))
+            xm = JetField(tuple(
+                TruncatedJet(n, xdeg, x.base_point, tb) for tb in minus))
+            matrix[:, t * n + i] = (psi_tower(f_work, xp, m).values
+                                    - psi_tower(f_work, xm, m).values) / (2.0 * h)
+    x_vals = x_work.values()
+    deviation = _structural_check(matrix, spx, x_vals, f_work.gradient(), m, n)
+    if deviation > STRUCTURAL_TOL:
+        raise InternalConsistencyError(
+            f"finite differences deviate from structural entries by "
+            f"{deviation:.3e}")
+    return JacobianResult(
+        matrix=matrix,
+        rank_report=_rank_report(matrix, m, RANK_THRESHOLD),
+        x_norm=float(np.linalg.norm(x_vals)),
+        structural_deviation=float(deviation),
+    )
+
+
+def _tower_tangent(f: TruncatedJet, x: JetField, m: int, comp: int,
+                   dot_coeffs: np.ndarray) -> np.ndarray:
+    """Directional derivative of the tower along a perturbation of X^comp."""
+    n = f.dim
+    g = jet_truncate(f, m)
+    gdot = TruncatedJet.zero(n, m, f.base_point)
+    xdot = TruncatedJet(n, m - 1 if m > 1 else 0, f.base_point,
+                        dot_coeffs[: _space(n, max(m - 1, 0)).size])
+    out = np.empty(m)
+    for k in range(m):
+        tang = jet_mul(jet_partial(g, comp), jet_truncate(xdot, g.degree - 1))
+        gdot = jet_add(lie_derivative(gdot, x), tang)
+        g = lie_derivative(g, x)
+        out[k] = gdot.value
+    return out
+
+
+def dpsi_wrt_X_per_column(f: TruncatedJet, x: JetField, m: int) -> np.ndarray:
+    """The field Jacobian's matrix, one :func:`_tower_tangent` per column."""
+    n = x.dim
+    xdeg = max(m - 1, 0)
+    x_work = x.truncated(xdeg)
+    spx = _space(n, xdeg)
+    f_work = jet_truncate(f, m)
+    matrix = np.empty((m, n * spx.size))
+    for t in range(spx.size):
+        fact = float(spx.factorials[t])
+        dot = np.zeros(_space(n, xdeg).size)
+        dot[t] = 1.0 / fact
+        for i in range(n):
+            matrix[:, t * n + i] = _tower_tangent(f_work, x_work, m, i, dot)
+    return matrix

@@ -57,6 +57,8 @@ from saarilab.mech import (
     releq_trajectory,
 )
 
+from oracles import dpsi_wrt_X_fd
+
 _MEMO: dict[str, str] = {}
 
 
@@ -150,8 +152,7 @@ def _c2_report() -> dict:
             z = rng.uniform(-1.0, 1.0, n)
             if np.linalg.norm(F.grad(z)) > 0.1:
                 break
-        res = dpsi_wrt_X(F.jet(z, m), X.jet_field(z, m - 1), m=m,
-                         method="exact")
+        res = dpsi_wrt_X(F.jet(z, m), X.jet_field(z, m - 1), m=m)
         x_ranks.append(res.rank_report.numerical_rank)
         x_smin.append(float(res.rank_report.singular_values[-1]))
     full_f = sum(1 for i, r in enumerate(f_ranks) if r == 2 + i % 3)
@@ -218,7 +219,7 @@ def test_criterion_3_structural_identities():
                 worst_f = max(worst_f, dev)
                 assert dev <= 1e-10
 
-        res_x = dpsi_wrt_X(fj, xf, m=m, method="exact")
+        res_x = dpsi_wrt_X(fj, xf, m=m)
         spx = _space(n, m - 1)
         for k in range(1, m + 1):
             for j in range(n):
@@ -234,7 +235,7 @@ def test_criterion_3_structural_identities():
         assert res_x.structural_deviation <= 1e-10
 
         if i % 10 == 0:  # finite differences agree at their cancellation floor
-            res_fd = dpsi_wrt_X(fj, xf, m=m, method="fd")
+            res_fd = dpsi_wrt_X_fd(fj, xf, m=m)
             worst_fd = max(worst_fd, res_fd.structural_deviation)
             assert res_fd.structural_deviation <= 1e-6
     _passed(3, f"100 samples; worst deviations exact-F {worst_f:.2e}, "

@@ -370,6 +370,32 @@ def test_point_must_match_dimension(tmp_path, capsys):
     assert code == 2 and "length 2" in err
 
 
+_AT_POINT = {"system": OSC, "observable": {"kind": "energy"},
+             "point": [0.6, 0.8]}
+_SCANNED = {"system": OSC, "observable": {"kind": "energy"},
+            "scan": {"box": [0.5, 1.5], "count": 5, "seed": 3}}
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5])
+@pytest.mark.parametrize("command, cfg", [
+    ("tower", _AT_POINT),
+    ("rank", dict(_AT_POINT, jacobian="F")),
+    ("rank", dict(_AT_POINT, jacobian="X")),
+    ("scan", _SCANNED),
+    ("perturb-experiment", dict(
+        _SCANNED, trials=1,
+        perturbation={"target": "observable", "degree": 3, "epsilon": 0.01,
+                      "seed": 5})),
+])
+def test_tower_order_must_be_a_positive_integer(tmp_path, capsys, command,
+                                                 cfg, order):
+    path = write_config(tmp_path, "c.json", dict(cfg, tower_order=order))
+    code, out, err = run(capsys, [command, path, "--expect-submersion"]
+                         if command == "rank" else [command, path])
+    assert code == 2 and "tower_order" in err
+    assert out == ""
+
+
 def test_collision_point_exits_3(tmp_path, capsys, monkeypatch):
     # Record every jet table requested, under each name it is imported as.
     space = jet_algebra._space
