@@ -273,6 +273,17 @@ def _tower_order(cfg: dict, default: int | None = None) -> int | None:
     return m
 
 
+def _threshold(cfg: dict) -> float:
+    """The config's relative rank ``threshold``, a finite number strictly
+    between 0 and 1; ``RANK_THRESHOLD`` when it is absent."""
+    t = cfg.get("threshold", RANK_THRESHOLD)
+    if (isinstance(t, bool) or not isinstance(t, (int, float))
+            or not 0.0 < t < 1.0):
+        raise ConfigError(
+            f"threshold must be a number strictly between 0 and 1, got {t!r}")
+    return float(t)
+
+
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -318,7 +329,7 @@ def _cmd_rank(cfg: dict, args) -> int:
     z = _build_point(cfg, field, system)
     m = _tower_order(cfg, default_tower_order(field.dim))
     which = cfg.get("jacobian", "F")
-    threshold = float(cfg.get("threshold", RANK_THRESHOLD))
+    threshold = _threshold(cfg)
     xf = field.jet_field(z, m - 1)
     if which == "F":
         result = dpsi_wrt_F(xf, m=m, threshold=threshold)

@@ -125,12 +125,27 @@ class _JetSpace:
 
     Only products need the triples, and they are the bulk of a large table
     (38 567 100 of them at dim 12, degree 9), so they are built on the first
-    :func:`jet_mul` or :func:`shift_base` on this space, and :attr:`tri_binom`
-    on the first :func:`shift_base`.  A space used only for its layout,
-    :meth:`rank`, :func:`jet_partial` or :func:`embed_jet` never holds them.
+    full :func:`jet_mul` or :func:`shift_base` on this space, and
+    :attr:`tri_binom` on the first :func:`shift_base`.  A space used only for
+    its layout, :meth:`rank`, :func:`jet_partial` or :func:`embed_jet` never
+    holds them.
+
+    Most N-body jets use few of the variables: a component ``p_c / m_c`` of
+    the Hamiltonian field uses one momentum, ``-dV/dq`` the configuration
+    only, and a pair's ``r^2`` four planar coordinates.  For such a factor
+    :meth:`triples_within` gives the triples whose j-row, and if asked also
+    whose i-row, uses only the variables of a bitmask.  It ranks the sums of
+    the rows inside the mask directly, so the full triples are never built
+    for it (10 518 300 at dim 12, degree 8 against 1 562 275 for the
+    configuration half), and it keeps their i-major, j-ascending order.
+    Every triple it leaves out multiplies a coefficient that is +0 or -0,
+    and adding +-0 to a ``bincount`` sum that starts at +0 never changes a
+    bit, so a restricted product is bitwise equal to the full one.  Each set
+    is built on the first product with its mask and cached per mask.
+
     :meth:`mul_buffers` gives each thread two float buffers of the triple
-    count, built on its first :func:`jet_mul` here and reused after, so a
-    product allocates only its output.
+    count for each triple set, built on its first :func:`jet_mul` with that
+    set and reused after, so a product allocates only its output.
     """
 
     def __init__(self, dim: int, degree: int):
@@ -163,29 +178,66 @@ class _JetSpace:
             for axis, unit in enumerate(np.eye(dim, dtype=np.int64)):
                 self.diff_src.append(self.rank(lower + unit))
                 self.diff_scale.append((lower[:, axis] + 1).astype(float))
+        self._within: dict[tuple[int, bool], tuple] = {}
         self._local = threading.local()
 
     @cached_property
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(tri_i, tri_j, tri_k)``: all (i, j, k) with alpha_i + alpha_j = alpha_k."""
-        dim, degree, prefix = self.dim, self.degree, self.prefix
-        # Rows of order o pair with the first prefix[degree - o] rows.
-        starts = [0] + prefix
-        blocks = [(starts[o], prefix[o], prefix[degree - o])
-                  for o in range(degree + 1)]
-        n_tri = sum((stop - start) * width for start, stop, width in blocks)
+        rows = np.arange(self.size, dtype=np.intp)
+        return self._convolution(rows, rows)
+
+    def triples_within(self, mask: int, both: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The :attr:`triples` whose j-row, and if ``both`` also whose i-row,
+        uses only the variables in ``mask`` (bit ``v`` for ``z_v``).
+
+        Built with :meth:`rank` from the rows inside the mask, never by
+        filtering :attr:`triples`, in the same i-major, j-ascending order, and
+        cached per ``(mask, both)``.
+        """
+        key = (mask, both)
+        try:
+            return self._within[key]
+        except KeyError:
+            pass
+        # Threads that miss together each build the same arrays; any of them
+        # may stay cached, so no lock is needed.
+        outside = [v for v in range(self.dim) if not mask >> v & 1]
+        inside = np.flatnonzero(~self.exps[:, outside].any(axis=1))
+        rows = inside if both else np.arange(self.size, dtype=np.intp)
+        self._within[key] = self._convolution(rows, inside)
+        return self._within[key]
+
+    def _convolution(self, i_rows: np.ndarray, j_rows: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All (i, j, k) with i in ``i_rows``, j in ``j_rows`` and
+        alpha_i + alpha_j = alpha_k, i-major with j ascending.
+
+        Both row lists ascend, so, the layout being graded, the rows of order
+        at most ``o`` are a prefix of each, and the rows of order ``o`` pair
+        with that prefix of ``j_rows`` for order ``degree - o``.
+        """
+        dim, degree = self.dim, self.degree
+        i_end = np.searchsorted(i_rows, self.prefix).tolist()
+        j_end = np.searchsorted(j_rows, self.prefix).tolist()
+        blocks = [(lo, hi, j_end[degree - o])
+                  for o, (lo, hi) in enumerate(zip([0] + i_end, i_end))]
+        n_tri = sum((hi - lo) * width for lo, hi, width in blocks)
         tri_i = np.empty(n_tri, dtype=np.intp)
         tri_j = np.empty(n_tri, dtype=np.intp)
         tri_k = np.empty(n_tri, dtype=np.intp)
         at = 0
         for start, stop, width in blocks:
+            js = j_rows[:width]
+            j_exps = self.exps[js]
             step = max(1, _CHUNK_ELEMENTS // (width * dim))
             for lo in range(start, stop, step):
-                hi = min(lo + step, stop)
-                end = at + (hi - lo) * width
-                tri_i[at:end] = np.repeat(np.arange(lo, hi), width)
-                tri_j[at:end] = np.tile(np.arange(width), hi - lo)
-                sums = self.exps[lo:hi, None, :] + self.exps[None, :width, :]
+                chunk = i_rows[lo:min(lo + step, stop)]
+                end = at + len(chunk) * width
+                tri_i[at:end] = np.repeat(chunk, width)
+                tri_j[at:end] = np.tile(js, len(chunk))
+                sums = self.exps[chunk][:, None, :] + j_exps[None, :, :]
                 tri_k[at:end] = self.rank(sums).ravel()
                 at = end
         return tri_i, tri_j, tri_k
@@ -197,14 +249,21 @@ class _JetSpace:
         f = self.factorials
         return f[tri_k] / (f[tri_i] * f[tri_j])
 
-    def mul_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The calling thread's two gather buffers, one float per triple each."""
+    def mul_buffers(self, mask: int | None = None, both: bool = False
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The calling thread's two gather buffers, one float per triple each,
+        for :attr:`triples` or, given a mask, :meth:`triples_within`."""
         try:
-            return self._local.buffers
+            buffers = self._local.buffers
         except AttributeError:
-            n_tri = len(self.triples[0])
-            self._local.buffers = (np.empty(n_tri), np.empty(n_tri))
-            return self._local.buffers
+            buffers = self._local.buffers = {}
+        key = (mask, both)
+        try:
+            return buffers[key]
+        except KeyError:
+            tri = self.triples if mask is None else self.triples_within(mask, both)
+            buffers[key] = (np.empty(len(tri[0])), np.empty(len(tri[0])))
+            return buffers[key]
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
         """Table positions of the exponent rows ``exps[..., :]``.
@@ -422,12 +481,21 @@ def jet_scale(a: TruncatedJet, s: float) -> TruncatedJet:
     return TruncatedJet(a.dim, a.degree, a.base_point, s * a.coeffs)
 
 
-def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
-    """Truncated Cauchy product; orders beyond the shared degree are dropped."""
+def jet_mul(a: TruncatedJet, b: TruncatedJet, mask: int | None = None,
+            both: bool = False) -> TruncatedJet:
+    """Truncated Cauchy product; orders beyond the shared degree are dropped.
+
+    Given ``mask``, ``b`` (and ``a`` too if ``both``) must have no nonzero
+    coefficient on a row that uses a variable outside it; the product then
+    runs over :meth:`_JetSpace.triples_within` and is bitwise equal to the
+    full one (see :class:`_JetSpace`).  Callers compute the mask once per
+    operand, never per product: see :attr:`JetField.masks`.
+    """
     _check_combinable(a, b)
     sp = _space(a.dim, a.degree)
-    tri_i, tri_j, tri_k = sp.triples
-    p, q = sp.mul_buffers()
+    tri_i, tri_j, tri_k = (sp.triples if mask is None
+                           else sp.triples_within(mask, both))
+    p, q = sp.mul_buffers(mask, both)
     # Positional arguments: the keyword forms cost more per call than the
     # gather itself on small tables.  "clip" lets take write into ``out``
     # unbuffered; the indices are in range by construction.
@@ -436,6 +504,19 @@ def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     np.multiply(p, q, p)
     c = np.bincount(tri_k, p, sp.size)
     return TruncatedJet(a.dim, a.degree, a.base_point, c)
+
+
+def _variable_mask(a: TruncatedJet) -> int | None:
+    """Bitmask of the variables ``a``'s nonzero coefficients use, bit ``v``
+    for ``z_v``: the OR of their rows' variables.  ``None`` when that is
+    every variable, which :func:`jet_mul` reads as no restriction."""
+    # Rows 1..dim are the linear terms: all nonzero settles it without a scan.
+    if a.degree >= 1 and a.coeffs[1:a.dim + 1].all():
+        return None
+    used = _space(a.dim, a.degree).exps[np.flatnonzero(a.coeffs)].any(axis=0)
+    if used.all():
+        return None
+    return sum(1 << int(v) for v in np.flatnonzero(used))
 
 
 def jet_partial(a: TruncatedJet, axis: int) -> TruncatedJet:
@@ -484,7 +565,10 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     """``a**exponent`` for real exponents via the truncated binomial series.
 
     Requires a nonzero constant term (and a positive one for non-integer
-    exponents); the series is exact at the truncation degree.
+    exponents); the series is exact at the truncation degree.  The mask of
+    ``a``'s variables is computed once per call, and every product of the
+    series multiplies two jets in it over the restricted triples of
+    :meth:`_JetSpace.triples_within`, bitwise equal to full products.
     """
     a0 = a.value
     if a0 == 0.0:
@@ -498,13 +582,15 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     w = jet_scale(a, 1.0 / a0)
     w = TruncatedJet(a.dim, d, a.base_point,
                      w.coeffs - TruncatedJet.constant(1.0, a.dim, d, a.base_point).coeffs)
-    # Horner evaluation of sum_k binom(exponent, k) w**k.
+    # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
+    # uses only a's variables, so both operands of each product lie in its mask.
+    mask = _variable_mask(a)
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
     acc = TruncatedJet.constant(coeffs[d], a.dim, d, a.base_point)
     for k in range(d - 1, -1, -1):
-        acc = jet_mul(acc, w)
+        acc = jet_mul(acc, w, mask, both=True)
         acc = jet_add(acc, TruncatedJet.constant(coeffs[k], a.dim, d, a.base_point))
     return jet_scale(acc, a0 ** exponent)
 
@@ -713,6 +799,16 @@ class JetField:
     @property
     def base_point(self) -> np.ndarray:
         return self.components[0].base_point
+
+    @cached_property
+    def masks(self) -> tuple[int | None, ...]:
+        """Per component, the bitmask of the variables it uses (``None``
+        for all of them), computed once per field for :func:`jet_mul`.
+
+        A truncation uses a subset of its component's variables, so the
+        masks hold for :meth:`truncated` fields and truncated components too.
+        """
+        return tuple(_variable_mask(c) for c in self.components)
 
     def values(self) -> np.ndarray:
         """Field value at the base point (constant terms)."""

@@ -197,7 +197,11 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     """``L_X F = sum_i (dF/dz_i) X^i`` as a jet one degree lower than ``f``.
 
     A degree-0 observable carries no derivative information and maps to the
-    zero jet of degree 0.
+    zero jet of degree 0.  A component that uses only some variables
+    (:attr:`JetField.masks`) is multiplied over the restricted triples of its
+    mask, in the order of the full ones and bitwise equal to a full
+    :func:`jet_mul` (see :class:`~saarilab.jet_algebra._JetSpace`); the
+    others take the full product.
     """
     if x.dim != f.dim:
         raise CombinabilityError(f"field dim {x.dim} != jet dim {f.dim}")
@@ -210,8 +214,9 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
             f"field degree {x.degree} cannot support a degree-{f.degree} observable"
         )
     out = None
-    for i in range(f.dim):
-        term = jet_mul(jet_partial(f, i), jet_truncate(x.components[i], f.degree - 1))
+    for i, mask in enumerate(x.masks):
+        term = jet_mul(jet_partial(f, i),
+                       jet_truncate(x.components[i], f.degree - 1), mask)
         out = term if out is None else jet_add(out, term)
     return out
 

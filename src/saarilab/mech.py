@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -34,11 +35,13 @@ from .fields import PolynomialObservable, stream_rng
 from .jet_algebra import (
     JetField,
     TruncatedJet,
+    _space,
     embed_jet,
     jet_add,
     jet_partial,
     jet_pow,
     jet_scale,
+    table_size,
 )
 
 __all__ = [
@@ -419,33 +422,42 @@ def angular_momentum(system: BodySystem, state):
 # -- exact jets ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _quadratic_positions(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table positions of ``z_v`` (``lin[v]``) and of ``z_u * z_v``
+    (``quad[u, v]``) in ``dim`` variables.
+
+    Tables are prefix-stable, so these positions hold at every degree that
+    has the order; ranking them once per dimension spares each sample's jets
+    the multi-index lookups of :meth:`TruncatedJet.from_coeffs`.
+    """
+    sp = _space(dim, 2)
+    eye = np.eye(dim, dtype=np.int64)
+    lin = sp.rank(eye)
+    quad = sp.rank(eye[:, None, :] + eye[None, :, :])
+    lin.flags.writeable = False
+    quad.flags.writeable = False
+    return lin, quad
+
+
 def _pair_r2_jet(system: BodySystem, q2d: np.ndarray, i: int, j: int,
                  degree: int) -> TruncatedJet:
     """Exact jet of ``|q_i - q_j|^2`` in the configuration variables."""
     nc = system.coord_dim
+    lin, quad = _quadratic_positions(nc)
+    a = i * system.space_dim + np.arange(system.space_dim)
+    b = j * system.space_dim + np.arange(system.space_dim)
     d = q2d[i] - q2d[j]
-    entries: dict[tuple, float] = {(0,) * nc: float(d @ d)}
+    c = np.zeros(table_size(nc, degree))
+    c[0] = d @ d
     if degree >= 1:
-        for c in range(system.space_dim):
-            ei = [0] * nc
-            ei[i * system.space_dim + c] = 1
-            ej = [0] * nc
-            ej[j * system.space_dim + c] = 1
-            entries[tuple(ei)] = 2.0 * d[c]
-            entries[tuple(ej)] = -2.0 * d[c]
+        c[lin[a]] = 2.0 * d
+        c[lin[b]] = -2.0 * d
     if degree >= 2:
-        for c in range(system.space_dim):
-            ii = [0] * nc
-            ii[i * system.space_dim + c] = 2
-            jj = [0] * nc
-            jj[j * system.space_dim + c] = 2
-            ij = [0] * nc
-            ij[i * system.space_dim + c] = 1
-            ij[j * system.space_dim + c] = 1
-            entries[tuple(ii)] = 1.0
-            entries[tuple(jj)] = 1.0
-            entries[tuple(ij)] = -2.0
-    return TruncatedJet.from_coeffs(nc, degree, q2d.ravel(), entries)
+        c[quad[a, a]] = 1.0
+        c[quad[b, b]] = 1.0
+        c[quad[a, b]] = -2.0
+    return TruncatedJet(nc, degree, q2d.ravel(), c)
 
 
 def potential_config_jet(system: BodySystem, q, degree: int) -> TruncatedJet:
@@ -500,14 +512,14 @@ class HamiltonianField:
         sys = self.system
         nc = sys.coord_dim
         nph = sys.phase_dim
+        lin, _ = _quadratic_positions(nph)
         comps: list[TruncatedJet] = []
         for c in range(nc):
-            entries = {(0,) * nph: z[nc + c] * self.minv[c]}
+            coeffs = np.zeros(table_size(nph, degree))
+            coeffs[0] = z[nc + c] * self.minv[c]
             if degree >= 1:
-                e = [0] * nph
-                e[nc + c] = 1
-                entries[tuple(e)] = self.minv[c]
-            comps.append(TruncatedJet.from_coeffs(nph, degree, z, entries))
+                coeffs[lin[nc + c]] = self.minv[c]
+            comps.append(TruncatedJet(nph, degree, z, coeffs))
         vjet = potential_config_jet(sys, z[:nc], degree + 1)
         for c in range(nc):
             dv = jet_partial(vjet, c)
@@ -565,20 +577,15 @@ class EnergyObservable:
         sys = self.system
         nc = sys.coord_dim
         nph = sys.phase_dim
-        entries: dict[tuple, float] = {
-            (0,) * nph: float(0.5 * np.sum(z[nc:] ** 2 * self._minv))
-        }
+        lin, quad = _quadratic_positions(nph)
+        p = np.arange(nc, nph)
+        coeffs = np.zeros(table_size(nph, degree))
+        coeffs[0] = 0.5 * np.sum(z[nc:] ** 2 * self._minv)
         if degree >= 1:
-            for c in range(nc):
-                e = [0] * nph
-                e[nc + c] = 1
-                entries[tuple(e)] = z[nc + c] * self._minv[c]
+            coeffs[lin[p]] = z[nc:] * self._minv
         if degree >= 2:
-            for c in range(nc):
-                e = [0] * nph
-                e[nc + c] = 2
-                entries[tuple(e)] = 0.5 * self._minv[c]
-        kin = TruncatedJet.from_coeffs(nph, degree, z, entries)
+            coeffs[quad[p, p]] = 0.5 * self._minv
+        kin = TruncatedJet(nph, degree, z, coeffs)
         vjet = potential_config_jet(sys, z[:nc], degree)
         return jet_add(kin, embed_jet(vjet, nph, list(range(nc)), z))
 

@@ -1,10 +1,13 @@
-"""Reference routes for the field Jacobian of the tower, used only by tests.
+"""Reference routes for the tower and its field Jacobian, used only by tests.
 
 ``dpsi_wrt_X_fd`` central-differences the tower in each field coefficient and
 is the independent check on the tangent recursion of
 :func:`saarilab.lie_tower.dpsi_wrt_X`.  ``dpsi_wrt_X_per_column`` is that
 recursion as it was first written, rebuilding the Lie chain for every
-column; the library route must equal it bit for bit.
+column; the library route must equal it bit for bit.  ``lie_derivative_full``
+and ``jet_pow_full`` multiply over the full convolution triples, where the
+library restricts them to the variables a jet uses; they too must agree bit
+for bit.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from saarilab.jet_algebra import (
     jet_add,
     jet_mul,
     jet_partial,
+    jet_scale,
     jet_truncate,
     _space,
 )
@@ -32,6 +36,30 @@ from saarilab.lie_tower import (
 #: Finite-difference step scale: coefficient ``c`` moves by
 #: ``WRT_X_STEP_SCALE * max(1, |c|)`` in partial-derivative coordinates.
 WRT_X_STEP_SCALE = 1e-5
+
+
+def lie_derivative_full(f: TruncatedJet, x: JetField) -> TruncatedJet:
+    """``L_X F`` with one full-table :func:`jet_mul` per component."""
+    out = None
+    for i in range(f.dim):
+        term = jet_mul(jet_partial(f, i), jet_truncate(x.components[i], f.degree - 1))
+        out = term if out is None else jet_add(out, term)
+    return out
+
+
+def jet_pow_full(a: TruncatedJet, exponent: float) -> TruncatedJet:
+    """The binomial-series Horner loop of ``jet_pow`` with full-table products."""
+    a0, d = a.value, a.degree
+    one = TruncatedJet.constant(1.0, a.dim, d, a.base_point)
+    w = TruncatedJet(a.dim, d, a.base_point, jet_scale(a, 1.0 / a0).coeffs - one.coeffs)
+    coeffs = [1.0]
+    for k in range(1, d + 1):
+        coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
+    acc = TruncatedJet.constant(coeffs[d], a.dim, d, a.base_point)
+    for k in range(d - 1, -1, -1):
+        acc = jet_add(jet_mul(acc, w),
+                      TruncatedJet.constant(coeffs[k], a.dim, d, a.base_point))
+    return jet_scale(acc, a0 ** exponent)
 
 
 def _bump(table: np.ndarray, idx: int, delta: float) -> np.ndarray:

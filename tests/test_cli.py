@@ -396,6 +396,23 @@ def test_tower_order_must_be_a_positive_integer(tmp_path, capsys, command,
     assert out == ""
 
 
+@pytest.mark.parametrize("threshold", ["x", "1e-6", True, None, 0, -1, 1,
+                                       math.nan, math.inf])
+def test_rank_threshold_must_lie_strictly_between_0_and_1(tmp_path, capsys,
+                                                          threshold):
+    path = write_config(tmp_path, "c.json", dict(_AT_POINT, threshold=threshold))
+    code, out, err = run(capsys, ["rank", path])
+    assert code == 2 and "threshold" in err
+    assert out == ""
+
+
+def test_rank_threshold_overrides_the_default(tmp_path, capsys):
+    path = write_config(tmp_path, "c.json", dict(_AT_POINT, threshold=1e-6))
+    code, out, _ = run(capsys, ["rank", path])
+    assert code == 0
+    assert json.loads(out)["rank"]["threshold"] == 1e-6
+
+
 def test_collision_point_exits_3(tmp_path, capsys, monkeypatch):
     # Record every jet table requested, under each name it is imported as.
     space = jet_algebra._space

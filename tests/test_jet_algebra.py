@@ -33,6 +33,8 @@ from saarilab.jet_algebra import (
 )
 from saarilab.jet_algebra import _space
 
+from oracles import jet_pow_full
+
 
 def _jet(dim, degree, base, entries):
     return TruncatedJet.from_coeffs(dim, degree, base, entries)
@@ -266,25 +268,83 @@ def test_jet_mul_equals_the_fancy_index_product(dim, degree):
         assert _same_array(g, _fancy_index_product(x, y))
 
 
+def _masks(dim):
+    """Empty, one variable, the first half (an N-body configuration), all."""
+    return [0, 1 << (dim - 1), (1 << max(dim // 2, 1)) - 1, (1 << dim) - 1]
+
+
+def _inside(sp, mask):
+    """Per table row: does it use only variables in ``mask``?"""
+    return np.array([all(e == 0 or mask >> v & 1 for v, e in enumerate(row))
+                     for row in sp.exps.tolist()])
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 5), (3, 4), (6, 7), (8, 5), (12, 4)])
+def test_restricted_triples_are_the_masked_full_triples(dim, degree):
+    # Same value, dtype and order: the restricted products sum them with
+    # bincount in this order.
+    sp = _space(dim, degree)
+    for mask in _masks(dim):
+        inside = _inside(sp, mask)
+        tri_i, tri_j, tri_k = sp.triples
+        for both in (False, True):
+            keep = inside[tri_j] & (inside[tri_i] if both else True)
+            got = sp.triples_within(mask, both)
+            for name, g, full in zip("ijk", got, (tri_i, tri_j, tri_k)):
+                assert _same_array(g, full[keep]), (mask, both, name)
+
+
+def _restricted_jet(sp, mask, rng, base):
+    """A random jet on ``sp`` that vanishes on every row outside ``mask``,
+    with -0.0 on some of those rows."""
+    c = rng.normal(size=sp.size)
+    outside = ~_inside(sp, mask)
+    c[outside] = np.where(rng.random(outside.sum()) < 0.5, 0.0, -0.0)
+    return TruncatedJet(sp.dim, sp.degree, base, c)
+
+
+@pytest.mark.parametrize("dim,degree", [(3, 4), (6, 7), (8, 5), (12, 4)])
+def test_restricted_product_equals_jet_mul(dim, degree):
+    sp = _space(dim, degree)
+    rng = np.random.default_rng(dim * 10 + degree)
+    base = rng.uniform(-1.0, 1.0, dim)
+    for mask in _masks(dim):
+        a = TruncatedJet(dim, degree, base, rng.normal(size=sp.size))
+        b = _restricted_jet(sp, mask, rng, base)
+        want = jet_mul(a, b).coeffs
+        assert _same_array(jet_mul(a, b, mask).coeffs, want)
+        a = _restricted_jet(sp, mask, rng, base)
+        assert _same_array(jet_mul(a, b, mask, both=True).coeffs,
+                           jet_mul(a, b).coeffs)
+
+
 def test_warm_jet_mul_allocates_only_its_output():
+    # the full triples and two restricted sets, each with its own buffers
     sp = _space(8, 5)
     rng = np.random.default_rng(85)
-    a, b = (TruncatedJet(8, 5, np.zeros(8), rng.normal(size=sp.size))
-            for _ in range(2))
-    jet_mul(a, b)  # builds the triples and this thread's buffers
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        jet_mul(b, a)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-    # one float64 array of the triple count is 162 792 bytes here; the output
-    # and the jet around it are 10 KB
-    assert peak - before < 8 * len(sp.triples[0])
+    for mask, both in ((None, False), (0b111111, False), (0b111111, True)):
+        a, b = (TruncatedJet(8, 5, np.zeros(8), rng.normal(size=sp.size))
+                for _ in range(2))
+        if mask is not None:
+            b = _restricted_jet(sp, mask, rng, np.zeros(8))
+            if both:
+                a = _restricted_jet(sp, mask, rng, np.zeros(8))
+        jet_mul(a, b, mask, both)  # builds the triples and this thread's buffers
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            jet_mul(a, b, mask, both)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # one float64 array of the triple count is 162 792 bytes for the full
+        # triples here and 49 504 for the smallest restricted set; the output
+        # and the jet around it are 10 KB
+        tri = sp.triples if mask is None else sp.triples_within(mask, both)
+        assert peak - before < 8 * len(tri[0]), (mask, both)
 
 
 def test_incompatible_jets_refused():
@@ -314,6 +374,21 @@ def test_pow_binomial_series():
     r = jet_pow(u, 0.5)
     np.testing.assert_allclose(
         r.coeffs, [1.0, 0.5, -0.125, 0.0625, -0.0390625], atol=1e-15)
+
+
+@pytest.mark.parametrize("dim,degree,mask", [(6, 8, 0b011011), (4, 5, 0b0101),
+                                             (3, 4, 0b100), (2, 6, 0b11)])
+def test_pow_equals_the_full_product_series(dim, degree, mask):
+    # jet_pow restricts both operands to its base jet's variables; the
+    # masks include a pair's r^2 in the planar 3-body configuration
+    sp = _space(dim, degree)
+    rng = np.random.default_rng(dim * 100 + degree)
+    for exponent, a0 in ((-0.5, 2.0), (1.5, 0.7), (-3.0, 1.1), (3.0, -1.2)):
+        a = _restricted_jet(sp, mask, rng, rng.uniform(-1.0, 1.0, dim))
+        a = TruncatedJet(dim, degree, a.base_point,
+                         np.concatenate(([a0], 0.1 * a.coeffs[1:])))
+        assert _same_array(jet_pow(a, exponent).coeffs,
+                           jet_pow_full(a, exponent).coeffs), exponent
 
 
 def test_pow_integer_matches_repeated_mul():

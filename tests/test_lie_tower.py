@@ -1,6 +1,7 @@
 """Tower map tests: iterated Lie derivatives, Jacobians, exclusion flags."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from saarilab.fields import (
     random_polynomial_observable,
     stream_rng,
 )
-from saarilab.genericity import Sampler
+from saarilab.genericity import PerturbationSpec, Sampler, perturb
 from saarilab.jet_algebra import JetField, TruncatedJet, _space
 from saarilab.lie_tower import (
     RANK_THRESHOLD,
@@ -47,7 +48,7 @@ from saarilab.mech import (
     inertia_observable,
 )
 
-from oracles import dpsi_wrt_X_fd, dpsi_wrt_X_per_column
+from oracles import dpsi_wrt_X_fd, dpsi_wrt_X_per_column, lie_derivative_full
 
 
 # -- tower values ------------------------------------------------------------------
@@ -363,30 +364,123 @@ def _two_body(masses=(1.0, 1.3)):
 def test_tower_builds_triples_only_for_the_tables_it_multiplies():
     # At m = 9 the inertia jet lives on the (8, 9) table, but only the
     # degree-8 field jets are multiplied: the big table never needs triples.
+    # Each field component uses one momentum or the configuration only, so
+    # the (8, 8) table holds those restricted triples and never the full ones.
+    _space.cache_clear()
     system = _two_body()
     z = Sampler(box=(-1.0, 1.0), count=1, seed=5).draw(0, 8, system)
     obstruction_at(inertia_observable(system), build_hamiltonian_field(system),
                    z, m=9)
     assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
-    assert "triples" in vars(_space(8, 8))
+    sp = _space(8, 8)
+    assert "triples" not in vars(sp)
+    assert len(sp._within) == 5  # four momenta and the configuration
+
+
+_THREE_BODY_M9 = """
+import json, resource
+import saarilab
+from saarilab.genericity import Sampler
+from saarilab.jet_algebra import _space
+
+system = saarilab.BodySystem(3, 2, (1.0, 1.3, 0.7), saarilab.NewtonianPotential())
+z = Sampler(box=(-1, 1), count=10, seed=4, min_separation=0.3).draw(0, 12, system)
+F = saarilab.inertia_observable(system)
+X = saarilab.build_hamiltonian_field(system)
+psi = saarilab.obstruction_at(F, X, z, m=9).psi.values
+sp = _space(12, 8)
+print(json.dumps({
+    "psi": [float(v).hex() for v in psi],
+    "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "full": "triples" in vars(sp),
+    "restricted": sum(len(t[0]) for t in sp._within.values()),
+}))
+"""
+
+#: The tower as the full-table route computed it, bit for bit.
+_THREE_BODY_M9_PSI = [
+    "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ep+0",
+    "0x1.6e238aa0d0243p+4", "0x1.321892275f46ep+1", "0x1.2049b1bc298f9p+7",
+    "0x1.5997b63118396p+11", "0x1.496c0955f7c04p+13", "-0x1.97148853b433cp+17",
+]
+
+
+def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
+    # A work guard by counts: the (12, 8) products take one restricted set
+    # per field mask, 1 562 275 triples for the configuration and 203 490
+    # for each of the six momenta, where the full table holds 10 518 300.
+    # A fresh process, so that the peak is this tower's own.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _THREE_BODY_M9], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["psi"] == _THREE_BODY_M9_PSI
+    assert not got["full"]
+    assert got["restricted"] < 3_000_000
+    assert got["peak_mb"] <= 512
+
+
+def _full_chain_cases():
+    bump = perturb(PerturbationSpec("potential", 3, 0.05, 7),
+                   BodySystem(2, 2, (1.0, 1.3), NewtonianPotential()))
+    bump3 = perturb(PerturbationSpec("potential", 2, 0.05, 8),
+                    BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential()))
+    systems = ((BodySystem(2, 2, (1.0, 1.3), NewtonianPotential()), 7),
+               (bump, 6),
+               (BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential()), 7),
+               (bump3, 5))
+    for system, m in systems:
+        z = Sampler(box=(-1.0, 1.0), count=1, seed=6,
+                    min_separation=0.3).draw(0, system.phase_dim, system)
+        field = build_hamiltonian_field(system)
+        for F in (inertia_observable(system), energy_observable(system)):
+            yield F, field, z, m
+    yield oscillator_energy(), oscillator_field(), np.array([0.6, 0.8]), 6
+
+
+def test_tower_chain_equals_the_full_product_route():
+    # lie_derivative multiplies each field component over the triples of the
+    # variables it uses; every jet of the chain must keep its bits
+    for F, X, z, m in _full_chain_cases():
+        fj, xf = F.jet(z, m), X.jet_field(z, m - 1)
+        assert any(mask is not None for mask in xf.masks)
+        g = h = fj
+        values = []
+        for _ in range(m):
+            g, h = lie_derivative(g, xf), lie_derivative_full(h, xf)
+            assert g.coeffs.tobytes() == h.coeffs.tobytes(), (F, m, g.degree)
+            values.append(h.value)
+        assert psi_tower(fj, xf, m).values.tobytes() == np.array(values).tobytes()
 
 
 def test_concurrent_towers_equal_serial_ones():
     # jet_mul gathers into per-thread buffers: threads sharing one table
-    # must not see each other's products
+    # must not see each other's products.  The N-body field multiplies over
+    # restricted triples, the dense random field over the full ones, and the
+    # threads start from an empty table cache, so they also build the tables
+    # and the restricted sets side by side.
     system = _two_body()
     field = build_hamiltonian_field(system)
-    observables = (inertia_observable(system), energy_observable(system))
     sampler = Sampler(box=(-1.5, 1.5), count=4, seed=3)
-    points = [sampler.draw(i, 8, system) for i in range(sampler.count)]
-    rounds = 20
+    rng = stream_rng(41, 0)
+    dense = random_polynomial_field(3, 3, rng)
+    cases = [(F, field, sampler.draw(i, 8, system))
+             for i in range(sampler.count)
+             for F in (inertia_observable(system), energy_observable(system))]
+    cases += [(random_polynomial_observable(3, 5, rng), dense,
+               rng.uniform(-0.5, 0.5, 3)) for _ in range(2)]
+    rounds = 10
 
     def run(offset):
-        return [obstruction_at(F, field, points[(r + offset) % len(points)],
+        return [obstruction_at(*cases[(r + offset) % len(cases)][:2],
+                               cases[(r + offset) % len(cases)][2],
                                m=5).psi.values.tobytes()
-                for r in range(rounds) for F in observables]
+                for r in range(rounds * len(cases))]
 
     serial = [run(offset) for offset in (0, 1)]
+    _space.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -396,6 +490,7 @@ def test_concurrent_towers_equal_serial_ones():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+    assert _space(8, 4)._within and "triples" in vars(_space(3, 4))
 
 
 _TRACED_RUN = """

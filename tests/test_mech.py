@@ -14,6 +14,9 @@ from saarilab.fields import (
 )
 from saarilab.genericity import PerturbationSpec, perturb
 from saarilab.jet_algebra import (
+    TruncatedJet,
+    embed_jet,
+    jet_add,
     jet_eval,
     jet_from_samples,
     jet_pad,
@@ -47,6 +50,7 @@ from saarilab.mech import (
     releq_newton,
     releq_trajectory,
 )
+from saarilab.mech import _pair_r2_jet
 
 
 def two_body(potential=None, masses=(1.0, 1.0)):
@@ -273,6 +277,73 @@ def test_polynomial_jet_equals_the_pad_then_shift_route():
             assert got.degree == want.degree == degree
             assert got.coeffs.tobytes() == want.coeffs.tobytes(), (obs.dim,
                                                                    degree)
+
+
+def _unit(n, *at):
+    e = [0] * n
+    for v in at:
+        e[v] += 1
+    return tuple(e)
+
+
+def _dict_r2_jet(system, q2d, i, j, degree):
+    """The route _pair_r2_jet took before: a multi-index dict, from_coeffs."""
+    nc, sd = system.coord_dim, system.space_dim
+    d = q2d[i] - q2d[j]
+    entries = {(0,) * nc: float(d @ d)}
+    if degree >= 1:
+        for c in range(sd):
+            entries[_unit(nc, i * sd + c)] = 2.0 * d[c]
+            entries[_unit(nc, j * sd + c)] = -2.0 * d[c]
+    if degree >= 2:
+        for c in range(sd):
+            entries[_unit(nc, i * sd + c, i * sd + c)] = 1.0
+            entries[_unit(nc, j * sd + c, j * sd + c)] = 1.0
+            entries[_unit(nc, i * sd + c, j * sd + c)] = -2.0
+    return TruncatedJet.from_coeffs(nc, degree, q2d.ravel(), entries)
+
+
+def _dict_kinetic_jets(system, z, degree):
+    """The momentum components of the field and the kinetic part of the
+    energy jet as they were built before, through from_coeffs."""
+    nc, nph = system.coord_dim, system.phase_dim
+    minv = 1.0 / system.mass_vector
+    comps = []
+    for c in range(nc):
+        entries = {(0,) * nph: z[nc + c] * minv[c]}
+        if degree >= 1:
+            entries[_unit(nph, nc + c)] = minv[c]
+        comps.append(TruncatedJet.from_coeffs(nph, degree, z, entries))
+    entries = {(0,) * nph: float(0.5 * np.sum(z[nc:] ** 2 * minv))}
+    if degree >= 1:
+        for c in range(nc):
+            entries[_unit(nph, nc + c)] = z[nc + c] * minv[c]
+    if degree >= 2:
+        for c in range(nc):
+            entries[_unit(nph, nc + c, nc + c)] = 0.5 * minv[c]
+    return comps, TruncatedJet.from_coeffs(nph, degree, z, entries)
+
+
+def test_sample_jets_equal_the_multi_index_route():
+    # ranking the positions once per dimension must not move a bit
+    rng = np.random.default_rng(29)
+    for system in (two_body(masses=(1.0, 1.3)), three_body((1.0, 1.3, 0.7)),
+                   BodySystem(2, 3, (0.8, 1.1), NewtonianPotential())):
+        field, energy = HamiltonianField(system), EnergyObservable(system)
+        nc = system.coord_dim
+        for degree in (0, 1, 2, 5):
+            z = rng.uniform(-1.5, 1.5, system.phase_dim)
+            q2d = z[:nc].reshape(system.n_bodies, system.space_dim)
+            for i, j in system.pairs():
+                assert (_pair_r2_jet(system, q2d, i, j, degree).coeffs.tobytes()
+                        == _dict_r2_jet(system, q2d, i, j, degree).coeffs.tobytes())
+            comps, kin = _dict_kinetic_jets(system, z, degree)
+            got = field.jet_field(z, degree).components[:nc]
+            assert [c.coeffs.tobytes() for c in got] == [
+                c.coeffs.tobytes() for c in comps]
+            want = jet_add(kin, embed_jet(potential_config_jet(
+                system, z[:nc], degree), system.phase_dim, list(range(nc)), z))
+            assert energy.jet(z, degree).coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
