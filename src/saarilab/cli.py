@@ -237,10 +237,10 @@ def _build_sampler(cfg: dict, global_seed) -> Sampler:
     if not isinstance(box, list) or len(box) != 2:
         raise ConfigError("scan box must be [lo, hi]")
     return Sampler(
-        box=(float(box[0]), float(box[1])),
-        count=int(cfg["count"]),
+        box=tuple(box),
+        count=cfg["count"],
         seed=_block_seed(cfg, global_seed, "scan block"),
-        min_separation=float(cfg.get("min_separation", 0.1)),
+        min_separation=cfg.get("min_separation", 0.1),
     )
 
 
@@ -249,8 +249,8 @@ def _build_perturbation(cfg: dict, global_seed) -> PerturbationSpec:
                 optional=("seed",))
     return PerturbationSpec(
         target=cfg["target"],
-        degree=int(cfg["degree"]),
-        epsilon=float(cfg["epsilon"]),
+        degree=cfg["degree"],
+        epsilon=cfg["epsilon"],
         seed=_block_seed(cfg, global_seed, "perturbation block"),
     )
 
@@ -440,10 +440,9 @@ def _cmd_perturb_experiment(cfg: dict, args) -> int:
     gseed = _global_seed(cfg, args)
     spec = _build_perturbation(cfg["perturbation"], gseed)
     sampler = _build_sampler(cfg["scan"], gseed)
-    trials = int(cfg["trials"])
     base = system if spec.target == "potential" else field
     rep = genericity_experiment(
-        base, F, spec, trials, sampler, m=_tower_order(cfg),
+        base, F, spec, cfg["trials"], sampler, m=_tower_order(cfg),
         **_scan_tolerances(cfg),
     )
     report = {

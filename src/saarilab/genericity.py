@@ -16,6 +16,8 @@ varies, using the measured energy drift as the noise floor.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,6 +58,25 @@ TOL_ZERO = 1e-6
 
 _TARGETS = ("observable", "vector_field", "potential")
 
+
+def _check_count(value, what: str) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= 1; a
+    bool or an integral float is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+
+
+def _finite(value, what: str, at_least: float = -math.inf) -> float:
+    """``value`` as a float if it is a finite real number (a bool is not)
+    of at least ``at_least``, else a :class:`ConfigError`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or value < at_least):
+        bound = "" if at_least == -math.inf else f" >= {at_least:g}"
+        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
+    return float(value)
+
+
 # Stream tags keeping the named sub-streams of one global seed disjoint.
 _TAG_BUMP = 7
 _TAG_SAMPLE = 11
@@ -83,10 +104,9 @@ class PerturbationSpec:
                 f"unknown perturbation target {self.target!r}; "
                 f"choose from {_TARGETS}"
             )
-        if self.degree < 1:
-            raise ConfigError("perturbation degree must be >= 1")
-        if self.epsilon < 0:
-            raise ConfigError("perturbation amplitude must be >= 0")
+        _check_count(self.degree, "perturbation degree")
+        object.__setattr__(self, "epsilon", _finite(
+            self.epsilon, "perturbation epsilon", at_least=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,11 +192,14 @@ class Sampler:
     max_attempts: int = 100
 
     def __post_init__(self):
-        lo, hi = self.box
+        lo, hi = (_finite(v, f"sampler box {end}")
+                  for v, end in zip(self.box, ("lo", "hi")))
         if not lo < hi:
             raise ConfigError("sampler box must satisfy lo < hi")
-        if self.count < 1:
-            raise ConfigError("sampler count must be >= 1")
+        _check_count(self.count, "sampler count")
+        object.__setattr__(self, "box", (lo, hi))
+        object.__setattr__(self, "min_separation", _finite(
+            self.min_separation, "sampler min_separation", at_least=0.0))
 
     def draw(self, index: int, dim: int, system: BodySystem | None = None
              ) -> np.ndarray:
@@ -365,8 +388,7 @@ def genericity_experiment(base, F, spec: PerturbationSpec, trials: int,
     the potential (leaving ``F`` fixed).  Each trial draws a fresh bump from
     the trial-indexed stream and scans with a trial-shifted sampler seed.
     """
-    if trials < 1:
-        raise ConfigError("need at least one trial")
+    _check_count(trials, "trials")
     reports = []
     zero_total = 0
     nonexcluded_total = 0

@@ -116,7 +116,7 @@ class _JetSpace:
 
     The convolution triples :attr:`triples` ``= (tri_i, tri_j, tri_k)`` list
     every ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That
-    order is load-bearing: :func:`jet_mul` and :func:`shift_base` sum them
+    order is load-bearing: :func:`_mul` and :func:`shift_base` sum them
     with ``np.bincount`` in this order, so any other order moves the last bits
     of every product and every seeded report.  It also makes the triples
     prefix-stable: for each ``i`` of a lower-degree table, that table's
@@ -125,7 +125,7 @@ class _JetSpace:
 
     Only products need the triples, and they are the bulk of a large table
     (38 567 100 of them at dim 12, degree 9), so they are built on the first
-    full :func:`jet_mul` or :func:`shift_base` on this space, and
+    full :func:`_mul` or :func:`shift_base` on this space, and
     :attr:`tri_binom` on the first :func:`shift_base`.  A space used only for
     its layout, :meth:`rank`, :func:`jet_partial` or :func:`embed_jet` never
     holds them.
@@ -144,7 +144,7 @@ class _JetSpace:
     is built on the first product with its mask and cached per mask.
 
     :meth:`mul_buffers` gives each thread two float buffers of the triple
-    count for each triple set, built on its first :func:`jet_mul` with that
+    count for each triple set, built on its first :func:`_mul` with that
     set and reused after, so a product allocates only its output.
     """
 
@@ -326,6 +326,10 @@ class TruncatedJet:
         ``table_size(dim, degree)``.
     coeff_errors : optional per-coefficient error estimates (set by
         :func:`jet_from_samples`; ``None`` for exact jets).
+
+    Every jet the library returns is validated here; the kernels that build
+    one (products, powers, Lie derivatives, N-body jets) keep their
+    intermediates as plain coefficient arrays.
     """
 
     dim: int
@@ -481,9 +485,10 @@ def jet_scale(a: TruncatedJet, s: float) -> TruncatedJet:
     return TruncatedJet(a.dim, a.degree, a.base_point, s * a.coeffs)
 
 
-def jet_mul(a: TruncatedJet, b: TruncatedJet, mask: int | None = None,
-            both: bool = False) -> TruncatedJet:
-    """Truncated Cauchy product; orders beyond the shared degree are dropped.
+def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
+         both: bool = False) -> np.ndarray:
+    """The one product kernel: the truncated Cauchy product of two checked
+    coefficient arrays of ``sp``'s layout.
 
     Given ``mask``, ``b`` (and ``a`` too if ``both``) must have no nonzero
     coefficient on a row that uses a variable outside it; the product then
@@ -491,25 +496,29 @@ def jet_mul(a: TruncatedJet, b: TruncatedJet, mask: int | None = None,
     full one (see :class:`_JetSpace`).  Callers compute the mask once per
     operand, never per product: see :attr:`JetField.masks`.
     """
-    _check_combinable(a, b)
-    sp = _space(a.dim, a.degree)
     tri_i, tri_j, tri_k = (sp.triples if mask is None
                            else sp.triples_within(mask, both))
     p, q = sp.mul_buffers(mask, both)
     # Positional arguments: the keyword forms cost more per call than the
     # gather itself on small tables.  "clip" lets take write into ``out``
     # unbuffered; the indices are in range by construction.
-    a.coeffs.take(tri_i, None, p, "clip")
-    b.coeffs.take(tri_j, None, q, "clip")
+    a.take(tri_i, None, p, "clip")
+    b.take(tri_j, None, q, "clip")
     np.multiply(p, q, p)
-    c = np.bincount(tri_k, p, sp.size)
+    return np.bincount(tri_k, p, sp.size)
+
+
+def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
+    """Truncated Cauchy product; orders beyond the shared degree are dropped."""
+    _check_combinable(a, b)
+    c = _mul(_space(a.dim, a.degree), a.coeffs, b.coeffs)
     return TruncatedJet(a.dim, a.degree, a.base_point, c)
 
 
 def _variable_mask(a: TruncatedJet) -> int | None:
     """Bitmask of the variables ``a``'s nonzero coefficients use, bit ``v``
     for ``z_v``: the OR of their rows' variables.  ``None`` when that is
-    every variable, which :func:`jet_mul` reads as no restriction."""
+    every variable, which :func:`_mul` reads as no restriction."""
     # Rows 1..dim are the linear terms: all nonzero settles it without a scan.
     if a.degree >= 1 and a.coeffs[1:a.dim + 1].all():
         return None
@@ -565,9 +574,10 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     """``a**exponent`` for real exponents via the truncated binomial series.
 
     Requires a nonzero constant term (and a positive one for non-integer
-    exponents); the series is exact at the truncation degree.  The mask of
+    exponents); the series is exact at the truncation degree.  The series
+    runs on coefficient arrays and only its sum is a jet.  The mask of
     ``a``'s variables is computed once per call, and every product of the
-    series multiplies two jets in it over the restricted triples of
+    series multiplies two arrays in it over the restricted triples of
     :meth:`_JetSpace.triples_within`, bitwise equal to full products.
     """
     a0 = a.value
@@ -578,21 +588,25 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
             "jet_pow with non-integer exponent needs a positive constant term"
         )
     d = a.degree
+    sp = _space(a.dim, d)
     # w has zero constant term, so w**k contributes only to orders >= k.
-    w = jet_scale(a, 1.0 / a0)
-    w = TruncatedJet(a.dim, d, a.base_point,
-                     w.coeffs - TruncatedJet.constant(1.0, a.dim, d, a.base_point).coeffs)
+    # Adding a constant to element 0 alone keeps the bytes of adding a
+    # zero-padded constant table: x + 0.0 is x bit for bit unless x is -0,
+    # and a product, a ``bincount`` from +0, never holds -0.
+    w = (1.0 / a0) * a.coeffs
+    w[0] -= 1.0
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
     # uses only a's variables, so both operands of each product lie in its mask.
     mask = _variable_mask(a)
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
-    acc = TruncatedJet.constant(coeffs[d], a.dim, d, a.base_point)
+    acc = np.zeros(sp.size)
+    acc[0] = coeffs[d]
     for k in range(d - 1, -1, -1):
-        acc = jet_mul(acc, w, mask, both=True)
-        acc = jet_add(acc, TruncatedJet.constant(coeffs[k], a.dim, d, a.base_point))
-    return jet_scale(acc, a0 ** exponent)
+        acc = _mul(sp, acc, w, mask, both=True)
+        acc[0] += coeffs[k]
+    return TruncatedJet(a.dim, d, a.base_point, (a0 ** exponent) * acc)
 
 
 def jet_eval(a: TruncatedJet, x) -> float:
@@ -618,6 +632,17 @@ def shift_base(a: TruncatedJet, new_base) -> TruncatedJet:
     return TruncatedJet(a.dim, a.degree, new_base, c)
 
 
+@lru_cache(maxsize=None)
+def _embedding(dim: int, big_dim: int, positions: tuple, degree: int) -> np.ndarray:
+    """Where :func:`embed_jet` places each coefficient, ranked once per
+    argument tuple."""
+    rows = np.zeros((table_size(dim, degree), big_dim), dtype=np.int64)
+    rows[:, list(positions)] = _space(dim, degree).exps
+    at = _space(big_dim, degree).rank(rows)
+    at.flags.writeable = False
+    return at
+
+
 def embed_jet(a: TruncatedJet, big_dim: int, positions: Sequence[int],
               base_point) -> TruncatedJet:
     """Reinterpret a jet in a subset of a larger variable set.
@@ -631,12 +656,8 @@ def embed_jet(a: TruncatedJet, big_dim: int, positions: Sequence[int],
         raise ValueError("positions must be distinct and match the jet dimension")
     if not np.array_equal(base_point[list(positions)], a.base_point):
         raise CombinabilityError("big base point does not restrict to the jet's base")
-    sp_small = _space(a.dim, a.degree)
-    sp_big = _space(big_dim, a.degree)
-    big_exps = np.zeros((sp_small.size, big_dim), dtype=np.int64)
-    big_exps[:, list(positions)] = sp_small.exps
-    c = np.zeros(sp_big.size)
-    c[sp_big.rank(big_exps)] = a.coeffs
+    c = np.zeros(table_size(big_dim, a.degree))
+    c[_embedding(a.dim, big_dim, tuple(positions), a.degree)] = a.coeffs
     return TruncatedJet(big_dim, a.degree, base_point, c)
 
 
@@ -803,7 +824,7 @@ class JetField:
     @cached_property
     def masks(self) -> tuple[int | None, ...]:
         """Per component, the bitmask of the variables it uses (``None``
-        for all of them), computed once per field for :func:`jet_mul`.
+        for all of them), computed once per field for :func:`_mul`.
 
         A truncation uses a subset of its component's variables, so the
         masks hold for :meth:`truncated` fields and truncated components too.

@@ -39,6 +39,7 @@ from .jet_algebra import (
     jet_mul,
     jet_partial,
     jet_truncate,
+    _mul,
     _space,
 )
 
@@ -197,11 +198,12 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     """``L_X F = sum_i (dF/dz_i) X^i`` as a jet one degree lower than ``f``.
 
     A degree-0 observable carries no derivative information and maps to the
-    zero jet of degree 0.  A component that uses only some variables
-    (:attr:`JetField.masks`) is multiplied over the restricted triples of its
-    mask, in the order of the full ones and bitwise equal to a full
-    :func:`jet_mul` (see :class:`~saarilab.jet_algebra._JetSpace`); the
-    others take the full product.
+    zero jet of degree 0.  The operands are checked once; each term is a
+    partial times a truncated component, multiplied as coefficient arrays,
+    and only the sum, in component order, is a jet.  A component that uses
+    only some variables (:attr:`JetField.masks`) is multiplied over the
+    restricted triples of its mask, bitwise equal to a full :func:`jet_mul`
+    (see :class:`~saarilab.jet_algebra._JetSpace`).
     """
     if x.dim != f.dim:
         raise CombinabilityError(f"field dim {x.dim} != jet dim {f.dim}")
@@ -213,12 +215,13 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
         raise DegreeDeficitError(
             f"field degree {x.degree} cannot support a degree-{f.degree} observable"
         )
+    sp, low = _space(f.dim, f.degree), _space(f.dim, f.degree - 1)
     out = None
     for i, mask in enumerate(x.masks):
-        term = jet_mul(jet_partial(f, i),
-                       jet_truncate(x.components[i], f.degree - 1), mask)
-        out = term if out is None else jet_add(out, term)
-    return out
+        term = _mul(low, f.coeffs[sp.diff_src[i]] * sp.diff_scale[i],
+                    x.components[i].coeffs[:low.size], mask)
+        out = term if out is None else np.add(out, term, out)
+    return TruncatedJet(f.dim, f.degree - 1, f.base_point, out)
 
 
 def _check_tower_order(m: int) -> None:

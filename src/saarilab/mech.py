@@ -35,12 +35,9 @@ from .fields import PolynomialObservable, stream_rng
 from .jet_algebra import (
     JetField,
     TruncatedJet,
+    _embedding,
     _space,
-    embed_jet,
-    jet_add,
-    jet_partial,
     jet_pow,
-    jet_scale,
     table_size,
 )
 
@@ -460,23 +457,35 @@ def _pair_r2_jet(system: BodySystem, q2d: np.ndarray, i: int, j: int,
     return TruncatedJet(nc, degree, q2d.ravel(), c)
 
 
+#: The last ``(system, degree, q bytes, jet)``: an energy sample asks twice.
+#: It is read and replaced whole, so threads share it without a lock.
+_last_potential_jet: tuple = (None, None, None, None)
+
+
 def potential_config_jet(system: BodySystem, q, degree: int) -> TruncatedJet:
-    """Exact Taylor jet of ``V`` about ``q`` in the configuration variables."""
+    """Exact Taylor jet of ``V`` about ``q`` in the configuration variables;
+    the previous call's jet if it had this system, degree and ``q`` bytes."""
+    global _last_potential_jet
     q2d = _bodies(system, q)
+    last = _last_potential_jet
+    if last[0] is system and last[1] == degree and last[2] == q2d.tobytes():
+        return last[3]
     _check_collisions(system, pair_distances(system, q2d))
     terms = _pair_terms(system.potential)
     m = system.masses
-    out = TruncatedJet.zero(system.coord_dim, degree, q2d.ravel())
+    out = np.zeros(table_size(system.coord_dim, degree))
     for i, j in system.pairs():
         r2 = _pair_r2_jet(system, q2d, i, j, degree)
         pair_f = None
         for beta, alpha in terms:
-            t = jet_scale(jet_pow(r2, alpha / 2.0), beta)
-            pair_f = t if pair_f is None else jet_add(pair_f, t)
-        out = jet_add(out, jet_scale(pair_f, -m[i] * m[j]))
+            t = beta * jet_pow(r2, alpha / 2.0).coeffs
+            pair_f = t if pair_f is None else pair_f + t
+        out += -m[i] * m[j] * pair_f
     for bump in _bumps(system.potential):
-        out = jet_add(out, bump.jet(q2d.ravel(), degree))
-    return out
+        out += bump.jet(q2d.ravel(), degree).coeffs
+    jet = TruncatedJet(system.coord_dim, degree, q2d.ravel(), out)
+    _last_potential_jet = (system, degree, q2d.tobytes(), jet)
+    return jet
 
 
 class HamiltonianField:
@@ -520,10 +529,15 @@ class HamiltonianField:
             if degree >= 1:
                 coeffs[lin[nc + c]] = self.minv[c]
             comps.append(TruncatedJet(nph, degree, z, coeffs))
+        # The force -dV/dq_c, negated after placement: its unplaced zeros
+        # are -0, as on the jet-by-jet route the tests compare against.
         vjet = potential_config_jet(sys, z[:nc], degree + 1)
+        sp = _space(nc, degree + 1)
+        at = _embedding(nc, nph, tuple(range(nc)), degree)
         for c in range(nc):
-            dv = jet_partial(vjet, c)
-            comps.append(jet_scale(embed_jet(dv, nph, list(range(nc)), z), -1.0))
+            force = np.zeros(table_size(nph, degree))
+            force[at] = vjet.coeffs[sp.diff_src[c]] * sp.diff_scale[c]
+            comps.append(TruncatedJet(nph, degree, z, -force))
         return JetField(tuple(comps))
 
 
@@ -585,9 +599,10 @@ class EnergyObservable:
             coeffs[lin[p]] = z[nc:] * self._minv
         if degree >= 2:
             coeffs[quad[p, p]] = 0.5 * self._minv
-        kin = TruncatedJet(nph, degree, z, coeffs)
         vjet = potential_config_jet(sys, z[:nc], degree)
-        return jet_add(kin, embed_jet(vjet, nph, list(range(nc)), z))
+        potential = np.zeros(table_size(nph, degree))
+        potential[_embedding(nc, nph, tuple(range(nc)), degree)] = vjet.coeffs
+        return TruncatedJet(nph, degree, z, coeffs + potential)
 
 
 def energy_observable(system: BodySystem) -> EnergyObservable:

@@ -7,7 +7,10 @@ recursion as it was first written, rebuilding the Lie chain for every
 column; the library route must equal it bit for bit.  ``lie_derivative_full``
 and ``jet_pow_full`` multiply over the full convolution triples, where the
 library restricts them to the variables a jet uses; they too must agree bit
-for bit.
+for bit.  ``potential_jet_by_jets``, ``field_jet_by_jets`` and
+``energy_jet_by_jets`` build the N-body jets one validated jet per
+operation, where the library sums coefficient arrays into one jet per
+result; their bytes, signed zeros included, must be equal.
 """
 
 import numpy as np
@@ -16,9 +19,11 @@ from saarilab.errors import InternalConsistencyError
 from saarilab.jet_algebra import (
     JetField,
     TruncatedJet,
+    embed_jet,
     jet_add,
     jet_mul,
     jet_partial,
+    jet_pow,
     jet_scale,
     jet_truncate,
     _space,
@@ -31,6 +36,15 @@ from saarilab.lie_tower import (
     _structural_check,
     lie_derivative,
     psi_tower,
+)
+from saarilab.mech import (
+    _bodies,
+    _bumps,
+    _check_collisions,
+    _pair_r2_jet,
+    _pair_terms,
+    _quadratic_positions,
+    pair_distances,
 )
 
 #: Finite-difference step scale: coefficient ``c`` moves by
@@ -60,6 +74,68 @@ def jet_pow_full(a: TruncatedJet, exponent: float) -> TruncatedJet:
         acc = jet_add(jet_mul(acc, w),
                       TruncatedJet.constant(coeffs[k], a.dim, d, a.base_point))
     return jet_scale(acc, a0 ** exponent)
+
+
+def potential_jet_by_jets(system, q, degree: int) -> TruncatedJet:
+    """``potential_config_jet`` with a jet for every power, scale and sum."""
+    q2d = _bodies(system, q)
+    _check_collisions(system, pair_distances(system, q2d))
+    terms = _pair_terms(system.potential)
+    m = system.masses
+    out = TruncatedJet.zero(system.coord_dim, degree, q2d.ravel())
+    for i, j in system.pairs():
+        r2 = _pair_r2_jet(system, q2d, i, j, degree)
+        pair_f = None
+        for beta, alpha in terms:
+            t = jet_scale(jet_pow(r2, alpha / 2.0), beta)
+            pair_f = t if pair_f is None else jet_add(pair_f, t)
+        out = jet_add(out, jet_scale(pair_f, -m[i] * m[j]))
+    for bump in _bumps(system.potential):
+        out = jet_add(out, bump.jet(q2d.ravel(), degree))
+    return out
+
+
+def field_jet_by_jets(field, z, degree: int) -> JetField:
+    """``HamiltonianField.jet_field`` with the forces built by
+    :func:`jet_partial`, :func:`embed_jet` and :func:`jet_scale`."""
+    z = np.asarray(z, float)
+    sys = field.system
+    nc = sys.coord_dim
+    nph = sys.phase_dim
+    lin, _ = _quadratic_positions(nph)
+    comps = []
+    for c in range(nc):
+        coeffs = np.zeros(_space(nph, degree).size)
+        coeffs[0] = z[nc + c] * field.minv[c]
+        if degree >= 1:
+            coeffs[lin[nc + c]] = field.minv[c]
+        comps.append(TruncatedJet(nph, degree, z, coeffs))
+    vjet = potential_jet_by_jets(sys, z[:nc], degree + 1)
+    for c in range(nc):
+        dv = jet_partial(vjet, c)
+        comps.append(jet_scale(embed_jet(dv, nph, list(range(nc)), z), -1.0))
+    return JetField(tuple(comps))
+
+
+def energy_jet_by_jets(energy, z, degree: int) -> TruncatedJet:
+    """``EnergyObservable.jet`` as the sum of a kinetic jet and an embedded
+    potential jet."""
+    z = np.asarray(z, float)
+    sys = energy.system
+    nc = sys.coord_dim
+    nph = sys.phase_dim
+    lin, quad = _quadratic_positions(nph)
+    minv = energy._minv
+    p = np.arange(nc, nph)
+    coeffs = np.zeros(_space(nph, degree).size)
+    coeffs[0] = 0.5 * np.sum(z[nc:] ** 2 * minv)
+    if degree >= 1:
+        coeffs[lin[p]] = z[nc:] * minv
+    if degree >= 2:
+        coeffs[quad[p, p]] = 0.5 * minv
+    kin = TruncatedJet(nph, degree, z, coeffs)
+    vjet = potential_jet_by_jets(sys, z[:nc], degree)
+    return jet_add(kin, embed_jet(vjet, nph, list(range(nc)), z))
 
 
 def _bump(table: np.ndarray, idx: int, delta: float) -> np.ndarray:

@@ -413,6 +413,60 @@ def test_rank_threshold_overrides_the_default(tmp_path, capsys):
     assert json.loads(out)["rank"]["threshold"] == 1e-6
 
 
+_EXPERIMENT = dict(_SCANNED, trials=2, perturbation={
+    "target": "observable", "degree": 3, "epsilon": 0.01, "seed": 5})
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("scan", "count", 2.5), ("scan", "count", True), ("scan", "count", 0),
+    ("scan", "count", "3"),
+    ("scan", "box", [0.5, "a"]), ("scan", "box", [False, 1.5]),
+    ("scan", "box", [0.5, math.inf]), ("scan", "box", [math.nan, 1.5]),
+    ("scan", "box", [0.5, 10 ** 400]),
+    ("scan", "box", [1.5, 0.5]), ("scan", "box", [1.0, 1.0]),
+    ("scan", "min_separation", "x"), ("scan", "min_separation", math.nan),
+    ("scan", "min_separation", -0.1), ("scan", "min_separation", math.inf),
+    ("perturbation", "degree", 2.5), ("perturbation", "degree", True),
+    ("perturbation", "degree", 0),
+    ("perturbation", "epsilon", "x"), ("perturbation", "epsilon", math.nan),
+    ("perturbation", "epsilon", -1e-3), ("perturbation", "epsilon", math.inf),
+    (None, "trials", 2.5), (None, "trials", True), (None, "trials", 0),
+    (None, "trials", "2"),
+])
+def test_scan_perturbation_and_trials_values_are_checked(tmp_path, capsys,
+                                                         block, key, value):
+    # A configuration error is exit 2 before any sample is drawn: no value
+    # is truncated, coerced from a bool or string, or accepted as NaN.
+    commands = {"perturb-experiment": _EXPERIMENT}
+    if block == "scan":
+        commands["scan"] = _SCANNED
+    for command, base in commands.items():
+        cfg = json.loads(json.dumps(base))
+        (cfg if block is None else cfg[block])[key] = value
+        path = write_config(tmp_path, "c.json", cfg)
+        code, out, err = run(capsys, [command, path])
+        assert code == 2 and err.startswith("config error:"), (command, err)
+        assert key in err and out == ""
+
+
+def test_integral_numbers_read_as_their_floats(tmp_path, capsys):
+    as_floats = dict(_EXPERIMENT,
+                     scan={"box": [0.0, 2.0], "count": 5, "seed": 3,
+                           "min_separation": 0.0},
+                     perturbation=dict(_EXPERIMENT["perturbation"], epsilon=1.0))
+    as_ints = dict(_EXPERIMENT,
+                   scan={"box": [0, 2], "count": 5, "seed": 3,
+                         "min_separation": 0},
+                   perturbation=dict(_EXPERIMENT["perturbation"], epsilon=1))
+    outs = []
+    for cfg in (as_floats, as_ints):
+        code, out, _ = run(capsys, ["perturb-experiment",
+                                    write_config(tmp_path, "c.json", cfg)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_collision_point_exits_3(tmp_path, capsys, monkeypatch):
     # Record every jet table requested, under each name it is imported as.
     space = jet_algebra._space

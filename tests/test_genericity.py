@@ -152,6 +152,40 @@ def test_sampler_validation():
         Sampler(box=(-1.0, 1.0), count=0, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("count", 2.5), ("count", True), ("count", "3"),
+    ("box", (-1.0, math.nan)), ("box", (-math.inf, 1.0)), ("box", ("a", 1.0)),
+    ("box", (False, 1.0)), ("box", (-1.0, 10 ** 400)),
+    ("min_separation", math.nan), ("min_separation", -0.1),
+    ("min_separation", math.inf), ("min_separation", "x"),
+])
+def test_sampler_rejects_non_integer_and_non_finite_values(field, value):
+    args = dict(box=(-1.0, 1.0), count=5, seed=0, min_separation=0.1)
+    args[field] = value
+    with pytest.raises(ConfigError, match=field):
+        Sampler(**args)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("degree", 2.5), ("degree", True), ("epsilon", math.nan),
+    ("epsilon", math.inf), ("epsilon", "x"), ("epsilon", True),
+])
+def test_spec_rejects_non_integer_and_non_finite_values(field, value):
+    args = dict(target="observable", degree=2, epsilon=0.1, seed=0)
+    args[field] = value
+    with pytest.raises(ConfigError, match=field):
+        PerturbationSpec(**args)
+
+
+def test_integral_numbers_are_stored_as_floats():
+    sampler = Sampler(box=(-1, 2), count=np.int64(4), seed=0, min_separation=0)
+    assert sampler == Sampler(box=(-1.0, 2.0), count=4, seed=0,
+                              min_separation=0.0)
+    assert type(sampler.box[0]) is float and type(sampler.min_separation) is float
+    spec = PerturbationSpec("observable", degree=2, epsilon=1, seed=0)
+    assert type(spec.epsilon) is float
+
+
 def test_sampler_is_deterministic_and_order_free():
     s = Sampler(box=(-1.0, 1.0), count=10, seed=13)
     a = s.draw(4, 6)
@@ -314,6 +348,10 @@ def test_experiment_rejects_zero_trials():
         genericity_experiment(oscillator_field(), oscillator_energy(),
                               PerturbationSpec("observable", 2, 0.1, 0),
                               trials=0, sampler=Sampler((-1, 1), 5, 0))
+    with pytest.raises(ConfigError, match="trials"):
+        genericity_experiment(oscillator_field(), oscillator_energy(),
+                              PerturbationSpec("observable", 2, 0.1, 0),
+                              trials=2.5, sampler=Sampler((-1, 1), 5, 0))
 
 
 # -- trajectory classification ----------------------------------------------------------

@@ -29,7 +29,7 @@ from saarilab.fields import (
     stream_rng,
 )
 from saarilab.genericity import PerturbationSpec, Sampler, perturb
-from saarilab.jet_algebra import JetField, TruncatedJet, _space
+from saarilab.jet_algebra import JetField, TruncatedJet, _space, jet_pow
 from saarilab.lie_tower import (
     RANK_THRESHOLD,
     SaariVector,
@@ -453,6 +453,58 @@ def test_tower_chain_equals_the_full_product_route():
             assert g.coeffs.tobytes() == h.coeffs.tobytes(), (F, m, g.degree)
             values.append(h.value)
         assert psi_tower(fj, xf, m).values.tobytes() == np.array(values).tobytes()
+
+
+def test_an_overflowing_intermediate_still_raises():
+    # The kernels keep their intermediates as arrays and validate only the
+    # result; an overflow inside them still makes the result non-finite.
+    def jet(big, masked=False):
+        entries = {(0, 0): 1.0, (1, 0): big, (2, 0): big}
+        if not masked:
+            entries[(0, 1)] = big
+        return TruncatedJet.from_coeffs(2, 3, np.zeros(2), entries)
+
+    finite = "jet coefficients must be finite"
+    # masked: both variables, or the first only (restricted products)
+    for masked in (False, True):
+        f, g = jet(1e200, masked), jet(1e120, masked)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=finite):
+                lie_derivative(f, JetField((f, f)))  # 1e200 * 1e200
+            with pytest.raises(ValueError, match=finite):
+                jet_pow(f, 3)  # in the square of the series variable
+            # the first Lie derivative is about 1e240; the second overflows
+            assert np.isfinite(lie_derivative(g, JetField((g, g))).coeffs).all()
+            with pytest.raises(ValueError, match=finite):
+                psi_tower(g, JetField((g, g)), 3)
+
+
+@pytest.mark.parametrize("masses, observable, m, limit", [
+    ((1.0, 1.0), inertia_observable, 5, 32),
+    ((1.0, 1.3, 0.7), energy_observable, 7, 70)])
+def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
+                                                observable, m, limit):
+    # Counts validated jets, not time.  Products, powers, Lie derivatives
+    # and the N-body field jets keep their intermediates as arrays, so one
+    # sample makes about one jet per tower entry, field component and
+    # observable; building a jet per operation made 192 and 526 here.
+    system = BodySystem(len(masses), 2, masses, NewtonianPotential())
+    field, F = build_hamiltonian_field(system), observable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
+    obstruction_at(F, field, sampler.draw(0, system.phase_dim, system), m)
+    z = sampler.draw(1, system.phase_dim, system)
+    built = []
+    validate = TruncatedJet.__post_init__
+
+    def counted(jet):
+        built.append(jet.degree)
+        validate(jet)
+
+    monkeypatch.setattr(TruncatedJet, "__post_init__", counted)
+    sample = obstruction_at(F, field, z, m)
+    monkeypatch.undo()
+    assert 0 < len(built) <= limit, len(built)
+    assert np.isfinite(sample.psi.values).all()
 
 
 def test_concurrent_towers_equal_serial_ones():

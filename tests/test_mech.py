@@ -12,7 +12,7 @@ from saarilab.fields import (
     random_polynomial_observable,
     stream_rng,
 )
-from saarilab.genericity import PerturbationSpec, perturb
+from saarilab.genericity import PerturbationSpec, Sampler, perturb
 from saarilab.jet_algebra import (
     TruncatedJet,
     embed_jet,
@@ -23,7 +23,7 @@ from saarilab.jet_algebra import (
     jet_truncate,
     shift_base,
 )
-from saarilab.lie_tower import psi_tower
+from saarilab.lie_tower import obstruction_at, psi_tower
 from saarilab.mech import (
     BodySystem,
     EnergyObservable,
@@ -50,7 +50,10 @@ from saarilab.mech import (
     releq_newton,
     releq_trajectory,
 )
+from saarilab import mech
 from saarilab.mech import _pair_r2_jet
+
+from oracles import energy_jet_by_jets, field_jet_by_jets, potential_jet_by_jets
 
 
 def two_body(potential=None, masses=(1.0, 1.0)):
@@ -344,6 +347,75 @@ def test_sample_jets_equal_the_multi_index_route():
             want = jet_add(kin, embed_jet(potential_config_jet(
                 system, z[:nc], degree), system.phase_dim, list(range(nc)), z))
             assert energy.jet(z, degree).coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _jet_systems():
+    planar3 = BodySystem(3, 2, (1.0, 1.3, 0.7),
+                         PowerLawPotential(((1.0, -1.0), (0.05, -3.0))))
+    return {
+        "planar 2-body": two_body(masses=(1.0, 1.3)),
+        "planar 3-body": three_body((1.0, 1.3, 0.7)),
+        "spatial 2-body": BodySystem(2, 3, (0.8, 1.1), NewtonianPotential()),
+        "power law": two_body(PowerLawPotential(((0.7, -1.5), (0.2, -3.0))),
+                              masses=(1.0, 1.3)),
+        "bump": perturb(PerturbationSpec("potential", 3, 1e-2, 17),
+                        two_body(masses=(0.9, 1.2)), trial=1),
+        "3-body power law and bump": perturb(
+            PerturbationSpec("potential", 2, 1e-2, 19), planar3, trial=0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_jet_systems()))
+def test_field_jets_equal_the_jet_by_jet_route(name):
+    # The library sums coefficient arrays into one jet per result; the
+    # oracle makes a validated jet of every power, partial, embedding, scale
+    # and sum.  Bytes are compared, so a -0 turned +0 fails too.
+    system = _jet_systems()[name]
+    field, energy = HamiltonianField(system), EnergyObservable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=5, seed=23, min_separation=0.3)
+    nc = system.coord_dim
+    for k, degree in enumerate((0, 1, 2, 5, 7)):
+        z = sampler.draw(k, system.phase_dim, system)
+        got = potential_config_jet(system, z[:nc], degree)
+        want = potential_jet_by_jets(system, z[:nc], degree)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), degree
+        assert np.array_equal(got.base_point, want.base_point)
+        got_x, want_x = field.jet_field(z, degree), field_jet_by_jets(field, z, degree)
+        assert [c.coeffs.tobytes() for c in got_x.components] == [
+            c.coeffs.tobytes() for c in want_x.components], degree
+        assert (energy.jet(z, degree).coeffs.tobytes()
+                == energy_jet_by_jets(energy, z, degree).coeffs.tobytes()), degree
+
+
+def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
+    # The energy observable and the field both need the potential jet at the
+    # sample's q and the tower order; the second asks for the jet the first
+    # built, so each pair's r^2 jet is built once per sample, not twice.
+    system = three_body((1.0, 1.3, 0.7))
+    field, energy = HamiltonianField(system), EnergyObservable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=3, seed=31, min_separation=0.3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return _pair_r2_jet(*args)
+
+    monkeypatch.setattr(mech, "_pair_r2_jet", counted)
+    for k in range(sampler.count):
+        calls.clear()
+        obstruction_at(energy, field, sampler.draw(k, 12, system), m=4)
+        assert sorted(calls) == system.pairs()
+    z = sampler.draw(0, 12, system)
+    assert potential_config_jet(system, z[:6], 4) is potential_config_jet(
+        system, z[:6].copy(), 4)
+    # another system, degree or q is another jet
+    other = three_body((1.0, 1.3, 0.7))
+    assert potential_config_jet(other, z[:6], 4) is not potential_config_jet(
+        system, z[:6], 4)
+    assert potential_config_jet(system, z[:6], 3).degree == 3
+    moved = z[:6].copy()
+    moved[5] = np.nextafter(moved[5], 2.0)
+    assert potential_config_jet(system, moved, 4).base_point[5] == moved[5]
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
