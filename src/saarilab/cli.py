@@ -215,15 +215,13 @@ def _build_integrator(cfg: dict) -> IntegratorConfig:
 
 def _global_seed(cfg: dict, args) -> int | None:
     if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    return None
+        return args.seed
+    return cfg.get("seed")
 
 
 def _block_seed(block: dict, global_seed: int | None, ctx: str) -> int:
     if "seed" in block:
-        return int(block["seed"])
+        return block["seed"]
     if global_seed is None:
         raise ConfigError(
             f"{ctx} needs a seed (block-level or global 'seed'/--seed)")
@@ -258,9 +256,8 @@ def _build_perturbation(cfg: dict, global_seed) -> PerturbationSpec:
 def _scan_tolerances(cfg: dict) -> dict:
     """The config's scan tolerances as keyword arguments; unset ones keep
     the defaults of :func:`obstruction_scan`."""
-    tols = _check_keys(cfg.get("tolerances", {}), "tolerances",
+    return _check_keys(cfg.get("tolerances", {}), "tolerances",
                        optional=("tol_zero", "tol_eq", "tol_crit"))
-    return {k: float(v) for k, v in tols.items()}
 
 
 def _tower_order(cfg: dict, default: int | None = None) -> int | None:

@@ -59,12 +59,13 @@ TOL_ZERO = 1e-6
 _TARGETS = ("observable", "vector_field", "potential")
 
 
-def _check_count(value, what: str) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an integer >= 1; a
-    bool or an integral float is not one."""
+def _check_count(value, what: str, at_least: int = 1) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer of at least
+    ``at_least``; a bool or an integral float is not one."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")
+            or value < at_least):
+        raise ConfigError(
+            f"{what} must be an integer >= {at_least}, got {value!r}")
 
 
 def _finite(value, what: str, at_least: float = -math.inf) -> float:
@@ -75,6 +76,17 @@ def _finite(value, what: str, at_least: float = -math.inf) -> float:
         bound = "" if at_least == -math.inf else f" >= {at_least:g}"
         raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
+
+
+def _tolerances(tol_zero, tol_eq, tol_crit) -> tuple[float, float, float]:
+    """The scan tolerances as floats if each is a finite number > 0 (a bool
+    is not), else a :class:`ConfigError` naming the first that is not."""
+    tols = (tol_zero, tol_eq, tol_crit)
+    for value, what in zip(tols, ("tol_zero", "tol_eq", "tol_crit")):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0.0 < value <= sys.float_info.max):
+            raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
+    return tuple(float(v) for v in tols)
 
 
 # Stream tags keeping the named sub-streams of one global seed disjoint.
@@ -105,6 +117,7 @@ class PerturbationSpec:
                 f"choose from {_TARGETS}"
             )
         _check_count(self.degree, "perturbation degree")
+        _check_count(self.seed, "perturbation seed", at_least=0)
         object.__setattr__(self, "epsilon", _finite(
             self.epsilon, "perturbation epsilon", at_least=0.0))
 
@@ -197,6 +210,7 @@ class Sampler:
         if not lo < hi:
             raise ConfigError("sampler box must satisfy lo < hi")
         _check_count(self.count, "sampler count")
+        _check_count(self.seed, "sampler seed", at_least=0)
         object.__setattr__(self, "box", (lo, hi))
         object.__setattr__(self, "min_separation", _finite(
             self.min_separation, "sampler min_separation", at_least=0.0))
@@ -305,8 +319,9 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     ``tol_crit`` of a critical point of ``F`` are excluded, mirroring the
     exclusion zones of the theory; singular evaluations are counted and
     excluded rather than fatal.  The default tower order is one more than the
-    effective phase dimension.
+    effective phase dimension.  Each tolerance must be a finite number > 0.
     """
+    tol_zero, tol_eq, tol_crit = _tolerances(tol_zero, tol_eq, tol_crit)
     fieldX, system = _field_and_system(X)
     dim = fieldX.dim if hasattr(fieldX, "dim") else system.phase_dim
     if m is None:
@@ -387,6 +402,7 @@ def genericity_experiment(base, F, spec: PerturbationSpec, trials: int,
     applies per ``spec.target`` — bumping ``F`` (observable), the field, or
     the potential (leaving ``F`` fixed).  Each trial draws a fresh bump from
     the trial-indexed stream and scans with a trial-shifted sampler seed.
+    The tolerances are checked as in :func:`obstruction_scan`.
     """
     _check_count(trials, "trials")
     reports = []

@@ -146,6 +146,16 @@ class _JetSpace:
     :meth:`mul_buffers` gives each thread two float buffers of the triple
     count for each triple set, built on its first :func:`_mul` with that
     set and reused after, so a product allocates only its output.
+
+    Every triple set, full or restricted, is i-major with i ascending, and
+    the layout is graded, so the triples whose i-row has order at most ``e``
+    are a prefix of the set: those with ``tri_i < table_size(dim, e)``.  A
+    left operand that is zero above order ``e`` multiplies over that prefix
+    alone, and every triple left out multiplies a +-0 coefficient, the same
+    argument as for the restricted triples.  :attr:`row_vars` holds each
+    row's variables as a bitmask (bit ``v`` for ``z_v``), from which
+    :func:`_variable_mask` and :func:`_top_orders` read which variables, and
+    up to which order, a coefficient array uses.
     """
 
     def __init__(self, dim: int, degree: int):
@@ -155,6 +165,7 @@ class _JetSpace:
             [_order_block(dim, k) for k in range(degree + 1)])
         self.size = len(self.exps)
         self.orders = self.exps.sum(axis=1)
+        self.row_vars = (self.exps > 0) @ (1 << np.arange(dim, dtype=np.int64))
         # Every partial product of alpha! divides degree!, and float64 holds
         # such integers exactly up to degree 22, so the products are exact.
         fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=float)
@@ -495,10 +506,19 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
     runs over :meth:`_JetSpace.triples_within` and is bitwise equal to the
     full one (see :class:`_JetSpace`).  Callers compute the mask once per
     operand, never per product: see :attr:`JetField.masks`.
+
+    ``a`` may be the prefix ``table_size(dim, e)`` of an array that is zero
+    above order ``e``.  The product then gathers only the triples with
+    ``tri_i < a.size``, a prefix of every triple set, and is bitwise equal to
+    the product with the whole array: each triple it leaves out multiplies a
+    +-0 coefficient.
     """
     tri_i, tri_j, tri_k = (sp.triples if mask is None
                            else sp.triples_within(mask, both))
     p, q = sp.mul_buffers(mask, both)
+    if a.size < sp.size:
+        n = tri_i.searchsorted(a.size)
+        tri_i, tri_j, tri_k, p, q = tri_i[:n], tri_j[:n], tri_k[:n], p[:n], q[:n]
     # Positional arguments: the keyword forms cost more per call than the
     # gather itself on small tables.  "clip" lets take write into ``out``
     # unbuffered; the indices are in range by construction.
@@ -522,10 +542,23 @@ def _variable_mask(a: TruncatedJet) -> int | None:
     # Rows 1..dim are the linear terms: all nonzero settles it without a scan.
     if a.degree >= 1 and a.coeffs[1:a.dim + 1].all():
         return None
-    used = _space(a.dim, a.degree).exps[np.flatnonzero(a.coeffs)].any(axis=0)
-    if used.all():
-        return None
-    return sum(1 << int(v) for v in np.flatnonzero(used))
+    used = int(np.bitwise_or.reduce(
+        _space(a.dim, a.degree).row_vars[a.coeffs != 0]))
+    return None if used == (1 << a.dim) - 1 else used
+
+
+def _top_orders(sp: _JetSpace, c: np.ndarray) -> np.ndarray:
+    """Per variable ``z_v``, the highest order of a nonzero coefficient of
+    ``c`` whose row uses ``z_v``, or 0 if none does.
+
+    With ``tail[o]`` the OR of the row bitmasks of the nonzero rows of order
+    at least ``o``, bit ``v`` is set in ``tail[1..top_v]`` and in no later
+    one, so counting the orders where it is set gives ``top_v``.
+    """
+    at = np.flatnonzero(c != 0)
+    tail = np.append(np.bitwise_or.accumulate(sp.row_vars[at[::-1]])[::-1], 0)
+    tail = tail[at.searchsorted(sp.prefix[:-1])]
+    return ((tail[:, None] >> np.arange(sp.dim)) & 1).sum(axis=0)
 
 
 def jet_partial(a: TruncatedJet, axis: int) -> TruncatedJet:
@@ -578,7 +611,10 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     runs on coefficient arrays and only its sum is a jet.  The mask of
     ``a``'s variables is computed once per call, and every product of the
     series multiplies two arrays in it over the restricted triples of
-    :meth:`_JetSpace.triples_within`, bitwise equal to full products.
+    :meth:`_JetSpace.triples_within`, bitwise equal to full products.  With
+    ``e`` the highest order of ``a``, the partial sum after ``s`` Horner
+    steps is zero above order ``s * e``, so each product takes it as the
+    prefix up to that order (see :func:`_mul`), again bitwise equal.
     """
     a0 = a.value
     if a0 == 0.0:
@@ -598,13 +634,14 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
     # uses only a's variables, so both operands of each product lie in its mask.
     mask = _variable_mask(a)
+    top = int(sp.orders[np.flatnonzero(a.coeffs != 0)[-1]])
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
     acc = np.zeros(sp.size)
     acc[0] = coeffs[d]
-    for k in range(d - 1, -1, -1):
-        acc = _mul(sp, acc, w, mask, both=True)
+    for s, k in enumerate(range(d - 1, -1, -1)):
+        acc = _mul(sp, acc[:sp.prefix[min(s * top, d)]], w, mask, both=True)
         acc[0] += coeffs[k]
     return TruncatedJet(a.dim, d, a.base_point, (a0 ** exponent) * acc)
 

@@ -41,6 +41,7 @@ from .jet_algebra import (
     jet_truncate,
     _mul,
     _space,
+    _top_orders,
 )
 
 __all__ = [
@@ -58,6 +59,9 @@ __all__ = [
     "STRUCTURAL_TOL",
 ]
 
+#: Smallest coefficient table on which :func:`lie_derivative` scans its
+#: observable for the orders each variable reaches.
+ORDER_SCAN_SIZE = 2000
 #: Relative singular-value cutoff for numerical rank.
 RANK_THRESHOLD = 1e-8
 #: Allowed relative deviation of the field Jacobian's entries from the
@@ -204,6 +208,15 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     only some variables (:attr:`JetField.masks`) is multiplied over the
     restricted triples of its mask, bitwise equal to a full :func:`jet_mul`
     (see :class:`~saarilab.jet_algebra._JetSpace`).
+
+    On tables of at least :data:`ORDER_SCAN_SIZE` coefficients, ``f`` is
+    scanned once for the highest order ``top_i`` at which it uses each
+    variable ``z_i``.  Above order ``top_i - 1`` the partial ``dF/dz_i`` is
+    +-0, so only its prefix up to that order is gathered and multiplied
+    (see :func:`~saarilab.jet_algebra._mul`), and a component whose partial
+    is zero everywhere is skipped: its term would be +0, which leaves the
+    sum's bits as they are.  On smaller tables a product costs little more
+    than its calls, and the scan would cost more than it saves.
     """
     if x.dim != f.dim:
         raise CombinabilityError(f"field dim {x.dim} != jet dim {f.dim}")
@@ -216,11 +229,20 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
             f"field degree {x.degree} cannot support a degree-{f.degree} observable"
         )
     sp, low = _space(f.dim, f.degree), _space(f.dim, f.degree - 1)
+    top = _top_orders(sp, f.coeffs) if sp.size >= ORDER_SCAN_SIZE else None
     out = None
     for i, mask in enumerate(x.masks):
-        term = _mul(low, f.coeffs[sp.diff_src[i]] * sp.diff_scale[i],
+        src, scale = sp.diff_src[i], sp.diff_scale[i]
+        if top is not None:
+            if not top[i]:
+                continue
+            n = low.prefix[top[i] - 1]
+            src, scale = src[:n], scale[:n]
+        term = _mul(low, f.coeffs[src] * scale,
                     x.components[i].coeffs[:low.size], mask)
         out = term if out is None else np.add(out, term, out)
+    if out is None:
+        out = np.zeros(low.size)
     return TruncatedJet(f.dim, f.degree - 1, f.base_point, out)
 
 

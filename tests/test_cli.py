@@ -432,32 +432,54 @@ _EXPERIMENT = dict(_SCANNED, trials=2, perturbation={
     ("perturbation", "epsilon", -1e-3), ("perturbation", "epsilon", math.inf),
     (None, "trials", 2.5), (None, "trials", True), (None, "trials", 0),
     (None, "trials", "2"),
+    ("scan", "seed", 2.5), ("scan", "seed", True), ("scan", "seed", "x"),
+    ("scan", "seed", -1),
+    ("perturbation", "seed", 2.5), ("perturbation", "seed", True),
+    ("perturbation", "seed", "x"), ("perturbation", "seed", -1),
+    ("tolerances", "tol_zero", math.nan), ("tolerances", "tol_zero", 0),
+    ("tolerances", "tol_zero", "x"), ("tolerances", "tol_eq", -1e-9),
+    ("tolerances", "tol_eq", True), ("tolerances", "tol_crit", math.inf),
 ])
 def test_scan_perturbation_and_trials_values_are_checked(tmp_path, capsys,
                                                          block, key, value):
     # A configuration error is exit 2 before any sample is drawn: no value
     # is truncated, coerced from a bool or string, or accepted as NaN.
     commands = {"perturb-experiment": _EXPERIMENT}
-    if block == "scan":
+    if block in ("scan", "tolerances"):
         commands["scan"] = _SCANNED
     for command, base in commands.items():
         cfg = json.loads(json.dumps(base))
-        (cfg if block is None else cfg[block])[key] = value
+        (cfg if block is None else cfg.setdefault(block, {}))[key] = value
         path = write_config(tmp_path, "c.json", cfg)
         code, out, err = run(capsys, [command, path])
         assert code == 2 and err.startswith("config error:"), (command, err)
         assert key in err and out == ""
 
 
+@pytest.mark.parametrize("seed", [2.5, True, "x", -1])
+def test_a_global_seed_must_be_an_integer(tmp_path, capsys, seed):
+    # The blocks take the config's seed when they have none of their own.
+    for command, base in (("scan", _SCANNED), ("perturb-experiment", _EXPERIMENT)):
+        cfg = json.loads(json.dumps(base))
+        for block in ("scan", "perturbation"):
+            cfg.get(block, {}).pop("seed", None)
+        cfg["seed"] = seed
+        code, out, err = run(capsys, [command, write_config(tmp_path, "c.json", cfg)])
+        assert code == 2 and err.startswith("config error:"), (command, err)
+        assert "seed" in err and out == ""
+
+
 def test_integral_numbers_read_as_their_floats(tmp_path, capsys):
     as_floats = dict(_EXPERIMENT,
                      scan={"box": [0.0, 2.0], "count": 5, "seed": 3,
                            "min_separation": 0.0},
-                     perturbation=dict(_EXPERIMENT["perturbation"], epsilon=1.0))
+                     perturbation=dict(_EXPERIMENT["perturbation"], epsilon=1.0),
+                     tolerances={"tol_zero": 1.0})
     as_ints = dict(_EXPERIMENT,
                    scan={"box": [0, 2], "count": 5, "seed": 3,
                          "min_separation": 0},
-                   perturbation=dict(_EXPERIMENT["perturbation"], epsilon=1))
+                   perturbation=dict(_EXPERIMENT["perturbation"], epsilon=1),
+                   tolerances={"tol_zero": 1})
     outs = []
     for cfg in (as_floats, as_ints):
         code, out, _ = run(capsys, ["perturb-experiment",

@@ -158,6 +158,7 @@ def test_sampler_validation():
     ("box", (False, 1.0)), ("box", (-1.0, 10 ** 400)),
     ("min_separation", math.nan), ("min_separation", -0.1),
     ("min_separation", math.inf), ("min_separation", "x"),
+    ("seed", 2.5), ("seed", True), ("seed", "x"), ("seed", -1),
 ])
 def test_sampler_rejects_non_integer_and_non_finite_values(field, value):
     args = dict(box=(-1.0, 1.0), count=5, seed=0, min_separation=0.1)
@@ -169,12 +170,37 @@ def test_sampler_rejects_non_integer_and_non_finite_values(field, value):
 @pytest.mark.parametrize("field, value", [
     ("degree", 2.5), ("degree", True), ("epsilon", math.nan),
     ("epsilon", math.inf), ("epsilon", "x"), ("epsilon", True),
+    ("seed", 2.5), ("seed", True), ("seed", "x"), ("seed", -1),
 ])
 def test_spec_rejects_non_integer_and_non_finite_values(field, value):
     args = dict(target="observable", degree=2, epsilon=0.1, seed=0)
     args[field] = value
     with pytest.raises(ConfigError, match=field):
         PerturbationSpec(**args)
+
+
+@pytest.mark.parametrize("name", ["tol_zero", "tol_eq", "tol_crit"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1e-6,
+                                   True, "1e-6", None])
+def test_scan_and_experiment_reject_bad_tolerances(name, value):
+    # Checked before any sample is drawn: NaN would make every comparison
+    # false, and the oscillator's conserved energy would read as nonzero.
+    sampler = Sampler((0.5, 1.5), 5, 3)
+    with pytest.raises(ConfigError, match=name):
+        obstruction_scan(oscillator_field(), oscillator_energy(), sampler,
+                         **{name: value})
+    with pytest.raises(ConfigError, match=name):
+        genericity_experiment(oscillator_field(), oscillator_energy(),
+                              PerturbationSpec("observable", 2, 0.1, 0), 2,
+                              sampler, **{name: value})
+
+
+def test_integral_tolerances_read_as_their_floats():
+    field, F, sampler = oscillator_field(), oscillator_energy(), Sampler(
+        (0.5, 1.5), 5, 3)
+    a = obstruction_scan(field, F, sampler, tol_zero=1, tol_eq=1e-9)
+    b = obstruction_scan(field, F, sampler, tol_zero=1.0, tol_eq=1e-9)
+    assert a.to_json_dict() == b.to_json_dict() and type(a.tol_zero) is float
 
 
 def test_integral_numbers_are_stored_as_floats():

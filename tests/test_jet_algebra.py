@@ -31,7 +31,7 @@ from saarilab.jet_algebra import (
     shift_base,
     table_size,
 )
-from saarilab.jet_algebra import _mul, _space
+from saarilab.jet_algebra import _mul, _space, _top_orders
 
 from oracles import jet_pow_full
 
@@ -389,6 +389,21 @@ def test_pow_equals_the_full_product_series(dim, degree, mask):
                          np.concatenate(([a0], 0.1 * a.coeffs[1:])))
         assert _same_array(jet_pow(a, exponent).coeffs,
                            jet_pow_full(a, exponent).coeffs), exponent
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 4), (3, 4), (6, 7), (12, 3)])
+def test_top_orders_are_the_highest_orders_each_variable_reaches(dim, degree):
+    sp = _space(dim, degree)
+    rng = np.random.default_rng(dim + degree)
+    tables = [np.zeros(sp.size), np.eye(1, sp.size)[0], -np.eye(1, sp.size, 1)[0]]
+    for keep in (0.5, 0.05, 0.01):
+        c = rng.normal(size=sp.size)
+        c[rng.random(sp.size) > keep] = 0.0
+        tables += [c, np.where(c == 0.0, -0.0, c)]
+    for c in tables:
+        want = [max([int(sp.orders[t]) for t in np.flatnonzero(c) if sp.exps[t, v]],
+                    default=0) for v in range(dim)]
+        assert _top_orders(sp, c).tolist() == want
 
 
 def test_pow_integer_matches_repeated_mul():

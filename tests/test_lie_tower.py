@@ -28,6 +28,7 @@ from saarilab.fields import (
     random_polynomial_observable,
     stream_rng,
 )
+from saarilab import jet_algebra, lie_tower
 from saarilab.genericity import PerturbationSpec, Sampler, perturb
 from saarilab.jet_algebra import JetField, TruncatedJet, _space, jet_pow
 from saarilab.lie_tower import (
@@ -366,6 +367,8 @@ def test_tower_builds_triples_only_for_the_tables_it_multiplies():
     # degree-8 field jets are multiplied: the big table never needs triples.
     # Each field component uses one momentum or the configuration only, so
     # the (8, 8) table holds those restricted triples and never the full ones.
+    # The inertia uses no momentum, so the forces, whose partials dI/dp are
+    # zero, are not multiplied there: only the four momenta's sets are built.
     _space.cache_clear()
     system = _two_body()
     z = Sampler(box=(-1.0, 1.0), count=1, seed=5).draw(0, 8, system)
@@ -374,7 +377,7 @@ def test_tower_builds_triples_only_for_the_tables_it_multiplies():
     assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
     sp = _space(8, 8)
     assert "triples" not in vars(sp)
-    assert len(sp._within) == 5  # four momenta and the configuration
+    assert sorted(sp._within) == [(1 << v, False) for v in range(4, 8)]
 
 
 _THREE_BODY_M9 = """
@@ -385,31 +388,39 @@ from saarilab.jet_algebra import _space
 
 system = saarilab.BodySystem(3, 2, (1.0, 1.3, 0.7), saarilab.NewtonianPotential())
 z = Sampler(box=(-1, 1), count=10, seed=4, min_separation=0.3).draw(0, 12, system)
-F = saarilab.inertia_observable(system)
 X = saarilab.build_hamiltonian_field(system)
-psi = saarilab.obstruction_at(F, X, z, m=9).psi.values
+psi = {name: saarilab.obstruction_at(F(system), X, z, m=9).psi.values
+       for name, F in (("inertia", saarilab.inertia_observable),
+                       ("energy", saarilab.energy_observable))}
 sp = _space(12, 8)
 print(json.dumps({
-    "psi": [float(v).hex() for v in psi],
+    "psi": {name: [float(v).hex() for v in p] for name, p in psi.items()},
     "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "full": "triples" in vars(sp),
     "restricted": sum(len(t[0]) for t in sp._within.values()),
 }))
 """
 
-#: The tower as the full-table route computed it, bit for bit.
-_THREE_BODY_M9_PSI = [
-    "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ep+0",
-    "0x1.6e238aa0d0243p+4", "0x1.321892275f46ep+1", "0x1.2049b1bc298f9p+7",
-    "0x1.5997b63118396p+11", "0x1.496c0955f7c04p+13", "-0x1.97148853b433cp+17",
-]
+#: The towers as the full-table, full-order route computed them, bit for bit.
+_THREE_BODY_M9_PSI = {
+    "inertia": [
+        "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ep+0",
+        "0x1.6e238aa0d0243p+4", "0x1.321892275f46ep+1", "0x1.2049b1bc298f9p+7",
+        "0x1.5997b63118396p+11", "0x1.496c0955f7c04p+13", "-0x1.97148853b433cp+17",
+    ],
+    "energy": [
+        "-0x1.0000000000000p-54", "0x1.ba7cb5c41eb18p-57", "-0x1.10dff9a6bd89cp-51",
+        "0x1.3c2a72f8b8618p-46", "0x1.cbc011a55d747p-43", "0x1.ea5e253ff41d2p-39",
+        "0x1.7bcf14db09312p-35", "-0x1.6e43417cb50a5p-29", "0x1.5c80b9c83d5b6p-28",
+    ],
+}
 
 
 def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
     # A work guard by counts: the (12, 8) products take one restricted set
     # per field mask, 1 562 275 triples for the configuration and 203 490
     # for each of the six momenta, where the full table holds 10 518 300.
-    # A fresh process, so that the peak is this tower's own.
+    # A fresh process, so that the peak is these towers' own.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", _THREE_BODY_M9], env=env,
@@ -423,6 +434,9 @@ def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
 
 
 def _full_chain_cases():
+    """(observable jet, field jet, m).  All but the oscillator's observables
+    lie on tables of at least ``ORDER_SCAN_SIZE`` coefficients, so
+    ``lie_derivative`` multiplies only the orders each partial holds."""
     bump = perturb(PerturbationSpec("potential", 3, 0.05, 7),
                    BodySystem(2, 2, (1.0, 1.3), NewtonianPotential()))
     bump3 = perturb(PerturbationSpec("potential", 2, 0.05, 8),
@@ -434,23 +448,32 @@ def _full_chain_cases():
     for system, m in systems:
         z = Sampler(box=(-1.0, 1.0), count=1, seed=6,
                     min_separation=0.3).draw(0, system.phase_dim, system)
-        field = build_hamiltonian_field(system)
-        for F in (inertia_observable(system), energy_observable(system)):
-            yield F, field, z, m
-    yield oscillator_energy(), oscillator_field(), np.array([0.6, 0.8]), 6
+        xf = build_hamiltonian_field(system).jet_field(z, m - 1)
+        inertia = inertia_observable(system)
+        bumped = perturb(PerturbationSpec("observable", 3, 0.05, 9), inertia)
+        for F in (inertia, energy_observable(system), bumped):
+            yield F.jet(z, m), xf, m
+    # On the last system: a monomial like the basis jets of dpsi_wrt_F,
+    # which uses three variables up to order 4, and the zero jet.
+    n = system.phase_dim
+    alpha = (1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1)
+    yield TruncatedJet.monomial(n, m, z, alpha), xf, m
+    yield TruncatedJet.zero(n, m, z), xf, m
+    z = np.array([0.6, 0.8])
+    yield oscillator_energy().jet(z, 6), oscillator_field().jet_field(z, 5), 6
 
 
 def test_tower_chain_equals_the_full_product_route():
     # lie_derivative multiplies each field component over the triples of the
-    # variables it uses; every jet of the chain must keep its bits
-    for F, X, z, m in _full_chain_cases():
-        fj, xf = F.jet(z, m), X.jet_field(z, m - 1)
+    # variables it uses, and only the orders of the partial that can be
+    # nonzero; every jet of the chain must keep its bits
+    for fj, xf, m in _full_chain_cases():
         assert any(mask is not None for mask in xf.masks)
         g = h = fj
         values = []
         for _ in range(m):
             g, h = lie_derivative(g, xf), lie_derivative_full(h, xf)
-            assert g.coeffs.tobytes() == h.coeffs.tobytes(), (F, m, g.degree)
+            assert g.coeffs.tobytes() == h.coeffs.tobytes(), (fj, m, g.degree)
             values.append(h.value)
         assert psi_tower(fj, xf, m).values.tobytes() == np.array(values).tobytes()
 
@@ -505,6 +528,63 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
     monkeypatch.undo()
     assert 0 < len(built) <= limit, len(built)
     assert np.isfinite(sample.psi.values).all()
+
+
+@pytest.mark.parametrize("observable, gathered", [
+    (inertia_observable, 153_975), (energy_observable, 424_803)])
+def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
+        monkeypatch, observable, gathered):
+    # Counts the triples _mul gathers, not time.  The inertia is quadratic
+    # in q and constant in p, and the energy quadratic in p, so the first
+    # Lie steps multiply partials of order 0 or 1; with every component
+    # multiplied at full order both towers gathered 1 430 295.
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    field, F = build_hamiltonian_field(system), observable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
+    obstruction_at(F, field, sampler.draw(0, 12, system), 7)
+    z = sampler.draw(1, 12, system)
+    counts = []
+    mul = jet_algebra._mul
+
+    def counted(sp, a, b, mask=None, both=False):
+        tri_i = (sp.triples if mask is None else sp.triples_within(mask, both))[0]
+        counts.append(int(np.count_nonzero(tri_i < a.size)))
+        return mul(sp, a, b, mask, both)
+
+    monkeypatch.setattr(jet_algebra, "_mul", counted)
+    monkeypatch.setattr(lie_tower, "_mul", counted)
+    obstruction_at(F, field, z, 7)
+    monkeypatch.undo()
+    assert sum(counts) == gathered
+
+
+def _mask_by_exponents(c):
+    """The variables of a jet's nonzero coefficients, read off their
+    exponent rows: the bitmask :func:`_variable_mask` computes."""
+    used = _space(c.dim, c.degree).exps[np.flatnonzero(c.coeffs)].any(axis=0)
+    return None if used.all() else sum(1 << int(v) for v in np.flatnonzero(used))
+
+
+def test_field_masks_are_the_variables_of_the_nonzero_rows():
+    fields = []
+    for masses in ((1.0, 1.3), (1.0, 1.3, 0.7)):
+        system = BodySystem(len(masses), 2, masses, NewtonianPotential())
+        z = Sampler(box=(-1.0, 1.0), count=1, seed=6, min_separation=0.3).draw(
+            0, system.phase_dim, system)
+        bumped = perturb(PerturbationSpec("potential", 2, 0.05, 8), system)
+        for s in (system, bumped):
+            fields += [build_hamiltonian_field(s).jet_field(z, d) for d in (0, 1, 4)]
+        fields.append(perturb(PerturbationSpec("vector_field", 2, 0.05, 3),
+                              build_hamiltonian_field(system)).jet_field(z, 3))
+    rng = stream_rng(43, 0)
+    for n in (1, 2, 3):
+        dense = random_polynomial_field(n, 3, rng)
+        fields.append(dense.jet_field(rng.uniform(-0.5, 0.5, n), 3))
+    zero = TruncatedJet.zero(3, 2, np.zeros(3))
+    fields.append(JetField((zero, TruncatedJet.monomial(3, 2, np.zeros(3), (0, 2, 0)),
+                            TruncatedJet.monomial(3, 2, np.zeros(3), (1, 0, 1)))))
+    for xf in fields:
+        assert xf.masks == tuple(_mask_by_exponents(c) for c in xf.components)
 
 
 def test_concurrent_towers_equal_serial_ones():

@@ -20,6 +20,7 @@ from saarilab.jet_algebra import (
     jet_eval,
     jet_from_samples,
     jet_pad,
+    jet_pow,
     jet_truncate,
     shift_base,
 )
@@ -53,7 +54,12 @@ from saarilab.mech import (
 from saarilab import mech
 from saarilab.mech import _pair_r2_jet
 
-from oracles import energy_jet_by_jets, field_jet_by_jets, potential_jet_by_jets
+from oracles import (
+    energy_jet_by_jets,
+    field_jet_by_jets,
+    jet_pow_full,
+    potential_jet_by_jets,
+)
 
 
 def two_body(potential=None, masses=(1.0, 1.0)):
@@ -325,6 +331,22 @@ def _dict_kinetic_jets(system, z, degree):
         for c in range(nc):
             entries[_unit(nph, nc + c, nc + c)] = 0.5 * minv[c]
     return comps, TruncatedJet.from_coeffs(nph, degree, z, entries)
+
+
+@pytest.mark.parametrize("degree", [7, 9])
+def test_pair_r2_powers_equal_the_full_product_series(degree):
+    # r^2 has order 2, so after s Horner steps jet_pow's partial sum is zero
+    # above order 2s and each product takes that prefix only.  A planar
+    # 3-body pair's r^2 uses 4 of the 6 variables, a spatial 2-body one all 6
+    rng = np.random.default_rng(degree)
+    for system in (three_body((1.0, 1.3, 0.7)),
+                   BodySystem(2, 3, (0.8, 1.1), NewtonianPotential())):
+        q2d = rng.uniform(-1.5, 1.5, (system.n_bodies, system.space_dim))
+        for i, j in system.pairs():
+            r2 = _pair_r2_jet(system, q2d, i, j, degree)
+            for exponent in (-0.5, -1.5, 1.0, 2.5):
+                assert (jet_pow(r2, exponent).coeffs.tobytes()
+                        == jet_pow_full(r2, exponent).coeffs.tobytes()), exponent
 
 
 def test_sample_jets_equal_the_multi_index_route():
