@@ -68,25 +68,18 @@ def _check_count(value, what: str, at_least: int = 1) -> None:
             f"{what} must be an integer >= {at_least}, got {value!r}")
 
 
-def _finite(value, what: str, at_least: float = -math.inf) -> float:
+def _finite(value, what: str, at_least: float = -math.inf,
+            strict: bool = False) -> float:
     """``value`` as a float if it is a finite real number (a bool is not)
-    of at least ``at_least``, else a :class:`ConfigError`."""
+    of at least ``at_least``, or above it if ``strict``, else a
+    :class:`ConfigError`."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max or value < at_least):
-        bound = "" if at_least == -math.inf else f" >= {at_least:g}"
+            or not abs(value) <= sys.float_info.max or value < at_least
+            or strict and value == at_least):
+        bound = ("" if at_least == -math.inf
+                 else f" {'>' if strict else '>='} {at_least:g}")
         raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
-
-
-def _tolerances(tol_zero, tol_eq, tol_crit) -> tuple[float, float, float]:
-    """The scan tolerances as floats if each is a finite number > 0 (a bool
-    is not), else a :class:`ConfigError` naming the first that is not."""
-    tols = (tol_zero, tol_eq, tol_crit)
-    for value, what in zip(tols, ("tol_zero", "tol_eq", "tol_crit")):
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0.0 < value <= sys.float_info.max):
-            raise ConfigError(f"{what} must be a finite number > 0, got {value!r}")
-    return tuple(float(v) for v in tols)
 
 
 # Stream tags keeping the named sub-streams of one global seed disjoint.
@@ -321,7 +314,9 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     excluded rather than fatal.  The default tower order is one more than the
     effective phase dimension.  Each tolerance must be a finite number > 0.
     """
-    tol_zero, tol_eq, tol_crit = _tolerances(tol_zero, tol_eq, tol_crit)
+    tol_zero = _finite(tol_zero, "tol_zero", 0.0, strict=True)
+    tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)
+    tol_crit = _finite(tol_crit, "tol_crit", 0.0, strict=True)
     fieldX, system = _field_and_system(X)
     dim = fieldX.dim if hasattr(fieldX, "dim") else system.phase_dim
     if m is None:

@@ -69,6 +69,10 @@ def table_size(dim: int, degree: int) -> int:
 #: Upper bound on the exponent-array elements one chunk of the triple build
 #: holds, so its temporaries stay a few MB whatever the table size.
 _CHUNK_ELEMENTS = 1 << 18
+# Smallest table on which lie_derivative and jet_pow read the orders their
+# operands reach: on smaller ones a product costs little more than its
+# calls, and the scan and the per-product prefix cost more than they save.
+_ORDER_SCAN_SIZE = 1000
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +169,11 @@ class _JetSpace:
             [_order_block(dim, k) for k in range(degree + 1)])
         self.size = len(self.exps)
         self.orders = self.exps.sum(axis=1)
-        self.row_vars = (self.exps > 0) @ (1 << np.arange(dim, dtype=np.int64))
+        # int64 holds bits 0..62 exactly; wider tables keep Python ints, on
+        # which the same ufuncs (OR, shift, and) run.
+        bits = (1 << np.arange(dim, dtype=np.int64) if dim < 64
+                else np.array([1 << v for v in range(dim)], dtype=object))
+        self.row_vars = (self.exps > 0) @ bits
         # Every partial product of alpha! divides degree!, and float64 holds
         # such integers exactly up to degree 22, so the products are exact.
         fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=float)
@@ -611,10 +619,11 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     runs on coefficient arrays and only its sum is a jet.  The mask of
     ``a``'s variables is computed once per call, and every product of the
     series multiplies two arrays in it over the restricted triples of
-    :meth:`_JetSpace.triples_within`, bitwise equal to full products.  With
-    ``e`` the highest order of ``a``, the partial sum after ``s`` Horner
-    steps is zero above order ``s * e``, so each product takes it as the
-    prefix up to that order (see :func:`_mul`), again bitwise equal.
+    :meth:`_JetSpace.triples_within`, bitwise equal to full products.  On
+    tables of at least ``_ORDER_SCAN_SIZE`` coefficients, with ``e`` the
+    highest order of ``a``, the partial sum after ``s`` Horner steps is zero
+    above order ``s * e``, so each product takes it as the prefix up to that
+    order (see :func:`_mul`), again bitwise equal.
     """
     a0 = a.value
     if a0 == 0.0:
@@ -634,14 +643,16 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
     # uses only a's variables, so both operands of each product lie in its mask.
     mask = _variable_mask(a)
-    top = int(sp.orders[np.flatnonzero(a.coeffs != 0)[-1]])
+    top = (int(sp.orders[np.flatnonzero(a.coeffs)[-1]])
+           if sp.size >= _ORDER_SCAN_SIZE else None)
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
     acc = np.zeros(sp.size)
     acc[0] = coeffs[d]
     for s, k in enumerate(range(d - 1, -1, -1)):
-        acc = _mul(sp, acc[:sp.prefix[min(s * top, d)]], w, mask, both=True)
+        n = sp.size if top is None else sp.prefix[min(s * top, d)]
+        acc = _mul(sp, acc[:n], w, mask, both=True)
         acc[0] += coeffs[k]
     return TruncatedJet(a.dim, d, a.base_point, (a0 ** exponent) * acc)
 

@@ -42,6 +42,7 @@ from .jet_algebra import (
     _mul,
     _space,
     _top_orders,
+    _ORDER_SCAN_SIZE,
 )
 
 __all__ = [
@@ -59,9 +60,6 @@ __all__ = [
     "STRUCTURAL_TOL",
 ]
 
-#: Smallest coefficient table on which :func:`lie_derivative` scans its
-#: observable for the orders each variable reaches.
-ORDER_SCAN_SIZE = 2000
 #: Relative singular-value cutoff for numerical rank.
 RANK_THRESHOLD = 1e-8
 #: Allowed relative deviation of the field Jacobian's entries from the
@@ -209,7 +207,7 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     restricted triples of its mask, bitwise equal to a full :func:`jet_mul`
     (see :class:`~saarilab.jet_algebra._JetSpace`).
 
-    On tables of at least :data:`ORDER_SCAN_SIZE` coefficients, ``f`` is
+    On tables of at least ``_ORDER_SCAN_SIZE`` coefficients, ``f`` is
     scanned once for the highest order ``top_i`` at which it uses each
     variable ``z_i``.  Above order ``top_i - 1`` the partial ``dF/dz_i`` is
     +-0, so only its prefix up to that order is gathered and multiplied
@@ -229,7 +227,7 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
             f"field degree {x.degree} cannot support a degree-{f.degree} observable"
         )
     sp, low = _space(f.dim, f.degree), _space(f.dim, f.degree - 1)
-    top = _top_orders(sp, f.coeffs) if sp.size >= ORDER_SCAN_SIZE else None
+    top = _top_orders(sp, f.coeffs) if sp.size >= _ORDER_SCAN_SIZE else None
     out = None
     for i, mask in enumerate(x.masks):
         src, scale = sp.diff_src[i], sp.diff_scale[i]

@@ -391,7 +391,7 @@ def test_pow_equals_the_full_product_series(dim, degree, mask):
                            jet_pow_full(a, exponent).coeffs), exponent
 
 
-@pytest.mark.parametrize("dim,degree", [(1, 4), (3, 4), (6, 7), (12, 3)])
+@pytest.mark.parametrize("dim,degree", [(1, 4), (3, 4), (6, 7), (12, 3), (66, 2)])
 def test_top_orders_are_the_highest_orders_each_variable_reaches(dim, degree):
     sp = _space(dim, degree)
     rng = np.random.default_rng(dim + degree)

@@ -369,15 +369,18 @@ def test_tower_builds_triples_only_for_the_tables_it_multiplies():
     # the (8, 8) table holds those restricted triples and never the full ones.
     # The inertia uses no momentum, so the forces, whose partials dI/dp are
     # zero, are not multiplied there: only the four momenta's sets are built.
+    # The energy is quadratic in p, so its tower adds the configuration's.
     _space.cache_clear()
     system = _two_body()
+    field = build_hamiltonian_field(system)
     z = Sampler(box=(-1.0, 1.0), count=1, seed=5).draw(0, 8, system)
-    obstruction_at(inertia_observable(system), build_hamiltonian_field(system),
-                   z, m=9)
-    assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
+    obstruction_at(inertia_observable(system), field, z, m=9)
     sp = _space(8, 8)
-    assert "triples" not in vars(sp)
     assert sorted(sp._within) == [(1 << v, False) for v in range(4, 8)]
+    obstruction_at(energy_observable(system), field, z, m=9)
+    assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
+    assert "triples" not in vars(sp)
+    assert len(sp._within) == 5  # four momenta and the configuration
 
 
 _THREE_BODY_M9 = """
@@ -435,7 +438,7 @@ def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
 
 def _full_chain_cases():
     """(observable jet, field jet, m).  All but the oscillator's observables
-    lie on tables of at least ``ORDER_SCAN_SIZE`` coefficients, so
+    lie on tables of at least ``_ORDER_SCAN_SIZE`` coefficients, so
     ``lie_derivative`` multiplies only the orders each partial holds."""
     bump = perturb(PerturbationSpec("potential", 3, 0.05, 7),
                    BodySystem(2, 2, (1.0, 1.3), NewtonianPotential()))
@@ -585,6 +588,31 @@ def test_field_masks_are_the_variables_of_the_nonzero_rows():
                             TruncatedJet.monomial(3, 2, np.zeros(3), (1, 0, 1)))))
     for xf in fields:
         assert xf.masks == tuple(_mask_by_exponents(c) for c in xf.components)
+
+
+def test_fields_past_63_variables_keep_every_variable():
+    # Row bitmasks past 63 variables outgrow an int64, yet masks and the
+    # orders each variable reaches must still see z_64 and z_65: the
+    # (66, 2) observable table, 2 278 coefficients, takes the order scan.
+    dim, z = 66, np.zeros(66)
+    rng = np.random.default_rng(66)
+
+    def within(degree, variables):
+        sp = _space(dim, degree)
+        outside = [v for v in range(dim) if v not in variables]
+        inside = ~sp.exps[:, outside].any(axis=1)
+        return np.where(inside, rng.uniform(-1.0, 1.0, sp.size), 0.0)
+
+    xf = JetField(tuple(TruncatedJet(dim, 1, z, within(1, {i, 64 + i % 2}))
+                        for i in range(dim)))
+    assert xf.masks == tuple(_mask_by_exponents(c) for c in xf.components)
+    assert xf.masks[1] == 1 << 1 | 1 << 65 and xf.masks[64] == 1 << 64
+    c = within(2, {0, 1, 64, 65})
+    sp = _space(dim, 2)
+    c[(sp.orders == 1) & (sp.exps[:, 2] == 1)] = 0.5  # z_2 at order 1 only
+    f = TruncatedJet(dim, 2, z, c)
+    assert (lie_derivative(f, xf).coeffs.tobytes()
+            == lie_derivative_full(f, xf).coeffs.tobytes())
 
 
 def test_concurrent_towers_equal_serial_ones():
