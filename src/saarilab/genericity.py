@@ -31,8 +31,8 @@ from .fields import (
     stream_rng,
 )
 from .flow import Trajectory
-from .jet_algebra import TruncatedJet, table_size
-from .lie_tower import default_tower_order, obstruction_at
+from .jet_algebra import _CHUNK_ELEMENTS, TruncatedJet, table_size
+from .lie_tower import _obstructions, default_tower_order
 from .mech import (
     BodySystem,
     PerturbedPotential,
@@ -313,35 +313,50 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     exclusion zones of the theory; singular evaluations are counted and
     excluded rather than fatal.  The default tower order is one more than the
     effective phase dimension.  Each tolerance must be a finite number > 0.
+    The phase dimension is the field's ``dim``, else the observable's; a
+    scan of two handles without one is a :class:`ConfigError`.
+
+    The samples run in groups of S: each is drawn and given its jets in
+    turn, then one tower chain runs the group on sample-minor stacks of
+    shape ``(coeffs, S)`` (see :func:`~saarilab.jet_algebra._mul`).  Every
+    product still adds each sample's triples from +0 in one-sample order,
+    and the group's union of masks and highest top orders only add products
+    of a sample's +-0 coefficients, so the report is bitwise equal to
+    evaluating one sample at a time.  ``S = max(1, _CHUNK_ELEMENTS //
+    (table_size(dim, m) * dim))``: 25 at planar two-body m = 5, and 1 at
+    planar three-body m = 7, whose products gain nothing from a group.
     """
     tol_zero = _finite(tol_zero, "tol_zero", 0.0, strict=True)
     tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)
     tol_crit = _finite(tol_crit, "tol_crit", 0.0, strict=True)
     fieldX, system = _field_and_system(X)
-    dim = fieldX.dim if hasattr(fieldX, "dim") else system.phase_dim
+    dim = getattr(fieldX, "dim", None) or getattr(F, "dim", None)
+    if dim is None:
+        raise ConfigError(
+            "obstruction_scan needs the phase dimension: neither the field "
+            "nor the observable has a dim")
     if m is None:
         n_eff = system.effective_phase_dim if system is not None else dim
         m = default_tower_order(n_eff)
+    group = max(1, _CHUNK_ELEMENTS // (table_size(dim, m) * dim))
     n_eq = n_crit = n_sing = n_zero = n_nonzero = 0
     min_norm = math.inf
-    for idx in range(sampler.count):
-        z = sampler.draw(idx, dim, system)
-        try:
-            samp = obstruction_at(F, fieldX, z, m=m, tol_eq=tol_eq,
-                                  tol_crit=tol_crit)
-        except SingularityError:
-            n_sing += 1
-            continue
-        if samp.is_near_equilibrium:
-            n_eq += 1
-        elif samp.is_near_F_critical:
-            n_crit += 1
-        elif samp.norm_inf < tol_zero:
-            n_zero += 1
-            min_norm = min(min_norm, samp.norm_inf)
-        else:
-            n_nonzero += 1
-            min_norm = min(min_norm, samp.norm_inf)
+    for start in range(0, sampler.count, group):
+        points = [sampler.draw(idx, dim, system)
+                  for idx in range(start, min(start + group, sampler.count))]
+        for samp in _obstructions(F, fieldX, points, m, tol_eq, tol_crit):
+            if isinstance(samp, SingularityError):
+                n_sing += 1
+            elif samp.is_near_equilibrium:
+                n_eq += 1
+            elif samp.is_near_F_critical:
+                n_crit += 1
+            elif samp.norm_inf < tol_zero:
+                n_zero += 1
+                min_norm = min(min_norm, samp.norm_inf)
+            else:
+                n_nonzero += 1
+                min_norm = min(min_norm, samp.norm_inf)
     return ScanReport(
         n_samples=sampler.count,
         n_excluded_equilibrium=n_eq,

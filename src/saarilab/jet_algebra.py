@@ -151,6 +151,16 @@ class _JetSpace:
     count for each triple set, built on its first :func:`_mul` with that
     set and reused after, so a product allocates only its output.
 
+    The same triples multiply a group of S samples at once, on coefficient
+    arrays stacked sample-minor, shape ``(size, S)``: :func:`_mul` gathers
+    whole rows and offsets only ``tri_k``, to ``tri_k * S + s``, for one
+    ``bincount``, so each bin still adds its triples from +0 in the order
+    above and every sample keeps its bits.  A stacked product allocates its
+    gathers and offsets, S times the triple count each, and nothing is
+    cached per S; so a scan groups samples only while ``table_size(dim, m)
+    * dim * S <= _CHUNK_ELEMENTS`` (see
+    :func:`~saarilab.genericity.obstruction_scan`).
+
     Every triple set, full or restricted, is i-major with i ascending, and
     the layout is graded, so the triples whose i-row has order at most ``e``
     are a prefix of the set: those with ``tri_i < table_size(dim, e)``.  A
@@ -517,12 +527,30 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
 
     ``a`` may be the prefix ``table_size(dim, e)`` of an array that is zero
     above order ``e``.  The product then gathers only the triples with
-    ``tri_i < a.size``, a prefix of every triple set, and is bitwise equal to
+    ``tri_i < len(a)``, a prefix of every triple set, and is bitwise equal to
     the product with the whole array: each triple it leaves out multiplies a
     +-0 coefficient.
+
+    ``a`` and ``b`` may instead both be sample-minor stacks ``(coeffs, S)``,
+    one column per sample; a mask, or a prefix of ``a``, must then hold for
+    every column.  Whole rows are gathered, and one ``bincount`` sums sample
+    ``s``'s coefficient ``k`` in bin ``k * S + s``.  The flattened weights
+    run triple-major, so each bin adds its triples from +0 in one-sample
+    order, and the ``(sp.size, S)`` result is bitwise equal, column by
+    column, to the S products.  S is bounded by the group rule of
+    :class:`_JetSpace`.
     """
     tri_i, tri_j, tri_k = (sp.triples if mask is None
                            else sp.triples_within(mask, both))
+    if a.ndim == 2:
+        if len(a) < sp.size:
+            n = tri_i.searchsorted(len(a))
+            tri_i, tri_j, tri_k = tri_i[:n], tri_j[:n], tri_k[:n]
+        s = a.shape[1]
+        p = a.take(tri_i, 0)
+        p *= b.take(tri_j, 0)
+        at = (tri_k * s)[:, None] + np.arange(s)
+        return np.bincount(at.ravel(), p.ravel(), sp.size * s).reshape(sp.size, s)
     p, q = sp.mul_buffers(mask, both)
     if a.size < sp.size:
         n = tri_i.searchsorted(a.size)
@@ -543,27 +571,31 @@ def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     return TruncatedJet(a.dim, a.degree, a.base_point, c)
 
 
-def _variable_mask(a: TruncatedJet) -> int | None:
-    """Bitmask of the variables ``a``'s nonzero coefficients use, bit ``v``
-    for ``z_v``: the OR of their rows' variables.  ``None`` when that is
-    every variable, which :func:`_mul` reads as no restriction."""
+def _variable_mask(sp: _JetSpace, c: np.ndarray) -> int | None:
+    """Bitmask of the variables the nonzero coefficients of ``c`` use, bit
+    ``v`` for ``z_v``: the OR of their rows' variables.  ``None`` when that
+    is every variable, which :func:`_mul` reads as no restriction.  For a
+    sample-minor stack ``(size, S)``, the variables any sample uses."""
     # Rows 1..dim are the linear terms: all nonzero settles it without a scan.
-    if a.degree >= 1 and a.coeffs[1:a.dim + 1].all():
+    if sp.degree >= 1 and c[1:sp.dim + 1].all():
         return None
-    used = int(np.bitwise_or.reduce(
-        _space(a.dim, a.degree).row_vars[a.coeffs != 0]))
-    return None if used == (1 << a.dim) - 1 else used
+    nonzero = c != 0
+    used = int(np.bitwise_or.reduce(sp.row_vars[
+        nonzero if c.ndim == 1 else nonzero.any(axis=1)]))
+    return None if used == (1 << sp.dim) - 1 else used
 
 
 def _top_orders(sp: _JetSpace, c: np.ndarray) -> np.ndarray:
     """Per variable ``z_v``, the highest order of a nonzero coefficient of
-    ``c`` whose row uses ``z_v``, or 0 if none does.
+    ``c`` whose row uses ``z_v``, or 0 if none does.  For a sample-minor
+    stack ``(size, S)``, the highest over its samples.
 
     With ``tail[o]`` the OR of the row bitmasks of the nonzero rows of order
     at least ``o``, bit ``v`` is set in ``tail[1..top_v]`` and in no later
     one, so counting the orders where it is set gives ``top_v``.
     """
-    at = np.flatnonzero(c != 0)
+    nonzero = c != 0
+    at = np.flatnonzero(nonzero if c.ndim == 1 else nonzero.any(axis=1))
     tail = np.append(np.bitwise_or.accumulate(sp.row_vars[at[::-1]])[::-1], 0)
     tail = tail[at.searchsorted(sp.prefix[:-1])]
     return ((tail[:, None] >> np.arange(sp.dim)) & 1).sum(axis=0)
@@ -642,7 +674,7 @@ def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
     w[0] -= 1.0
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
     # uses only a's variables, so both operands of each product lie in its mask.
-    mask = _variable_mask(a)
+    mask = _variable_mask(sp, a.coeffs)
     top = (int(sp.orders[np.flatnonzero(a.coeffs)[-1]])
            if sp.size >= _ORDER_SCAN_SIZE else None)
     coeffs = [1.0]
@@ -877,7 +909,8 @@ class JetField:
         A truncation uses a subset of its component's variables, so the
         masks hold for :meth:`truncated` fields and truncated components too.
         """
-        return tuple(_variable_mask(c) for c in self.components)
+        return tuple(_variable_mask(_space(c.dim, c.degree), c.coeffs)
+                     for c in self.components)
 
     def values(self) -> np.ndarray:
         """Field value at the base point (constant terms)."""

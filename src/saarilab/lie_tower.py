@@ -30,6 +30,7 @@ from .errors import (
     CombinabilityError,
     DegreeDeficitError,
     InternalConsistencyError,
+    SingularityError,
 )
 from .jet_algebra import (
     JetField,
@@ -42,6 +43,7 @@ from .jet_algebra import (
     _mul,
     _space,
     _top_orders,
+    _variable_mask,
     _ORDER_SCAN_SIZE,
 )
 
@@ -200,12 +202,32 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     """``L_X F = sum_i (dF/dz_i) X^i`` as a jet one degree lower than ``f``.
 
     A degree-0 observable carries no derivative information and maps to the
-    zero jet of degree 0.  The operands are checked once; each term is a
-    partial times a truncated component, multiplied as coefficient arrays,
-    and only the sum, in component order, is a jet.  A component that uses
-    only some variables (:attr:`JetField.masks`) is multiplied over the
-    restricted triples of its mask, bitwise equal to a full :func:`jet_mul`
-    (see :class:`~saarilab.jet_algebra._JetSpace`).
+    zero jet of degree 0.  The operands are checked once, and the step runs
+    on their coefficient arrays (see :func:`_lie_step`).
+    """
+    _check_operands(f, x)
+    if f.degree == 0:
+        return TruncatedJet.zero(f.dim, 0, f.base_point)
+    if x.degree < f.degree - 1:
+        raise DegreeDeficitError(
+            f"field degree {x.degree} cannot support a degree-{f.degree} observable"
+        )
+    c = _lie_step(f.dim, f.degree, f.coeffs,
+                  [comp.coeffs for comp in x.components], x.masks)
+    return TruncatedJet(f.dim, f.degree - 1, f.base_point, c)
+
+
+def _lie_step(dim: int, degree: int, f: np.ndarray, comps, masks) -> np.ndarray:
+    """``L_X F`` on coefficient arrays: ``f`` of the ``(dim, degree)``
+    layout, ``comps[i]`` the coefficients of ``X^i`` to degree at least
+    ``degree - 1`` and ``masks[i]`` its variables (:attr:`JetField.masks`).
+    Returns the degree ``degree - 1`` coefficients.
+
+    Each term is a partial times a truncated component, and only the sum,
+    in component order, is formed.  A component that uses only some
+    variables is multiplied over the restricted triples of its mask, bitwise
+    equal to a full :func:`jet_mul` (see
+    :class:`~saarilab.jet_algebra._JetSpace`).
 
     On tables of at least ``_ORDER_SCAN_SIZE`` coefficients, ``f`` is
     scanned once for the highest order ``top_i`` at which it uses each
@@ -215,33 +237,55 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
     is zero everywhere is skipped: its term would be +0, which leaves the
     sum's bits as they are.  On smaller tables a product costs little more
     than its calls, and the scan would cost more than it saves.
+
+    ``f`` and every ``comps[i]`` may instead be sample-minor stacks
+    ``(coeffs, S)``, with ``masks[i]`` the union of the samples' masks.  The
+    top orders are then the highest over the samples, and each sample's
+    column is bitwise equal to its own step: the extra triples and orders
+    multiply its +-0 coefficients, and a term that is +0 for it leaves its
+    sum's bits as they are.
     """
-    if x.dim != f.dim:
-        raise CombinabilityError(f"field dim {x.dim} != jet dim {f.dim}")
-    if not np.array_equal(x.base_point, f.base_point):
-        raise CombinabilityError("field and observable expanded at different points")
-    if f.degree == 0:
-        return TruncatedJet.zero(f.dim, 0, f.base_point)
-    if x.degree < f.degree - 1:
-        raise DegreeDeficitError(
-            f"field degree {x.degree} cannot support a degree-{f.degree} observable"
-        )
-    sp, low = _space(f.dim, f.degree), _space(f.dim, f.degree - 1)
-    top = _top_orders(sp, f.coeffs) if sp.size >= _ORDER_SCAN_SIZE else None
+    sp, low = _space(dim, degree), _space(dim, degree - 1)
+    top = _top_orders(sp, f) if sp.size >= _ORDER_SCAN_SIZE else None
     out = None
-    for i, mask in enumerate(x.masks):
+    for i, mask in enumerate(masks):
         src, scale = sp.diff_src[i], sp.diff_scale[i]
         if top is not None:
             if not top[i]:
                 continue
             n = low.prefix[top[i] - 1]
             src, scale = src[:n], scale[:n]
-        term = _mul(low, f.coeffs[src] * scale,
-                    x.components[i].coeffs[:low.size], mask)
+        term = _mul(low, f[src] * (scale if f.ndim == 1 else scale[:, None]),
+                    comps[i][:low.size], mask)
         out = term if out is None else np.add(out, term, out)
     if out is None:
-        out = np.zeros(low.size)
-    return TruncatedJet(f.dim, f.degree - 1, f.base_point, out)
+        out = np.zeros((low.size,) + f.shape[1:])
+    return out
+
+
+def _tower(dim: int, m: int, g: np.ndarray, comps, masks):
+    """The first ``m`` iterated Lie derivatives' values from the degree-``m``
+    coefficients ``g``, with the field's as in :func:`_lie_step`, for one
+    sample (1-D arrays) or a sample-minor stack.
+
+    Returns the values, shape ``(m,)`` or ``(m, S)``, and per sample whether
+    every coefficient of its chain stayed finite.  A sample that overflowed
+    keeps to its own column, so the others' values are unaffected.
+    """
+    values = np.empty((m,) + g.shape[1:])
+    finite = np.ones(g.shape[1:], dtype=bool)
+    for k in range(m):
+        g = _lie_step(dim, m - k, g, comps, masks)
+        finite &= np.isfinite(g).all(axis=0)
+        values[k] = g[0]
+    return values, finite
+
+
+def _check_operands(f: TruncatedJet, x: JetField) -> None:
+    if x.dim != f.dim:
+        raise CombinabilityError(f"field dim {x.dim} != jet dim {f.dim}")
+    if not np.array_equal(x.base_point, f.base_point):
+        raise CombinabilityError("field and observable expanded at different points")
 
 
 def _check_tower_order(m: int) -> None:
@@ -249,8 +293,7 @@ def _check_tower_order(m: int) -> None:
         raise ValueError("tower order must be >= 1")
 
 
-def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
-    """First ``m`` iterated Lie derivatives of ``f`` along ``x`` at the base point."""
+def _check_tower_inputs(f: TruncatedJet, x: JetField, m: int) -> None:
     _check_tower_order(m)
     if f.degree < m:
         raise DegreeDeficitError(
@@ -260,11 +303,21 @@ def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
         raise DegreeDeficitError(
             f"field jet degree {x.degree} < required {m - 1} for tower order {m}"
         )
-    g = jet_truncate(f, m)
-    values = np.empty(m)
-    for k in range(m):
-        g = lie_derivative(g, x)
-        values[k] = g.value
+    _check_operands(f, x)
+
+
+def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
+    """First ``m`` iterated Lie derivatives of ``f`` along ``x`` at the base point.
+
+    The one-sample case of the tower chain that
+    :func:`~saarilab.genericity.obstruction_scan` runs on groups of
+    samples.  A chain that overflows raises ValueError.
+    """
+    _check_tower_inputs(f, x, m)
+    values, finite = _tower(f.dim, m, f.coeffs[:_space(f.dim, m).size],
+                            [c.coeffs for c in x.components], x.masks)
+    if not finite:
+        raise ValueError("jet coefficients must be finite")
     return SaariVector(values=values, order=m, base_point=f.base_point)
 
 
@@ -404,41 +457,85 @@ def obstruction_at(
     Handles exposing ``jet`` / ``jet_field`` contribute analytic jets;
     anything else is sampled by finite differences.  The first tower entry is
     cross-checked against an independent ``<grad F(z), X(z)>`` evaluation
-    whenever the observable carries an analytic gradient.
+    whenever the observable carries an analytic gradient.  The one-sample
+    case of :func:`_obstructions`.
     """
-    z = np.asarray(z, float)
-    n = z.size
-    # Evaluating X first makes a collision fail before any jet table is built.
-    x_val = np.asarray(X(z), float)
-    if hasattr(F, "jet"):
-        fj = F.jet(z, m)
-    else:
-        fj = jet_from_samples(F, z, m)
-    if hasattr(X, "jet_field"):
-        xf = X.jet_field(z, max(m - 1, 0))
-    else:
-        comps = tuple(
-            jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]), z,
-                             max(m - 1, 0))
-            for i in range(n)
+    [sample] = _obstructions(F, X, [z], m, tol_eq, tol_crit)
+    if isinstance(sample, SingularityError):
+        raise sample
+    return sample
+
+
+def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float
+                  ) -> list[ObstructionSample | SingularityError]:
+    """:func:`obstruction_at` at each of ``points``, with one tower chain
+    (:func:`_tower`) for the group.
+
+    Each point's jets are built as :func:`obstruction_at` builds them, one
+    point after the other, and a point whose evaluation raises
+    :class:`SingularityError` gets that error in its place in the result.
+    The other points' chains run stacked sample-minor, or on plain arrays if
+    only one is left, and each sample's values are bitwise equal to its own
+    :func:`psi_tower`.  Then, in point order, each sample's chain must have
+    stayed finite (else ValueError, as :func:`psi_tower` raises) and its
+    first entry must match ``<grad F, X>``.
+    """
+    out: list = []
+    built = []  # (place in out, z, X(z), observable jet, field jet)
+    for z in points:
+        z = np.asarray(z, float)
+        try:
+            # Evaluating X first makes a collision fail before any jet table
+            # is built.
+            x_val = np.asarray(X(z), float)
+            fj = F.jet(z, m) if hasattr(F, "jet") else jet_from_samples(F, z, m)
+            if hasattr(X, "jet_field"):
+                xf = X.jet_field(z, max(m - 1, 0))
+            else:
+                xf = JetField(tuple(
+                    jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]),
+                                     z, max(m - 1, 0))
+                    for i in range(z.size)))
+        except SingularityError as e:
+            out.append(e)
+            continue
+        _check_tower_inputs(fj, xf, m)
+        built.append((len(out), z, x_val, fj, xf))
+        out.append(None)
+    if not built:
+        return out
+    n = built[0][3].dim
+    size, spx = _space(n, m).size, _space(n, m - 1)
+    comps = [_stack([b[4].components[i].coeffs[:spx.size] for b in built])
+             for i in range(n)]
+    values, finite = _tower(n, m, _stack([b[3].coeffs[:size] for b in built]),
+                            comps, [_variable_mask(spx, c) for c in comps])
+    values, finite = values.reshape(m, -1), finite.reshape(-1)
+    for col, (at, z, x_val, fj, _) in enumerate(built):
+        if not finite[col]:
+            raise ValueError("jet coefficients must be finite")
+        psi = SaariVector(values=values[:, col], order=m,
+                          base_point=fj.base_point)
+        if hasattr(F, "grad"):
+            dot = float(np.dot(np.asarray(F.grad(z), float), x_val))
+            scale = max(1.0, abs(psi.values[0]), abs(dot))
+            if abs(psi.values[0] - dot) > 1e-12 * scale:
+                raise InternalConsistencyError(
+                    f"first tower entry {psi.values[0]!r} disagrees with "
+                    f"<grad F, X> = {dot!r}"
+                )
+        out[at] = ObstructionSample(
+            z=z,
+            psi=psi,
+            norm_inf=psi.norm_inf,
+            is_near_equilibrium=bool(np.linalg.norm(x_val) < tol_eq),
+            is_near_F_critical=bool(np.linalg.norm(fj.gradient()) < tol_crit),
+            tol_eq=tol_eq,
+            tol_crit=tol_crit,
         )
-        xf = JetField(comps)
-    psi = psi_tower(fj, xf, m)
-    grad_f = fj.gradient() if fj.degree >= 1 else np.zeros(n)
-    if hasattr(F, "grad"):
-        dot = float(np.dot(np.asarray(F.grad(z), float), x_val))
-        scale = max(1.0, abs(psi.values[0]), abs(dot))
-        if abs(psi.values[0] - dot) > 1e-12 * scale:
-            raise InternalConsistencyError(
-                f"first tower entry {psi.values[0]!r} disagrees with "
-                f"<grad F, X> = {dot!r}"
-            )
-    return ObstructionSample(
-        z=z,
-        psi=psi,
-        norm_inf=psi.norm_inf,
-        is_near_equilibrium=bool(np.linalg.norm(x_val) < tol_eq),
-        is_near_F_critical=bool(np.linalg.norm(grad_f) < tol_crit),
-        tol_eq=tol_eq,
-        tol_crit=tol_crit,
-    )
+    return out
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """One sample's array as it is, or the sample-minor stack of several."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=1)

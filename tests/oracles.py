@@ -11,11 +11,18 @@ for bit.  ``potential_jet_by_jets``, ``field_jet_by_jets`` and
 ``energy_jet_by_jets`` build the N-body jets one validated jet per
 operation, where the library sums coefficient arrays into one jet per
 result; their bytes, signed zeros included, must be equal.
+``obstruction_scan_per_sample`` scans with one :func:`obstruction_at` per
+sample, where the library runs one stacked tower chain per group of
+samples; their reports must be equal byte for byte.
 """
+
+import math
+
 
 import numpy as np
 
-from saarilab.errors import InternalConsistencyError
+from saarilab.errors import InternalConsistencyError, SingularityError
+from saarilab.genericity import TOL_ZERO, ScanReport, _field_and_system
 from saarilab.jet_algebra import (
     JetField,
     TruncatedJet,
@@ -34,7 +41,9 @@ from saarilab.lie_tower import (
     STRUCTURAL_TOL,
     _rank_report,
     _structural_check,
+    default_tower_order,
     lie_derivative,
+    obstruction_at,
     psi_tower,
 )
 from saarilab.mech import (
@@ -220,3 +229,47 @@ def dpsi_wrt_X_per_column(f: TruncatedJet, x: JetField, m: int) -> np.ndarray:
         for i in range(n):
             matrix[:, t * n + i] = _tower_tangent(f_work, x_work, m, i, dot)
     return matrix
+
+
+def obstruction_scan_per_sample(X, F, sampler, m=None, tol_zero=TOL_ZERO,
+                                tol_eq=1e-9, tol_crit=1e-9) -> ScanReport:
+    """``obstruction_scan`` as one :func:`obstruction_at` per sample."""
+    fieldX, system = _field_and_system(X)
+    dim = fieldX.dim if hasattr(fieldX, "dim") else F.dim
+    if m is None:
+        n_eff = system.effective_phase_dim if system is not None else dim
+        m = default_tower_order(n_eff)
+    n_eq = n_crit = n_sing = n_zero = n_nonzero = 0
+    min_norm = math.inf
+    for idx in range(sampler.count):
+        z = sampler.draw(idx, dim, system)
+        try:
+            samp = obstruction_at(F, fieldX, z, m=m, tol_eq=tol_eq,
+                                  tol_crit=tol_crit)
+        except SingularityError:
+            n_sing += 1
+            continue
+        if samp.is_near_equilibrium:
+            n_eq += 1
+        elif samp.is_near_F_critical:
+            n_crit += 1
+        elif samp.norm_inf < tol_zero:
+            n_zero += 1
+            min_norm = min(min_norm, samp.norm_inf)
+        else:
+            n_nonzero += 1
+            min_norm = min(min_norm, samp.norm_inf)
+    return ScanReport(
+        n_samples=sampler.count,
+        n_excluded_equilibrium=n_eq,
+        n_excluded_F_critical=n_crit,
+        n_excluded_singular=n_sing,
+        n_obstruction_zero=n_zero,
+        n_obstruction_nonzero=n_nonzero,
+        min_nonexcluded_norm=min_norm if min_norm < math.inf else math.nan,
+        tol_zero=float(tol_zero),
+        tol_eq=float(tol_eq),
+        tol_crit=float(tol_crit),
+        seed=sampler.seed,
+        tower_order=m,
+    )

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from saarilab.errors import ConfigError, InsufficientSamplesError
+from saarilab import genericity
+from saarilab.errors import ConfigError, InsufficientSamplesError, SingularityError
 from saarilab.fields import (
+    PolynomialObservable,
     SeparableOscillator,
     coordinate_observable,
     oscillator_energy,
@@ -34,11 +36,14 @@ from saarilab.mech import (
     PowerLawPotential,
     build_hamiltonian_field,
     energy_observable,
+    inertia_observable,
     potential_value,
     releq_lagrange,
     releq_newton,
     releq_trajectory,
 )
+
+from oracles import obstruction_scan_per_sample
 
 
 def two_body():
@@ -336,6 +341,117 @@ def test_scan_two_body_inertia_nonzero_off_the_special_orbit():
                                    min_separation=0.3), m=5)
     assert rep.n_obstruction_nonzero == rep.n_nonexcluded
     assert rep.min_nonexcluded_norm > 1e-3
+
+
+def test_scan_takes_the_dimension_from_the_observable():
+    # A plain-callable field has no dim: the observable's is used, and with
+    # neither handle carrying one the scan names what is missing.
+    def X(z):
+        return np.array([z[1], -z[0]])
+
+    sampler = Sampler(box=(0.5, 1.5), count=5, seed=3)
+    rep = obstruction_scan(X, oscillator_energy(), sampler, m=3)
+    assert rep.n_obstruction_zero == 5
+    with pytest.raises(ConfigError, match="phase dimension.*dim"):
+        obstruction_scan(X, lambda z: z[0] ** 2, sampler, m=3)
+
+
+class _CollidesRight:
+    """The two-body field, reporting a collision wherever q_0 > 0.3."""
+
+    def __init__(self, system):
+        self.field = build_hamiltonian_field(system)
+        self.system, self.dim = system, self.field.dim
+
+    def __call__(self, z):
+        if z[0] > 0.3:
+            raise SingularityError("reported collision")
+        return self.field(z)
+
+    def jet_field(self, z, degree):
+        return self.field.jet_field(z, degree)
+
+
+def _scan_cases():
+    """name -> (X, F, sampler, keywords, what the report must show).  At
+    two-body m = 5 a group is 25 samples, at three-body m = 5 three, at
+    three-body m = 7 one."""
+    two = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    three = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+
+    def sampler(count, seed=8):
+        return Sampler(box=(-1.5, 1.5), count=count, seed=seed,
+                       min_separation=0.3)
+
+    def plain_field(z):
+        return np.array([z[1], -z[0]])
+
+    def plain_observable(z):
+        return z[0] ** 2 * z[1] + z[1]
+
+    def nonzero(rep):
+        return rep.n_obstruction_nonzero > 0
+
+    return {
+        "two-body inertia, one sample": (
+            two, inertia_observable(two), sampler(1), {}, nonzero),
+        "two-body inertia, one past a group": (
+            two, inertia_observable(two), sampler(26), {}, nonzero),
+        "two-body energy, one past a group": (
+            two, energy_observable(two), sampler(26), {},
+            lambda rep: rep.n_obstruction_zero > 0),
+        "three-body inertia, m = 7": (
+            three, inertia_observable(three), sampler(2), {"m": 7}, nonzero),
+        "three-body energy, m = 5": (
+            three, energy_observable(three), sampler(4), {"m": 5},
+            lambda rep: rep.n_obstruction_zero > 0),
+        "oscillator": (
+            oscillator_field(), PolynomialObservable.from_coeffs(
+                2, 3, {(3, 0): 1.0, (0, 1): 0.5}), Sampler((-1.0, 1.0), 30, 4),
+            {}, nonzero),
+        "plain-callable field": (
+            plain_field, oscillator_energy(), Sampler((0.5, 1.5), 7, 5), {},
+            lambda rep: rep.n_obstruction_zero == 7),
+        "plain-callable observable": (
+            oscillator_field(), plain_observable, Sampler((-1.0, 1.0), 7, 5),
+            {"m": 4}, nonzero),
+        "singular samples": (
+            _CollidesRight(two), inertia_observable(two), sampler(26, seed=9),
+            {}, lambda rep: 0 < rep.n_excluded_singular < 26),
+        "equilibria by a wide tolerance": (
+            oscillator_field(), coordinate_observable(2, 0),
+            Sampler((-1.0, 1.0), 30, 6), {"tol_eq": 0.5},
+            lambda rep: 0 < rep.n_excluded_equilibrium < 30),
+        "F-critical points by a wide tolerance": (
+            oscillator_field(), oscillator_energy(),
+            Sampler((-1.0, 1.0), 30, 6), {"tol_crit": 0.5},
+            lambda rep: 0 < rep.n_excluded_F_critical < 30),
+    }
+
+
+@pytest.mark.parametrize("name", list(_scan_cases()))
+def test_grouped_scans_equal_the_per_sample_loop(name):
+    # One stacked tower chain per group of samples, against one
+    # obstruction_at per sample: the same report, byte for byte.
+    X, F, sampler, keywords, shows = _scan_cases()[name]
+    got = obstruction_scan(X, F, sampler, **keywords)
+    want = obstruction_scan_per_sample(X, F, sampler, **keywords)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert shows(got), got
+
+
+@pytest.mark.parametrize("target", ["observable", "vector_field", "potential"])
+def test_grouped_experiments_equal_the_per_sample_loop(monkeypatch, target):
+    system = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    base = system if target == "potential" else build_hamiltonian_field(system)
+    F = inertia_observable(system)
+    spec = PerturbationSpec(target, 3, 1e-2, 5)
+    sampler = Sampler(box=(-1.5, 1.5), count=26, seed=8, min_separation=0.3)
+    got = genericity_experiment(base, F, spec, 2, sampler)
+    monkeypatch.setattr(genericity, "obstruction_scan", obstruction_scan_per_sample)
+    want = genericity_experiment(base, F, spec, 2, sampler)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert got.n_nonexcluded_total == 52
 
 
 # -- perturbation experiments --------------------------------------------------------------

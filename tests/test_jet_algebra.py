@@ -31,7 +31,7 @@ from saarilab.jet_algebra import (
     shift_base,
     table_size,
 )
-from saarilab.jet_algebra import _mul, _space, _top_orders
+from saarilab.jet_algebra import _mul, _space, _top_orders, _variable_mask
 
 from oracles import jet_pow_full
 
@@ -318,6 +318,38 @@ def test_restricted_product_equals_jet_mul(dim, degree):
                            jet_mul(a, b).coeffs)
 
 
+@pytest.mark.parametrize("dim,degree", [(3, 4), (8, 5), (12, 4)])
+def test_stacked_products_equal_each_sample_s_product(dim, degree):
+    # Three samples whose right operands use different variables and whose
+    # left operands stop at different orders, with -0.0 on rows they leave
+    # out.  The stack multiplies on the full triples, or on the union of the
+    # masks, over the longest prefix; every column keeps its own product's
+    # bits, and so does its mask.
+    sp = _space(dim, degree)
+    rng = np.random.default_rng(dim * 7 + degree)
+    base = np.zeros(dim)
+    masks, tops = _masks(dim)[1:3] + _masks(dim)[1:2], (1, degree, 2)
+    for both in (False, True):
+        a_cols, b_cols, want = [], [], []
+        for mask, top in zip(masks, tops):
+            b = _restricted_jet(sp, mask, rng, base).coeffs
+            a = (_restricted_jet(sp, mask, rng, base).coeffs.copy() if both
+                 else rng.normal(size=sp.size))
+            a[sp.prefix[top]:] = -0.0
+            a_cols.append(a)
+            b_cols.append(b)
+            want.append(_mul(sp, a[:sp.prefix[top]], b, mask, both))
+        a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
+        union = masks[0] | masks[1]
+        assert _variable_mask(sp, b) in (union, None)
+        for stacked_mask in (None, union):
+            got = _mul(sp, a[:sp.prefix[max(tops)]], b, stacked_mask, both)
+            assert got.shape == (sp.size, len(tops))
+            for s, w in enumerate(want):
+                assert _same_array(np.ascontiguousarray(got[:, s]), w), (
+                    both, stacked_mask, s)
+
+
 def test_warm_jet_mul_allocates_only_its_output():
     # the full triples and two restricted sets, each with its own buffers
     sp = _space(8, 5)
@@ -400,10 +432,15 @@ def test_top_orders_are_the_highest_orders_each_variable_reaches(dim, degree):
         c = rng.normal(size=sp.size)
         c[rng.random(sp.size) > keep] = 0.0
         tables += [c, np.where(c == 0.0, -0.0, c)]
+    wants = []
     for c in tables:
         want = [max([int(sp.orders[t]) for t in np.flatnonzero(c) if sp.exps[t, v]],
                     default=0) for v in range(dim)]
         assert _top_orders(sp, c).tolist() == want
+        wants.append(want)
+    # a sample-minor stack reaches the highest order of any of its samples
+    assert (_top_orders(sp, np.stack(tables, axis=1)).tolist()
+            == np.max(wants, axis=0).tolist())
 
 
 def test_pow_integer_matches_repeated_mul():

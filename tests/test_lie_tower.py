@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -29,8 +30,8 @@ from saarilab.fields import (
     stream_rng,
 )
 from saarilab import jet_algebra, lie_tower
-from saarilab.genericity import PerturbationSpec, Sampler, perturb
-from saarilab.jet_algebra import JetField, TruncatedJet, _space, jet_pow
+from saarilab.genericity import PerturbationSpec, Sampler, obstruction_scan, perturb
+from saarilab.jet_algebra import JetField, TruncatedJet, _space, jet_pow, table_size
 from saarilab.lie_tower import (
     RANK_THRESHOLD,
     SaariVector,
@@ -481,6 +482,81 @@ def test_tower_chain_equals_the_full_product_route():
         assert psi_tower(fj, xf, m).values.tobytes() == np.array(values).tobytes()
 
 
+class _Switch:
+    """The handle ``a`` where z_0 < 0 and ``b`` elsewhere, so that the
+    samples of one group differ in the variables and orders their jets use."""
+
+    def __init__(self, a, b):
+        self.a, self.b, self.dim = a, b, a.dim
+
+    def _at(self, z):
+        return self.a if z[0] < 0 else self.b
+
+    def __call__(self, z):
+        return self._at(z)(z)
+
+    def jet(self, z, degree):
+        return self._at(z).jet(z, degree)
+
+    def jet_field(self, z, degree):
+        return self._at(z).jet_field(z, degree)
+
+
+def _group_cases():
+    """(F, X, points, m): groups of samples for one stacked tower chain."""
+    two = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    bumped = perturb(PerturbationSpec("potential", 3, 0.05, 7), two)
+    three = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    for system, m, count in ((two, 5, 6), (bumped, 5, 6), (three, 5, 3)):
+        sampler = Sampler(box=(-1.5, 1.5), count=count, seed=12,
+                          min_separation=0.3)
+        points = [sampler.draw(i, system.phase_dim, system) for i in range(count)]
+        inertia = inertia_observable(system)
+        for F in (inertia, energy_observable(system),
+                  perturb(PerturbationSpec("observable", 3, 0.05, 9), inertia)):
+            yield F, build_hamiltonian_field(system), points, m
+    points = [np.array([0.6, 0.8]), np.array([-0.3, 0.2]), np.array([1.1, -0.4])]
+    yield oscillator_energy(), oscillator_field(), points, 4
+    yield (lambda z: z[0] ** 2 * z[1], lambda z: np.array([z[1], -z[0]]),
+           points, 3)
+    # On 8 variables at m = 5 the observable's (8, 5) table takes the order
+    # scan, and the two sides differ in masks and in top orders.
+    def obs(degree, terms):
+        """A polynomial from {((variable, power), ...): coefficient}."""
+        entries = {}
+        for powers, c in terms.items():
+            alpha = [0] * 8
+            for v, e in powers:
+                alpha[v] = e
+            entries[tuple(alpha)] = c
+        return PolynomialObservable.from_coeffs(8, degree, entries)
+
+    X = _Switch(
+        PolynomialField(tuple(obs(1, {((i + 1, 1),): 1.0} if i < 4 else {})
+                              for i in range(8))),
+        PolynomialField(tuple(obs(2, {(): 1.0} if i < 4
+                                  else {(): 0.3, ((i, 2),): 0.5})
+                              for i in range(8))))
+    F = _Switch(obs(2, {((0, 2),): 1.0, ((1, 1),): 1.0}),
+                obs(5, {((7, 5),): 1.0, ((0, 1), (2, 1)): 2.0, ((1, 1),): -0.5}))
+    points = np.random.default_rng(8).uniform(-1.0, 1.0, (5, 8))
+    points[:, 0] = (-0.5, 0.4, -0.1, 0.8, 0.2)
+    yield F, X, list(points), 5
+
+
+def test_a_group_s_towers_equal_each_sample_s_tower():
+    # One chain runs the group on sample-minor stacks, over the union of its
+    # masks and the highest of its top orders; every sample keeps the bits
+    # of its own tower, flags and all.
+    for F, X, points, m in _group_cases():
+        group = lie_tower._obstructions(F, X, points, m, 1e-9, 1e-9)
+        assert len(group) == len(points)
+        for z, got in zip(points, group):
+            want = obstruction_at(F, X, z, m)
+            assert got.psi.values.tobytes() == want.psi.values.tobytes(), (F, z)
+            assert got.to_json_dict() == want.to_json_dict()
+
+
 def test_an_overflowing_intermediate_still_raises():
     # The kernels keep their intermediates as arrays and validate only the
     # result; an overflow inside them still makes the result non-finite.
@@ -503,6 +579,46 @@ def test_an_overflowing_intermediate_still_raises():
             assert np.isfinite(lie_derivative(g, JetField((g, g))).coeffs).all()
             with pytest.raises(ValueError, match=finite):
                 psi_tower(g, JetField((g, g)), 3)
+            # grouped: only the sample at z_0 > 0 overflows, and its group
+            # raises as its own tower does; the others stay finite
+            h = _Overflowing(1e120, masked)
+            points = [np.array([-0.5, 0.1]), np.array([0.5, 0.1]),
+                      np.array([-0.2, 0.3])]
+            with pytest.raises(ValueError, match=finite):
+                obstruction_at(h, h, points[1], 3)
+            with pytest.raises(ValueError, match=finite):
+                lie_tower._obstructions(h, h, points, 3, 1e-9, 1e-9)
+            sampler = Sampler(box=(-1.0, 1.0), count=6, seed=2)
+            assert any(sampler.draw(i, 2)[0] > 0 for i in range(6))
+            with pytest.raises(ValueError, match=finite):
+                obstruction_scan(h, h, sampler, m=3)
+            for samp in lie_tower._obstructions(h, h, points[::2], 3, 1e-9, 1e-9):
+                assert np.isfinite(samp.psi.values).all()
+
+
+class _Overflowing:
+    """Observable and field at once: the jet of ``F = x + x^2 (+ y)`` with
+    ``big`` in place of each coefficient 1 where z_0 > 0, and ``(F, F)`` as
+    the field."""
+
+    dim = 2
+
+    def __init__(self, big, masked):
+        self.big, self.masked = big, masked
+
+    def __call__(self, z):
+        return np.ones(2)
+
+    def jet(self, z, degree):
+        c = self.big if z[0] > 0 else 1.0
+        entries = {(0, 0): 1.0, (1, 0): c, (2, 0): c}
+        if not self.masked:
+            entries[(0, 1)] = c
+        return TruncatedJet.from_coeffs(2, degree, z, entries)
+
+    def jet_field(self, z, degree):
+        f = self.jet(z, degree)
+        return JetField((f, f))
 
 
 @pytest.mark.parametrize("masses, observable, m, limit", [
@@ -559,6 +675,76 @@ def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
     obstruction_at(F, field, z, 7)
     monkeypatch.undo()
     assert sum(counts) == gathered
+
+
+@pytest.mark.parametrize("observable", [inertia_observable, energy_observable])
+def test_a_warm_two_body_scan_multiplies_one_tower_per_group(monkeypatch,
+                                                              observable):
+    # Counts the tower's products, not time: 20 samples at m = 5 are one
+    # group, so the scan makes the products of one sample's tower, each on
+    # a stack of 20 columns, where one tower per sample made 20 times as many.
+    system = _two_body((1.0, 1.0))
+    field, F = build_hamiltonian_field(system), observable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=20, seed=1)
+    obstruction_scan(system, F, sampler)
+    widths = []
+    mul = lie_tower._mul
+
+    def counted(sp, a, b, mask=None, both=False):
+        widths.append(a.shape[1:])
+        return mul(sp, a, b, mask, both)
+
+    monkeypatch.setattr(lie_tower, "_mul", counted)
+    obstruction_at(F, field, sampler.draw(0, 8, system), 5)
+    one = len(widths)
+    assert 0 < one <= 5 * 8 and set(widths) == {()}
+    widths.clear()
+    obstruction_scan(system, F, sampler)
+    assert widths == [(20,)] * one
+
+
+def test_a_three_body_m7_scan_evaluates_one_sample_at_a_time(monkeypatch):
+    # A (12, 7) observable is 50 388 coefficients, so 12 components of a
+    # group of two would pass _CHUNK_ELEMENTS: the scan runs groups of one,
+    # on plain arrays and the per-thread gather buffers.
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    widths = []
+    mul = lie_tower._mul
+
+    def counted(sp, a, b, mask=None, both=False):
+        widths.append(a.ndim)
+        return mul(sp, a, b, mask, both)
+
+    monkeypatch.setattr(lie_tower, "_mul", counted)
+    sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
+    rep = obstruction_scan(system, inertia_observable(system), sampler, m=7)
+    assert rep.n_obstruction_nonzero == 2
+    assert widths and set(widths) == {1}
+
+
+@pytest.mark.parametrize("observable", [inertia_observable, energy_observable])
+def test_a_warm_grouped_scan_holds_one_group_at_a_time(observable):
+    # Groups of 25 at 2-body m = 5.  A group holds its jets as built, their
+    # sample-minor stacks, and one product's gathers and offset indices, each
+    # 25 times a restricted triple set of at most 1 820 triples: about 2.8
+    # times the group's coefficient bytes.  A second group held at once, or
+    # offset indices cached per group size, would pass 3.5 times.
+    system = _two_body((1.0, 1.0))
+    F = observable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=75, seed=1)
+    obstruction_scan(system, F, sampler)
+    group_bytes = 25 * (table_size(8, 5) + 8 * table_size(8, 4)) * 8
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        obstruction_scan(system, F, sampler)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak - before < 3.5 * group_bytes, (peak - before) / group_bytes
 
 
 def _mask_by_exponents(c):
@@ -634,10 +820,15 @@ def test_concurrent_towers_equal_serial_ones():
     rounds = 10
 
     def run(offset):
-        return [obstruction_at(*cases[(r + offset) % len(cases)][:2],
-                               cases[(r + offset) % len(cases)][2],
-                               m=5).psi.values.tobytes()
-                for r in range(rounds * len(cases))]
+        towers = [obstruction_at(*cases[(r + offset) % len(cases)][:2],
+                                 cases[(r + offset) % len(cases)][2],
+                                 m=5).psi.values.tobytes()
+                  for r in range(rounds * len(cases))]
+        # A scan of the four samples is one group of four, whose stacked
+        # products gather into fresh arrays on the tables the threads share.
+        F = cases[offset][0]  # the inertia, then the energy
+        return towers + [json.dumps(obstruction_scan(system, F, sampler).to_json_dict())
+                         for _ in range(rounds)]
 
     serial = [run(offset) for offset in (0, 1)]
     _space.cache_clear()

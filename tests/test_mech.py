@@ -12,7 +12,7 @@ from saarilab.fields import (
     random_polynomial_observable,
     stream_rng,
 )
-from saarilab.genericity import PerturbationSpec, Sampler, perturb
+from saarilab.genericity import PerturbationSpec, Sampler, obstruction_scan, perturb
 from saarilab.jet_algebra import (
     TruncatedJet,
     embed_jet,
@@ -438,6 +438,24 @@ def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
     moved = z[:6].copy()
     moved[5] = np.nextafter(moved[5], 2.0)
     assert potential_config_jet(system, moved, 4).base_point[5] == moved[5]
+
+
+def test_an_energy_scan_builds_each_sample_s_potential_jet_once(monkeypatch):
+    # A scan builds a group's jets sample by sample, the energy's and then
+    # the field's, so the field still finds the potential jet the energy
+    # built: five samples in one group of twelve at (12, 4) build five.
+    system = three_body((1.0, 1.3, 0.7))
+    sampler = Sampler(box=(-1.5, 1.5), count=5, seed=31, min_separation=0.3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return _pair_r2_jet(*args)
+
+    monkeypatch.setattr(mech, "_pair_r2_jet", counted)
+    rep = obstruction_scan(system, EnergyObservable(system), sampler, m=4)
+    assert rep.n_samples == 5 and rep.n_excluded_singular == 0
+    assert sorted(calls) == sorted(system.pairs() * 5)
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
