@@ -385,11 +385,10 @@ def _cmd_releq(cfg: dict, args) -> int:
         raise ConfigError("releq needs an nbody system")
     family = cfg["family"]
     if family == "lagrange":
-        sol = releq_lagrange(system, side=float(cfg.get("side", 1.0)))
+        sol = releq_lagrange(system, side=cfg.get("side", 1.0))
     elif family == "euler":
-        ordering = tuple(int(i) for i in cfg.get("ordering", (0, 1, 2)))
-        sol = releq_euler(system, ordering=ordering,
-                          gap=float(cfg.get("gap", 1.0)))
+        sol = releq_euler(system, ordering=cfg.get("ordering", (0, 1, 2)),
+                          gap=cfg.get("gap", 1.0))
     elif family == "newton":
         if "guess" not in cfg:
             raise ConfigError("family 'newton' needs a 'guess' configuration")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
+
 
 class SaariLabError(Exception):
     """Base class for all package-specific errors."""
@@ -51,3 +55,26 @@ class InternalConsistencyError(SaariLabError):
 
 class ConfigError(SaariLabError):
     """An experiment configuration is malformed or incomplete."""
+
+
+def _check_count(value, what: str, at_least: int = 1) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is an integer of at least
+    ``at_least``; a bool or an integral float is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < at_least):
+        raise ConfigError(
+            f"{what} must be an integer >= {at_least}, got {value!r}")
+
+
+def _finite(value, what: str, at_least: float = -math.inf,
+            strict: bool = False) -> float:
+    """``value`` as a float if it is a finite real number (a bool is not)
+    of at least ``at_least``, or above it if ``strict``, else a
+    :class:`ConfigError`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or value < at_least
+            or strict and value == at_least):
+        bound = ("" if at_least == -math.inf
+                 else f" {'>' if strict else '>='} {at_least:g}")
+        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
+    return float(value)

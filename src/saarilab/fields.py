@@ -9,26 +9,45 @@ a small duck-typed protocol:
 * a vector field is callable, ``X(z) -> ndarray``; ``jet_field(z, degree)``
   supplies analytic component jets.
 
-Handles without jet providers fall back to finite-difference sampling at the
-call sites that need jets.  Everything here is polynomial, so jets are exact
-re-expansions (a Taylor shift), not estimates.
+A handle may also build its jets as plain coefficient arrays, for one point
+or for a group of points at once: ``jet_coeffs(points, degree)`` for an
+observable, ``field_coeffs(points, degree)`` (one array per component) for a
+field.  ``points`` is one point of shape ``(dim,)``, giving arrays of shape
+``(size,)``, or a sample-minor stack ``(dim, S)``, giving ``(size, S)``
+with one column per point, the layout of
+:func:`~saarilab.jet_algebra._mul` and the tower chain.  ``jet`` and
+``jet_field`` are their one-point case, and validate one jet per result.
+A stack runs the one-point arithmetic in the one-point order on every
+column: sums and products are elementwise, the Taylor shift sums each bin
+in triple order (:func:`~saarilab.jet_algebra._shift`), and the powers and
+reductions whose kernel numpy picks by layout run per column in the
+one-point layout.  So each column is bitwise equal to that point's jet.
+
+:func:`observable_coeffs` and :func:`field_coeffs` take any handle: one
+without ``jet_coeffs`` / ``field_coeffs`` gives its jets one point at a
+time, through ``jet`` / ``jet_field`` or, lacking those, finite-difference
+sampling, and they are checked and stacked.  Everything here is polynomial, so jets are
+exact re-expansions (a Taylor shift), not estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .errors import CombinabilityError, DegreeDeficitError
 from .jet_algebra import (
     JetField,
     TruncatedJet,
-    jet_add,
     jet_eval,
-    jet_pad,
-    jet_truncate,
-    shift_base,
+    jet_from_samples,
+    table_size,
+    _pad,
+    _shift,
     _space,
+    _stack,
 )
 
 __all__ = [
@@ -44,6 +63,8 @@ __all__ = [
     "random_polynomial_observable",
     "random_polynomial_field",
     "stream_rng",
+    "observable_coeffs",
+    "field_coeffs",
 ]
 
 
@@ -83,12 +104,22 @@ class PolynomialObservable:
         return jet_eval(self.poly, z)
 
     def jet(self, z, degree: int) -> TruncatedJet:
-        out = shift_base(self.poly, np.asarray(z, float))
-        # Bitwise equal to shifting the padded table: the padded zero
-        # coefficients add nothing, and the triples are prefix-stable.
-        if degree > out.degree:
-            return jet_pad(out, degree)
-        return jet_truncate(out, degree)
+        return _jet_at(self, z, degree)
+
+    def jet_coeffs(self, points, degree: int) -> np.ndarray:
+        """The Taylor shift of the stored table to ``points`` (see the
+        module protocol), truncated or padded to ``degree``.
+
+        Below the polynomial's degree only the rows up to ``degree`` are
+        shifted, bitwise the truncated whole shift; above it the padded
+        zero rows add nothing to a shift of the padded table, whose triples
+        are prefix-stable.  The table is stored about the origin, so
+        ``points`` are the offsets themselves.
+        """
+        sp = _space(self.dim, self.degree)
+        out = _shift(sp, self.coeffs, points,
+                     table_size(self.dim, min(degree, self.degree)))
+        return _pad(out, table_size(self.dim, degree)) if degree > self.degree else out
 
     def grad(self, z) -> np.ndarray:
         return self.jet(z, 1).gradient()
@@ -127,7 +158,10 @@ class PolynomialField:
         return np.array([c(z) for c in self.components])
 
     def jet_field(self, z, degree: int) -> JetField:
-        return JetField(tuple(c.jet(z, degree) for c in self.components))
+        return _jet_field_at(self, z, degree)
+
+    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
+        return [c.jet_coeffs(points, degree) for c in self.components]
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim,
@@ -150,10 +184,14 @@ class SumObservable:
         return float(sum(p(z) for p in self.parts))
 
     def jet(self, z, degree: int) -> TruncatedJet:
-        jets = [p.jet(z, degree) for p in self.parts]
-        out = jets[0]
-        for j in jets[1:]:
-            out = jet_add(out, j)
+        return _jet_at(self, z, degree)
+
+    def jet_coeffs(self, points, degree: int) -> np.ndarray:
+        """The parts' coefficients, summed in part order."""
+        out = None
+        for p in self.parts:
+            c = observable_coeffs(p, points, degree)
+            out = c if out is None else out + c
         return out
 
     def grad(self, z) -> np.ndarray:
@@ -176,14 +214,83 @@ class SumField:
         return np.sum([np.asarray(p(z), float) for p in self.parts], axis=0)
 
     def jet_field(self, z, degree: int) -> JetField:
-        fields = [p.jet_field(z, degree) for p in self.parts]
-        comps = []
-        for i in range(fields[0].dim):
-            acc = fields[0].components[i]
-            for f in fields[1:]:
-                acc = jet_add(acc, f.components[i])
-            comps.append(acc)
-        return JetField(tuple(comps))
+        return _jet_field_at(self, z, degree)
+
+    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
+        """The parts' components, summed per component in part order."""
+        out = None
+        for p in self.parts:
+            comps = field_coeffs(p, points, degree)
+            out = comps if out is None else [a + b for a, b in zip(out, comps)]
+        return out
+
+
+def _jet_at(observable, z, degree: int) -> TruncatedJet:
+    """``observable.jet(z, degree)`` from its ``jet_coeffs``: one validated
+    jet."""
+    z = np.asarray(z, float)
+    return TruncatedJet(z.size, degree, z, observable_coeffs(observable, z, degree))
+
+
+def _jet_field_at(field, z, degree: int) -> JetField:
+    """``field.jet_field(z, degree)`` from its ``field_coeffs``: one
+    validated jet per component."""
+    z = np.asarray(z, float)
+    return JetField(tuple(TruncatedJet(z.size, degree, z, c)
+                          for c in field_coeffs(field, z, degree)))
+
+
+def _check_dim(handle, points: np.ndarray) -> None:
+    dim = getattr(handle, "dim", None)
+    if dim is not None and dim != len(points):
+        raise CombinabilityError(
+            f"handle of dim {dim} evaluated at points of dim {len(points)}")
+
+
+def _per_point(points: np.ndarray, degree: int, jets_at) -> list[np.ndarray]:
+    """The jets ``jets_at(z)`` returns at each point, checked against the
+    point and the degree, truncated to it and stacked sample-minor, one
+    array per jet of the sequence."""
+    size = table_size(len(points), degree)
+    cols = []
+    for z in ([points] if points.ndim == 1 else list(points.T.copy())):
+        col = []
+        for jet in jets_at(z):
+            if jet.dim != z.size or not np.array_equal(jet.base_point, z):
+                raise CombinabilityError("a handle's jet is not expanded at its point")
+            if jet.degree < degree:
+                raise DegreeDeficitError(
+                    f"a handle's jet has degree {jet.degree} < required {degree}")
+            col.append(jet.coeffs[:size])
+        cols.append(col)
+    return [_stack(list(arrays)) for arrays in zip(*cols)]
+
+
+def observable_coeffs(F, points, degree: int) -> np.ndarray:
+    """``F``'s jet coefficients at one point or a stack of points (see the
+    module protocol): its ``jet_coeffs``, else per point its ``jet``, else
+    sampled jets."""
+    _check_dim(F, points)
+    if hasattr(F, "jet_coeffs"):
+        return F.jet_coeffs(points, degree)
+    jet = F.jet if hasattr(F, "jet") else partial(jet_from_samples, F)
+    [out] = _per_point(points, degree, lambda z: (jet(z, degree),))
+    return out
+
+
+def field_coeffs(X, points, degree: int) -> list[np.ndarray]:
+    """``X``'s component coefficients at one point or a stack of points
+    (see the module protocol): its ``field_coeffs``, else per point its
+    ``jet_field``, else sampled jets of each component."""
+    _check_dim(X, points)
+    if hasattr(X, "field_coeffs"):
+        return X.field_coeffs(points, degree)
+    if hasattr(X, "jet_field"):
+        return _per_point(points, degree,
+                          lambda z: X.jet_field(z, degree).components)
+    return _per_point(points, degree, lambda z: [
+        jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]), z, degree)
+        for i in range(z.size)])
 
 
 def coordinate_observable(dim: int, index: int) -> PolynomialObservable:
@@ -233,7 +340,10 @@ class SeparableOscillator:
         return float(0.5 * (z[0] ** 2 + z[1] ** 2))
 
     def jet_field(self, z, degree: int) -> JetField:
-        return self._poly.jet_field(z, degree)
+        return _jet_field_at(self, z, degree)
+
+    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
+        return self._poly.field_coeffs(points, degree)
 
 
 def linear1d_field() -> PolynomialField:

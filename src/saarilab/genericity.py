@@ -16,13 +16,17 @@ varies, using the measured energy drift as the noise floor.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSamplesError, SingularityError
+from .errors import (
+    ConfigError,
+    InsufficientSamplesError,
+    SingularityError,
+    _check_count,
+    _finite,
+)
 from .fields import (
     PolynomialField,
     PolynomialObservable,
@@ -57,29 +61,6 @@ __all__ = [
 TOL_ZERO = 1e-6
 
 _TARGETS = ("observable", "vector_field", "potential")
-
-
-def _check_count(value, what: str, at_least: int = 1) -> None:
-    """Raise :class:`ConfigError` unless ``value`` is an integer of at least
-    ``at_least``; a bool or an integral float is not one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < at_least):
-        raise ConfigError(
-            f"{what} must be an integer >= {at_least}, got {value!r}")
-
-
-def _finite(value, what: str, at_least: float = -math.inf,
-            strict: bool = False) -> float:
-    """``value`` as a float if it is a finite real number (a bool is not)
-    of at least ``at_least``, or above it if ``strict``, else a
-    :class:`ConfigError`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not abs(value) <= sys.float_info.max or value < at_least
-            or strict and value == at_least):
-        bound = ("" if at_least == -math.inf
-                 else f" {'>' if strict else '>='} {at_least:g}")
-        raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
-    return float(value)
 
 
 # Stream tags keeping the named sub-streams of one global seed disjoint.
@@ -316,15 +297,22 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     The phase dimension is the field's ``dim``, else the observable's; a
     scan of two handles without one is a :class:`ConfigError`.
 
-    The samples run in groups of S: each is drawn and given its jets in
-    turn, then one tower chain runs the group on sample-minor stacks of
-    shape ``(coeffs, S)`` (see :func:`~saarilab.jet_algebra._mul`).  Every
-    product still adds each sample's triples from +0 in one-sample order,
-    and the group's union of masks and highest top orders only add products
-    of a sample's +-0 coefficients, so the report is bitwise equal to
-    evaluating one sample at a time.  ``S = max(1, _CHUNK_ELEMENTS //
-    (table_size(dim, m) * dim))``: 25 at planar two-body m = 5, and 1 at
-    planar three-body m = 7, whose products gain nothing from a group.
+    The samples run in groups of S.  A group is drawn, the field is
+    evaluated at each sample (a singular one is dropped there), and the
+    others get their jets as sample-minor stacks of shape ``(coeffs, S)``:
+    one polynomial shift per observable table, one power chain per pair
+    ``r^2`` and one fill of each field component for the whole group (see
+    :mod:`saarilab.fields`).  One tower chain then runs the group on the
+    stacks (see :func:`~saarilab.jet_algebra._mul`).  Every kernel runs
+    each column in one-sample arithmetic and order: a ``bincount`` adds
+    each sample's triples from +0 in one-sample order, the group's union of
+    masks and highest top orders only add products of a sample's +-0
+    coefficients, and powers and reductions run per sample in the
+    one-sample layout.  So the report is bitwise equal to evaluating one
+    sample at a time.  ``S = max(1, _CHUNK_ELEMENTS // (table_size(dim, m)
+    * dim))``: 25 at planar two-body m = 5, and 1 at planar three-body
+    m = 7, whose products gain nothing from a group and which runs on plain
+    1-D arrays.
     """
     tol_zero = _finite(tol_zero, "tol_zero", 0.0, strict=True)
     tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)

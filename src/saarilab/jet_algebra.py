@@ -120,7 +120,7 @@ class _JetSpace:
 
     The convolution triples :attr:`triples` ``= (tri_i, tri_j, tri_k)`` list
     every ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That
-    order is load-bearing: :func:`_mul` and :func:`shift_base` sum them
+    order is load-bearing: :func:`_mul` and :func:`_shift` sum them
     with ``np.bincount`` in this order, so any other order moves the last bits
     of every product and every seeded report.  It also makes the triples
     prefix-stable: for each ``i`` of a lower-degree table, that table's
@@ -129,8 +129,8 @@ class _JetSpace:
 
     Only products need the triples, and they are the bulk of a large table
     (38 567 100 of them at dim 12, degree 9), so they are built on the first
-    full :func:`_mul` or :func:`shift_base` on this space, and
-    :attr:`tri_binom` on the first :func:`shift_base`.  A space used only for
+    full :func:`_mul` or :func:`_shift` on this space, and
+    :attr:`tri_binom` on the first :func:`_shift`.  A space used only for
     its layout, :meth:`rank`, :func:`jet_partial` or :func:`embed_jet` never
     holds them.
 
@@ -304,9 +304,37 @@ class _JetSpace:
         at += self._weight_row
         return self._weight.take(at).sum(axis=-1)
 
+    @cached_property
+    def _power_at(self) -> np.ndarray:
+        """Per variable ``v`` and row, where ``u_v**alpha_v`` sits in the
+        flattened ``(degree + 1, dim)`` table of powers ``u_v**e``."""
+        return (self.exps * self.dim + np.arange(self.dim)).T.copy()
+
     def monomials(self, u: np.ndarray) -> np.ndarray:
-        """All powers ``u**alpha`` over the table (0**0 == 1)."""
-        return np.prod(u[np.newaxis, :] ** self.exps, axis=1)
+        """All powers ``u**alpha`` over the table (0**0 == 1): ``(size,)``
+        for one point ``u`` of shape ``(dim,)``, ``(size, S)`` for a
+        sample-minor stack ``(dim, S)``.
+
+        Each ``u_v**e`` is raised once, for ``e = 0 .. degree``, and each
+        row multiplies its ``dim`` powers in variable order, as
+        ``np.prod(u ** exps, axis=1)`` does, to the same bits: numpy's power
+        of two given floats is one value whatever the layout, and raising
+        every row's exponents makes ``dim`` times the table size of calls to
+        ``pow``, the cost of a shift.  A stack raises each sample's powers
+        in the one-point layout, ``(S, degree + 1, dim)``, and multiplies
+        the columns of all samples at once, elementwise.
+        """
+        exponents = np.arange(self.degree + 1, dtype=float)[:, np.newaxis]
+        if u.ndim == 1:
+            factors = (u[np.newaxis, :] ** exponents).ravel().take(self._power_at)
+        else:
+            rows = np.ascontiguousarray(u.T)[:, np.newaxis, :]
+            powers = (rows ** exponents).reshape(len(rows), -1)
+            factors = powers.take(self._power_at, axis=1).transpose(1, 2, 0)
+        out = factors[0].copy()
+        for factor in factors[1:]:
+            out *= factor
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -564,6 +592,19 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
     return np.bincount(tri_k, p, sp.size)
 
 
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """One sample's array as it is, or the sample-minor stack of several."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=1)
+
+
+def _pad(c: np.ndarray, size: int) -> np.ndarray:
+    """``c`` followed by +0 rows up to ``size`` rows: one coefficient array
+    or a sample-minor stack, embedded in a higher degree."""
+    out = np.zeros((size,) + c.shape[1:])
+    out[:len(c)] = c
+    return out
+
+
 def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
     """Truncated Cauchy product; orders beyond the shared degree are dropped."""
     _check_combinable(a, b)
@@ -638,55 +679,72 @@ def jet_pad(a: TruncatedJet, degree: int) -> TruncatedJet:
         raise ValueError("jet_pad target degree below current degree")
     if degree == a.degree:
         return a
-    c = np.zeros(table_size(a.dim, degree))
-    c[: a.coeffs.size] = a.coeffs
-    return TruncatedJet(a.dim, degree, a.base_point, c)
+    return TruncatedJet(a.dim, degree, a.base_point,
+                        _pad(a.coeffs, table_size(a.dim, degree)))
 
 
 def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
-    """``a**exponent`` for real exponents via the truncated binomial series.
+    """``a**exponent`` for real exponents via the truncated binomial series
+    (see :func:`_pow`).
 
     Requires a nonzero constant term (and a positive one for non-integer
-    exponents); the series is exact at the truncation degree.  The series
-    runs on coefficient arrays and only its sum is a jet.  The mask of
-    ``a``'s variables is computed once per call, and every product of the
-    series multiplies two arrays in it over the restricted triples of
+    exponents); the series is exact at the truncation degree.
+    """
+    return TruncatedJet(a.dim, a.degree, a.base_point,
+                        _pow(_space(a.dim, a.degree), a.coeffs, exponent))
+
+
+def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
+    """The power core: ``c**exponent`` on coefficient arrays of ``sp``'s
+    layout, for one jet ``(size,)`` or a sample-minor stack ``(size, S)``.
+
+    The series runs on coefficient arrays.  The mask of ``c``'s variables
+    is computed once per call, and every product of the series multiplies
+    two arrays in it over the restricted triples of
     :meth:`_JetSpace.triples_within`, bitwise equal to full products.  On
     tables of at least ``_ORDER_SCAN_SIZE`` coefficients, with ``e`` the
-    highest order of ``a``, the partial sum after ``s`` Horner steps is zero
+    highest order of ``c``, the partial sum after ``s`` Horner steps is zero
     above order ``s * e``, so each product takes it as the prefix up to that
     order (see :func:`_mul`), again bitwise equal.
+
+    A stack runs one Horner chain for all its columns on the stacked
+    :func:`_mul`.  Its mask is the union of the columns' and ``e`` the
+    highest over them, which only add products of a column's +-0
+    coefficients; the scales and divisions are elementwise, and the leading
+    power ``c_0**exponent`` is taken per column in Python floats, as for one
+    jet.  So each column is bitwise equal to the one-jet power.
     """
-    a0 = a.value
-    if a0 == 0.0:
+    a0 = c[0]
+    if not a0.all():
         raise EvaluationDomainError("jet_pow needs a nonzero constant term")
-    if a0 < 0.0 and exponent != round(exponent):
+    if (a0 < 0.0).any() and exponent != round(exponent):
         raise EvaluationDomainError(
             "jet_pow with non-integer exponent needs a positive constant term"
         )
-    d = a.degree
-    sp = _space(a.dim, d)
+    d = sp.degree
     # w has zero constant term, so w**k contributes only to orders >= k.
     # Adding a constant to element 0 alone keeps the bytes of adding a
     # zero-padded constant table: x + 0.0 is x bit for bit unless x is -0,
     # and a product, a ``bincount`` from +0, never holds -0.
-    w = (1.0 / a0) * a.coeffs
+    w = (1.0 / a0) * c
     w[0] -= 1.0
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
-    # uses only a's variables, so both operands of each product lie in its mask.
-    mask = _variable_mask(sp, a.coeffs)
-    top = (int(sp.orders[np.flatnonzero(a.coeffs)[-1]])
+    # uses only c's variables, so both operands of each product lie in its mask.
+    mask = _variable_mask(sp, c)
+    top = (int(sp.orders[np.flatnonzero(c if c.ndim == 1 else c.any(axis=1))[-1]])
            if sp.size >= _ORDER_SCAN_SIZE else None)
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
-    acc = np.zeros(sp.size)
+    acc = np.zeros(c.shape)
     acc[0] = coeffs[d]
     for s, k in enumerate(range(d - 1, -1, -1)):
         n = sp.size if top is None else sp.prefix[min(s * top, d)]
         acc = _mul(sp, acc[:n], w, mask, both=True)
         acc[0] += coeffs[k]
-    return TruncatedJet(a.dim, d, a.base_point, (a0 ** exponent) * acc)
+    if c.ndim == 1:
+        return (float(a0) ** exponent) * acc
+    return np.array([x ** exponent for x in a0.tolist()]) * acc
 
 
 def jet_eval(a: TruncatedJet, x) -> float:
@@ -697,7 +755,7 @@ def jet_eval(a: TruncatedJet, x) -> float:
 
 
 def shift_base(a: TruncatedJet, new_base) -> TruncatedJet:
-    """Re-expand about a new base point.
+    """Re-expand about a new base point (see :func:`_shift`).
 
     Exact for polynomial data (coefficients above the polynomial's true degree
     all zero); for genuinely truncated jets the result silently drops the
@@ -705,11 +763,42 @@ def shift_base(a: TruncatedJet, new_base) -> TruncatedJet:
     """
     new_base = np.asarray(new_base, float)
     sp = _space(a.dim, a.degree)
-    tri_i, tri_j, tri_k = sp.triples
-    zpow = sp.monomials(new_base - a.base_point)
-    contrib = sp.tri_binom * a.coeffs[tri_k] * zpow[tri_j]
-    c = np.bincount(tri_i, weights=contrib, minlength=sp.size)
+    c = _shift(sp, a.coeffs, new_base - a.base_point, sp.size)
     return TruncatedJet(a.dim, a.degree, new_base, c)
+
+
+def _shift(sp: _JetSpace, c: np.ndarray, u: np.ndarray, size: int) -> np.ndarray:
+    """The shift core: the first ``size`` coefficients about ``base + u`` of
+    the polynomial whose coefficients about ``base`` are ``c``, in ``sp``'s
+    layout, for one offset ``u`` of shape ``(dim,)`` or a sample-minor stack
+    ``(dim, S)`` of them; ``(size,)`` or ``(size, S)``.
+
+    Coefficient ``i`` is the sum over the :attr:`_JetSpace.triples`
+    ``alpha_i + alpha_j = alpha_k`` of ``binom(alpha_k; alpha_i) * c_k *
+    u**alpha_j``, in one ``bincount``.  The triples are i-major, so the rows
+    below ``size`` take only the prefix with ``tri_i < size``, and each of
+    their bins adds the same triples in the same order as on the whole
+    table: a lower-degree jet is bitwise the truncated whole shift.
+
+    A stack offsets ``tri_i`` to ``tri_i * S + s``, as :func:`_mul`
+    offsets ``tri_k``, for one ``bincount``.  The weights run triple-major,
+    so each bin adds its triples from +0 in one-point order, and the powers
+    come from :meth:`_JetSpace.monomials` in the one-point layout: each
+    column is bitwise equal to the one-point shift.
+    """
+    tri_i, tri_j, tri_k = sp.triples
+    binom = sp.tri_binom
+    if size < sp.size:
+        n = tri_i.searchsorted(size)
+        tri_i, tri_j, tri_k, binom = tri_i[:n], tri_j[:n], tri_k[:n], binom[:n]
+    w = binom * c[tri_k]
+    zpow = sp.monomials(u)
+    if u.ndim == 1:
+        return np.bincount(tri_i, w * zpow[tri_j], size)
+    s = u.shape[1]
+    at = (tri_i * s)[:, None] + np.arange(s)
+    p = w[:, None] * zpow[tri_j]
+    return np.bincount(at.ravel(), p.ravel(), size * s).reshape(size, s)
 
 
 @lru_cache(maxsize=None)

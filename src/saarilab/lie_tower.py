@@ -32,16 +32,17 @@ from .errors import (
     InternalConsistencyError,
     SingularityError,
 )
+from .fields import field_coeffs, observable_coeffs
 from .jet_algebra import (
     JetField,
     TruncatedJet,
     jet_add,
-    jet_from_samples,
     jet_mul,
     jet_partial,
     jet_truncate,
     _mul,
     _space,
+    _stack,
     _top_orders,
     _variable_mask,
     _ORDER_SCAN_SIZE,
@@ -468,54 +469,61 @@ def obstruction_at(
 
 def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float
                   ) -> list[ObstructionSample | SingularityError]:
-    """:func:`obstruction_at` at each of ``points``, with one tower chain
-    (:func:`_tower`) for the group.
+    """:func:`obstruction_at` at each of ``points``, with one set of jet
+    stacks and one tower chain (:func:`_tower`) for the group.
 
-    Each point's jets are built as :func:`obstruction_at` builds them, one
-    point after the other, and a point whose evaluation raises
+    ``X(z)`` is evaluated at each point first, so a collision fails before
+    any jet is built, and a point whose evaluation raises
     :class:`SingularityError` gets that error in its place in the result.
-    The other points' chains run stacked sample-minor, or on plain arrays if
-    only one is left, and each sample's values are bitwise equal to its own
-    :func:`psi_tower`.  Then, in point order, each sample's chain must have
-    stayed finite (else ValueError, as :func:`psi_tower` raises) and its
-    first entry must match ``<grad F, X>``.
+    The jets of the other points are built as sample-minor stacks
+    ``(coeffs, S)`` by :func:`~saarilab.fields.observable_coeffs` and
+    :func:`~saarilab.fields.field_coeffs`, or as plain arrays if only one
+    point is left, and the chain runs on them.  Every kernel runs the
+    one-point arithmetic in the one-point order on each column (see
+    :mod:`saarilab.fields`), so each sample's jets, and its values, are
+    bitwise equal to its own.  Should a stack raise
+    :class:`SingularityError` (an observable singular where the field is
+    not), the group runs one point at a time.  Then, in point order, each
+    sample's jets and chain must have stayed finite (else ValueError, as
+    :func:`psi_tower` raises) and its first entry must match
+    ``<grad F, X>``.
     """
+    _check_tower_order(m)
     out: list = []
-    built = []  # (place in out, z, X(z), observable jet, field jet)
+    kept = []  # (place in out, z, X(z))
     for z in points:
         z = np.asarray(z, float)
         try:
-            # Evaluating X first makes a collision fail before any jet table
-            # is built.
             x_val = np.asarray(X(z), float)
-            fj = F.jet(z, m) if hasattr(F, "jet") else jet_from_samples(F, z, m)
-            if hasattr(X, "jet_field"):
-                xf = X.jet_field(z, max(m - 1, 0))
-            else:
-                xf = JetField(tuple(
-                    jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]),
-                                     z, max(m - 1, 0))
-                    for i in range(z.size)))
         except SingularityError as e:
             out.append(e)
             continue
-        _check_tower_inputs(fj, xf, m)
-        built.append((len(out), z, x_val, fj, xf))
+        kept.append((len(out), z, x_val))
         out.append(None)
-    if not built:
+    if not kept:
         return out
-    n = built[0][3].dim
-    size, spx = _space(n, m).size, _space(n, m - 1)
-    comps = [_stack([b[4].components[i].coeffs[:spx.size] for b in built])
-             for i in range(n)]
-    values, finite = _tower(n, m, _stack([b[3].coeffs[:size] for b in built]),
-                            comps, [_variable_mask(spx, c) for c in comps])
+    zs = _stack([z for _, z, _ in kept])
+    try:
+        g = observable_coeffs(F, zs, m)
+        comps = field_coeffs(X, zs, m - 1)
+    except SingularityError as e:
+        if len(kept) == 1:
+            out[kept[0][0]] = e
+        else:
+            for at, z, _ in kept:
+                [out[at]] = _obstructions(F, X, [z], m, tol_eq, tol_crit)
+        return out
+    n = len(zs)
+    spx = _space(n, m - 1)
+    if not (np.isfinite(g).all() and all(np.isfinite(c).all() for c in comps)):
+        raise ValueError("jet coefficients must be finite")
+    values, finite = _tower(n, m, g, comps, [_variable_mask(spx, c) for c in comps])
     values, finite = values.reshape(m, -1), finite.reshape(-1)
-    for col, (at, z, x_val, fj, _) in enumerate(built):
+    g = g.reshape(len(g), -1)
+    for col, (at, z, x_val) in enumerate(kept):
         if not finite[col]:
             raise ValueError("jet coefficients must be finite")
-        psi = SaariVector(values=values[:, col], order=m,
-                          base_point=fj.base_point)
+        psi = SaariVector(values=values[:, col], order=m, base_point=z)
         if hasattr(F, "grad"):
             dot = float(np.dot(np.asarray(F.grad(z), float), x_val))
             scale = max(1.0, abs(psi.values[0]), abs(dot))
@@ -529,13 +537,9 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float
             psi=psi,
             norm_inf=psi.norm_inf,
             is_near_equilibrium=bool(np.linalg.norm(x_val) < tol_eq),
-            is_near_F_critical=bool(np.linalg.norm(fj.gradient()) < tol_crit),
+            is_near_F_critical=bool(
+                np.linalg.norm(np.array(g[1:n + 1, col][::-1])) < tol_crit),
             tol_eq=tol_eq,
             tol_crit=tol_crit,
         )
     return out
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """One sample's array as it is, or the sample-minor stack of several."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays, axis=1)

@@ -30,14 +30,20 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 
-from .errors import NoConvergenceError, SingularityError
-from .fields import PolynomialObservable, stream_rng
+from .errors import (
+    ConfigError,
+    NoConvergenceError,
+    SingularityError,
+    _check_count,
+    _finite,
+)
+from .fields import PolynomialObservable, _jet_at, _jet_field_at, stream_rng
 from .jet_algebra import (
     JetField,
     TruncatedJet,
     _embedding,
+    _pow,
     _space,
-    jet_pow,
     table_size,
 )
 
@@ -437,16 +443,28 @@ def _quadratic_positions(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lin, quad
 
 
-def _pair_r2_jet(system: BodySystem, q2d: np.ndarray, i: int, j: int,
-                 degree: int) -> TruncatedJet:
-    """Exact jet of ``|q_i - q_j|^2`` in the configuration variables."""
+def _each_sample(fn, x: np.ndarray):
+    """``fn`` of one sample's 1-D array: of ``x`` itself, or of each column
+    of a sample-minor stack, made contiguous.  For the reductions
+    (``@``, ``np.sum``) whose summation order numpy picks by layout, so a
+    stack keeps each sample's bits."""
+    if x.ndim == 1:
+        return fn(x)
+    return np.array([fn(col) for col in np.ascontiguousarray(x.T)])
+
+
+def _pair_r2(system: BodySystem, q: np.ndarray, i: int, j: int,
+             degree: int) -> np.ndarray:
+    """Exact jet coefficients of ``|q_i - q_j|^2`` in the configuration
+    variables, about one flat configuration ``q`` ``(coord_dim,)`` or each
+    column of a sample-minor stack ``(coord_dim, S)``."""
     nc = system.coord_dim
     lin, quad = _quadratic_positions(nc)
     a = i * system.space_dim + np.arange(system.space_dim)
     b = j * system.space_dim + np.arange(system.space_dim)
-    d = q2d[i] - q2d[j]
-    c = np.zeros(table_size(nc, degree))
-    c[0] = d @ d
+    d = q[a] - q[b]
+    c = np.zeros((table_size(nc, degree),) + q.shape[1:])
+    c[0] = _each_sample(lambda e: e @ e, d)
     if degree >= 1:
         c[lin[a]] = 2.0 * d
         c[lin[b]] = -2.0 * d
@@ -454,38 +472,56 @@ def _pair_r2_jet(system: BodySystem, q2d: np.ndarray, i: int, j: int,
         c[quad[a, a]] = 1.0
         c[quad[b, b]] = 1.0
         c[quad[a, b]] = -2.0
-    return TruncatedJet(nc, degree, q2d.ravel(), c)
+    return c
 
 
-#: The last ``(system, degree, q bytes, jet)``: an energy sample asks twice.
+#: The last ``(system, degree, q shape and bytes, coefficients)``: an
+#: energy sample or group asks twice, for the observable and for the field.
 #: It is read and replaced whole, so threads share it without a lock.
-_last_potential_jet: tuple = (None, None, None, None)
+_last_potential: tuple = (None, None, None, None)
 
 
-def potential_config_jet(system: BodySystem, q, degree: int) -> TruncatedJet:
-    """Exact Taylor jet of ``V`` about ``q`` in the configuration variables;
-    the previous call's jet if it had this system, degree and ``q`` bytes."""
-    global _last_potential_jet
-    q2d = _bodies(system, q)
-    last = _last_potential_jet
-    if last[0] is system and last[1] == degree and last[2] == q2d.tobytes():
+def _potential(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
+    """Exact jet coefficients of ``V`` in the configuration variables about
+    one flat configuration ``q`` ``(coord_dim,)`` or each column of a
+    sample-minor stack ``(coord_dim, S)``; the previous call's (read-only)
+    array if it had this system, degree and ``q``.
+
+    A stack runs each pair's ``r^2`` and its powers once for all columns,
+    on the stacked :func:`~saarilab.jet_algebra._pow`; the scales and sums
+    are elementwise, and each bump is shifted by its stacked
+    ``jet_coeffs``, so each column is bitwise equal to its one-point jet.
+    """
+    global _last_potential
+    key = (q.shape, q.tobytes())
+    last = _last_potential
+    if last[0] is system and last[1] == degree and last[2] == key:
         return last[3]
-    _check_collisions(system, pair_distances(system, q2d))
+    _check_collisions(system, pair_distances(system, q.T))
     terms = _pair_terms(system.potential)
     m = system.masses
-    out = np.zeros(table_size(system.coord_dim, degree))
+    sp = _space(system.coord_dim, degree)
+    out = np.zeros((sp.size,) + q.shape[1:])
     for i, j in system.pairs():
-        r2 = _pair_r2_jet(system, q2d, i, j, degree)
+        r2 = _pair_r2(system, q, i, j, degree)
         pair_f = None
         for beta, alpha in terms:
-            t = beta * jet_pow(r2, alpha / 2.0).coeffs
+            t = beta * _pow(sp, r2, alpha / 2.0)
             pair_f = t if pair_f is None else pair_f + t
         out += -m[i] * m[j] * pair_f
     for bump in _bumps(system.potential):
-        out += bump.jet(q2d.ravel(), degree).coeffs
-    jet = TruncatedJet(system.coord_dim, degree, q2d.ravel(), out)
-    _last_potential_jet = (system, degree, q2d.tobytes(), jet)
-    return jet
+        out += bump.jet_coeffs(q, degree)
+    out.flags.writeable = False
+    _last_potential = (system, degree, key, out)
+    return out
+
+
+def potential_config_jet(system: BodySystem, q, degree: int) -> TruncatedJet:
+    """Exact Taylor jet of ``V`` about ``q`` in the configuration variables:
+    the one-point case of :func:`_potential`, whose coefficients it shares
+    with the previous call if that had this system, degree and ``q``."""
+    q = _bodies(system, q).ravel()
+    return TruncatedJet(system.coord_dim, degree, q, _potential(system, q, degree))
 
 
 class HamiltonianField:
@@ -517,28 +553,36 @@ class HamiltonianField:
         return hamiltonian(self.system, z)
 
     def jet_field(self, z, degree: int) -> JetField:
-        z = np.asarray(z, float)
+        return _jet_field_at(self, z, degree)
+
+    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
+        """The component jets' coefficients at one phase point ``(phase_dim,)``
+        or a sample-minor stack of them, each component filled row-wise for
+        every sample at once (see :mod:`saarilab.fields`)."""
         sys = self.system
         nc = sys.coord_dim
         nph = sys.phase_dim
         lin, _ = _quadratic_positions(nph)
-        comps: list[TruncatedJet] = []
+        shape = (table_size(nph, degree),) + points.shape[1:]
+        comps: list[np.ndarray] = []
         for c in range(nc):
-            coeffs = np.zeros(table_size(nph, degree))
-            coeffs[0] = z[nc + c] * self.minv[c]
+            coeffs = np.zeros(shape)
+            coeffs[0] = points[nc + c] * self.minv[c]
             if degree >= 1:
                 coeffs[lin[nc + c]] = self.minv[c]
-            comps.append(TruncatedJet(nph, degree, z, coeffs))
+            comps.append(coeffs)
         # The force -dV/dq_c, negated after placement: its unplaced zeros
         # are -0, as on the jet-by-jet route the tests compare against.
-        vjet = potential_config_jet(sys, z[:nc], degree + 1)
+        vjet = _potential(sys, points[:nc], degree + 1)
         sp = _space(nc, degree + 1)
         at = _embedding(nc, nph, tuple(range(nc)), degree)
         for c in range(nc):
-            force = np.zeros(table_size(nph, degree))
-            force[at] = vjet.coeffs[sp.diff_src[c]] * sp.diff_scale[c]
-            comps.append(TruncatedJet(nph, degree, z, -force))
-        return JetField(tuple(comps))
+            force = np.zeros(shape)
+            scale = sp.diff_scale[c]
+            force[at] = vjet[sp.diff_src[c]] * (
+                scale if vjet.ndim == 1 else scale[:, None])
+            comps.append(-force)
+        return comps
 
 
 def build_hamiltonian_field(system: BodySystem) -> HamiltonianField:
@@ -587,22 +631,28 @@ class EnergyObservable:
         ])
 
     def jet(self, z, degree: int) -> TruncatedJet:
-        z = np.asarray(z, float)
+        return _jet_at(self, z, degree)
+
+    def jet_coeffs(self, points, degree: int) -> np.ndarray:
+        """The kinetic jet plus the embedded potential jet, at one phase
+        point or a sample-minor stack of them (see :mod:`saarilab.fields`)."""
         sys = self.system
         nc = sys.coord_dim
         nph = sys.phase_dim
         lin, quad = _quadratic_positions(nph)
         p = np.arange(nc, nph)
-        coeffs = np.zeros(table_size(nph, degree))
-        coeffs[0] = 0.5 * np.sum(z[nc:] ** 2 * self._minv)
+        minv = self._minv if points.ndim == 1 else self._minv[:, None]
+        coeffs = np.zeros((table_size(nph, degree),) + points.shape[1:])
+        coeffs[0] = _each_sample(lambda v: 0.5 * np.sum(v ** 2 * self._minv),
+                                 points[nc:])
         if degree >= 1:
-            coeffs[lin[p]] = z[nc:] * self._minv
+            coeffs[lin[p]] = points[nc:] * minv
         if degree >= 2:
-            coeffs[quad[p, p]] = 0.5 * self._minv
-        vjet = potential_config_jet(sys, z[:nc], degree)
-        potential = np.zeros(table_size(nph, degree))
-        potential[_embedding(nc, nph, tuple(range(nc)), degree)] = vjet.coeffs
-        return TruncatedJet(nph, degree, z, coeffs + potential)
+            coeffs[quad[p, p]] = 0.5 * minv
+        potential = np.zeros(coeffs.shape)
+        potential[_embedding(nc, nph, tuple(range(nc)), degree)] = _potential(
+            sys, points[:nc], degree)
+        return coeffs + potential
 
 
 def energy_observable(system: BodySystem) -> EnergyObservable:
@@ -684,12 +734,12 @@ def releq_lagrange(system: BodySystem, side: float = 1.0) -> RelEqSolution:
 
     With all pair distances equal to ``side``, the balance closes for any
     masses at ``omega^2 = -f'(side) * M_total / side`` (Newtonian:
-    ``M_total / side**3``).
+    ``M_total / side**3``).  ``side`` must be a finite number > 0, else
+    :class:`ConfigError`.
     """
     if system.n_bodies != 3 or system.space_dim != 2:
         raise ValueError("Lagrange solutions need three planar bodies")
-    if side <= 0:
-        raise ValueError("side must be positive")
+    side = _finite(side, "side", 0.0, strict=True)
     radius = side / math.sqrt(3.0)
     angles = [math.pi / 2 + 2 * math.pi * k / 3 for k in range(3)]
     q = np.array([[radius * math.cos(a), radius * math.sin(a)] for a in angles])
@@ -704,14 +754,19 @@ def releq_euler(system: BodySystem, ordering: tuple[int, int, int] = (0, 1, 2),
     Bodies sit on a line in the given order with ``gap`` the distance between
     the first two; the spacing ratio ``u = r_23 / r_12`` solves a scalar
     balance equation found by bracketed root-finding (for the Newtonian pair
-    law this is Euler's quintic).
+    law this is Euler's quintic).  ``ordering`` must be a permutation of the
+    integers 0, 1, 2 and ``gap`` a finite number > 0, else
+    :class:`ConfigError`.
     """
     if system.n_bodies != 3:
         raise ValueError("Euler solutions are for three bodies")
-    if sorted(ordering) != [0, 1, 2]:
-        raise ValueError("ordering must be a permutation of (0, 1, 2)")
-    if gap <= 0:
-        raise ValueError("gap must be positive")
+    sequence = isinstance(ordering, (tuple, list))
+    for i in ordering if sequence else ():
+        _check_count(i, "ordering entry", at_least=0)
+    if not sequence or sorted(ordering) != [0, 1, 2]:
+        raise ConfigError(f"ordering must be a permutation of (0, 1, 2), "
+                          f"got {ordering!r}")
+    gap = _finite(gap, "gap", 0.0, strict=True)
     m = system.masses
 
     def lambdas(u: float) -> tuple[float, float]:

@@ -11,8 +11,11 @@ for bit.  ``potential_jet_by_jets``, ``field_jet_by_jets`` and
 ``energy_jet_by_jets`` build the N-body jets one validated jet per
 operation, where the library sums coefficient arrays into one jet per
 result; their bytes, signed zeros included, must be equal.
-``obstruction_scan_per_sample`` scans with one :func:`obstruction_at` per
-sample, where the library runs one stacked tower chain per group of
+``shift_by_triples`` re-expands a polynomial's whole table, where the
+library shifts only the rows it returns, for one point or a group of
+points; their bytes must be equal too.  ``obstruction_scan_per_sample``
+scans with one :func:`obstruction_at` per sample, where the library builds
+one set of jet stacks and runs one stacked tower chain per group of
 samples; their reports must be equal byte for byte.
 """
 
@@ -29,6 +32,7 @@ from saarilab.jet_algebra import (
     embed_jet,
     jet_add,
     jet_mul,
+    jet_pad,
     jet_partial,
     jet_pow,
     jet_scale,
@@ -50,7 +54,6 @@ from saarilab.mech import (
     _bodies,
     _bumps,
     _check_collisions,
-    _pair_r2_jet,
     _pair_terms,
     _quadratic_positions,
     pair_distances,
@@ -85,6 +88,40 @@ def jet_pow_full(a: TruncatedJet, exponent: float) -> TruncatedJet:
     return jet_scale(acc, a0 ** exponent)
 
 
+def shift_by_triples(poly: TruncatedJet, z, degree: int) -> TruncatedJet:
+    """A polynomial's jet at ``z`` as first written: the whole table
+    re-expanded in one ``bincount`` over every triple, then truncated or
+    padded to ``degree``."""
+    z = np.asarray(z, float)
+    sp = _space(poly.dim, poly.degree)
+    tri_i, tri_j, tri_k = sp.triples
+    zpow = np.prod((z - poly.base_point)[np.newaxis, :] ** sp.exps, axis=1)
+    c = np.bincount(tri_i, sp.tri_binom * poly.coeffs[tri_k] * zpow[tri_j],
+                    sp.size)
+    jet = TruncatedJet(poly.dim, poly.degree, z, c)
+    return jet_pad(jet, degree) if degree > poly.degree else jet_truncate(jet, degree)
+
+
+def pair_r2_jet(system, q2d, i: int, j: int, degree: int) -> TruncatedJet:
+    """Exact jet of ``|q_i - q_j|^2`` about one configuration, placed entry
+    by entry."""
+    nc = system.coord_dim
+    lin, quad = _quadratic_positions(nc)
+    a = i * system.space_dim + np.arange(system.space_dim)
+    b = j * system.space_dim + np.arange(system.space_dim)
+    d = q2d[i] - q2d[j]
+    c = np.zeros(_space(nc, degree).size)
+    c[0] = d @ d
+    if degree >= 1:
+        c[lin[a]] = 2.0 * d
+        c[lin[b]] = -2.0 * d
+    if degree >= 2:
+        c[quad[a, a]] = 1.0
+        c[quad[b, b]] = 1.0
+        c[quad[a, b]] = -2.0
+    return TruncatedJet(nc, degree, q2d.ravel(), c)
+
+
 def potential_jet_by_jets(system, q, degree: int) -> TruncatedJet:
     """``potential_config_jet`` with a jet for every power, scale and sum."""
     q2d = _bodies(system, q)
@@ -93,7 +130,7 @@ def potential_jet_by_jets(system, q, degree: int) -> TruncatedJet:
     m = system.masses
     out = TruncatedJet.zero(system.coord_dim, degree, q2d.ravel())
     for i, j in system.pairs():
-        r2 = _pair_r2_jet(system, q2d, i, j, degree)
+        r2 = pair_r2_jet(system, q2d, i, j, degree)
         pair_f = None
         for beta, alpha in terms:
             t = jet_scale(jet_pow(r2, alpha / 2.0), beta)

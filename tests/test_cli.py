@@ -233,6 +233,33 @@ def test_releq_newton_and_euler(tmp_path, capsys):
     assert json.loads(out2)["solution"]["omega_squared"] == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("family, key, value", [
+    ("lagrange", "side", "2"),
+    ("lagrange", "side", True),
+    ("lagrange", "side", -1),
+    ("lagrange", "side", math.nan),
+    ("lagrange", "side", math.inf),
+    ("euler", "gap", "2"),
+    ("euler", "gap", -1),
+    ("euler", "gap", math.nan),
+    ("euler", "gap", math.inf),
+    ("euler", "ordering", [0, 1.7, 2]),
+    ("euler", "ordering", [0, 1, 1]),
+    ("euler", "ordering", 12),
+])
+def test_releq_rejects_bad_numbers_as_config_errors(tmp_path, capsys, family,
+                                                    key, value):
+    # json.dumps writes nan and inf as NaN and Infinity, which json reads
+    # back; none of these may run as a nearby number
+    cfg = write_config(tmp_path, "bad.json", {
+        "system": {**NBODY2, "n_bodies": 3, "masses": [1.0, 1.0, 1.0]},
+        "family": family,
+        key: value,
+    })
+    code, out, err = run(capsys, ["releq", cfg])
+    assert code == 2 and key in err and out == ""
+
+
 def test_releq_unknown_family(tmp_path, capsys):
     cfg = write_config(tmp_path, "x.json", {
         "system": NBODY2, "family": "halo",

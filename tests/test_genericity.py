@@ -1,19 +1,25 @@
 """Perturbation, sampling, scan-report, and trajectory-classification tests."""
 
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from saarilab import genericity
+from saarilab import genericity, lie_tower, mech
 from saarilab.errors import ConfigError, InsufficientSamplesError, SingularityError
 from saarilab.fields import (
     PolynomialObservable,
     SeparableOscillator,
+    SumField,
+    SumObservable,
     coordinate_observable,
+    field_coeffs,
+    observable_coeffs,
     oscillator_energy,
     oscillator_field,
+    random_polynomial_field,
     stream_rng,
 )
 from saarilab.flow import IntegratorConfig, integrate
@@ -28,9 +34,12 @@ from saarilab.genericity import (
     obstruction_scan,
     perturb,
 )
-from saarilab.jet_algebra import table_size
+from saarilab.jet_algebra import jet_add, table_size
+from saarilab.lie_tower import obstruction_at
 from saarilab.mech import (
     BodySystem,
+    EnergyObservable,
+    HamiltonianField,
     NewtonianPotential,
     PhaseState,
     PowerLawPotential,
@@ -43,7 +52,13 @@ from saarilab.mech import (
     releq_trajectory,
 )
 
-from oracles import obstruction_scan_per_sample
+from oracles import (
+    energy_jet_by_jets,
+    field_jet_by_jets,
+    obstruction_scan_per_sample,
+    potential_jet_by_jets,
+    shift_by_triples,
+)
 
 
 def two_body():
@@ -378,6 +393,7 @@ def _scan_cases():
     three-body m = 7 one."""
     two = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
     three = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    bumped = perturb(PerturbationSpec("potential", 3, 1e-2, 5), two)
 
     def sampler(count, seed=8):
         return Sampler(box=(-1.5, 1.5), count=count, seed=seed,
@@ -405,10 +421,17 @@ def _scan_cases():
         "three-body energy, m = 5": (
             three, energy_observable(three), sampler(4), {"m": 5},
             lambda rep: rep.n_obstruction_zero > 0),
+        "two-body energy under a potential bump, one past a group": (
+            bumped, energy_observable(bumped), sampler(26), {},
+            lambda rep: rep.n_obstruction_zero > 0),
         "oscillator": (
             oscillator_field(), PolynomialObservable.from_coeffs(
                 2, 3, {(3, 0): 1.0, (0, 1): 0.5}), Sampler((-1.0, 1.0), 30, 4),
             {}, nonzero),
+        "separable oscillator": (
+            SeparableOscillator(), PolynomialObservable.from_coeffs(
+                2, 3, {(3, 0): 1.0, (0, 1): 0.5}), Sampler((-1.0, 1.0), 30, 4),
+            {"m": 4}, nonzero),
         "plain-callable field": (
             plain_field, oscillator_energy(), Sampler((0.5, 1.5), 7, 5), {},
             lambda rep: rep.n_obstruction_zero == 7),
@@ -438,6 +461,153 @@ def test_grouped_scans_equal_the_per_sample_loop(name):
     want = obstruction_scan_per_sample(X, F, sampler, **keywords)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
     assert shows(got), got
+
+
+def _oracle_observable(F, z, degree):
+    """A handle's jet at z by the per-point oracles: the whole-table shift
+    of each polynomial and the jet-by-jet energy, summed jet by jet."""
+    if isinstance(F, SumObservable):
+        jets = [_oracle_observable(p, z, degree) for p in F.parts]
+        return functools.reduce(jet_add, jets)
+    if isinstance(F, EnergyObservable):
+        return energy_jet_by_jets(F, z, degree)
+    return shift_by_triples(F.poly, z, degree)
+
+
+def _oracle_field(X, z, degree):
+    """A field's component jets at z by the per-point oracles."""
+    if isinstance(X, SumField):
+        parts = [_oracle_field(p, z, degree) for p in X.parts]
+        return [functools.reduce(jet_add, comps) for comps in zip(*parts)]
+    if isinstance(X, HamiltonianField):
+        return list(field_jet_by_jets(X, z, degree).components)
+    if isinstance(X, SeparableOscillator):
+        return _oracle_field(X._poly, z, degree)
+    return [shift_by_triples(c.poly, z, degree) for c in X.components]
+
+
+def _stack_cases():
+    """name -> (field, observable, system or None, points, m).  A scan
+    groups 25 samples at two-body m = 5 and 3 at three-body m = 5;
+    three-body m = 7 runs one point on plain arrays."""
+    two = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    three = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    bumped = perturb(PerturbationSpec("potential", 3, 1e-2, 5), two, trial=1)
+    power = BodySystem(3, 2, (1.0, 1.3, 0.7),
+                       PowerLawPotential(((1.0, -1.0), (0.05, -3.0))))
+    bumped3 = perturb(PerturbationSpec("potential", 2, 1e-2, 19), power)
+    # nine configuration coordinates: numpy sums eight or more pairwise
+    spatial = BodySystem(3, 3, (1.0, 1.3, 0.7), NewtonianPotential())
+    field = build_hamiltonian_field(two)
+
+    def points(system, count, seed=8, dim=None):
+        sampler = Sampler(box=(-1.5, 1.5), count=count, seed=seed,
+                          min_separation=0.3)
+        return [sampler.draw(k, dim or system.phase_dim,
+                             None if dim else system) for k in range(count)]
+
+    return {
+        "two-body inertia, m = 5": (
+            field, inertia_observable(two), two, points(two, 25), 5),
+        "two-body energy, m = 5": (
+            field, energy_observable(two), two, points(two, 25), 5),
+        "observable bump": (
+            field, perturb(PerturbationSpec("observable", 3, 1e-2, 5),
+                           inertia_observable(two), trial=1),
+            two, points(two, 25), 5),
+        "vector-field bump": (
+            perturb(PerturbationSpec("vector_field", 3, 1e-2, 5), field),
+            inertia_observable(two), two, points(two, 25), 5),
+        "potential bump, energy": (
+            build_hamiltonian_field(bumped), energy_observable(bumped),
+            bumped, points(bumped, 25), 5),
+        "three-body energy, m = 5": (
+            build_hamiltonian_field(three), energy_observable(three), three,
+            points(three, 3), 5),
+        "three-body power law and bump, energy, m = 4": (
+            build_hamiltonian_field(bumped3), energy_observable(bumped3),
+            bumped3, points(bumped3, 7), 4),
+        "spatial three-body energy, m = 3": (
+            build_hamiltonian_field(spatial), energy_observable(spatial),
+            spatial, points(spatial, 9), 3),
+        "three-body inertia, m = 7": (
+            build_hamiltonian_field(three), inertia_observable(three), three,
+            points(three, 1), 7),
+        "oscillator": (
+            oscillator_field(), oscillator_energy(), None,
+            points(None, 9, dim=2), 3),
+        "separable oscillator, a cubic": (
+            SeparableOscillator(), PolynomialObservable.from_coeffs(
+                2, 3, {(3, 0): 1.0, (0, 1): 0.5}), None,
+            points(None, 9, dim=2), 5),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stack_cases()))
+def test_group_stacks_equal_the_per_point_oracles(name):
+    # Each column of a group's stacks must be bitwise the per-point
+    # oracle's jet, and so must the one-point jets; a partial group (the
+    # first two points) too.  Bytes are compared, so -0 against +0 fails.
+    X, F, system, points, m = _stack_cases()[name]
+    for group in (points, points[:2]):
+        zs = group[0] if len(group) == 1 else np.stack(group, axis=1)
+        g = observable_coeffs(F, zs, m)
+        comps = field_coeffs(X, zs, m - 1)
+        assert g.shape[1:] == comps[0].shape[1:] == zs.shape[1:]
+        for s, z in enumerate(group):
+            column = (lambda a: a) if zs.ndim == 1 else (lambda a: a[:, s])
+            want = _oracle_observable(F, z, m)
+            assert column(g).tobytes() == want.coeffs.tobytes(), s
+            assert F.jet(z, m).coeffs.tobytes() == want.coeffs.tobytes(), s
+            want_x = [c.coeffs.tobytes() for c in _oracle_field(X, z, m - 1)]
+            assert [column(c).tobytes() for c in comps] == want_x, s
+            assert [c.coeffs.tobytes()
+                    for c in X.jet_field(z, m - 1).components] == want_x, s
+            if system is not None:
+                nc = system.coord_dim
+                want_v = potential_jet_by_jets(system, z[:nc], m).coeffs
+                got_v = mech._potential(system, zs[:nc], m)
+                assert column(got_v).tobytes() == want_v.tobytes(), s
+
+
+class _Polynomial8:
+    """A dense random polynomial field in eight variables: regular where
+    the two-body energy observable is singular."""
+
+    def __init__(self):
+        self.field = random_polynomial_field(8, 2, stream_rng(3, 1), 0.1)
+        self.dim = 8
+
+    def __call__(self, z):
+        return self.field(z)
+
+    def jet_field(self, z, degree):
+        return self.field.jet_field(z, degree)
+
+
+@pytest.mark.parametrize("field", ["hamiltonian", "polynomial"])
+def test_a_group_with_a_singular_sample_equals_the_per_point_towers(field):
+    # Sample 2 is a collision.  The Hamiltonian field fails there first,
+    # before any stack is built; the polynomial field does not, so the
+    # energy's stack fails and the group runs one point at a time.  Either
+    # way the other samples keep their bits and sample 2 is singular.
+    system = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    X = build_hamiltonian_field(system) if field == "hamiltonian" else _Polynomial8()
+    F = energy_observable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=6, seed=8, min_separation=0.3)
+    points = [sampler.draw(k, 8, system) for k in range(sampler.count)]
+    points[2] = points[2].copy()
+    points[2][2:4] = points[2][0:2]  # both bodies at one place
+    got = lie_tower._obstructions(F, X, points, 5, 1e-9, 1e-9)
+    for k, (z, sample) in enumerate(zip(points, got)):
+        if k == 2:
+            assert isinstance(sample, SingularityError)
+            with pytest.raises(SingularityError):
+                obstruction_at(F, X, z, 5)
+            continue
+        want = obstruction_at(F, X, z, 5)
+        assert sample.psi.values.tobytes() == want.psi.values.tobytes(), k
+        assert sample.to_json_dict() == want.to_json_dict()
 
 
 @pytest.mark.parametrize("target", ["observable", "vector_field", "potential"])

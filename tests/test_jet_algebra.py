@@ -32,8 +32,9 @@ from saarilab.jet_algebra import (
     table_size,
 )
 from saarilab.jet_algebra import _mul, _space, _top_orders, _variable_mask
+from saarilab.fields import random_polynomial_observable, stream_rng
 
-from oracles import jet_pow_full
+from oracles import jet_pow_full, shift_by_triples
 
 
 def _jet(dim, degree, base, entries):
@@ -506,6 +507,22 @@ def test_shift_commutes_with_eval():
         w = rng.uniform(-2, 2, 2)
         assert jet_eval(a, w) == pytest.approx(jet_eval(b, w), rel=1e-10,
                                                abs=1e-10)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_lower_degree_polynomial_jets_equal_the_truncated_whole_shift(dim):
+    # Below the polynomial's degree, PolynomialObservable.jet shifts only
+    # the rows it returns, an i-major prefix of the triples; the oracle
+    # shifts the whole table and truncates.  Bytes, so signed zeros count.
+    rng = stream_rng(61, dim)
+    for degree in (1, 2, 3, 4):
+        obs = random_polynomial_observable(dim, degree, rng)
+        z = rng.uniform(-1.5, 1.5, dim)
+        for d in range(degree):
+            want = shift_by_triples(obs.poly, z, d)
+            assert obs.jet(z, d).coeffs.tobytes() == want.coeffs.tobytes(), d
+        assert (obs.grad(z).tobytes()
+                == shift_by_triples(obs.poly, z, 1).gradient().tobytes())
 
 
 def test_embed_into_larger_space():

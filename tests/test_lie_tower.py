@@ -29,7 +29,7 @@ from saarilab.fields import (
     random_polynomial_observable,
     stream_rng,
 )
-from saarilab import jet_algebra, lie_tower
+from saarilab import jet_algebra, lie_tower, mech
 from saarilab.genericity import PerturbationSpec, Sampler, obstruction_scan, perturb
 from saarilab.jet_algebra import JetField, TruncatedJet, _space, jet_pow, table_size
 from saarilab.lie_tower import (
@@ -621,32 +621,53 @@ class _Overflowing:
         return JetField((f, f))
 
 
-@pytest.mark.parametrize("masses, observable, m, limit", [
-    ((1.0, 1.0), inertia_observable, 5, 32),
-    ((1.0, 1.3, 0.7), energy_observable, 7, 70)])
+@pytest.mark.parametrize("masses, observable, m, built_per_sample", [
+    ((1.0, 1.0), inertia_observable, 5, 1),
+    ((1.0, 1.3, 0.7), energy_observable, 7, 0),
+    ((1.0, 1.0), energy_observable, 5, 0)])
 def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
-                                                observable, m, limit):
+                                                observable, m,
+                                                built_per_sample):
     # Counts validated jets, not time.  Products, powers, Lie derivatives
-    # and the N-body field jets keep their intermediates as arrays, so one
-    # sample makes about one jet per tower entry, field component and
-    # observable; building a jet per operation made 192 and 526 here.
+    # and a sample's observable and field jets keep their intermediates as
+    # arrays, the sample's column of its group's stacks, so a sample
+    # validates only the jet of its <grad F, X> cross-check: the inertia's
+    # gradient (the energy's is closed-form).  Building a jet per operation
+    # made 192 and 526 per sample here, one jet per field component and
+    # observable 32 and 70, and a 20-sample two-body inertia scan 300.
     system = BodySystem(len(masses), 2, masses, NewtonianPotential())
     field, F = build_hamiltonian_field(system), observable(system)
-    sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
+    sampler = Sampler(box=(-1.5, 1.5), count=20, seed=1, min_separation=0.3)
     obstruction_at(F, field, sampler.draw(0, system.phase_dim, system), m)
     z = sampler.draw(1, system.phase_dim, system)
-    built = []
-    validate = TruncatedJet.__post_init__
+    built, r2_stacks = [], []
+    validate, pair_r2 = TruncatedJet.__post_init__, mech._pair_r2
 
     def counted(jet):
         built.append(jet.degree)
         validate(jet)
 
+    def counted_r2(system, q, *args):
+        r2_stacks.append(q.shape[1:])
+        return pair_r2(system, q, *args)
+
     monkeypatch.setattr(TruncatedJet, "__post_init__", counted)
+    monkeypatch.setattr(mech, "_pair_r2", counted_r2)
     sample = obstruction_at(F, field, z, m)
-    monkeypatch.undo()
-    assert 0 < len(built) <= limit, len(built)
+    assert len(built) == built_per_sample
     assert np.isfinite(sample.psi.values).all()
+    # A grouped scan: the field and an energy observable share one
+    # potential stack per group, so each pair's r^2 is built once per group,
+    # on the group's stack (groups of 20 at two-body m = 5, of one at
+    # three-body m = 7).
+    built.clear()
+    r2_stacks.clear()
+    rep = obstruction_scan(system, F, sampler, m=m)
+    monkeypatch.undo()
+    assert rep.n_obstruction_nonzero + rep.n_obstruction_zero == sampler.count
+    assert len(built) == built_per_sample * sampler.count <= 3 * sampler.count
+    stacks = [(20,)] if system.n_bodies == 2 else [()] * 20
+    assert r2_stacks == [s for s in stacks for _ in system.pairs()]
 
 
 @pytest.mark.parametrize("observable, gathered", [
@@ -864,6 +885,18 @@ for name in ("lie_tower.obstruction_at.self_ms", "lie_tower.dpsi_wrt_F.self_ms",
              "lie_tower.dpsi_wrt_X.self_ms", "lie_tower.psi_tower.calls",
              "lie_tower.lie_derivative.calls", "jet_algebra.jets_built"):
     assert got[name]["value"] > 0, name
+# Grouped two-body scans under a potential bump and an observable bump,
+# as the benchmark's genericity items run them: their stacked jets and
+# towers land in the scan's own time.
+system = saarilab.BodySystem(2, 2, np.ones(2), saarilab.NewtonianPotential())
+inertia = saarilab.inertia_observable(system)
+sampler = saarilab.Sampler(box=(-1.5, 1.5), count=10, seed=3)
+tracer.item = 1
+for target in ("potential", "observable"):
+    spec = saarilab.PerturbationSpec(target, 3, 1e-2, 3)
+    saarilab.genericity_experiment(system, inertia, spec, 2, sampler)
+got = tracer.metrics([1.0, 1.0], 1.0)
+assert got["genericity.scan.self_ms"]["value"] > 0
 """
 
 

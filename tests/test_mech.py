@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from saarilab.errors import NoConvergenceError, SingularityError
+from saarilab.errors import ConfigError, NoConvergenceError, SingularityError
 from saarilab.fields import (
     PolynomialObservable,
     random_polynomial_field,
@@ -52,7 +52,7 @@ from saarilab.mech import (
     releq_trajectory,
 )
 from saarilab import mech
-from saarilab.mech import _pair_r2_jet
+from saarilab.mech import _pair_r2
 
 from oracles import (
     energy_jet_by_jets,
@@ -295,8 +295,14 @@ def _unit(n, *at):
     return tuple(e)
 
 
+def _pair_r2_jet(system, q2d, i, j, degree):
+    """The library's r^2 coefficients about one configuration, as a jet."""
+    q = q2d.ravel()
+    return TruncatedJet(system.coord_dim, degree, q, _pair_r2(system, q, i, j, degree))
+
+
 def _dict_r2_jet(system, q2d, i, j, degree):
-    """The route _pair_r2_jet took before: a multi-index dict, from_coeffs."""
+    """The route the r^2 jet took before: a multi-index dict, from_coeffs."""
     nc, sd = system.coord_dim, system.space_dim
     d = q2d[i] - q2d[j]
     entries = {(0,) * nc: float(d @ d)}
@@ -420,42 +426,43 @@ def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
 
     def counted(*args):
         calls.append(args[2:4])
-        return _pair_r2_jet(*args)
+        return _pair_r2(*args)
 
-    monkeypatch.setattr(mech, "_pair_r2_jet", counted)
+    monkeypatch.setattr(mech, "_pair_r2", counted)
     for k in range(sampler.count):
         calls.clear()
         obstruction_at(energy, field, sampler.draw(k, 12, system), m=4)
         assert sorted(calls) == system.pairs()
     z = sampler.draw(0, 12, system)
-    assert potential_config_jet(system, z[:6], 4) is potential_config_jet(
-        system, z[:6].copy(), 4)
+    assert potential_config_jet(system, z[:6], 4).coeffs is potential_config_jet(
+        system, z[:6].copy(), 4).coeffs
     # another system, degree or q is another jet
     other = three_body((1.0, 1.3, 0.7))
-    assert potential_config_jet(other, z[:6], 4) is not potential_config_jet(
-        system, z[:6], 4)
+    assert potential_config_jet(other, z[:6], 4).coeffs is not potential_config_jet(
+        system, z[:6], 4).coeffs
     assert potential_config_jet(system, z[:6], 3).degree == 3
     moved = z[:6].copy()
     moved[5] = np.nextafter(moved[5], 2.0)
     assert potential_config_jet(system, moved, 4).base_point[5] == moved[5]
 
 
-def test_an_energy_scan_builds_each_sample_s_potential_jet_once(monkeypatch):
-    # A scan builds a group's jets sample by sample, the energy's and then
-    # the field's, so the field still finds the potential jet the energy
-    # built: five samples in one group of twelve at (12, 4) build five.
+def test_an_energy_group_builds_its_potential_stack_once(monkeypatch):
+    # A scan builds a group's jets as stacks, the energy's and then the
+    # field's, so the field finds the potential stack the energy built:
+    # five samples in one group of twelve at (12, 4) build each pair's r^2
+    # once, for all five, where one jet per sample built five.
     system = three_body((1.0, 1.3, 0.7))
     sampler = Sampler(box=(-1.5, 1.5), count=5, seed=31, min_separation=0.3)
-    calls = []
+    widths = []
 
     def counted(*args):
-        calls.append(args[2:4])
-        return _pair_r2_jet(*args)
+        widths.append((args[2:4], args[1].shape[1:]))
+        return _pair_r2(*args)
 
-    monkeypatch.setattr(mech, "_pair_r2_jet", counted)
+    monkeypatch.setattr(mech, "_pair_r2", counted)
     rep = obstruction_scan(system, EnergyObservable(system), sampler, m=4)
     assert rep.n_samples == 5 and rep.n_excluded_singular == 0
-    assert sorted(calls) == sorted(system.pairs() * 5)
+    assert sorted(widths) == [(pair, (5,)) for pair in system.pairs()]
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
@@ -511,9 +518,10 @@ def test_euler_collinear_unequal_masses():
 
 
 def test_euler_argument_validation():
-    with pytest.raises(ValueError):
+    # bad arguments are configuration errors; a wrong system is not
+    with pytest.raises(ConfigError):
         releq_euler(three_body(), ordering=(0, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         releq_euler(three_body(), gap=-1.0)
     with pytest.raises(ValueError):
         releq_euler(two_body())
