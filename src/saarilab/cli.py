@@ -182,35 +182,44 @@ def _build_observable(cfg: dict, field, system):
 
 
 def _build_point(cfg: dict, field, system) -> np.ndarray:
+    """The config's ``point`` or ``state`` as a flat phase vector; a
+    malformed block or a NaN or infinite entry is a :class:`ConfigError`."""
     if "point" in cfg:
-        z = np.asarray(cfg["point"], float)
+        try:
+            z = np.asarray(cfg["point"], float)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"invalid point: {e}") from None
         if z.ndim != 1 or z.size != field.dim:
             raise ConfigError(
                 f"point must be a flat list of length {field.dim}")
-        return z
-    if "state" in cfg:
+    elif "state" in cfg:
         if system is None:
             raise ConfigError("state blocks need an nbody system")
         st = _check_keys(cfg["state"], "state", required=("q", "p"))
         try:
-            return PhaseState(np.asarray(st["q"], float),
-                              np.asarray(st["p"], float)).flat()
-        except ValueError as e:
+            z = PhaseState(np.asarray(st["q"], float),
+                           np.asarray(st["p"], float)).flat()
+        except (ValueError, TypeError) as e:
             raise ConfigError(f"invalid state block: {e}") from None
-    raise ConfigError("config needs a 'point' or 'state' block")
+    else:
+        raise ConfigError("config needs a 'point' or 'state' block")
+    if not np.all(np.isfinite(z)):
+        raise ConfigError(f"point and state entries must be finite, "
+                          f"got {z.tolist()}")
+    return z
 
 
 def _build_integrator(cfg: dict) -> IntegratorConfig:
+    """The integrator block, its values passed through to
+    :class:`IntegratorConfig`, which checks them."""
     _check_keys(cfg, "integrator", required=("method", "step", "max_time"))
     step = cfg["step"]
     if isinstance(step, list):
         if len(step) != 2:
             raise ConfigError("integrator step pair must be [rtol, atol]")
-        step = (float(step[0]), float(step[1]))
-    else:
-        step = float(step)
+        step = tuple(step)
     return IntegratorConfig(method=cfg["method"], step=step,
-                            max_time=float(cfg["max_time"]))
+                            max_time=cfg["max_time"])
 
 
 def _global_seed(cfg: dict, args) -> int | None:
@@ -486,7 +495,9 @@ def _cmd_classify(cfg: dict, args) -> int:
 def _cmd_figure8(cfg: dict, args) -> int:
     _check_keys(cfg, "config",
                 optional=("refine", "integrator", "output", "seed"))
-    refine = bool(cfg.get("refine", True))
+    refine = cfg.get("refine", True)
+    if not isinstance(refine, bool):
+        raise ConfigError(f"refine must be true or false, got {refine!r}")
     system, z0, period = figure8_initial_conditions(refine=refine)
     field = build_hamiltonian_field(system)
     if "integrator" in cfg:

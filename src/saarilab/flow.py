@@ -28,7 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConfigError, InsufficientSamplesError, SingularityError
+from .errors import (
+    ConfigError,
+    InsufficientSamplesError,
+    SingularityError,
+    _finite,
+)
 from .jet_algebra import _stencil_1d
 from .mech import (
     BodySystem,
@@ -67,7 +72,9 @@ class IntegratorConfig:
     """Method selection plus step control.
 
     ``step`` is the fixed step size for ``stormer_verlet`` / ``rk4`` and the
-    ``(rtol, atol)`` pair for ``dop853``.
+    ``(rtol, atol)`` pair for ``dop853``.  Steps, tolerances and
+    ``max_time`` must be finite positive numbers (a bool is not one), else
+    :class:`ConfigError`; they are stored as floats.
     """
 
     method: str = "dop853"
@@ -84,21 +91,20 @@ class IntegratorConfig:
                 rtol, atol = self.step
             except TypeError:
                 raise ConfigError("dop853 needs step=(rtol, atol)") from None
-            if rtol <= 0 or atol <= 0:
-                raise ConfigError("tolerances must be positive")
+            step = (_finite(rtol, "rtol", 0.0, strict=True),
+                    _finite(atol, "atol", 0.0, strict=True))
         else:
-            if not np.isscalar(self.step) or self.step <= 0:
-                raise ConfigError("fixed-step methods need a positive step")
-            if self.step < STEP_UNDERFLOW:
-                raise ConfigError(f"step {self.step} underflows {STEP_UNDERFLOW}")
-        if self.max_time <= 0:
-            raise ConfigError("max_time must be positive")
+            step = _finite(self.step, "fixed step", 0.0, strict=True)
+            if step < STEP_UNDERFLOW:
+                raise ConfigError(f"step {step} underflows {STEP_UNDERFLOW}")
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "max_time", _finite(
+            self.max_time, "max_time", 0.0, strict=True))
 
     def to_json_dict(self) -> dict:
-        step = (list(self.step) if isinstance(self.step, tuple)
-                else float(self.step))
+        step = list(self.step) if isinstance(self.step, tuple) else self.step
         return {"method": self.method, "step": step,
-                "max_time": float(self.max_time)}
+                "max_time": self.max_time}
 
 
 def _system_of(field):
@@ -318,9 +324,12 @@ def integrate(field, z0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate ``dz/dt = field(z)`` from ``z0`` for ``cfg.max_time``.
 
     Halts early (partial trajectory, status ``"singular"``) when bodies of an
-    N-body field come within ``MIN_SEPARATION``.
+    N-body field come within ``MIN_SEPARATION``.  A non-finite ``z0`` is a
+    :class:`ConfigError`, raised before the first step.
     """
     z0 = _as_flat(z0)
+    if not np.all(np.isfinite(z0)):
+        raise ConfigError(f"initial state must be finite, got {z0.tolist()}")
     system = _system_of(field)
     if (system is not None and pair_distances(
             system, z0[:system.coord_dim]).min() < MIN_SEPARATION):

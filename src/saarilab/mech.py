@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -223,8 +223,11 @@ class BodySystem:
         return np.repeat(self.masses, self.space_dim)
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.n_bodies)
-                for j in range(i + 1, self.n_bodies)]
+        return list(self._pair_plan.pairs)
+
+    @cached_property
+    def _pair_plan(self) -> "_PairPlan":
+        return _PairPlan(self)
 
     def to_json_dict(self) -> dict:
         return {
@@ -313,34 +316,60 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+class _PairPlan:
+    """A system's pair geometry and pair-force coefficients, built once per
+    system (``BodySystem._pair_plan``).
+
+    ``pairs`` are the body pairs ``i < j`` in lexicographic order, and ``I``,
+    ``J`` index their bodies.  ``force`` holds per pair ``i``, ``j``, the flat
+    coordinate index pairs ``(i*D + c, j*D + c)`` and ``-m_i m_j``;
+    ``terms`` holds ``(beta*alpha, alpha - 1)`` per power-law term, and
+    ``bumps`` the polynomial bumps, outermost first.
+    """
+
+    def __init__(self, system: BodySystem):
+        n, dim = system.n_bodies, system.space_dim
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.I, self.J = (np.array(k, dtype=np.intp) for k in zip(*self.pairs))
+        m = system.masses.tolist()
+        self.force = tuple(
+            (i, j, tuple((i * dim + c, j * dim + c) for c in range(dim)),
+             -m[i] * m[j])
+            for i, j in self.pairs)
+        self.terms = tuple((b * a, a - 1.0)
+                           for b, a in _pair_terms(system.potential))
+        self.bumps = tuple(_bumps(system.potential))
+
+
 def pair_distances(system: BodySystem, q) -> np.ndarray:
     """Distances ``|q_i - q_j|`` for ``system.pairs()``, stacked on a last axis.
 
     ``q`` holds configurations over any leading axes, flat
-    (``..., coord_dim``) or per body (``..., n_bodies, space_dim``).
+    (``..., coord_dim``) or per body (``..., n_bodies, space_dim``).  Each
+    distance is the square root of the squared differences summed in
+    coordinate order, the one distance formula of the package.
     """
     q = _bodies(system, q)
-    pairs = system.pairs()
-    d = np.empty(q.shape[:-2] + (len(pairs), system.space_dim))
-    for k, (i, j) in enumerate(pairs):
-        d[..., k, :] = q[..., i, :] - q[..., j, :]
+    plan = system._pair_plan
+    d = q[..., plan.I, :] - q[..., plan.J, :]
     return np.sqrt(np.add.reduce(d * d, axis=-1))
 
 
-def _check_collisions(system: BodySystem, r) -> None:
+def _collision(i: int, j: int, r: float) -> SingularityError:
+    return SingularityError(f"bodies {i} and {j} are separated by {r:.3e}",
+                            pair=(i, j))
+
+
+def _check_collisions(system: BodySystem, r: np.ndarray) -> None:
     """Raise :class:`SingularityError` for the first pair closer than
     ``COLLISION_TOL``.
 
-    ``r`` holds the distances of ``system.pairs()`` on its last axis, as an
-    array over any leading axes or as a list for one configuration.
+    ``r`` holds the distances of ``system.pairs()`` on its last axis, over
+    any leading axes.
     """
-    if isinstance(r, np.ndarray):
-        r = r.reshape(-1, r.shape[-1]).min(axis=0)
-    for k, rk in enumerate(r):
+    for k, rk in enumerate(r.reshape(-1, r.shape[-1]).min(axis=0)):
         if rk < COLLISION_TOL:
-            i, j = system.pairs()[k]
-            raise SingularityError(
-                f"bodies {i} and {j} are separated by {rk:.3e}", pair=(i, j))
+            raise _collision(*system._pair_plan.pairs[k], rk)
 
 
 # -- energies ------------------------------------------------------------------
@@ -366,25 +395,37 @@ def potential_value(system: BodySystem, q):
 
 
 def grad_potential(system: BodySystem, q) -> np.ndarray:
-    """Flat gradient of ``V``; the force is its negative."""
-    q2d = _bodies(system, q)
-    terms = _pair_terms(system.potential)
-    m = system.masses.tolist()
-    pairs = system.pairs()
-    diffs = [q2d[i] - q2d[j] for i, j in pairs]
-    # The force takes its distances as sqrt(d @ d), np.linalg.norm(d) bit for
-    # bit: pair_distances sums the squares in another order, which would move
-    # every trajectory in the last bit.
-    r = [math.sqrt(d @ d) for d in diffs]
-    _check_collisions(system, r)
-    grad = np.zeros(q2d.shape)
-    for (i, j), d, rk in zip(pairs, diffs, r):
-        wd = (-m[i] * m[j] * _f_prime(terms, rk) / rk) * d
-        grad[i] += wd
-        grad[j] -= wd
-    out = grad.ravel()
-    for bump in _bumps(system.potential):
-        out = out + bump.grad(q2d.ravel())
+    """Flat gradient of ``V``; the force is its negative.
+
+    One pass over the system's pair plan in Python floats.  A pair's
+    distance is that of :func:`pair_distances`, and a pair closer than
+    ``COLLISION_TOL`` raises :class:`SingularityError` before any later pair
+    is visited.  Each pair's force is added to body ``i`` and subtracted
+    from body ``j`` in pair order; the bumps' gradients follow.
+    """
+    plan = system._pair_plan
+    q = np.asarray(q, float).reshape(system.coord_dim)
+    x = q.tolist()
+    g = [0.0] * len(x)
+    for i, j, uv, mm in plan.force:
+        r2 = 0.0
+        for u, v in uv:
+            d = x[u] - x[v]
+            r2 += d * d
+        r = math.sqrt(r2)
+        if r < COLLISION_TOL:
+            raise _collision(i, j, r)
+        fp = 0.0
+        for ba, a1 in plan.terms:
+            fp += ba * r ** a1
+        s = mm * fp / r
+        for u, v in uv:
+            w = s * (x[u] - x[v])
+            g[u] += w
+            g[v] -= w
+    out = np.array(g)
+    for bump in plan.bumps:
+        out = out + bump.grad(q)
     return out
 
 

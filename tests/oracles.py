@@ -11,6 +11,9 @@ for bit.  ``potential_jet_by_jets``, ``field_jet_by_jets`` and
 ``energy_jet_by_jets`` build the N-body jets one validated jet per
 operation, where the library sums coefficient arrays into one jet per
 result; their bytes, signed zeros included, must be equal.
+``grad_potential_by_pairs`` is the N-body force as first written, one numpy
+difference vector per pair, where the library runs one pass over the
+system's cached pair plan in Python floats; their bytes must be equal.
 ``shift_by_triples`` re-expands a polynomial's whole table, where the
 library shifts only the rows it returns, for one point or a group of
 points; their bytes must be equal too.  ``obstruction_scan_per_sample``
@@ -54,6 +57,7 @@ from saarilab.mech import (
     _bodies,
     _bumps,
     _check_collisions,
+    _f_prime,
     _pair_terms,
     _quadratic_positions,
     pair_distances,
@@ -100,6 +104,30 @@ def shift_by_triples(poly: TruncatedJet, z, degree: int) -> TruncatedJet:
                     sp.size)
     jet = TruncatedJet(poly.dim, poly.degree, z, c)
     return jet_pad(jet, degree) if degree > poly.degree else jet_truncate(jet, degree)
+
+
+def grad_potential_by_pairs(system, q) -> np.ndarray:
+    """``grad_potential`` with a numpy difference vector per pair: every
+    distance, the square root of the squares summed in coordinate order, is
+    checked for a collision before any force; each pair's force is added to
+    the first body's row and subtracted from the second's, in pair order,
+    then the bumps' gradients are added."""
+    q2d = _bodies(system, q)
+    terms = _pair_terms(system.potential)
+    m = system.masses.tolist()
+    pairs = system.pairs()
+    diffs = [q2d[i] - q2d[j] for i, j in pairs]
+    r = [math.sqrt(np.add.reduce(d * d)) for d in diffs]
+    _check_collisions(system, np.array(r))
+    grad = np.zeros(q2d.shape)
+    for (i, j), d, rk in zip(pairs, diffs, r):
+        wd = (-m[i] * m[j] * _f_prime(terms, rk) / rk) * d
+        grad[i] += wd
+        grad[j] -= wd
+    out = grad.ravel()
+    for bump in _bumps(system.potential):
+        out = out + bump.grad(q2d.ravel())
+    return out
 
 
 def pair_r2_jet(system, q2d, i: int, j: int, degree: int) -> TruncatedJet:

@@ -397,6 +397,58 @@ def test_point_must_match_dimension(tmp_path, capsys):
     assert code == 2 and "length 2" in err
 
 
+_SIM_STATE = {"q": [[-0.5, 0.0], [0.5, 0.0]], "p": [[0.0, -0.5], [0.0, 0.5]]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method, step", [
+    ("rk4", 0.1), ("stormer_verlet", 0.01), ("dop853", [1e-10, 1e-12])])
+def test_non_finite_states_are_config_errors(tmp_path, capsys, method, step,
+                                             bad):
+    # json.dumps writes nan and inf as NaN and Infinity, which json reads
+    state = {"q": [[-0.5, 0.0], [0.5, 0.0]], "p": [[0.0, -0.5], [0.0, bad]]}
+    path = write_config(tmp_path, "s.json", {
+        "system": NBODY2, "state": state,
+        "integrator": {"method": method, "step": step, "max_time": 1.0}})
+    code, out, err = run(capsys, ["simulate", path])
+    assert (code, out) == (2, "") and "finite" in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_config_errors(tmp_path, capsys, bad):
+    for name, cfg in [
+        ("point", {"system": OSC, "point": [0.6, bad]}),
+        ("state", {"system": NBODY2, "state": dict(
+            _SIM_STATE, q=[[-0.5, bad], [0.5, 0.0]])}),
+    ]:
+        path = write_config(tmp_path, f"{name}.json",
+                            dict(cfg, observable={"kind": "energy"}))
+        code, out, err = run(capsys, ["tower", path])
+        assert (code, out) == (2, "") and "finite" in err
+
+
+@pytest.mark.parametrize("integrator", [
+    {"method": "rk4", "step": True, "max_time": 1.0},
+    {"method": "rk4", "step": "0.1", "max_time": 1.0},
+    {"method": "rk4", "step": 0.1, "max_time": math.inf},
+    {"method": "rk4", "step": 0.1, "max_time": "x"},
+])
+def test_integrator_values_are_config_errors(tmp_path, capsys, integrator):
+    # NaN tolerances or max_time are checked on IntegratorConfig alone
+    # (test_flow.py): should the check fail, integrating them never returns.
+    path = write_config(tmp_path, "s.json", {
+        "system": NBODY2, "state": _SIM_STATE, "integrator": integrator})
+    code, out, _ = run(capsys, ["simulate", path])
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("refine", ["false", 0, 1, None])
+def test_figure8_refine_must_be_a_boolean(tmp_path, capsys, refine):
+    path = write_config(tmp_path, "f8.json", {"refine": refine})
+    code, out, err = run(capsys, ["figure8-demo", path])
+    assert (code, out) == (2, "") and "refine" in err
+
+
 _AT_POINT = {"system": OSC, "observable": {"kind": "energy"},
              "point": [0.6, 0.8]}
 _SCANNED = {"system": OSC, "observable": {"kind": "energy"},

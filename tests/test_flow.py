@@ -21,6 +21,7 @@ from saarilab.flow import (
     integrate,
     reverse_check,
 )
+from saarilab import mech
 from saarilab.mech import (
     BodySystem,
     NewtonianPotential,
@@ -61,6 +62,53 @@ def test_config_validation():
         IntegratorConfig(method="dop853", step=1e-8)  # needs an (rtol, atol) pair
     with pytest.raises(ConfigError):
         IntegratorConfig(method="rk4", step=0.1, max_time=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": (math.nan, 1e-12)},
+    {"step": (1e-10, math.inf)},
+    {"step": (True, 1e-12)},
+    {"step": (1e-10, 1e-12), "max_time": math.nan},
+    {"method": "rk4", "step": 0.1, "max_time": math.inf},
+    {"method": "rk4", "step": 0.1, "max_time": True},
+    {"method": "rk4", "step": math.nan},
+    {"method": "rk4", "step": "0.1"},
+    {"method": "stormer_verlet", "step": True},
+    {"method": "stormer_verlet", "step": -math.inf},
+])
+def test_config_rejects_non_finite_and_boolean_values(kwargs):
+    with pytest.raises(ConfigError):
+        IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("method, step", [
+    ("stormer_verlet", 0.01), ("rk4", 0.01), ("dop853", (1e-10, 1e-12))])
+def test_integrate_rejects_a_non_finite_initial_state(method, step, bad):
+    field, z0, _ = circular_two_body()
+    z0[5] = bad
+    evaluated = []
+    field.grad_v = evaluated.append
+    with pytest.raises(ConfigError, match="finite"):
+        integrate(field, z0, IntegratorConfig(method, step, max_time=0.1))
+    assert evaluated == []
+
+
+def test_pair_plan_is_built_once_per_system_over_an_rk4_run(monkeypatch):
+    _, z0, _ = circular_two_body()
+    built = []
+    init = mech._PairPlan.__init__
+
+    def counting_init(self, system):
+        built.append(system)
+        init(self, system)
+
+    monkeypatch.setattr(mech._PairPlan, "__init__", counting_init)
+    system = BodySystem(2, 2, (1.0, 1.0), NewtonianPotential())
+    traj = integrate(build_hamiltonian_field(system), z0,
+                     IntegratorConfig("rk4", 0.01, max_time=1.0))
+    assert traj.times.size == 101 and traj.status == "completed"
+    assert len(built) == 1 and built[0] is system
 
 
 def test_fixed_step_lands_exactly_on_max_time():

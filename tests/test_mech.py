@@ -43,6 +43,7 @@ from saarilab.mech import (
     inertia_observable,
     kinetic_energy,
     moment_of_inertia,
+    pair_distances,
     potential_config_jet,
     potential_from_json,
     potential_value,
@@ -57,6 +58,7 @@ from saarilab.mech import _pair_r2
 from oracles import (
     energy_jet_by_jets,
     field_jet_by_jets,
+    grad_potential_by_pairs,
     jet_pow_full,
     potential_jet_by_jets,
 )
@@ -118,6 +120,51 @@ def test_collision_raises():
         potential_value(two_body(), q)
     with pytest.raises(SingularityError):
         grad_potential(two_body(), q)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("space_dim", [1, 2, 3])
+@pytest.mark.parametrize("n_bodies", [2, 3, 4])
+def test_force_equals_the_pair_loop_oracle_byte_for_byte(n_bodies, space_dim,
+                                                          perturbed):
+    rng = np.random.default_rng(100 * n_bodies + 10 * space_dim + perturbed)
+    nc = n_bodies * space_dim
+    potential = PowerLawPotential(((1.0, -1.0), (0.3, -2.5)))
+    if perturbed:
+        potential = PerturbedPotential(
+            potential, random_polynomial_observable(nc, 3, rng, 0.05))
+    system = BodySystem(n_bodies, space_dim, rng.uniform(0.5, 2.0, n_bodies),
+                        potential)
+    for q in rng.normal(size=(50, nc)) * 2.0:
+        got = grad_potential(system, q)
+        assert got.tobytes() == grad_potential_by_pairs(system, q).tobytes()
+
+
+@pytest.mark.parametrize("space_dim", [1, 2, 3])
+def test_force_distances_are_pair_distances_bit_for_bit(monkeypatch,
+                                                        space_dim):
+    # The force takes one math.sqrt per pair; record what it returns.
+    system = BodySystem(4, space_dim, (1.0, 1.3, 0.7, 2.0),
+                        NewtonianPotential())
+    qs = np.random.default_rng(14).normal(size=(200, system.coord_dim))
+    sqrt, taken = math.sqrt, []
+    monkeypatch.setattr(math, "sqrt",
+                        lambda x: taken.append(sqrt(x)) or taken[-1])
+    for q in qs:
+        grad_potential(system, q)
+    monkeypatch.undo()
+    assert np.array(taken).tobytes() == pair_distances(system, qs).tobytes()
+
+
+def test_force_reports_the_first_colliding_pair():
+    system = BodySystem(4, 2, np.ones(4), NewtonianPotential())
+    # pairs (0, 3) and (1, 2) collide; (0, 3) comes first in pair order
+    q = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1e-12], [1e-12, 0.0]])
+    for grad in (grad_potential, grad_potential_by_pairs):
+        with pytest.raises(SingularityError) as err:
+            grad(system, q)
+        assert err.value.pair == (0, 3)
+        assert str(err.value) == "bodies 0 and 3 are separated by 1.000e-12"
 
 
 def test_potential_serialization_roundtrip():
