@@ -20,7 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SaariLabError
+from .errors import (
+    ConfigError,
+    SaariLabError,
+    _check_count,
+    _finite,
+    _finite_array,
+)
 from .fields import (
     PolynomialField,
     PolynomialObservable,
@@ -75,6 +81,19 @@ def _check_keys(d, ctx: str, required=(), optional=()) -> dict:
     return d
 
 
+def _check_kind(d, ctx: str, kinds: dict) -> str:
+    """The ``kind`` of block ``d``, once ``d`` has exactly the keys that
+    ``kinds`` lists for that kind as ``(required, optional)``."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{ctx} needs a 'kind' of {sorted(kinds)}, "
+                          f"got {kind!r}")
+    required, optional = kinds[kind]
+    _check_keys(d, f"{ctx}({kind})", required=("kind", *required),
+                optional=optional)
+    return kind
+
+
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -88,144 +107,114 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _entries_to_dict(entries, dim: int, degree: int, ctx: str) -> dict:
-    out = {}
+def _entries(entries, ctx: str) -> dict:
+    """An ``[{"alpha": [...], "c": ...}, ...]`` list as the
+    ``{multi-index: coefficient}`` mapping that
+    :meth:`TruncatedJet.from_coeffs` checks."""
     if not isinstance(entries, list):
         raise ConfigError(f"{ctx}: entries must be a list")
-    for e in entries:
-        _check_keys(e, f"{ctx} entry", required=("alpha", "c"))
-        alpha = tuple(int(a) for a in e["alpha"])
-        if len(alpha) != dim or any(a < 0 for a in alpha):
-            raise ConfigError(f"{ctx}: bad multi-index {list(alpha)}")
-        if sum(alpha) > degree:
-            raise ConfigError(f"{ctx}: multi-index {list(alpha)} exceeds "
-                              f"degree {degree}")
-        out[alpha] = float(e["c"])
-    return out
+    return {tuple(_check_keys(e, f"{ctx} entry",
+                              required=("alpha", "c"))["alpha"]): e["c"]
+            for e in entries}
+
+
+_SYSTEM_KINDS = {
+    "nbody": (("n_bodies", "space_dim", "masses", "potential"),
+              ("com_fixed",)),
+    "oscillator": ((), ()),
+    "linear1d": ((), ()),
+    "polynomial_field": (("dim", "degree", "components"), ()),
+}
 
 
 def _build_system(cfg: dict):
     """Returns (field, system-or-None, kind)."""
-    _check_keys(cfg, "system", required=("kind",),
-                optional=("n_bodies", "space_dim", "masses", "potential",
-                          "com_fixed", "dim", "degree", "components"))
-    kind = cfg["kind"]
+    kind = _check_kind(cfg, "system", _SYSTEM_KINDS)
     try:
         if kind == "nbody":
-            _check_keys(cfg, "system(nbody)",
-                        required=("kind", "n_bodies", "space_dim", "masses",
-                                  "potential"),
-                        optional=("com_fixed",))
             system = BodySystem.from_json_dict(
                 {k: v for k, v in cfg.items() if k != "kind"})
             return build_hamiltonian_field(system), system, kind
         if kind == "oscillator":
-            _check_keys(cfg, "system(oscillator)", required=("kind",))
             return SeparableOscillator(), None, kind
         if kind == "linear1d":
-            _check_keys(cfg, "system(linear1d)", required=("kind",))
             return linear1d_field(), None, kind
-        if kind == "polynomial_field":
-            _check_keys(cfg, "system(polynomial_field)",
-                        required=("kind", "dim", "degree", "components"))
-            dim, degree = int(cfg["dim"]), int(cfg["degree"])
-            comps = cfg["components"]
-            if not isinstance(comps, list) or len(comps) != dim:
-                raise ConfigError(
-                    f"polynomial_field needs {dim} component entry lists")
-            built = tuple(
-                PolynomialObservable.from_coeffs(
-                    dim, degree,
-                    _entries_to_dict(c, dim, degree, f"component {i}"))
-                for i, c in enumerate(comps)
-            )
-            return PolynomialField(built), None, kind
+        comps = cfg["components"]
+        if not isinstance(comps, list):
+            raise ConfigError("polynomial_field components must be a list "
+                              "of entry lists")
+        return PolynomialField(tuple(
+            PolynomialObservable.from_coeffs(
+                cfg["dim"], cfg["degree"], _entries(c, f"component {i}"))
+            for i, c in enumerate(comps)
+        )), None, kind
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"invalid system block: {e}") from None
-    raise ConfigError(f"unknown system kind {kind!r}")
+
+
+_OBSERVABLE_KINDS = {
+    "inertia": ((), ()),
+    "energy": ((), ()),
+    "coordinate": (("index",), ()),
+    "polynomial": (("degree", "entries"), ()),
+}
 
 
 def _build_observable(cfg: dict, field, system):
-    _check_keys(cfg, "observable", required=("kind",),
-                optional=("index", "degree", "entries"))
-    kind = cfg["kind"]
-    dim = field.dim
+    kind = _check_kind(cfg, "observable", _OBSERVABLE_KINDS)
+    if kind == "inertia":
+        if system is None:
+            raise ConfigError("inertia observable needs an nbody system")
+        return inertia_observable(system)
+    if kind == "energy":
+        if system is not None:
+            return energy_observable(system)
+        if isinstance(field, SeparableOscillator):
+            return oscillator_energy()
+        raise ConfigError("energy observable needs an nbody system "
+                          "or the oscillator")
+    if kind == "coordinate":
+        return coordinate_observable(field.dim, cfg["index"])
     try:
-        if kind == "inertia":
-            if system is None:
-                raise ConfigError("inertia observable needs an nbody system")
-            return inertia_observable(system)
-        if kind == "energy":
-            if system is not None:
-                return energy_observable(system)
-            if isinstance(field, SeparableOscillator):
-                return oscillator_energy()
-            raise ConfigError("energy observable needs an nbody system "
-                              "or the oscillator")
-        if kind == "coordinate":
-            _check_keys(cfg, "observable(coordinate)",
-                        required=("kind", "index"))
-            return coordinate_observable(dim, int(cfg["index"]))
-        if kind == "polynomial":
-            _check_keys(cfg, "observable(polynomial)",
-                        required=("kind", "degree", "entries"))
-            degree = int(cfg["degree"])
-            return PolynomialObservable.from_coeffs(
-                dim, degree,
-                _entries_to_dict(cfg["entries"], dim, degree,
-                                 "observable entries"))
-    except ConfigError:
-        raise
+        return PolynomialObservable.from_coeffs(
+            field.dim, cfg["degree"],
+            _entries(cfg["entries"], "observable entries"))
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"invalid observable block: {e}") from None
-    raise ConfigError(f"unknown observable kind {kind!r}")
 
 
 def _build_point(cfg: dict, field, system) -> np.ndarray:
     """The config's ``point`` or ``state`` as a flat phase vector; a
-    malformed block or a NaN or infinite entry is a :class:`ConfigError`."""
+    malformed block, one of another phase dimension or an entry that is not
+    a finite number is a :class:`ConfigError`."""
     if "point" in cfg:
-        try:
-            z = np.asarray(cfg["point"], float)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"invalid point: {e}") from None
-        if z.ndim != 1 or z.size != field.dim:
-            raise ConfigError(
-                f"point must be a flat list of length {field.dim}")
+        z = _finite_array(cfg["point"], "point")
     elif "state" in cfg:
         if system is None:
             raise ConfigError("state blocks need an nbody system")
         st = _check_keys(cfg["state"], "state", required=("q", "p"))
         try:
-            z = PhaseState(np.asarray(st["q"], float),
-                           np.asarray(st["p"], float)).flat()
-        except (ValueError, TypeError) as e:
+            z = PhaseState(_finite_array(st["q"], "state q"),
+                           _finite_array(st["p"], "state p")).flat()
+        except ValueError as e:
             raise ConfigError(f"invalid state block: {e}") from None
     else:
         raise ConfigError("config needs a 'point' or 'state' block")
-    if not np.all(np.isfinite(z)):
-        raise ConfigError(f"point and state entries must be finite, "
-                          f"got {z.tolist()}")
+    if z.shape != (field.dim,):
+        raise ConfigError(f"point or state must be a phase vector of length "
+                          f"{field.dim}, got shape {z.shape}")
     return z
 
 
 def _build_integrator(cfg: dict) -> IntegratorConfig:
     """The integrator block, its values passed through to
     :class:`IntegratorConfig`, which checks them."""
-    _check_keys(cfg, "integrator", required=("method", "step", "max_time"))
-    step = cfg["step"]
-    if isinstance(step, list):
-        if len(step) != 2:
-            raise ConfigError("integrator step pair must be [rtol, atol]")
-        step = tuple(step)
-    return IntegratorConfig(method=cfg["method"], step=step,
-                            max_time=cfg["max_time"])
+    return IntegratorConfig(**_check_keys(
+        cfg, "integrator", required=("method", "step", "max_time")))
 
 
 def _global_seed(cfg: dict, args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    return cfg.get("seed")
+    return cfg.get("seed") if args.seed is None else args.seed
 
 
 def _block_seed(block: dict, global_seed: int | None, ctx: str) -> int:
@@ -240,11 +229,8 @@ def _block_seed(block: dict, global_seed: int | None, ctx: str) -> int:
 def _build_sampler(cfg: dict, global_seed) -> Sampler:
     _check_keys(cfg, "scan", required=("box", "count"),
                 optional=("seed", "min_separation"))
-    box = cfg["box"]
-    if not isinstance(box, list) or len(box) != 2:
-        raise ConfigError("scan box must be [lo, hi]")
     return Sampler(
-        box=tuple(box),
+        box=cfg["box"],
         count=cfg["count"],
         seed=_block_seed(cfg, global_seed, "scan block"),
         min_separation=cfg.get("min_separation", 0.1),
@@ -262,80 +248,79 @@ def _build_perturbation(cfg: dict, global_seed) -> PerturbationSpec:
     )
 
 
-def _scan_tolerances(cfg: dict) -> dict:
-    """The config's scan tolerances as keyword arguments; unset ones keep
-    the defaults of :func:`obstruction_scan`."""
+_SCAN_TOLERANCES = ("tol_zero", "tol_eq", "tol_crit")
+
+
+def _tolerances(cfg: dict, names: tuple[str, ...]) -> dict:
+    """The config's ``tolerances`` among ``names`` as keyword arguments;
+    unset ones keep the defaults of the function that takes them."""
     return _check_keys(cfg.get("tolerances", {}), "tolerances",
-                       optional=("tol_zero", "tol_eq", "tol_crit"))
+                       optional=names)
 
 
 def _tower_order(cfg: dict, default: int | None = None) -> int | None:
     """The config's ``tower_order``, or ``default`` when it is absent."""
     if "tower_order" not in cfg:
         return default
-    m = cfg["tower_order"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ConfigError(f"tower_order must be an integer >= 1, got {m!r}")
-    return m
+    _check_count(cfg["tower_order"], "tower_order")
+    return cfg["tower_order"]
 
 
-def _threshold(cfg: dict) -> float:
-    """The config's relative rank ``threshold``, a finite number strictly
-    between 0 and 1; ``RANK_THRESHOLD`` when it is absent."""
-    t = cfg.get("threshold", RANK_THRESHOLD)
-    if (isinstance(t, bool) or not isinstance(t, (int, float))
-            or not 0.0 < t < 1.0):
-        raise ConfigError(
-            f"threshold must be a number strictly between 0 and 1, got {t!r}")
-    return float(t)
-
-
-def _emit(report: dict, out: str | None) -> None:
+def _emit(args, report: dict, out: str | None,
+          failure: str | None = None) -> int:
+    """Write ``report`` under the ``schema_version`` / ``command`` header to
+    ``out``, or to stdout when it is None.  The exit code is 1 with
+    ``failure`` on stderr when the command's expectation failed, else 0."""
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+              **report}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+    if failure:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 def _out_path(cfg: dict, args) -> str | None:
     return args.out if args.out else cfg.get("output")
 
 
+def _verdict_failure(args, verdict: str) -> str | None:
+    """The failure message when ``--expect`` names another verdict."""
+    if args.expect is not None and verdict != args.expect:
+        return f"expected verdict {args.expect}, got {verdict}"
+    return None
+
+
 # -- commands ---------------------------------------------------------------------
 
 
 def _cmd_tower(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system", "observable"),
-                optional=("point", "state", "tower_order", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     F = _build_observable(cfg["observable"], field, system)
     z = _build_point(cfg, field, system)
     m = _tower_order(cfg, default_tower_order(field.dim))
     sample = obstruction_at(F, field, z, m=m)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "tower",
+    return _emit(args, {
         "tower": sample.psi.to_json_dict(),
         "norm_inf": float(sample.norm_inf),
         "is_near_equilibrium": sample.is_near_equilibrium,
         "is_near_F_critical": sample.is_near_F_critical,
-    }
-    _emit(report, _out_path(cfg, args))
-    return 0
+    }, _out_path(cfg, args))
 
 
 def _cmd_rank(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system",),
-                optional=("observable", "point", "state", "tower_order",
-                          "jacobian", "threshold", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     z = _build_point(cfg, field, system)
     m = _tower_order(cfg, default_tower_order(field.dim))
     which = cfg.get("jacobian", "F")
-    threshold = _threshold(cfg)
+    threshold = _finite(cfg.get("threshold", RANK_THRESHOLD), "threshold",
+                        0.0, strict=True)
+    if threshold >= 1.0:
+        raise ConfigError(f"threshold must be below 1, got {threshold!r}")
     xf = field.jet_field(z, m - 1)
     if which == "F":
         result = dpsi_wrt_F(xf, m=m, threshold=threshold)
@@ -347,48 +332,29 @@ def _cmd_rank(cfg: dict, args) -> int:
         result = dpsi_wrt_X(fj, xf, m=m, threshold=threshold)
     else:
         raise ConfigError(f"jacobian must be 'F' or 'X', got {which!r}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rank",
-        "jacobian": which,
-        "rank": result.rank_report.to_json_dict(),
-    }
-    _emit(report, _out_path(cfg, args))
-    if args.expect_submersion and not result.rank_report.submersion:
-        print("expected a submersion; rank "
-              f"{result.rank_report.numerical_rank} < "
-              f"{result.rank_report.full_rank_expected}", file=sys.stderr)
-        return 1
-    return 0
+    rank = result.rank_report
+    failure = None
+    if args.expect_submersion and not rank.submersion:
+        failure = (f"expected a submersion; rank {rank.numerical_rank} < "
+                   f"{rank.full_rank_expected}")
+    return _emit(args, {"jacobian": which, "rank": rank.to_json_dict()},
+                 _out_path(cfg, args), failure)
 
 
 def _cmd_simulate(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system", "integrator"),
-                optional=("point", "state", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     z0 = _build_point(cfg, field, system)
     icfg = _build_integrator(cfg["integrator"])
     traj = integrate(field, z0, icfg)
     out = _out_path(cfg, args)
-    if out:
-        traj.to_csv(out)
-        _emit({
-            "schema_version": SCHEMA_VERSION,
-            "command": "simulate",
-            "trajectory": traj.to_json_dict(),
-            "csv": out,
-        }, None)
-    else:
+    if not out:
         traj.to_csv(sys.stdout)
-    return 0
+        return 0
+    traj.to_csv(out)
+    return _emit(args, {"trajectory": traj.to_json_dict(), "csv": out}, None)
 
 
 def _cmd_releq(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system", "family"),
-                optional=("side", "ordering", "gap", "guess", "output",
-                          "seed"))
     field, system, _ = _build_system(cfg["system"])
     if system is None:
         raise ConfigError("releq needs an nbody system")
@@ -401,45 +367,28 @@ def _cmd_releq(cfg: dict, args) -> int:
     elif family == "newton":
         if "guess" not in cfg:
             raise ConfigError("family 'newton' needs a 'guess' configuration")
-        sol = releq_newton(system, np.asarray(cfg["guess"], float))
+        sol = releq_newton(system, cfg["guess"])
     else:
         raise ConfigError(f"unknown releq family {family!r}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "releq",
-        "family": family,
-        "solution": sol.to_json_dict(),
-    }
-    _emit(report, _out_path(cfg, args))
-    return 0
+    return _emit(args, {"family": family, "solution": sol.to_json_dict()},
+                 _out_path(cfg, args))
 
 
 def _cmd_scan(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system", "observable", "scan"),
-                optional=("tower_order", "tolerances", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     F = _build_observable(cfg["observable"], field, system)
     sampler = _build_sampler(cfg["scan"], _global_seed(cfg, args))
     rep = obstruction_scan(field, F, sampler, m=_tower_order(cfg),
-                           **_scan_tolerances(cfg))
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
+                           **_tolerances(cfg, _SCAN_TOLERANCES))
+    return _emit(args, {
         "sampler": sampler.to_json_dict(),
         "report": rep.to_json_dict(),
         "zero_fraction": None if math.isnan(rep.zero_fraction)
         else rep.zero_fraction,
-    }
-    _emit(report, _out_path(cfg, args))
-    return 0
+    }, _out_path(cfg, args))
 
 
 def _cmd_perturb_experiment(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system", "observable", "perturbation", "trials",
-                          "scan"),
-                optional=("tower_order", "tolerances", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     F = _build_observable(cfg["observable"], field, system)
     gseed = _global_seed(cfg, args)
@@ -448,56 +397,29 @@ def _cmd_perturb_experiment(cfg: dict, args) -> int:
     base = system if spec.target == "potential" else field
     rep = genericity_experiment(
         base, F, spec, cfg["trials"], sampler, m=_tower_order(cfg),
-        **_scan_tolerances(cfg),
+        **_tolerances(cfg, _SCAN_TOLERANCES),
     )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "perturb-experiment",
-        "experiment": rep.to_json_dict(),
-    }
-    _emit(report, _out_path(cfg, args))
-    return 0
+    return _emit(args, {"experiment": rep.to_json_dict()},
+                 _out_path(cfg, args))
 
 
 def _cmd_classify(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                required=("system", "integrator"),
-                optional=("point", "state", "tolerances", "output", "seed"))
     field, system, _ = _build_system(cfg["system"])
     if system is None:
         raise ConfigError("classify needs an nbody system")
     z0 = _build_point(cfg, field, system)
     icfg = _build_integrator(cfg["integrator"])
-    tols = _check_keys(cfg.get("tolerances", {}), "tolerances",
-                       optional=("tol_inertia", "tol_shape", "margin"))
+    tols = _tolerances(cfg, ("tol_inertia", "tol_shape", "margin"))
     traj = integrate(field, z0, icfg)
-    ti = tols.get("tol_inertia")
-    cls = classify_trajectory(
-        traj,
-        tol_inertia=float(ti) if ti is not None else None,
-        tol_shape=float(tols.get("tol_shape", 1e-6)),
-        margin=float(tols.get("margin", 100.0)),
-    )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
+    cls = classify_trajectory(traj, **tols)
+    return _emit(args, {
         "trajectory": traj.to_json_dict(),
         "classification": cls.to_json_dict(),
-    }
-    _emit(report, _out_path(cfg, args))
-    if args.expect is not None and cls.verdict != args.expect:
-        print(f"expected verdict {args.expect}, got {cls.verdict}",
-              file=sys.stderr)
-        return 1
-    return 0
+    }, _out_path(cfg, args), _verdict_failure(args, cls.verdict))
 
 
 def _cmd_figure8(cfg: dict, args) -> int:
-    _check_keys(cfg, "config",
-                optional=("refine", "integrator", "output", "seed"))
     refine = cfg.get("refine", True)
-    if not isinstance(refine, bool):
-        raise ConfigError(f"refine must be true or false, got {refine!r}")
     system, z0, period = figure8_initial_conditions(refine=refine)
     field = build_hamiltonian_field(system)
     if "integrator" in cfg:
@@ -507,33 +429,36 @@ def _cmd_figure8(cfg: dict, args) -> int:
     traj = integrate(field, z0, icfg)
     closure = float(np.max(np.abs(traj.final_state - z0)))
     cls = classify_trajectory(traj)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "figure8-demo",
+    return _emit(args, {
         "refined": refine,
         "period": float(period),
         "initial_state": [float(x) for x in z0],
         "closure_error": closure,
         "trajectory": traj.to_json_dict(),
         "classification": cls.to_json_dict(),
-    }
-    _emit(report, _out_path(cfg, args))
-    if args.expect is not None and cls.verdict != args.expect:
-        print(f"expected verdict {args.expect}, got {cls.verdict}",
-              file=sys.stderr)
-        return 1
-    return 0
+    }, _out_path(cfg, args), _verdict_failure(args, cls.verdict))
 
 
+# name -> (command, its required config keys, its optional keys besides
+# "output" and "seed")
 _COMMANDS = {
-    "tower": _cmd_tower,
-    "rank": _cmd_rank,
-    "simulate": _cmd_simulate,
-    "releq": _cmd_releq,
-    "scan": _cmd_scan,
-    "perturb-experiment": _cmd_perturb_experiment,
-    "classify": _cmd_classify,
-    "figure8-demo": _cmd_figure8,
+    "tower": (_cmd_tower, ("system", "observable"),
+              ("point", "state", "tower_order")),
+    "rank": (_cmd_rank, ("system",),
+             ("observable", "point", "state", "tower_order", "jacobian",
+              "threshold")),
+    "simulate": (_cmd_simulate, ("system", "integrator"), ("point", "state")),
+    "releq": (_cmd_releq, ("system", "family"),
+              ("side", "ordering", "gap", "guess")),
+    "scan": (_cmd_scan, ("system", "observable", "scan"),
+             ("tower_order", "tolerances")),
+    "perturb-experiment": (
+        _cmd_perturb_experiment,
+        ("system", "observable", "perturbation", "trials", "scan"),
+        ("tower_order", "tolerances")),
+    "classify": (_cmd_classify, ("system", "integrator"),
+                 ("point", "state", "tolerances")),
+    "figure8-demo": (_cmd_figure8, (), ("refine", "integrator")),
 }
 
 
@@ -570,21 +495,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    if not hasattr(args, "expect"):
-        args.expect = None
+    command, required, optional = _COMMANDS[args.command]
     try:
-        if args.config is None:
-            cfg = {}
-        else:
-            cfg = _load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        cfg = {} if args.config is None else _load_config(args.config)
+        _check_keys(cfg, "config", required, (*optional, "output", "seed"))
+        return command(cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except SaariLabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ValueError, KeyError, TypeError) as e:
+    except (SaariLabError, ValueError, KeyError, TypeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
 

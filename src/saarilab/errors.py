@@ -6,6 +6,8 @@ import math
 import numbers
 import sys
 
+import numpy as np
+
 
 class SaariLabError(Exception):
     """Base class for all package-specific errors."""
@@ -78,3 +80,20 @@ def _finite(value, what: str, at_least: float = -math.inf,
                  else f" {'>' if strict else '>='} {at_least:g}")
         raise ConfigError(f"{what} must be a finite number{bound}, got {value!r}")
     return float(value)
+
+
+def _finite_array(value, what: str) -> np.ndarray:
+    """``value``, a number or a (nested) list of them, as a float array if
+    every entry is a finite real number (a bool or a string is not), else a
+    :class:`ConfigError`; a ragged list has lists for entries, so it fails."""
+    items = np.asarray(value, dtype=object)
+    return np.array([_finite(x, f"{what} entry") for x in items.flat],
+                    dtype=float).reshape(items.shape)
+
+
+def _flag(value, what: str) -> bool:
+    """``value`` if it is a bool, a JSON ``true`` or ``false``, else a
+    :class:`ConfigError`: ``"false"``, ``0`` or ``null`` is not read as one."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value

@@ -37,7 +37,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import CombinabilityError, DegreeDeficitError
+from .errors import (
+    CombinabilityError,
+    ConfigError,
+    DegreeDeficitError,
+    _check_count,
+)
 from .jet_algebra import (
     JetField,
     TruncatedJet,
@@ -130,7 +135,7 @@ class PolynomialObservable:
     @staticmethod
     def from_coeffs(dim: int, degree: int, entries) -> "PolynomialObservable":
         return PolynomialObservable(
-            TruncatedJet.from_coeffs(dim, degree, np.zeros(dim), entries)
+            TruncatedJet.from_coeffs(dim, degree, None, entries)
         )
 
     @staticmethod
@@ -146,7 +151,7 @@ class PolynomialField:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        if len(comps) != comps[0].dim:
+        if not comps or len(comps) != comps[0].dim:
             raise ValueError("component count must match variable count")
         object.__setattr__(self, "components", comps)
 
@@ -294,9 +299,11 @@ def field_coeffs(X, points, degree: int) -> list[np.ndarray]:
 
 
 def coordinate_observable(dim: int, index: int) -> PolynomialObservable:
-    """The observable ``F(z) = z[index]``."""
-    if not 0 <= index < dim:
-        raise ValueError(f"coordinate index {index} out of range for dim {dim}")
+    """The observable ``F(z) = z[index]``; ``index`` must be an integer in
+    ``0 .. dim-1``, else :class:`ConfigError`."""
+    _check_count(index, "coordinate index", at_least=0)
+    if index >= dim:
+        raise ConfigError(f"coordinate index {index} out of range for dim {dim}")
     alpha = [0] * dim
     alpha[index] = 1
     return PolynomialObservable.from_coeffs(dim, 1, {tuple(alpha): 1.0})

@@ -23,6 +23,7 @@ of the jet machinery so the two can check each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     InsufficientSamplesError,
     SingularityError,
     _finite,
+    _flag,
 )
 from .jet_algebra import _stencil_1d
 from .mech import (
@@ -73,8 +75,9 @@ class IntegratorConfig:
 
     ``step`` is the fixed step size for ``stormer_verlet`` / ``rk4`` and the
     ``(rtol, atol)`` pair for ``dop853``.  Steps, tolerances and
-    ``max_time`` must be finite positive numbers (a bool is not one), else
-    :class:`ConfigError`; they are stored as floats.
+    ``max_time`` must be finite positive numbers (a bool is not one), and a
+    fixed step must cover ``max_time`` in fewer steps than an array can
+    index, else :class:`ConfigError`; they are stored as floats.
     """
 
     method: str = "dop853"
@@ -86,10 +89,11 @@ class IntegratorConfig:
             raise ConfigError(
                 f"unknown integrator {self.method!r}; choose from {_METHODS}"
             )
+        max_time = _finite(self.max_time, "max_time", 0.0, strict=True)
         if self.method == "dop853":
             try:
                 rtol, atol = self.step
-            except TypeError:
+            except (TypeError, ValueError):
                 raise ConfigError("dop853 needs step=(rtol, atol)") from None
             step = (_finite(rtol, "rtol", 0.0, strict=True),
                     _finite(atol, "atol", 0.0, strict=True))
@@ -97,9 +101,12 @@ class IntegratorConfig:
             step = _finite(self.step, "fixed step", 0.0, strict=True)
             if step < STEP_UNDERFLOW:
                 raise ConfigError(f"step {step} underflows {STEP_UNDERFLOW}")
+            # times and states hold one row per step plus the start
+            if _fixed_steps(step, max_time)[0] + 1 > sys.maxsize:
+                raise ConfigError(f"max_time {max_time:g} takes more steps of "
+                                  f"{step:g} than an array can index")
         object.__setattr__(self, "step", step)
-        object.__setattr__(self, "max_time", _finite(
-            self.max_time, "max_time", 0.0, strict=True))
+        object.__setattr__(self, "max_time", max_time)
 
     def to_json_dict(self) -> dict:
         step = list(self.step) if isinstance(self.step, tuple) else self.step
@@ -223,14 +230,15 @@ def _as_flat(z0) -> np.ndarray:
     return np.asarray(z0, float).ravel()
 
 
-def _fixed_steps(h: float, max_time: float) -> list[float]:
-    """Step sizes covering [0, max_time] exactly: full steps plus a remainder."""
-    n_full = int(math.floor(max_time / h + 1e-9))
+def _fixed_steps(h: float, max_time: float) -> tuple[int, int, float]:
+    """Steps covering [0, max_time] exactly: the step count, the count of
+    full steps of size ``h`` that start it, and the size of the one
+    remainder step after them (``h`` when there is none)."""
+    n_full = math.floor(max_time / h + 1e-9)
     remainder = max_time - n_full * h
-    steps = [h] * n_full
     if remainder > 1e-9 * h:
-        steps.append(remainder)
-    return steps
+        return n_full + 1, n_full, remainder
+    return n_full, n_full, h
 
 
 def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
@@ -243,14 +251,15 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     nq = minv.size
     q = z0[:nq].copy()
     p = z0[nq:].copy()
-    steps = _fixed_steps(float(cfg.step), cfg.max_time)
-    times = np.zeros(len(steps) + 1)
-    states = np.empty((len(steps) + 1, z0.size))
+    n_steps, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
+    times = np.zeros(n_steps + 1)
+    states = np.empty((n_steps + 1, z0.size))
     states[0] = z0
     status = "completed"
     filled = 1
     g = field.grad_v(q)
-    for h in steps:
+    for k in range(n_steps):
+        h = cfg.step if k < n_full else remainder
         p_half = p - 0.5 * h * g
         q = q + h * p_half * minv
         if (system is not None
@@ -269,13 +278,14 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
 def _integrate_rk4(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     system = _system_of(field)
     z = z0.copy()
-    steps = _fixed_steps(float(cfg.step), cfg.max_time)
-    times = np.zeros(len(steps) + 1)
-    states = np.empty((len(steps) + 1, z0.size))
+    n_steps, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
+    times = np.zeros(n_steps + 1)
+    states = np.empty((n_steps + 1, z0.size))
     states[0] = z0
     status = "completed"
     filled = 1
-    for h in steps:
+    for k in range(n_steps):
+        h = cfg.step if k < n_full else remainder
         k1 = np.asarray(field(z), float)
         k2 = np.asarray(field(z + 0.5 * h * k1), float)
         k3 = np.asarray(field(z + 0.5 * h * k2), float)
@@ -399,8 +409,10 @@ def figure8_initial_conditions(refine: bool = True,
     runs a Gauss-Newton shooting iteration on (velocity of the middle body,
     period) to close the orbit: the residual is the return defect
     ``z(T) - z(0)`` under a tight adaptive integration.  Returns
-    ``(system, z0, period)``.
+    ``(system, z0, period)``.  ``refine`` must be a bool, else
+    :class:`ConfigError`.
     """
+    _flag(refine, "refine")
     system = figure8_system()
     field = build_hamiltonian_field(system)
     theta = np.array([*_FIG8_VEL, _FIG8_PERIOD])

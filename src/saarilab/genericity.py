@@ -26,6 +26,7 @@ from .errors import (
     SingularityError,
     _check_count,
     _finite,
+    _finite_array,
 )
 from .fields import (
     PolynomialField,
@@ -179,13 +180,13 @@ class Sampler:
     max_attempts: int = 100
 
     def __post_init__(self):
-        lo, hi = (_finite(v, f"sampler box {end}")
-                  for v, end in zip(self.box, ("lo", "hi")))
-        if not lo < hi:
-            raise ConfigError("sampler box must satisfy lo < hi")
+        box = _finite_array(self.box, "sampler box")
+        if box.shape != (2,) or not box[0] < box[1]:
+            raise ConfigError(
+                f"sampler box must be [lo, hi] with lo < hi, got {self.box!r}")
         _check_count(self.count, "sampler count")
         _check_count(self.seed, "sampler seed", at_least=0)
-        object.__setattr__(self, "box", (lo, hi))
+        object.__setattr__(self, "box", tuple(box.tolist()))
         object.__setattr__(self, "min_separation", _finite(
             self.min_separation, "sampler min_separation", at_least=0.0))
 
@@ -474,8 +475,14 @@ def classify_trajectory(traj: Trajectory, tol_inertia: float | None = None,
     relative energy spread, serving as the integration noise floor.  The
     inertia tolerance defaults to ``10 x energy_drift`` with a 1e-10 floor so
     that analytically generated rigid rotations (zero measured drift) still
-    classify.
+    classify.  A given ``tol_inertia`` and ``tol_shape``, ``margin`` and
+    ``tol_eq`` must be finite numbers above 0, else :class:`ConfigError`.
     """
+    if tol_inertia is not None:
+        tol_inertia = _finite(tol_inertia, "tol_inertia", 0.0, strict=True)
+    tol_shape = _finite(tol_shape, "tol_shape", 0.0, strict=True)
+    margin = _finite(margin, "margin", 0.0, strict=True)
+    tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)
     system = traj.system
     if system is None:
         raise ConfigError("classification needs an N-body trajectory")

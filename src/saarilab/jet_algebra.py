@@ -31,8 +31,11 @@ import numpy as np
 
 from .errors import (
     CombinabilityError,
+    ConfigError,
     DegreeDeficitError,
     EvaluationDomainError,
+    _check_count,
+    _finite_array,
 )
 
 __all__ = [
@@ -357,16 +360,18 @@ def _exponent_rows(dim: int, keys) -> np.ndarray:
 
     Raises ValueError on a wrong length, a negative or a non-integer entry,
     which :meth:`_JetSpace.rank` would otherwise map to a wrong position
-    (keys of mixed lengths already fail in ``np.asarray``).
+    (keys of mixed lengths already fail in ``np.asarray``).  A bool is not
+    an integer here, also where ``np.asarray`` reads it as one beside ints.
     """
     rows = np.asarray(keys)
     if rows.ndim != 2 or rows.shape[1] != dim:
-        raise ValueError(f"multi-indices must have {dim} entries, got {keys}")
-    if rows.dtype.kind not in "biu":
-        raise ValueError(f"multi-index entries must be integers, got {keys}")
+        raise ValueError(f"multi-index alpha must have {dim} entries, got {keys}")
+    if rows.dtype.kind not in "iu" or any(
+            isinstance(a, (bool, np.bool_)) for key in keys for a in key):
+        raise ValueError(f"multi-index alpha entries must be integers, got {keys}")
     rows = rows.astype(np.int64, copy=False)
     if rows.min() < 0:
-        raise ValueError(f"multi-index entries must be >= 0, got {keys}")
+        raise ValueError(f"multi-index alpha entries must be >= 0, got {keys}")
     return rows
 
 
@@ -432,18 +437,29 @@ class TruncatedJet:
         base_point,
         entries: Mapping[tuple, float],
     ) -> "TruncatedJet":
-        """Build a jet from a sparse ``{multi-index: coefficient}`` mapping."""
+        """Build a jet from a sparse ``{multi-index: coefficient}`` mapping
+        about ``base_point`` (None: the origin).  A ``dim`` below 1 or a
+        ``degree`` below 0 or either not an integer is a :class:`ConfigError`;
+        a bad multi-index or a coefficient that is not a finite real number
+        is a ValueError."""
+        _check_count(dim, "dim")
+        _check_count(degree, "degree", at_least=0)
         space = _space(dim, degree)
         c = np.zeros(space.size)
         if entries:
             exps = _exponent_rows(dim, list(entries))
             try:
-                c[space.rank(exps)] = list(entries.values())
+                values = _finite_array(list(entries.values()), "coefficient c")
+            except ConfigError as e:
+                raise ValueError(str(e)) from None
+            try:
+                c[space.rank(exps)] = values
             except IndexError:
                 key = tuple(exps[exps.sum(axis=1).argmax()].tolist())
                 raise ValueError(
                     f"multi-index {key} exceeds degree {degree}") from None
-        return TruncatedJet(dim, degree, np.asarray(base_point, float), c)
+        base = np.zeros(dim) if base_point is None else np.asarray(base_point, float)
+        return TruncatedJet(dim, degree, base, c)
 
     @staticmethod
     def monomial(dim: int, degree: int, base_point, alpha, value: float = 1.0):
@@ -496,10 +512,10 @@ class TruncatedJet:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TruncatedJet":
-        entries = {tuple(item["alpha"]): float(item["c"]) for item in d["coeffs"]}
+        """The jet of a :meth:`to_json_dict` dict; no value is coerced."""
+        entries = {tuple(item["alpha"]): item["c"] for item in d["coeffs"]}
         return TruncatedJet.from_coeffs(
-            int(d["dim"]), int(d["degree"]), np.asarray(d["base"], float), entries
-        )
+            d["dim"], d["degree"], _finite_array(d["base"], "base"), entries)
 
     # -- operators ---------------------------------------------------------
 

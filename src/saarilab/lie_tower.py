@@ -133,8 +133,7 @@ class RankReport:
 
 def _rank_report(matrix: np.ndarray, full_rank_expected: int,
                  threshold: float) -> RankReport:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    sv = np.sort(sv)[::-1]
+    sv = np.linalg.svd(matrix, compute_uv=False)  # in descending order
     top = sv[0] if sv.size else 0.0
     rank = int(np.sum(sv > threshold * top)) if top > 0.0 else 0
     return RankReport(

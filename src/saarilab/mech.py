@@ -36,6 +36,8 @@ from .errors import (
     SingularityError,
     _check_count,
     _finite,
+    _finite_array,
+    _flag,
 )
 from .fields import PolynomialObservable, _jet_at, _jet_field_at, stream_rng
 from .jet_algebra import (
@@ -97,15 +99,20 @@ class NewtonianPotential:
 
 @dataclass(frozen=True)
 class PowerLawPotential:
-    """``f(r) = sum_k beta_k r**alpha_k`` with terms ``(beta_k, alpha_k)``."""
+    """``f(r) = sum_k beta_k r**alpha_k`` with terms ``(beta_k, alpha_k)``.
+
+    ``terms`` is a non-empty list of pairs of finite real numbers, else
+    :class:`ConfigError`; they are stored as a tuple of float pairs.
+    """
 
     terms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        terms = tuple((float(b), float(a)) for b, a in self.terms)
-        if not terms:
-            raise ValueError("power-law potential needs at least one term")
-        object.__setattr__(self, "terms", terms)
+        terms = _finite_array(self.terms, "power-law terms")
+        if terms.ndim != 2 or terms.shape[1] != 2 or not terms.size:
+            raise ConfigError("power-law terms must be a non-empty list of "
+                              f"[beta, alpha] pairs, got {self.terms!r}")
+        object.__setattr__(self, "terms", tuple(map(tuple, terms.tolist())))
 
     def to_json_dict(self) -> dict:
         return {"variant": "power_law", "terms": [list(t) for t in self.terms]}
@@ -131,7 +138,7 @@ def potential_from_json(d: dict):
     if variant == "newtonian":
         return NewtonianPotential()
     if variant == "power_law":
-        return PowerLawPotential(tuple((b, a) for b, a in d["terms"]))
+        return PowerLawPotential(d["terms"])
     if variant == "perturbed":
         return PerturbedPotential(
             base=potential_from_json(d["base"]),
@@ -172,6 +179,10 @@ class BodySystem:
     ``com_fixed`` declares that states are meant to live in the
     centre-of-mass frame (total momentum zero, weighted positions zero); the
     coordinates stay full-dimensional and integrators project the drift.
+
+    ``n_bodies`` is an integer of at least 2, ``space_dim`` one of at least
+    1, ``masses`` one finite positive number per body and ``com_fixed`` a
+    bool, else :class:`ConfigError`; no value is truncated or coerced.
     """
 
     n_bodies: int
@@ -181,14 +192,14 @@ class BodySystem:
     com_fixed: bool = True
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, float)
-        masses.flags.writeable = False
-        if self.n_bodies < 2:
-            raise ValueError("need at least two bodies")
-        if self.space_dim < 1:
-            raise ValueError("space dimension must be >= 1")
+        _check_count(self.n_bodies, "n_bodies", at_least=2)
+        _check_count(self.space_dim, "space_dim")
+        masses = _finite_array(self.masses, "masses")
         if masses.shape != (self.n_bodies,) or np.any(masses <= 0):
-            raise ValueError("masses must be positive, one per body")
+            raise ConfigError(f"masses must be positive, one per body, got "
+                              f"{masses.tolist()}")
+        _flag(self.com_fixed, "com_fixed")
+        masses.flags.writeable = False
         object.__setattr__(self, "masses", masses)
         limit = 2 * self.n_bodies - 1
         n_terms = len(_pair_terms(self.potential))
@@ -235,17 +246,17 @@ class BodySystem:
             "space_dim": self.space_dim,
             "masses": [float(m) for m in self.masses],
             "potential": self.potential.to_json_dict(),
-            "com_fixed": bool(self.com_fixed),
+            "com_fixed": self.com_fixed,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "BodySystem":
         return BodySystem(
-            n_bodies=int(d["n_bodies"]),
-            space_dim=int(d["space_dim"]),
-            masses=np.asarray(d["masses"], float),
+            n_bodies=d["n_bodies"],
+            space_dim=d["space_dim"],
+            masses=d["masses"],
             potential=potential_from_json(d["potential"]),
-            com_fixed=bool(d.get("com_fixed", True)),
+            com_fixed=d.get("com_fixed", True),
         )
 
 
@@ -855,9 +866,14 @@ def releq_newton(system: BodySystem, initial_guess,
     Unknowns are the configuration and ``omega^2``; the residual stacks the
     balance equations with centre-of-mass, scale (inertia of the guess) and
     rotational-gauge constraints.  Raises :class:`NoConvergenceError` with the
-    final residual after ``max_iter`` iterations.
+    final residual after ``max_iter`` iterations, and :class:`ConfigError`
+    unless the guess holds ``coord_dim`` finite real numbers.
     """
-    guess = _recenter(system, _bodies(system, initial_guess))
+    guess = _finite_array(initial_guess, "guess")
+    if guess.size != system.coord_dim:
+        raise ConfigError(f"guess must hold {system.coord_dim} coordinates, "
+                          f"got shape {guess.shape}")
+    guess = _recenter(system, _bodies(system, guess))
     nc = system.coord_dim
     sd = system.space_dim
     m = system.masses

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -400,6 +401,21 @@ def test_point_must_match_dimension(tmp_path, capsys):
 _SIM_STATE = {"q": [[-0.5, 0.0], [0.5, 0.0]], "p": [[0.0, -0.5], [0.0, 0.5]]}
 
 
+@pytest.mark.parametrize("command, cfg, key", [
+    ("tower", {"system": NBODY2, "observable": {"kind": "energy"},
+               "state": {"q": [[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]],
+                         "p": [[0.0, -0.5, 0.0], [0.0, 0.5, 0.0]]}}, "state"),
+    ("releq", {"system": NBODY2, "family": "newton",
+               "guess": [[-0.5, 0.0, 1.0], [0.5, 0.0, 1.0]]}, "guess"),
+])
+def test_states_and_guesses_must_match_the_system(tmp_path, capsys, command,
+                                                  cfg, key):
+    # three coordinates per body do not fit a planar two-body system
+    code, out, err = run(capsys, [command, write_config(tmp_path, "c.json",
+                                                        cfg)])
+    assert (code, out) == (2, "") and key in err
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("method, step", [
     ("rk4", 0.1), ("stormer_verlet", 0.01), ("dop853", [1e-10, 1e-12])])
@@ -566,6 +582,64 @@ def test_integral_numbers_read_as_their_floats(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+_AT_STATE = {"system": NBODY2, "observable": {"kind": "energy"},
+             "state": _SIM_STATE}
+_AT_POLY = {"system": {"kind": "polynomial_field", "dim": 1, "degree": 2,
+                       "components": [[{"alpha": [1], "c": 1.0}]]},
+            "observable": {"kind": "coordinate", "index": 0},
+            "point": [0.5], "tower_order": 2}
+_SIMULATED = {"system": NBODY2, "state": _SIM_STATE,
+              "integrator": {"method": "rk4", "step": 0.001, "max_time": 1.0}}
+_CLASSIFIED = dict(_SIMULATED, tolerances={})
+_ALPHA = ("system", "components", 0, 0, "alpha", 0)
+
+
+_COERCED = [
+    ("tower", _AT_POINT, ("point", 0), True, "point"),
+    ("tower", _AT_STATE, ("state", "q", 0, 0), True, "state"),
+    ("releq", {"system": NBODY2, "family": "newton",
+               "guess": [[-0.5, 0.0], [0.5, 0.0]]}, ("guess", 0, 0), True,
+     "guess"),
+    ("tower", _AT_POLY, _ALPHA, 2.5, "alpha"),
+    ("tower", _AT_POLY, _ALPHA, True, "alpha"),
+    ("tower", _AT_POLY, _ALPHA[:-2] + ("c",), "1.5", "c"),
+    ("tower", _AT_POLY, ("system", "dim"), 1.7, "dim"),
+    ("tower", _AT_POLY, ("system", "degree"), True, "degree"),
+    ("tower", dict(_AT_POINT, observable={"kind": "coordinate", "index": 0}),
+     ("observable", "index"), True, "index"),
+    ("tower", _AT_STATE, ("system", "n_bodies"), 2.9, "n_bodies"),
+    ("tower", _AT_STATE, ("system", "com_fixed"), "false", "com_fixed"),
+    ("tower", _AT_STATE, ("system", "masses", 0), True, "masses"),
+    ("tower", _AT_STATE, ("system", "masses", 0), math.nan, "masses"),
+    ("tower", dict(_AT_STATE, system=dict(NBODY2, potential={
+        "variant": "power_law", "terms": [[1.0, -1.0]]})),
+     ("system", "potential", "terms"), [[True, "-1"]], "terms"),
+    ("classify", _CLASSIFIED, ("tolerances", "tol_shape"), "x", "tol_shape"),
+    ("classify", _CLASSIFIED, ("tolerances", "margin"), math.nan, "margin"),
+    ("simulate", _SIMULATED, ("integrator", "max_time"), 1e300,
+     "max_time"),
+]
+
+
+@pytest.mark.parametrize("command, base, path, value, key", _COERCED,
+                         ids=[f"{c[4]}-{c[3]!r}" for c in _COERCED])
+def test_values_a_cast_would_coerce_are_config_errors(tmp_path, capsys,
+                                                      command, base, path,
+                                                      value, key):
+    # No value is truncated, read from a bool or a string, or accepted as
+    # NaN, and a fixed step count must fit an array index: each is exit 2
+    # naming its key, before any report.
+    cfg = json.loads(json.dumps(base))
+    block = cfg
+    for k in path[:-1]:
+        block = block[k]
+    block[path[-1]] = value
+    code, out, err = run(capsys, [command, write_config(tmp_path, "c.json",
+                                                        cfg)])
+    assert code == 2 and err.startswith("config error:"), err
+    assert re.search(rf"\b{key}\b", err) and out == "", err
 
 
 def test_collision_point_exits_3(tmp_path, capsys, monkeypatch):

@@ -187,11 +187,13 @@ def test_json_roundtrip():
 
 
 @pytest.mark.parametrize("alpha", [(1, 0, 0), (1,), (-1, 2), (2, -1),
-                                   (0.5, 0), (1, 0.25), (1.0, 0)])
+                                   (0.5, 0), (1, 0.25), (1.0, 0),
+                                   (True, False), (True, 1)])
 @pytest.mark.parametrize("entry", ["from_coeffs", "coeff", "from_json_dict"])
 def test_bad_multi_index_is_a_value_error(entry, alpha):
-    # wrong length, negative or non-integer: rank would place such a key in a
-    # wrong slot, so every entry point refuses it
+    # wrong length, negative or non-integer (a bool is not one, also beside
+    # an int): rank would place such a key in a wrong slot, so every entry
+    # point refuses it
     with pytest.raises(ValueError):
         if entry == "from_coeffs":
             _jet(2, 3, (0.0, 0.0), {(0, 0): 1.0, alpha: 2.0})
@@ -202,6 +204,19 @@ def test_bad_multi_index_is_a_value_error(entry, alpha):
                 "dim": 2, "degree": 3, "base": [0.0, 0.0],
                 "coeffs": [{"alpha": [0, 0], "c": 1.0},
                            {"alpha": list(alpha), "c": 2.0}]})
+
+
+@pytest.mark.parametrize("c", ["1.5", True])
+@pytest.mark.parametrize("entry", ["from_coeffs", "from_json_dict"])
+def test_bad_coefficient_is_a_value_error(entry, c):
+    # a string or a bool is not read as the number it spells
+    with pytest.raises(ValueError, match="coefficient c"):
+        if entry == "from_coeffs":
+            _jet(2, 3, (0.0, 0.0), {(0, 0): 1.0, (1, 1): c})
+        else:
+            TruncatedJet.from_json_dict({
+                "dim": 2, "degree": 3, "base": [0.0, 0.0],
+                "coeffs": [{"alpha": [1, 1], "c": c}]})
 
 
 def test_multi_index_beyond_the_degree():

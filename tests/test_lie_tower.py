@@ -183,6 +183,39 @@ def test_dpsi_wrt_F_linearity():
                                rtol=1e-10, atol=1e-12)
 
 
+def test_singular_values_are_the_svd_s_own_descending_order():
+    # The rank report keeps np.linalg.svd's values as they come: bitwise the
+    # descending sort of them, on the first draws of acceptance criterion 2
+    # and on the README's rank config (oscillator energy at (0.6, 0.8)).
+    results = []
+    for i in range(60):
+        n = 1 + i % 3
+        m = n + 1
+        for attempt in itertools.count():
+            rng = stream_rng(7101, 0, i, attempt)
+            X = random_polynomial_field(n, 4, rng)
+            z = rng.uniform(-1.0, 1.0, n)
+            if np.linalg.norm(X(z)) > 0.1:
+                break
+        results.append(dpsi_wrt_F(X.jet_field(z, m - 1), m=m))
+        for attempt in itertools.count():
+            rng = stream_rng(7101, 1, i, attempt)
+            X = random_polynomial_field(n, 4, rng)
+            F = random_polynomial_observable(n, 4, rng)
+            z = rng.uniform(-1.0, 1.0, n)
+            if np.linalg.norm(F.grad(z)) > 0.1:
+                break
+        results.append(dpsi_wrt_X(F.jet(z, m), X.jet_field(z, m - 1), m=m))
+    z = np.array([0.6, 0.8])
+    xf = oscillator_field().jet_field(z, 2)
+    results += [dpsi_wrt_F(xf, m=3),
+                dpsi_wrt_X(oscillator_energy().jet(z, 3), xf, m=3)]
+    for res in results:
+        sv = np.linalg.svd(res.matrix, compute_uv=False)
+        assert (res.rank_report.singular_values.tobytes()
+                == np.sort(sv)[::-1].tobytes())
+
+
 @pytest.mark.parametrize("m", [0, -1])
 def test_jacobians_reject_tower_order_below_one(m):
     z = np.array([1.0, 0.0])

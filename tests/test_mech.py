@@ -193,10 +193,23 @@ def test_system_serialization_roundtrip():
 
 
 def test_system_validation():
-    with pytest.raises(ValueError):
-        BodySystem(1, 2, (1.0,), NewtonianPotential())
-    with pytest.raises(ValueError):
-        BodySystem(2, 2, (1.0, -1.0), NewtonianPotential())
+    # a bad value is a configuration error, named, and never coerced
+    for args, name in [((1, 2, (1.0,)), "n_bodies"),
+                       ((2.0, 2, (1.0, 1.0)), "n_bodies"),
+                       ((2, True, (1.0, 1.0)), "space_dim"),
+                       ((2, 2, (1.0, -1.0)), "masses"),
+                       ((2, 2, (1.0, 1.0, 1.0)), "masses"),
+                       ((2, 2, (True, 1.0)), "masses"),
+                       ((2, 2, ("1", 1.0)), "masses"),
+                       ((2, 2, (math.nan, 1.0)), "masses")]:
+        with pytest.raises(ConfigError, match=name):
+            BodySystem(*args, NewtonianPotential())
+    with pytest.raises(ConfigError, match="com_fixed"):
+        BodySystem(2, 2, (1.0, 1.0), NewtonianPotential(), com_fixed="false")
+    for terms in [(), ((True, -1.0),), ((1.0, "-1"),), ((1.0,),),
+                  ((1.0, math.inf),)]:
+        with pytest.raises(ConfigError, match="terms"):
+            PowerLawPotential(terms)
     # more power-law terms than 2N-1 is legal but flagged
     terms = tuple((1.0, -float(k)) for k in range(1, 5))
     with pytest.warns(UserWarning):
