@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from .errors import (
     ConfigError,
     SaariLabError,
     _check_count,
+    _check_keys,
+    _check_kind,
     _finite,
     _finite_array,
 )
@@ -67,31 +70,6 @@ SCHEMA_VERSION = 1
 
 
 # -- config plumbing -------------------------------------------------------------
-
-
-def _check_keys(d, ctx: str, required=(), optional=()) -> dict:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{ctx} must be a JSON object")
-    unknown = set(d) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(d)
-    if missing:
-        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
-    return d
-
-
-def _check_kind(d, ctx: str, kinds: dict) -> str:
-    """The ``kind`` of block ``d``, once ``d`` has exactly the keys that
-    ``kinds`` lists for that kind as ``(required, optional)``."""
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"{ctx} needs a 'kind' of {sorted(kinds)}, "
-                          f"got {kind!r}")
-    required, optional = kinds[kind]
-    _check_keys(d, f"{ctx}({kind})", required=("kind", *required),
-                optional=optional)
-    return kind
 
 
 def _load_config(path: str) -> dict:
@@ -462,6 +440,7 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saarilab",

@@ -97,3 +97,29 @@ def _flag(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{what} must be true or false, got {value!r}")
     return value
+
+
+def _check_keys(d, ctx: str, required=(), optional=()) -> dict:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
+    unknown = set(d) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {sorted(unknown)}")
+    missing = set(required) - set(d)
+    if missing:
+        raise ConfigError(f"{ctx}: missing keys {sorted(missing)}")
+    return d
+
+
+def _check_kind(d, ctx: str, kinds: dict, key: str = "kind") -> str:
+    """The ``kind`` of block ``d`` (its entry ``key``), once ``d`` has
+    exactly the keys that ``kinds`` lists for that kind as
+    ``(required, optional)``."""
+    kind = d.get(key) if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{ctx} needs a '{key}' of {sorted(kinds)}, "
+                          f"got {kind!r}")
+    required, optional = kinds[kind]
+    _check_keys(d, f"{ctx}({kind})", required=(key, *required),
+                optional=optional)
+    return kind

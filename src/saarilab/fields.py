@@ -70,6 +70,7 @@ __all__ = [
     "stream_rng",
     "observable_coeffs",
     "field_coeffs",
+    "observable_grads",
 ]
 
 
@@ -127,7 +128,7 @@ class PolynomialObservable:
         return _pad(out, table_size(self.dim, degree)) if degree > self.degree else out
 
     def grad(self, z) -> np.ndarray:
-        return self.jet(z, 1).gradient()
+        return observable_grads(self, np.asarray(z, float))
 
     def to_json_dict(self) -> dict:
         return self.poly.to_json_dict()
@@ -200,7 +201,7 @@ class SumObservable:
         return out
 
     def grad(self, z) -> np.ndarray:
-        return np.sum([p.grad(z) for p in self.parts], axis=0)
+        return observable_grads(self, np.asarray(z, float))
 
 
 class SumField:
@@ -296,6 +297,18 @@ def field_coeffs(X, points, degree: int) -> list[np.ndarray]:
     return _per_point(points, degree, lambda z: [
         jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]), z, degree)
         for i in range(z.size)])
+
+
+def observable_grads(F, points) -> np.ndarray:
+    """``F``'s gradient at one point or a stack of points (see the module
+    protocol): a polynomial's from its degree-1 shift, a sum's summed in
+    part order, any other handle's from its ``grad`` one point at a time."""
+    if isinstance(F, PolynomialObservable):
+        return observable_coeffs(F, points, 1)[F.dim:0:-1]
+    if isinstance(F, SumObservable):
+        return np.sum([observable_grads(p, points) for p in F.parts], axis=0)
+    return _stack([np.asarray(F.grad(z), float) for z in
+                   ([points] if points.ndim == 1 else points.T.copy())])
 
 
 def coordinate_observable(dim: int, index: int) -> PolynomialObservable:

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     InsufficientSamplesError,
-    SingularityError,
     _check_count,
     _finite,
     _finite_array,
@@ -37,7 +36,7 @@ from .fields import (
 )
 from .flow import Trajectory
 from .jet_algebra import _CHUNK_ELEMENTS, TruncatedJet, table_size
-from .lie_tower import _obstructions, default_tower_order
+from .lie_tower import _check_tower_order, _obstructions, default_tower_order
 from .mech import (
     BodySystem,
     PerturbedPotential,
@@ -167,11 +166,11 @@ class Sampler:
     """Uniform box sampler with counter-based streams.
 
     Each sample is drawn from its own ``(seed, index, attempt)`` stream, so
-    results do not depend on evaluation order.  For N-body fields the draw is
-    projected to the centre-of-mass frame when the system declares it, then
-    rejected (up to ``max_attempts``) until all separations clear
-    ``min_separation``.
-    """
+    results do not depend on evaluation or grouping order.  For N-body
+    fields the draw is projected to the centre-of-mass frame when the system
+    declares it, then rejected (up to ``max_attempts``) until all
+    separations clear ``min_separation``; :meth:`draw_group` draws a whole
+    group in one call, :meth:`draw` one sample."""
 
     box: tuple[float, float]
     count: int
@@ -192,23 +191,38 @@ class Sampler:
 
     def draw(self, index: int, dim: int, system: BodySystem | None = None
              ) -> np.ndarray:
+        """Sample ``index``: the one-sample case of :meth:`draw_group`."""
+        return self.draw_group([index], dim, system)[0]
+
+    def draw_group(self, indices, dim: int, system: BodySystem | None = None
+                   ) -> np.ndarray:
+        """The samples ``indices``, one row each.  An attempt draws each
+        pending sample from its own stream, projects and checks them all at
+        once in one-sample arithmetic and redraws the rejected; the lowest
+        index still pending after ``max_attempts`` is named in the error."""
         lo, hi = self.box
+        out = np.empty((len(indices), dim))
+        todo = np.arange(len(indices))
         for attempt in range(self.max_attempts):
-            rng = stream_rng(self.seed, _TAG_SAMPLE, index, attempt)
-            z = rng.uniform(lo, hi, dim)
+            z = np.array([stream_rng(self.seed, _TAG_SAMPLE, indices[k],
+                                     attempt).uniform(lo, hi, dim)
+                          for k in todo]).reshape(len(todo), dim)
             if system is None:
-                return z
+                return z  # the first attempt, every sample in order
             nc = system.coord_dim
-            q = z[:nc].reshape(system.n_bodies, system.space_dim)
-            p = z[nc:].reshape(system.n_bodies, system.space_dim)
+            shape = (len(todo), system.n_bodies, system.space_dim)
+            q, p = z[:, :nc].reshape(shape), z[:, nc:].reshape(shape)
             if system.com_fixed:
-                q = q - system.masses @ q / system.total_mass
-                p = p - p.sum(axis=0) / system.n_bodies
-            if not (pair_distances(system, q) < self.min_separation).any():
-                return np.concatenate([q.ravel(), p.ravel()])
+                q = q - (system.masses @ q / system.total_mass)[:, None]
+                p = p - p.sum(axis=1, keepdims=True) / system.n_bodies
+            ok = ~(pair_distances(system, q) < self.min_separation).any(axis=1)
+            out[todo[ok]] = np.concatenate([q, p], axis=1)[ok].reshape(-1, dim)
+            todo = todo[~ok]
+            if not todo.size:
+                return out
         raise InsufficientSamplesError(
-            f"sample {index}: no collision-free draw in "
-            f"{self.max_attempts} attempts"
+            f"sample {min(indices[k] for k in todo)}: no collision-free draw "
+            f"in {self.max_attempts} attempts"
         )
 
     def to_json_dict(self) -> dict:
@@ -298,22 +312,18 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     The phase dimension is the field's ``dim``, else the observable's; a
     scan of two handles without one is a :class:`ConfigError`.
 
-    The samples run in groups of S.  A group is drawn, the field is
-    evaluated at each sample (a singular one is dropped there), and the
-    others get their jets as sample-minor stacks of shape ``(coeffs, S)``:
-    one polynomial shift per observable table, one power chain per pair
-    ``r^2`` and one fill of each field component for the whole group (see
-    :mod:`saarilab.fields`).  One tower chain then runs the group on the
-    stacks (see :func:`~saarilab.jet_algebra._mul`).  Every kernel runs
-    each column in one-sample arithmetic and order: a ``bincount`` adds
-    each sample's triples from +0 in one-sample order, the group's union of
-    masks and highest top orders only add products of a sample's +-0
-    coefficients, and powers and reductions run per sample in the
-    one-sample layout.  So the report is bitwise equal to evaluating one
-    sample at a time.  ``S = max(1, _CHUNK_ELEMENTS // (table_size(dim, m)
-    * dim))``: 25 at planar two-body m = 5, and 1 at planar three-body
-    m = 7, whose products gain nothing from a group and which runs on plain
-    1-D arrays.
+    Samples are drawn by :meth:`Sampler.draw_group`, one call per block of
+    whole groups of about ``_CHUNK_ELEMENTS`` coordinates (all samples of
+    a short scan), and run in groups of S: the field is evaluated at each
+    sample (a singular one is dropped there), the others' jets are built as
+    sample-minor stacks ``(coeffs, S)`` (see :mod:`saarilab.fields`), and
+    one tower chain runs them (see :func:`~saarilab.jet_algebra._mul`); the
+    group's ``<grad F, X>`` check and its tallies run on its arrays.  Every
+    kernel runs each column in one-sample arithmetic and order, so the
+    report is bitwise equal to evaluating one sample at a time.
+    ``S = max(1, _CHUNK_ELEMENTS // (table_size(dim, m) * dim))``: 25 at
+    planar two-body m = 5, and 1 at planar three-body m = 7, whose products
+    gain nothing from a group and which runs on plain 1-D arrays.
     """
     tol_zero = _finite(tol_zero, "tol_zero", 0.0, strict=True)
     tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)
@@ -327,25 +337,25 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     if m is None:
         n_eff = system.effective_phase_dim if system is not None else dim
         m = default_tower_order(n_eff)
+    _check_tower_order(m)
     group = max(1, _CHUNK_ELEMENTS // (table_size(dim, m) * dim))
+    block = group * max(1, _CHUNK_ELEMENTS // (group * dim))
     n_eq = n_crit = n_sing = n_zero = n_nonzero = 0
     min_norm = math.inf
     for start in range(0, sampler.count, group):
-        points = [sampler.draw(idx, dim, system)
-                  for idx in range(start, min(start + group, sampler.count))]
-        for samp in _obstructions(F, fieldX, points, m, tol_eq, tol_crit):
-            if isinstance(samp, SingularityError):
-                n_sing += 1
-            elif samp.is_near_equilibrium:
-                n_eq += 1
-            elif samp.is_near_F_critical:
-                n_crit += 1
-            elif samp.norm_inf < tol_zero:
-                n_zero += 1
-                min_norm = min(min_norm, samp.norm_inf)
-            else:
-                n_nonzero += 1
-                min_norm = min(min_norm, samp.norm_inf)
+        if start % block == 0:
+            points = sampler.draw_group(
+                range(start, min(start + block, sampler.count)), dim, system)
+        values, eq, crit, singular = _obstructions(
+            F, fieldX, points[start % block:][:group], m, tol_eq, tol_crit)
+        rest = ~(eq | crit | np.isnan(values[0]))  # NaN: singular
+        norms = np.abs(values[:, rest]).max(axis=0)
+        n_sing += len(singular)
+        n_eq += int(eq.sum())
+        n_crit += int((crit & ~eq).sum())
+        n_zero += int((norms < tol_zero).sum())
+        n_nonzero += int((norms >= tol_zero).sum())
+        min_norm = min(min_norm, float(norms.min(initial=math.inf)))
     return ScanReport(
         n_samples=sampler.count,
         n_excluded_equilibrium=n_eq,

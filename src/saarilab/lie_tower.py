@@ -22,7 +22,7 @@ because the highest-order partials enter each tower entry linearly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from .errors import (
     DegreeDeficitError,
     InternalConsistencyError,
     SingularityError,
+    _check_count,
 )
-from .fields import field_coeffs, observable_coeffs
+from .fields import field_coeffs, observable_coeffs, observable_grads
 from .jet_algebra import (
     JetField,
     TruncatedJet,
@@ -289,8 +290,7 @@ def _check_operands(f: TruncatedJet, x: JetField) -> None:
 
 
 def _check_tower_order(m: int) -> None:
-    if m < 1:
-        raise ValueError("tower order must be >= 1")
+    _check_count(m, "tower order")
 
 
 def _check_tower_inputs(f: TruncatedJet, x: JetField, m: int) -> None:
@@ -460,85 +460,87 @@ def obstruction_at(
     whenever the observable carries an analytic gradient.  The one-sample
     case of :func:`_obstructions`.
     """
-    [sample] = _obstructions(F, X, [z], m, tol_eq, tol_crit)
-    if isinstance(sample, SingularityError):
-        raise sample
-    return sample
+    values, near_eq, near_crit, singular = _obstructions(
+        F, X, [z], m, tol_eq, tol_crit)
+    if singular:
+        raise singular[0]
+    psi = SaariVector(values=values[:, 0], order=m, base_point=z)
+    return ObstructionSample(
+        z=z, psi=psi, norm_inf=psi.norm_inf,
+        is_near_equilibrium=bool(near_eq[0]),
+        is_near_F_critical=bool(near_crit[0]), tol_eq=tol_eq, tol_crit=tol_crit)
 
 
-def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float
-                  ) -> list[ObstructionSample | SingularityError]:
-    """:func:`obstruction_at` at each of ``points``, with one set of jet
-    stacks and one tower chain (:func:`_tower`) for the group.
+def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
+    """The towers of a group of ``points`` (one per row) from one set of
+    jet stacks and one tower chain (:func:`_tower`): ``(values, near_eq,
+    near_crit, singular)``, one column of ``values`` per point (NaN if
+    singular), the flags ``|X(z)| < tol_eq`` and ``|grad F(z)| < tol_crit``
+    per point, and ``{point: SingularityError}``.
 
     ``X(z)`` is evaluated at each point first, so a collision fails before
-    any jet is built, and a point whose evaluation raises
-    :class:`SingularityError` gets that error in its place in the result.
-    The jets of the other points are built as sample-minor stacks
-    ``(coeffs, S)`` by :func:`~saarilab.fields.observable_coeffs` and
-    :func:`~saarilab.fields.field_coeffs`, or as plain arrays if only one
-    point is left, and the chain runs on them.  Every kernel runs the
-    one-point arithmetic in the one-point order on each column (see
-    :mod:`saarilab.fields`), so each sample's jets, and its values, are
-    bitwise equal to its own.  Should a stack raise
-    :class:`SingularityError` (an observable singular where the field is
-    not), the group runs one point at a time.  Then, in point order, each
-    sample's jets and chain must have stayed finite (else ValueError, as
-    :func:`psi_tower` raises) and its first entry must match
-    ``<grad F, X>``.
+    any jet is built.  The other points' jets are sample-minor stacks
+    ``(coeffs, S)`` (:func:`~saarilab.fields.observable_coeffs`,
+    :func:`~saarilab.fields.field_coeffs`), or plain arrays for one point,
+    and every kernel runs each column in one-point arithmetic and order
+    (see :mod:`saarilab.fields`), so each point's values are bitwise its
+    own.  Should a stack raise :class:`SingularityError` (an observable
+    singular where the field is not), the points run one at a time.  On the
+    group's arrays, for the first failing point, the chain must have stayed
+    finite (else ValueError, as :func:`psi_tower` raises) and the first
+    entry must match ``<grad F, X>`` (gradients from
+    :func:`~saarilab.fields.observable_grads`).  Each norm is summed in a
+    one-row layout, so no flag depends on the group.
     """
     _check_tower_order(m)
-    out: list = []
-    kept = []  # (place in out, z, X(z))
-    for z in points:
-        z = np.asarray(z, float)
+    points = np.asarray(points, float)
+    values = np.full((m, len(points)), np.nan)
+    near_eq, near_crit = np.zeros((2, len(points)), dtype=bool)
+    singular, kept, x_vals = {}, [], []
+    for k, z in enumerate(points):
         try:
-            x_val = np.asarray(X(z), float)
+            x_vals.append(np.asarray(X(z), float))
+            kept.append(k)
         except SingularityError as e:
-            out.append(e)
-            continue
-        kept.append((len(out), z, x_val))
-        out.append(None)
+            singular[k] = e
     if not kept:
-        return out
-    zs = _stack([z for _, z, _ in kept])
+        return values, near_eq, near_crit, singular
+    zs = _stack(list(points[kept]))
     try:
         g = observable_coeffs(F, zs, m)
         comps = field_coeffs(X, zs, m - 1)
     except SingularityError as e:
         if len(kept) == 1:
-            out[kept[0][0]] = e
-        else:
-            for at, z, _ in kept:
-                [out[at]] = _obstructions(F, X, [z], m, tol_eq, tol_crit)
-        return out
+            singular[kept[0]] = e
+            return values, near_eq, near_crit, singular
+        for k in kept:
+            values[:, k:k + 1], near_eq[k:k + 1], near_crit[k:k + 1], sing = (
+                _obstructions(F, X, points[k:k + 1], m, tol_eq, tol_crit))
+            singular.update((k, err) for err in sing.values())
+        return values, near_eq, near_crit, singular
     n = len(zs)
     spx = _space(n, m - 1)
     if not (np.isfinite(g).all() and all(np.isfinite(c).all() for c in comps)):
         raise ValueError("jet coefficients must be finite")
-    values, finite = _tower(n, m, g, comps, [_variable_mask(spx, c) for c in comps])
-    values, finite = values.reshape(m, -1), finite.reshape(-1)
-    g = g.reshape(len(g), -1)
-    for col, (at, z, x_val) in enumerate(kept):
-        if not finite[col]:
+    vals, finite = _tower(n, m, g, comps, [_variable_mask(spx, c) for c in comps])
+    vals, bad = vals.reshape(m, -1), ~finite.reshape(-1)
+    x_vals = np.array(x_vals)
+
+    def rows(a):  # one point per row, contiguous: each row's sums alike
+        return np.ascontiguousarray(a.reshape(n, -1).T)
+
+    if hasattr(F, "grad"):
+        dot = np.add.reduce(rows(observable_grads(F, zs)) * x_vals, axis=1)
+        scale = np.maximum(np.maximum(1.0, np.abs(vals[0])), np.abs(dot))
+        bad |= np.abs(vals[0] - dot) > 1e-12 * scale
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not finite.reshape(-1)[k]:
             raise ValueError("jet coefficients must be finite")
-        psi = SaariVector(values=values[:, col], order=m, base_point=z)
-        if hasattr(F, "grad"):
-            dot = float(np.dot(np.asarray(F.grad(z), float), x_val))
-            scale = max(1.0, abs(psi.values[0]), abs(dot))
-            if abs(psi.values[0] - dot) > 1e-12 * scale:
-                raise InternalConsistencyError(
-                    f"first tower entry {psi.values[0]!r} disagrees with "
-                    f"<grad F, X> = {dot!r}"
-                )
-        out[at] = ObstructionSample(
-            z=z,
-            psi=psi,
-            norm_inf=psi.norm_inf,
-            is_near_equilibrium=bool(np.linalg.norm(x_val) < tol_eq),
-            is_near_F_critical=bool(
-                np.linalg.norm(np.array(g[1:n + 1, col][::-1])) < tol_crit),
-            tol_eq=tol_eq,
-            tol_crit=tol_crit,
-        )
-    return out
+        raise InternalConsistencyError(
+            f"first tower entry {float(vals[0, k])!r} disagrees with "
+            f"<grad F, X> = {float(dot[k])!r}")
+    values[:, kept] = vals
+    near_eq[kept] = np.linalg.norm(x_vals, axis=1) < tol_eq
+    near_crit[kept] = np.linalg.norm(rows(g[n:0:-1]), axis=1) < tol_crit
+    return values, near_eq, near_crit, singular

@@ -35,6 +35,8 @@ from .errors import (
     NoConvergenceError,
     SingularityError,
     _check_count,
+    _check_keys,
+    _check_kind,
     _finite,
     _finite_array,
     _flag,
@@ -133,18 +135,26 @@ class PerturbedPotential:
         }
 
 
+_POTENTIAL_VARIANTS = {"newtonian": ((), ()), "power_law": (("terms",), ()),
+                       "perturbed": (("base", "bump"), ())}
+
+
 def potential_from_json(d: dict):
-    variant = d.get("variant")
+    """The potential of a :meth:`to_json_dict` block; it, and a perturbed
+    one's base and bump, has exactly its variant's keys, else ConfigError."""
+    variant = _check_kind(d, "potential", _POTENTIAL_VARIANTS, key="variant")
     if variant == "newtonian":
         return NewtonianPotential()
     if variant == "power_law":
         return PowerLawPotential(d["terms"])
-    if variant == "perturbed":
-        return PerturbedPotential(
-            base=potential_from_json(d["base"]),
-            bump=PolynomialObservable.from_json_dict(d["bump"]),
-        )
-    raise ValueError(f"unknown potential variant {variant!r}")
+    bump = _check_keys(d["bump"], "potential bump",
+                       required=("dim", "degree", "base", "coeffs"))
+    for entry in bump["coeffs"]:
+        _check_keys(entry, "potential bump entry", required=("alpha", "c"))
+    return PerturbedPotential(
+        base=potential_from_json(d["base"]),
+        bump=PolynomialObservable.from_json_dict(bump),
+    )
 
 
 def _pair_terms(potential) -> tuple[tuple[float, float], ...]:

@@ -17,9 +17,15 @@ system's cached pair plan in Python floats; their bytes must be equal.
 ``shift_by_triples`` re-expands a polynomial's whole table, where the
 library shifts only the rows it returns, for one point or a group of
 points; their bytes must be equal too.  ``obstruction_scan_per_sample``
-scans with one :func:`obstruction_at` per sample, where the library builds
-one set of jet stacks and runs one stacked tower chain per group of
-samples; their reports must be equal byte for byte.
+scans one sample at a time, where the library builds one set of jet
+stacks and runs one stacked tower chain per group of samples; their
+reports must be equal byte for byte.  It draws each sample
+with ``draw_per_sample``, the rejection loop of one sample as first
+written, where the library draws a whole scan in one call and checks the
+separations of all pending samples at once, and it evaluates each sample
+with ``obstruction_per_sample``, one point's tower with its own
+``<grad F, X>`` cross-check and its own norms, where the library checks a
+group on its arrays; draws must be equal byte for byte too.
 """
 
 import math
@@ -27,8 +33,18 @@ import math
 
 import numpy as np
 
-from saarilab.errors import InternalConsistencyError, SingularityError
-from saarilab.genericity import TOL_ZERO, ScanReport, _field_and_system
+from saarilab.errors import (
+    InsufficientSamplesError,
+    InternalConsistencyError,
+    SingularityError,
+)
+from saarilab.fields import field_coeffs, observable_coeffs, stream_rng
+from saarilab.genericity import (
+    TOL_ZERO,
+    ScanReport,
+    _TAG_SAMPLE,
+    _field_and_system,
+)
 from saarilab.jet_algebra import (
     JetField,
     TruncatedJet,
@@ -41,16 +57,19 @@ from saarilab.jet_algebra import (
     jet_scale,
     jet_truncate,
     _space,
+    _variable_mask,
 )
 from saarilab.lie_tower import (
     JacobianResult,
+    ObstructionSample,
     RANK_THRESHOLD,
     STRUCTURAL_TOL,
+    SaariVector,
     _rank_report,
     _structural_check,
+    _tower,
     default_tower_order,
     lie_derivative,
-    obstruction_at,
     psi_tower,
 )
 from saarilab.mech import (
@@ -296,9 +315,69 @@ def dpsi_wrt_X_per_column(f: TruncatedJet, x: JetField, m: int) -> np.ndarray:
     return matrix
 
 
+def draw_per_sample(sampler, index: int, dim: int, system=None) -> np.ndarray:
+    """``Sampler.draw`` as first written: attempt after attempt on the
+    sample's own stream, each projected and checked alone."""
+    lo, hi = sampler.box
+    for attempt in range(sampler.max_attempts):
+        rng = stream_rng(sampler.seed, _TAG_SAMPLE, index, attempt)
+        z = rng.uniform(lo, hi, dim)
+        if system is None:
+            return z
+        nc = system.coord_dim
+        q = z[:nc].reshape(system.n_bodies, system.space_dim)
+        p = z[nc:].reshape(system.n_bodies, system.space_dim)
+        if system.com_fixed:
+            q = q - system.masses @ q / system.total_mass
+            p = p - p.sum(axis=0) / system.n_bodies
+        if not (pair_distances(system, q) < sampler.min_separation).any():
+            return np.concatenate([q.ravel(), p.ravel()])
+    raise InsufficientSamplesError(
+        f"sample {index}: no collision-free draw in "
+        f"{sampler.max_attempts} attempts"
+    )
+
+
+def obstruction_per_sample(F, X, z, m: int, tol_eq: float = 1e-9,
+                           tol_crit: float = 1e-9) -> ObstructionSample:
+    """``obstruction_at`` as first written: one point's jets and chain, its
+    first entry checked against ``F.grad(z) . X(z)``, and its flags from
+    ``np.linalg.norm`` of ``X(z)`` and of the jet's gradient."""
+    z = np.asarray(z, float)
+    x_val = np.asarray(X(z), float)
+    g = observable_coeffs(F, z, m)
+    comps = field_coeffs(X, z, m - 1)
+    n = z.size
+    if not (np.isfinite(g).all() and all(np.isfinite(c).all() for c in comps)):
+        raise ValueError("jet coefficients must be finite")
+    masks = [_variable_mask(_space(n, m - 1), c) for c in comps]
+    values, finite = _tower(n, m, g, comps, masks)
+    if not finite:
+        raise ValueError("jet coefficients must be finite")
+    psi = SaariVector(values=values, order=m, base_point=z)
+    if hasattr(F, "grad"):
+        dot = float(np.dot(np.asarray(F.grad(z), float), x_val))
+        scale = max(1.0, abs(psi.values[0]), abs(dot))
+        if abs(psi.values[0] - dot) > 1e-12 * scale:
+            raise InternalConsistencyError(
+                f"first tower entry {psi.values[0]!r} disagrees with "
+                f"<grad F, X> = {dot!r}")
+    return ObstructionSample(
+        z=z,
+        psi=psi,
+        norm_inf=psi.norm_inf,
+        is_near_equilibrium=bool(np.linalg.norm(x_val) < tol_eq),
+        is_near_F_critical=bool(np.linalg.norm(np.array(g[1:n + 1][::-1]))
+                                < tol_crit),
+        tol_eq=tol_eq,
+        tol_crit=tol_crit,
+    )
+
+
 def obstruction_scan_per_sample(X, F, sampler, m=None, tol_zero=TOL_ZERO,
                                 tol_eq=1e-9, tol_crit=1e-9) -> ScanReport:
-    """``obstruction_scan`` as one :func:`obstruction_at` per sample."""
+    """``obstruction_scan`` as one :func:`draw_per_sample` and one
+    :func:`obstruction_per_sample` per sample."""
     fieldX, system = _field_and_system(X)
     dim = fieldX.dim if hasattr(fieldX, "dim") else F.dim
     if m is None:
@@ -307,10 +386,10 @@ def obstruction_scan_per_sample(X, F, sampler, m=None, tol_zero=TOL_ZERO,
     n_eq = n_crit = n_sing = n_zero = n_nonzero = 0
     min_norm = math.inf
     for idx in range(sampler.count):
-        z = sampler.draw(idx, dim, system)
+        z = draw_per_sample(sampler, idx, dim, system)
         try:
-            samp = obstruction_at(F, fieldX, z, m=m, tol_eq=tol_eq,
-                                  tol_crit=tol_crit)
+            samp = obstruction_per_sample(F, fieldX, z, m=m, tol_eq=tol_eq,
+                                          tol_crit=tol_crit)
         except SingularityError:
             n_sing += 1
             continue

@@ -379,6 +379,59 @@ def test_unknown_keys_are_rejected(tmp_path, capsys):
     assert code == 2 and "towr_order" in err
 
 
+_BUMP = {"dim": 4, "degree": 2, "base": [0.0] * 4,
+         "coeffs": [{"alpha": [2, 0, 0, 0], "c": 0.1}]}
+
+
+@pytest.mark.parametrize("potential, named", [
+    ({"variant": "newtonian", "terms": [[1, -2]]}, "terms"),
+    ({"variant": "power_law", "terms": [[1, -1]], "softening": 0.1},
+     "softening"),
+    ({"variant": "yukawa"}, "yukawa"),
+    ({"terms": [[1, -1]]}, "variant"),
+    ({"variant": "power_law"}, "terms"),
+    ({"variant": "perturbed", "base": {"variant": "newtonian", "x": 1},
+      "bump": _BUMP}, "'x'"),
+    ({"variant": "perturbed", "base": {"variant": "newtonian"},
+      "bump": {**_BUMP, "scale": 2}}, "scale"),
+    ({"variant": "perturbed", "base": {"variant": "newtonian"},
+      "bump": {**_BUMP, "coeffs": [{"alpha": [2, 0, 0, 0], "c": 0.1,
+                                    "d": 1}]}}, "'d'"),
+], ids=["newtonian-terms", "power-law-extra", "unknown-variant",
+        "no-variant", "missing-terms", "base-extra", "bump-extra",
+        "bump-entry-extra"])
+def test_a_potential_block_holds_only_the_keys_of_its_variant(
+        tmp_path, capsys, potential, named):
+    # {"variant": "newtonian", "terms": ...} used to run the 1/r law and exit 0
+    cfg = write_config(tmp_path, "t.json", {
+        "system": {**NBODY2, "potential": potential},
+        "observable": {"kind": "energy"},
+        "point": [0.5, 0.0, -0.5, 0.0, 0.0, 0.3, 0.0, -0.3],
+    })
+    code, out, err = run(capsys, ["tower", cfg])
+    assert code == 2 and named in err and not out, err
+    good = {**NBODY2, "potential": {"variant": "perturbed",
+                                    "base": {"variant": "newtonian"},
+                                    "bump": _BUMP}}
+    cfg = write_config(tmp_path, "good.json", {
+        "system": good, "observable": {"kind": "energy"},
+        "point": [0.5, 0.0, -0.5, 0.0, 0.0, 0.3, 0.0, -0.3]})
+    assert run(capsys, ["tower", cfg])[0] == 0
+
+
+def test_main_twice_in_one_process_gives_the_same_results(tmp_path, capsys):
+    # The argument parser is built once per process and reused by every call.
+    cfg = write_config(tmp_path, "t.json", {
+        "system": OSC, "observable": {"kind": "energy"},
+        "point": [1.0, 0.0], "tower_order": 3})
+    bad = write_config(tmp_path, "bad.json", {"system": OSC})
+    calls = [["tower", cfg], ["tower", bad], ["tower", cfg, "--seed", "x"],
+             ["rank", cfg, "--expect-submersion"], []]
+    first = [run(capsys, argv) for argv in calls]
+    assert [r[0] for r in first] == [0, 2, 2, 0, 2]
+    assert [run(capsys, argv) for argv in calls] == first
+
+
 def test_unknown_system_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, "t.json", {
         "system": {"kind": "pendulum"},

@@ -53,8 +53,10 @@ from saarilab.mech import (
 )
 
 from oracles import (
+    draw_per_sample,
     energy_jet_by_jets,
     field_jet_by_jets,
+    obstruction_per_sample,
     obstruction_scan_per_sample,
     potential_jet_by_jets,
     shift_by_triples,
@@ -305,6 +307,57 @@ def test_sampler_gives_up_when_separation_is_impossible():
         s.draw(0, system.phase_dim, system)
 
 
+def _draw_systems():
+    """N = 2, 3, 4 bodies in d = 2, 3 with unequal masses, and one system
+    without the centre-of-mass frame."""
+    masses = (1.0, 1.3, 0.7, 2.1)
+    systems = [BodySystem(n, d, masses[:n], NewtonianPotential())
+               for n in (2, 3, 4) for d in (2, 3)]
+    return systems + [BodySystem(3, 2, masses[:3], NewtonianPotential(),
+                                 com_fixed=False)]
+
+
+@pytest.mark.parametrize("system", _draw_systems(), ids=lambda s: (
+    f"{s.n_bodies}body-{s.space_dim}d" + ("" if s.com_fixed else "-free")))
+def test_group_draws_equal_the_per_sample_oracle(system):
+    # One call draws the whole group; each sample keeps its own stream, and
+    # at a separation of 0.6 many are rejected and drawn again.
+    s = Sampler(box=(-1.0, 1.0), count=30, seed=23, min_separation=0.6)
+    dim = system.phase_dim
+    want = [draw_per_sample(s, k, dim, system) for k in range(s.count)]
+    got = s.draw_group(range(s.count), dim, system)
+    assert got.shape == (s.count, dim)
+    for k in range(s.count):
+        assert got[k].tobytes() == want[k].tobytes(), k
+        assert s.draw(k, dim, system).tobytes() == want[k].tobytes(), k
+    # any subset, in any order, gives the same rows
+    assert (s.draw_group([7, 3, 29], dim, system).tobytes()
+            == np.array([want[7], want[3], want[29]]).tobytes())
+    assert sum(_draw_by_pair_loop(s, k, system)[1] for k in range(s.count)) > 0
+    plain = s.draw_group(range(s.count), 5)
+    assert plain.tobytes() == np.array(
+        [draw_per_sample(s, k, 5) for k in range(s.count)]).tobytes()
+
+
+def test_a_group_draw_that_runs_out_names_the_lowest_failing_sample():
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    s = Sampler(box=(-1.5, 1.5), count=40, seed=5, min_separation=1.0,
+                max_attempts=2)
+    failing = []
+    for k in range(s.count):
+        try:
+            draw_per_sample(s, k, system.phase_dim, system)
+        except InsufficientSamplesError:
+            failing.append(k)
+    assert 0 < failing[0] and len(failing) > 1
+    message = f"sample {failing[0]}: no collision-free draw in 2 attempts"
+    for indices in (range(s.count), list(range(s.count))[::-1]):
+        with pytest.raises(InsufficientSamplesError, match=message):
+            s.draw_group(indices, system.phase_dim, system)
+    with pytest.raises(InsufficientSamplesError, match=message):
+        obstruction_scan(system, inertia_observable(system), s, m=3)
+
+
 # -- obstruction scans -------------------------------------------------------------------
 
 
@@ -395,9 +448,9 @@ def _scan_cases():
     three = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
     bumped = perturb(PerturbationSpec("potential", 3, 1e-2, 5), two)
 
-    def sampler(count, seed=8):
+    def sampler(count, seed=8, min_separation=0.3):
         return Sampler(box=(-1.5, 1.5), count=count, seed=seed,
-                       min_separation=0.3)
+                       min_separation=min_separation)
 
     def plain_field(z):
         return np.array([z[1], -z[0]])
@@ -421,6 +474,11 @@ def _scan_cases():
         "three-body energy, m = 5": (
             three, energy_observable(three), sampler(4), {"m": 5},
             lambda rep: rep.n_obstruction_zero > 0),
+        "two-body inertia, separation 0.6, one past a group": (
+            two, inertia_observable(two), sampler(26, 10, 0.6), {}, nonzero),
+        "three-body inertia, separation 0.6, m = 4": (
+            three, inertia_observable(three), sampler(7, 10, 0.6), {"m": 4},
+            nonzero),
         "two-body energy under a potential bump, one past a group": (
             bumped, energy_observable(bumped), sampler(26), {},
             lambda rep: rep.n_obstruction_zero > 0),
@@ -461,6 +519,29 @@ def test_grouped_scans_equal_the_per_sample_loop(name):
     want = obstruction_scan_per_sample(X, F, sampler, **keywords)
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
     assert shows(got), got
+
+
+def test_scans_drawn_in_several_blocks_equal_the_per_sample_loop(monkeypatch):
+    # With 100 coordinates per chunk the oscillator scan at m = 3 runs
+    # groups of 5 and draws blocks of 50: three draws for 123 samples, the
+    # last one short, and a group that ends the scan short too.
+    monkeypatch.setattr(genericity, "_CHUNK_ELEMENTS", 100)
+    blocks = []
+    draw_group = Sampler.draw_group
+
+    def counted(self, indices, dim, system=None):
+        blocks.append((indices[0], len(indices)))
+        return draw_group(self, indices, dim, system)
+
+    monkeypatch.setattr(Sampler, "draw_group", counted)
+    F = PolynomialObservable.from_coeffs(2, 3, {(3, 0): 1.0, (0, 1): 0.5})
+    sampler = Sampler(box=(-1.0, 1.0), count=123, seed=4)
+    got = obstruction_scan(oscillator_field(), F, sampler, tol_eq=0.3)
+    assert blocks == [(0, 50), (50, 50), (100, 23)]
+    want = obstruction_scan_per_sample(oscillator_field(), F, sampler,
+                                       tol_eq=0.3)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert 0 < got.n_excluded_equilibrium < got.n_obstruction_nonzero
 
 
 def _oracle_observable(F, z, degree):
@@ -598,16 +679,20 @@ def test_a_group_with_a_singular_sample_equals_the_per_point_towers(field):
     points = [sampler.draw(k, 8, system) for k in range(sampler.count)]
     points[2] = points[2].copy()
     points[2][2:4] = points[2][0:2]  # both bodies at one place
-    got = lie_tower._obstructions(F, X, points, 5, 1e-9, 1e-9)
-    for k, (z, sample) in enumerate(zip(points, got)):
+    values, near_eq, near_crit, singular = lie_tower._obstructions(
+        F, X, points, 5, 1e-9, 1e-9)
+    assert list(singular) == [2]
+    assert isinstance(singular[2], SingularityError)
+    for k, z in enumerate(points):
         if k == 2:
-            assert isinstance(sample, SingularityError)
             with pytest.raises(SingularityError):
                 obstruction_at(F, X, z, 5)
             continue
-        want = obstruction_at(F, X, z, 5)
-        assert sample.psi.values.tobytes() == want.psi.values.tobytes(), k
-        assert sample.to_json_dict() == want.to_json_dict()
+        want = obstruction_per_sample(F, X, z, 5)
+        assert values[:, k].tobytes() == want.psi.values.tobytes(), k
+        assert near_eq[k] == want.is_near_equilibrium
+        assert near_crit[k] == want.is_near_F_critical
+        assert obstruction_at(F, X, z, 5).to_json_dict() == want.to_json_dict()
 
 
 @pytest.mark.parametrize("target", ["observable", "vector_field", "potential"])

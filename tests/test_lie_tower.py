@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from saarilab.errors import (
     CombinabilityError,
+    ConfigError,
     DegreeDeficitError,
     InternalConsistencyError,
 )
@@ -23,6 +24,7 @@ from saarilab.fields import (
     PolynomialObservable,
     coordinate_observable,
     linear1d_field,
+    observable_coeffs,
     oscillator_energy,
     oscillator_field,
     random_polynomial_field,
@@ -50,7 +52,12 @@ from saarilab.mech import (
     inertia_observable,
 )
 
-from oracles import dpsi_wrt_X_fd, dpsi_wrt_X_per_column, lie_derivative_full
+from oracles import (
+    dpsi_wrt_X_fd,
+    dpsi_wrt_X_per_column,
+    lie_derivative_full,
+    obstruction_per_sample,
+)
 
 
 # -- tower values ------------------------------------------------------------------
@@ -221,10 +228,25 @@ def test_jacobians_reject_tower_order_below_one(m):
     z = np.array([1.0, 0.0])
     fj = oscillator_energy().jet(z, 2)
     xf = oscillator_field().jet_field(z, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="tower order"):
         dpsi_wrt_F(xf, m=m)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="tower order"):
         dpsi_wrt_X(fj, xf, m=m)
+
+
+@pytest.mark.parametrize("m", [2.5, True, 3.0, "3", None, 0])
+def test_a_tower_order_must_be_an_integer(m):
+    # Read like the CLI's tower_order: a float, even an integral one, or a
+    # bool is a ConfigError before any jet is built.
+    z = np.array([1.0, 0.0])
+    F, X = oscillator_energy(), oscillator_field()
+    with pytest.raises(ConfigError, match="tower order"):
+        obstruction_at(F, X, z, m)
+    with pytest.raises(ConfigError, match="tower order"):
+        psi_tower(F.jet(z, 3), X.jet_field(z, 2), m)
+    if m is not None:  # a scan's default order
+        with pytest.raises(ConfigError, match="tower order"):
+            obstruction_scan(X, F, Sampler((-1.0, 1.0), 3, 0), m=m)
 
 
 # -- Jacobian with respect to the field --------------------------------------------
@@ -375,6 +397,43 @@ def test_obstruction_cross_check_catches_lying_gradient():
 
     with pytest.raises(InternalConsistencyError):
         obstruction_at(Lying(), oscillator_field(), np.array([1.0, 0.0]), m=2)
+
+
+class _LyingAt:
+    """``F = q`` with analytic jets for a group at once, whose gradient is
+    off by ``delta`` at the single point ``at``."""
+
+    dim = 2
+
+    def __init__(self, at, delta=5.0):
+        self.at, self.delta = at, delta
+        self.poly = coordinate_observable(2, 0)
+
+    def __call__(self, z):
+        return float(z[0])
+
+    def jet_coeffs(self, points, degree):
+        return observable_coeffs(self.poly, points, degree)
+
+    def grad(self, z):
+        return self.poly.grad(z) + (self.delta if np.array_equal(z, self.at) else 0.0)
+
+
+@pytest.mark.parametrize("k", [0, 13, 19])
+def test_a_lying_gradient_is_caught_inside_a_group(k):
+    # A scan of 20 oscillator samples at m = 2 is one group, cross-checked on
+    # the group's arrays: a gradient off at one sample still raises, and
+    # names that sample's first entry, p.
+    sampler = Sampler(box=(-1.0, 1.0), count=20, seed=3)
+    points = sampler.draw_group(range(20), 2)
+    X = oscillator_field()
+    obstruction_scan(X, _LyingAt(points[k], 0.0), sampler, m=2)
+    with pytest.raises(InternalConsistencyError,
+                       match=f"first tower entry {float(points[k][1])!r} disagrees"):
+        obstruction_scan(X, _LyingAt(points[k]), sampler, m=2)
+    with pytest.raises(InternalConsistencyError):
+        lie_tower._obstructions(_LyingAt(points[k], 1e-9), X, points, 2,
+                                1e-9, 1e-9)
 
 
 def test_obstruction_sample_serializes():
@@ -582,12 +641,15 @@ def test_a_group_s_towers_equal_each_sample_s_tower():
     # masks and the highest of its top orders; every sample keeps the bits
     # of its own tower, flags and all.
     for F, X, points, m in _group_cases():
-        group = lie_tower._obstructions(F, X, points, m, 1e-9, 1e-9)
-        assert len(group) == len(points)
-        for z, got in zip(points, group):
-            want = obstruction_at(F, X, z, m)
-            assert got.psi.values.tobytes() == want.psi.values.tobytes(), (F, z)
-            assert got.to_json_dict() == want.to_json_dict()
+        values, near_eq, near_crit, singular = lie_tower._obstructions(
+            F, X, points, m, 1e-9, 1e-9)
+        assert values.shape == (m, len(points)) and not singular
+        for k, z in enumerate(points):
+            want = obstruction_per_sample(F, X, z, m)
+            assert values[:, k].tobytes() == want.psi.values.tobytes(), (F, z)
+            assert near_eq[k] == want.is_near_equilibrium
+            assert near_crit[k] == want.is_near_F_critical
+            assert obstruction_at(F, X, z, m).to_json_dict() == want.to_json_dict()
 
 
 def test_an_overflowing_intermediate_still_raises():
@@ -625,8 +687,8 @@ def test_an_overflowing_intermediate_still_raises():
             assert any(sampler.draw(i, 2)[0] > 0 for i in range(6))
             with pytest.raises(ValueError, match=finite):
                 obstruction_scan(h, h, sampler, m=3)
-            for samp in lie_tower._obstructions(h, h, points[::2], 3, 1e-9, 1e-9):
-                assert np.isfinite(samp.psi.values).all()
+            values, *_ = lie_tower._obstructions(h, h, points[::2], 3, 1e-9, 1e-9)
+            assert np.isfinite(values).all()
 
 
 class _Overflowing:
@@ -655,7 +717,7 @@ class _Overflowing:
 
 
 @pytest.mark.parametrize("masses, observable, m, built_per_sample", [
-    ((1.0, 1.0), inertia_observable, 5, 1),
+    ((1.0, 1.0), inertia_observable, 5, 0),
     ((1.0, 1.3, 0.7), energy_observable, 7, 0),
     ((1.0, 1.0), energy_observable, 5, 0)])
 def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
@@ -663,11 +725,13 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
                                                 built_per_sample):
     # Counts validated jets, not time.  Products, powers, Lie derivatives
     # and a sample's observable and field jets keep their intermediates as
-    # arrays, the sample's column of its group's stacks, so a sample
-    # validates only the jet of its <grad F, X> cross-check: the inertia's
-    # gradient (the energy's is closed-form).  Building a jet per operation
-    # made 192 and 526 per sample here, one jet per field component and
-    # observable 32 and 70, and a 20-sample two-body inertia scan 300.
+    # arrays, the sample's column of its group's stacks, and the <grad F, X>
+    # cross-check takes the inertia's gradients from one degree-1 shift of
+    # the group's stack (the energy's is closed-form), so a sample
+    # validates no jet.  Building a jet per operation made 192 and 526 per
+    # sample here, one jet per field component and observable 32 and 70, a
+    # 20-sample two-body inertia scan 300, and a validated gradient jet per
+    # sample 20.
     system = BodySystem(len(masses), 2, masses, NewtonianPotential())
     field, F = build_hamiltonian_field(system), observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=20, seed=1, min_separation=0.3)

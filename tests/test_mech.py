@@ -179,8 +179,10 @@ def test_potential_serialization_roundtrip():
         system2 = two_body(back)
         assert potential_value(system2, q) == pytest.approx(
             potential_value(system, q), rel=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="variant"):
         potential_from_json({"variant": "yukawa"})
+    with pytest.raises(ConfigError, match="terms"):
+        potential_from_json({"variant": "newtonian", "terms": [[1, -2]]})
 
 
 def test_system_serialization_roundtrip():
