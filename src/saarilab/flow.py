@@ -23,7 +23,6 @@ of the jet machinery so the two can check each other.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,7 @@ from .mech import (
 __all__ = [
     "MIN_SEPARATION",
     "STEP_UNDERFLOW",
+    "MAX_FIXED_STEPS",
     "IntegratorConfig",
     "Trajectory",
     "integrate",
@@ -66,6 +66,10 @@ MIN_SEPARATION = 1e-6
 #: Adaptive steps below this count as underflow.
 STEP_UNDERFLOW = 1e-14
 
+#: Most steps a fixed-step run may take.  Its times and states are
+#: allocated before the first step: 10**7 planar 3-body states are 1 GB.
+MAX_FIXED_STEPS = 10 ** 7
+
 _METHODS = ("stormer_verlet", "rk4", "dop853")
 
 
@@ -76,8 +80,8 @@ class IntegratorConfig:
     ``step`` is the fixed step size for ``stormer_verlet`` / ``rk4`` and the
     ``(rtol, atol)`` pair for ``dop853``.  Steps, tolerances and
     ``max_time`` must be finite positive numbers (a bool is not one), and a
-    fixed step must cover ``max_time`` in fewer steps than an array can
-    index, else :class:`ConfigError`; they are stored as floats.
+    fixed step must cover ``max_time`` in at most :data:`MAX_FIXED_STEPS`
+    steps, else :class:`ConfigError`; they are stored as floats.
     """
 
     method: str = "dop853"
@@ -101,10 +105,9 @@ class IntegratorConfig:
             step = _finite(self.step, "fixed step", 0.0, strict=True)
             if step < STEP_UNDERFLOW:
                 raise ConfigError(f"step {step} underflows {STEP_UNDERFLOW}")
-            # times and states hold one row per step plus the start
-            if _fixed_steps(step, max_time)[0] + 1 > sys.maxsize:
-                raise ConfigError(f"max_time {max_time:g} takes more steps of "
-                                  f"{step:g} than an array can index")
+            if max_time / step > MAX_FIXED_STEPS:
+                raise ConfigError(f"max_time {max_time:g} takes more than "
+                                  f"{MAX_FIXED_STEPS} steps of {step:g}")
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "max_time", max_time)
 

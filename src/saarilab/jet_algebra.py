@@ -138,8 +138,8 @@ class _JetSpace:
     holds them.
 
     Most N-body jets use few of the variables: a component ``p_c / m_c`` of
-    the Hamiltonian field uses one momentum, ``-dV/dq`` the configuration
-    only, and a pair's ``r^2`` four planar coordinates.  For such a factor
+    the Hamiltonian field uses one momentum, and ``-dV/dq`` the
+    configuration only.  For such a factor
     :meth:`triples_within` gives the triples whose j-row, and if asked also
     whose i-row, uses only the variables of a bitmask.  It ranks the sums of
     the rows inside the mask directly, so the full triples are never built

@@ -17,7 +17,14 @@ Conventions (gravitational constant G = 1 throughout):
 
 Potential jets are exact: the squared pair distance is an explicit quadratic
 jet and fractional powers go through the truncated binomial series, so the
-Hamiltonian field exposes analytic jets to any degree.
+Hamiltonian field exposes analytic jets to any degree.  Each pair's term is
+a series in its relative coordinates ``d = q_i - q_j``, on the small
+``(space_dim, degree)`` table, then scattered into the configuration table:
+with ``d = delta_i - delta_j``, the coefficient of ``delta_i^a delta_j^b``
+is that of ``d^(a+b)`` times ``prod_c C(a_c + b_c, a_c) * (-1)^|b|``, an
+integer exact in a float, and rows of one body sum their pairs from +0 in
+pair order.  All products are elementwise or per column, so a stack of
+samples keeps each column's bits.
 """
 
 from __future__ import annotations
@@ -341,9 +348,10 @@ class _PairPlan:
     """A system's pair geometry and pair-force coefficients, built once per
     system (``BodySystem._pair_plan``).
 
-    ``pairs`` are the body pairs ``i < j`` in lexicographic order, and ``I``,
-    ``J`` index their bodies.  ``force`` holds per pair ``i``, ``j``, the flat
-    coordinate index pairs ``(i*D + c, j*D + c)`` and ``-m_i m_j``;
+    ``pairs`` are the body pairs ``i < j`` in lexicographic order, ``I``,
+    ``J`` index their bodies and ``scale`` holds their ``-m_i m_j``.
+    ``force`` holds per pair ``i``, ``j``, the flat coordinate index pairs
+    ``(i*D + c, j*D + c)`` and ``-m_i m_j``;
     ``terms`` holds ``(beta*alpha, alpha - 1)`` per power-law term, and
     ``bumps`` the polynomial bumps, outermost first.
     """
@@ -353,6 +361,7 @@ class _PairPlan:
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.I, self.J = (np.array(k, dtype=np.intp) for k in zip(*self.pairs))
         m = system.masses.tolist()
+        self.scale = np.array([-m[i] * m[j] for i, j in self.pairs])
         self.force = tuple(
             (i, j, tuple((i * dim + c, j * dim + c) for c in range(dim)),
              -m[i] * m[j])
@@ -508,33 +517,61 @@ def _quadratic_positions(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def _each_sample(fn, x: np.ndarray):
     """``fn`` of one sample's 1-D array: of ``x`` itself, or of each column
     of a sample-minor stack, made contiguous.  For the reductions
-    (``@``, ``np.sum``) whose summation order numpy picks by layout, so a
-    stack keeps each sample's bits."""
+    (``np.sum``) whose summation order numpy picks by layout, so a stack
+    keeps each sample's bits."""
     if x.ndim == 1:
         return fn(x)
     return np.array([fn(col) for col in np.ascontiguousarray(x.T)])
 
 
-def _pair_r2(system: BodySystem, q: np.ndarray, i: int, j: int,
-             degree: int) -> np.ndarray:
-    """Exact jet coefficients of ``|q_i - q_j|^2`` in the configuration
-    variables, about one flat configuration ``q`` ``(coord_dim,)`` or each
-    column of a sample-minor stack ``(coord_dim, S)``."""
-    nc = system.coord_dim
-    lin, quad = _quadratic_positions(nc)
-    a = i * system.space_dim + np.arange(system.space_dim)
-    b = j * system.space_dim + np.arange(system.space_dim)
-    d = q[a] - q[b]
-    c = np.zeros((table_size(nc, degree),) + q.shape[1:])
-    c[0] = _each_sample(lambda e: e @ e, d)
+def _pair_series(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
+    """Each pair's term ``-m_i m_j f(|d|)`` of ``V`` about each column of a
+    sample-minor stack ``q`` ``(coord_dim, S)``, in its relative coordinates
+    ``d = q_i - q_j``: ``(table_size(space_dim, degree), pairs, S)``.  Every
+    pair and sample is a column of one stacked ``_pow`` per power-law term,
+    and ``|d|^2`` is summed in coordinate order."""
+    plan = system._pair_plan
+    q = q.reshape(system.n_bodies, system.space_dim, -1)
+    d = q[plan.I] - q[plan.J]
+    lin, quad = _quadratic_positions(system.space_dim)
+    sp = _space(system.space_dim, degree)
+    r2 = np.zeros((sp.size, d.shape[0], d.shape[2]))
+    r2[0] = d[:, 0] * d[:, 0]
+    for c in range(1, system.space_dim):
+        r2[0] += d[:, c] * d[:, c]
     if degree >= 1:
-        c[lin[a]] = 2.0 * d
-        c[lin[b]] = -2.0 * d
+        r2[lin] = 2.0 * d.swapaxes(0, 1)
     if degree >= 2:
-        c[quad[a, a]] = 1.0
-        c[quad[b, b]] = 1.0
-        c[quad[a, b]] = -2.0
-    return c
+        r2[quad.diagonal()] = 1.0
+    g = 0.0
+    for beta, alpha in _pair_terms(system.potential):
+        g = g + beta * _pow(sp, r2.reshape(sp.size, -1), alpha / 2.0)
+    return g.reshape(r2.shape) * plan.scale[:, None]
+
+
+@lru_cache(maxsize=None)
+def _pair_scatter(n_bodies: int, space_dim: int, degree: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, src, weight)``: ``V``'s configuration table of one sample is
+    ``bincount(rows, weight * g[src])``, with ``g`` the sample's
+    :func:`_pair_series` flattened row-major; the entries run pair-major,
+    rows ascending (see the module notes)."""
+    pairs = [(i, j) for i in range(n_bodies) for j in range(i + 1, n_bodies)]
+    exps = _space(n_bodies * space_dim, degree).exps
+    rows, src, weight = [], [], []
+    for p, (i, j) in enumerate(pairs):
+        a = exps[:, i * space_dim:(i + 1) * space_dim]
+        b = exps[:, j * space_dim:(j + 1) * space_dim]
+        at = np.flatnonzero(a.sum(axis=1) + b.sum(axis=1) == exps.sum(axis=1))
+        a, b = a[at], b[at]
+        rows.append(at)
+        src.append(_space(space_dim, degree).rank(a + b) * len(pairs) + p)
+        weight.append(np.prod(np.vectorize(math.comb, otypes=[float])(
+            a + b, a), axis=1) * (1.0 - 2.0 * (b.sum(axis=1) % 2)))
+    out = tuple(map(np.concatenate, (rows, src, weight)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 #: The last ``(system, degree, q shape and bytes, coefficients)``: an
@@ -549,10 +586,11 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
     sample-minor stack ``(coord_dim, S)``; the previous call's (read-only)
     array if it had this system, degree and ``q``.
 
-    A stack runs each pair's ``r^2`` and its powers once for all columns,
-    on the stacked :func:`~saarilab.jet_algebra._pow`; the scales and sums
-    are elementwise, and each bump is shifted by its stacked
-    ``jet_coeffs``, so each column is bitwise equal to its one-point jet.
+    The pair-coordinate route of the module notes: one
+    :func:`_pair_series` stack for every pair and sample, scattered by one
+    ``bincount`` that offsets a stack's rows as
+    :func:`~saarilab.jet_algebra._mul` does, plus each bump's stacked
+    ``jet_coeffs``; so each column is bitwise equal to its one-point jet.
     """
     global _last_potential
     key = (q.shape, q.tobytes())
@@ -560,17 +598,14 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
     if last[0] is system and last[1] == degree and last[2] == key:
         return last[3]
     _check_collisions(system, pair_distances(system, q.T))
-    terms = _pair_terms(system.potential)
-    m = system.masses
-    sp = _space(system.coord_dim, degree)
-    out = np.zeros((sp.size,) + q.shape[1:])
-    for i, j in system.pairs():
-        r2 = _pair_r2(system, q, i, j, degree)
-        pair_f = None
-        for beta, alpha in terms:
-            t = beta * _pow(sp, r2, alpha / 2.0)
-            pair_f = t if pair_f is None else pair_f + t
-        out += -m[i] * m[j] * pair_f
+    size = table_size(system.coord_dim, degree)
+    rows, src, weight = _pair_scatter(system.n_bodies, system.space_dim, degree)
+    stack = q.reshape(len(q), -1)
+    s = stack.shape[1]
+    p = weight[:, None] * _pair_series(system, stack, degree).reshape(-1, s)[src]
+    at = (rows * s)[:, None] + np.arange(s)
+    out = np.bincount(at.ravel(), p.ravel(), size * s).reshape(
+        (size,) + q.shape[1:])
     for bump in _bumps(system.potential):
         out += bump.jet_coeffs(q, degree)
     out.flags.writeable = False
@@ -579,9 +614,10 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
 
 
 def potential_config_jet(system: BodySystem, q, degree: int) -> TruncatedJet:
-    """Exact Taylor jet of ``V`` about ``q`` in the configuration variables:
-    the one-point case of :func:`_potential`, whose coefficients it shares
-    with the previous call if that had this system, degree and ``q``."""
+    """Exact Taylor jet of ``V`` about ``q`` in the configuration variables,
+    by pair-coordinate series (see the module notes): the one-point case of
+    :func:`_potential`, whose coefficients it shares with the previous call
+    if that had this system, degree and ``q``."""
     q = _bodies(system, q).ravel()
     return TruncatedJet(system.coord_dim, degree, q, _potential(system, q, degree))
 

@@ -11,6 +11,9 @@ for bit.  ``potential_jet_by_jets``, ``field_jet_by_jets`` and
 ``energy_jet_by_jets`` build the N-body jets one validated jet per
 operation, where the library sums coefficient arrays into one jet per
 result; their bytes, signed zeros included, must be equal.
+``potential_full_table`` is the potential's route before the pair
+coordinates, each pair's series on the whole configuration table; the
+library must agree with it to roundoff.
 ``grad_potential_by_pairs`` is the N-body force as first written, one numpy
 difference vector per pair, where the library runs one pass over the
 system's cached pair plan in Python floats; their bytes must be equal.
@@ -169,8 +172,11 @@ def pair_r2_jet(system, q2d, i: int, j: int, degree: int) -> TruncatedJet:
     return TruncatedJet(nc, degree, q2d.ravel(), c)
 
 
-def potential_jet_by_jets(system, q, degree: int) -> TruncatedJet:
-    """``potential_config_jet`` with a jet for every power, scale and sum."""
+def potential_full_table(system, q, degree: int) -> TruncatedJet:
+    """``potential_config_jet`` by the route it first took, the accuracy
+    oracle of the pair-coordinate route: each pair's ``r^2`` placed on the
+    whole ``(coord_dim, degree)`` table by :func:`pair_r2_jet`, its binomial
+    series there by :func:`jet_pow`, and a jet for every scale and sum."""
     q2d = _bodies(system, q)
     _check_collisions(system, pair_distances(system, q2d))
     terms = _pair_terms(system.potential)
@@ -186,6 +192,47 @@ def potential_jet_by_jets(system, q, degree: int) -> TruncatedJet:
     for bump in _bumps(system.potential):
         out = jet_add(out, bump.jet(q2d.ravel(), degree))
     return out
+
+
+def potential_jet_by_jets(system, q, degree: int) -> TruncatedJet:
+    """``potential_config_jet`` with a jet for every pair power, scale and
+    sum in the pair's relative coordinates ``d = q_i - q_j``, and the
+    substitution ``d = delta_i - delta_j`` expanded coefficient by
+    coefficient: ``delta_i^a delta_j^b`` takes the pair's ``d^(a+b)``
+    coefficient times ``prod_c C(a_c + b_c, a_c) * (-1)^|b|``, pair after
+    pair, in Python."""
+    q2d = _bodies(system, q)
+    _check_collisions(system, pair_distances(system, q2d))
+    terms = _pair_terms(system.potential)
+    m = system.masses
+    sd = system.space_dim
+    lin, quad = _quadratic_positions(sd)
+    exps = _space(system.coord_dim, degree).exps.tolist()
+    out = np.zeros(len(exps))
+    for i, j in system.pairs():
+        d = q2d[i] - q2d[j]
+        c = np.zeros(_space(sd, degree).size)
+        c[0] = sum(x * x for x in d.tolist())
+        if degree >= 1:
+            c[lin] = 2.0 * d
+        if degree >= 2:
+            c[quad.diagonal()] = 1.0
+        r2 = TruncatedJet(sd, degree, d, c)
+        pair_f = None
+        for beta, alpha in terms:
+            t = jet_scale(jet_pow(r2, alpha / 2.0), beta)
+            pair_f = t if pair_f is None else jet_add(pair_f, t)
+        g = jet_scale(pair_f, -m[i] * m[j])
+        for t, row in enumerate(exps):
+            a, b = row[i * sd:(i + 1) * sd], row[j * sd:(j + 1) * sd]
+            if sum(a) + sum(b) == sum(row):
+                weight = math.prod(math.comb(x + y, x) for x, y in zip(a, b))
+                out[t] += (-1) ** sum(b) * weight * g.coeff(
+                    [x + y for x, y in zip(a, b)])
+    jet = TruncatedJet(system.coord_dim, degree, q2d.ravel(), out)
+    for bump in _bumps(system.potential):
+        jet = jet_add(jet, bump.jet(q2d.ravel(), degree))
+    return jet
 
 
 def field_jet_by_jets(field, z, degree: int) -> JetField:

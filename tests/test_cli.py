@@ -673,6 +673,10 @@ _COERCED = [
     ("classify", _CLASSIFIED, ("tolerances", "margin"), math.nan, "margin"),
     ("simulate", _SIMULATED, ("integrator", "max_time"), 1e300,
      "max_time"),
+    ("simulate", _SIMULATED, ("integrator", "max_time"), 1e15, "max_time"),
+    ("simulate", dict(_SIMULATED, integrator={
+        "method": "rk4", "step": 1e-13, "max_time": 1e300}),
+     ("integrator", "step"), 1e-13, "max_time"),
 ]
 
 
@@ -682,8 +686,8 @@ def test_values_a_cast_would_coerce_are_config_errors(tmp_path, capsys,
                                                       command, base, path,
                                                       value, key):
     # No value is truncated, read from a bool or a string, or accepted as
-    # NaN, and a fixed step count must fit an array index: each is exit 2
-    # naming its key, before any report.
+    # NaN, and a fixed step count must be at most MAX_FIXED_STEPS, also one
+    # past float range: each is exit 2 naming its key, before any report.
     cfg = json.loads(json.dumps(base))
     block = cfg
     for k in path[:-1]:

@@ -497,8 +497,23 @@ print(json.dumps({
 }))
 """
 
-#: The towers as the full-table, full-order route computed them, bit for bit.
+#: The towers, bit for bit.
 _THREE_BODY_M9_PSI = {
+    "inertia": [
+        "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ap+0",
+        "0x1.6e238aa0d0243p+4", "0x1.321892275f36ep+1", "0x1.2049b1bc29926p+7",
+        "0x1.5997b631183a9p+11", "0x1.496c0955f7bffp+13", "-0x1.97148853b4249p+17",
+    ],
+    "energy": [
+        "-0x1.0000000000000p-54", "0x1.559315cf87a9ep-53", "0x1.960ff72403aa7p-49",
+        "-0x1.a2f14e913509dp-47", "-0x1.5bffd1b91d79fp-44", "-0x1.b62ff34867cf0p-42",
+        "-0x1.a77afa7433d5bp-39", "0x1.51ca4d8faf08ep-31", "-0x1.136cde2f99a02p-24",
+    ],
+}
+
+#: The towers as they were with each pair's potential series on the whole
+#: configuration table, the route the pair-coordinate series replaced.
+_THREE_BODY_M9_PSI_FULL_TABLE = {
     "inertia": [
         "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ep+0",
         "0x1.6e238aa0d0243p+4", "0x1.321892275f46ep+1", "0x1.2049b1bc298f9p+7",
@@ -524,6 +539,16 @@ def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["psi"] == _THREE_BODY_M9_PSI
+    # The potential's summation order moved the last bits: the inertia
+    # tower stays within 1e-12 relative of the replaced route's, and the
+    # energy tower, roundoff of a conserved quantity, within 1e-12 of the
+    # largest inertia entry.
+    new, old = ({name: np.array([float.fromhex(v) for v in values])
+                 for name, values in psi.items()}
+                for psi in (_THREE_BODY_M9_PSI, _THREE_BODY_M9_PSI_FULL_TABLE))
+    np.testing.assert_allclose(new["inertia"], old["inertia"], rtol=1e-12,
+                               atol=0.0)
+    assert np.abs(new["energy"]).max() <= 1e-12 * np.abs(new["inertia"]).max()
     assert not got["full"]
     assert got["restricted"] < 3_000_000
     assert got["peak_mb"] <= 512
@@ -737,44 +762,51 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
     sampler = Sampler(box=(-1.5, 1.5), count=20, seed=1, min_separation=0.3)
     obstruction_at(F, field, sampler.draw(0, system.phase_dim, system), m)
     z = sampler.draw(1, system.phase_dim, system)
-    built, r2_stacks = [], []
-    validate, pair_r2 = TruncatedJet.__post_init__, mech._pair_r2
+    built, pair_stacks = [], []
+    validate, pair_series = TruncatedJet.__post_init__, mech._pair_series
 
     def counted(jet):
         built.append(jet.degree)
         validate(jet)
 
-    def counted_r2(system, q, *args):
-        r2_stacks.append(q.shape[1:])
-        return pair_r2(system, q, *args)
+    def counted_pairs(system, q, degree):
+        out = pair_series(system, q, degree)
+        pair_stacks.append(out.shape[1:])
+        return out
 
     monkeypatch.setattr(TruncatedJet, "__post_init__", counted)
-    monkeypatch.setattr(mech, "_pair_r2", counted_r2)
+    monkeypatch.setattr(mech, "_pair_series", counted_pairs)
     sample = obstruction_at(F, field, z, m)
     assert len(built) == built_per_sample
     assert np.isfinite(sample.psi.values).all()
     # A grouped scan: the field and an energy observable share one
-    # potential stack per group, so each pair's r^2 is built once per group,
-    # on the group's stack (groups of 20 at two-body m = 5, of one at
-    # three-body m = 7).
+    # potential stack per group, so one pair stack, every pair for every
+    # sample of the group, is built per group (groups of 20 at two-body
+    # m = 5, of one at three-body m = 7).
     built.clear()
-    r2_stacks.clear()
+    pair_stacks.clear()
     rep = obstruction_scan(system, F, sampler, m=m)
     monkeypatch.undo()
     assert rep.n_obstruction_nonzero + rep.n_obstruction_zero == sampler.count
     assert len(built) == built_per_sample * sampler.count <= 3 * sampler.count
-    stacks = [(20,)] if system.n_bodies == 2 else [()] * 20
-    assert r2_stacks == [s for s in stacks for _ in system.pairs()]
+    pairs = len(system.pairs())
+    assert pair_stacks == ([(pairs, 20)] if system.n_bodies == 2
+                           else [(pairs, 1)] * 20)
 
 
 @pytest.mark.parametrize("observable, gathered", [
-    (inertia_observable, 153_975), (energy_observable, 424_803)])
+    (inertia_observable, 60_600), (energy_observable, 331_428)])
 def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
         monkeypatch, observable, gathered):
-    # Counts the triples _mul gathers, not time.  The inertia is quadratic
-    # in q and constant in p, and the energy quadratic in p, so the first
-    # Lie steps multiply partials of order 0 or 1; with every component
-    # multiplied at full order both towers gathered 1 430 295.
+    # Counts the triples _mul gathers, once per column of a stacked
+    # product, not time.  The inertia is quadratic in q and constant in p,
+    # and the energy quadratic in p, so the first Lie steps multiply
+    # partials of order 0 or 1; with every component multiplied at full
+    # order both towers gathered 1 430 295.  The potential's series gather
+    # 6 930: seven products on the (2, 7) pair table, 330 triples each for
+    # the three pairs' columns at once, where each pair's series on the
+    # (6, 7) configuration table gathered 100 305 (153 975 and 424 803 in
+    # all).
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
     field, F = build_hamiltonian_field(system), observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
@@ -785,7 +817,7 @@ def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
 
     def counted(sp, a, b, mask=None, both=False):
         tri_i = (sp.triples if mask is None else sp.triples_within(mask, both))[0]
-        counts.append(int(np.count_nonzero(tri_i < a.size)))
+        counts.append(int(np.count_nonzero(tri_i < len(a))) * a[0].size)
         return mul(sp, a, b, mask, both)
 
     monkeypatch.setattr(jet_algebra, "_mul", counted)

@@ -15,6 +15,7 @@ from saarilab.fields import (
 from saarilab.genericity import PerturbationSpec, Sampler, obstruction_scan, perturb
 from saarilab.jet_algebra import (
     TruncatedJet,
+    _space,
     embed_jet,
     jet_add,
     jet_eval,
@@ -53,13 +54,14 @@ from saarilab.mech import (
     releq_trajectory,
 )
 from saarilab import mech
-from saarilab.mech import _pair_r2
 
 from oracles import (
     energy_jet_by_jets,
     field_jet_by_jets,
     grad_potential_by_pairs,
     jet_pow_full,
+    pair_r2_jet,
+    potential_full_table,
     potential_jet_by_jets,
 )
 
@@ -357,12 +359,6 @@ def _unit(n, *at):
     return tuple(e)
 
 
-def _pair_r2_jet(system, q2d, i, j, degree):
-    """The library's r^2 coefficients about one configuration, as a jet."""
-    q = q2d.ravel()
-    return TruncatedJet(system.coord_dim, degree, q, _pair_r2(system, q, i, j, degree))
-
-
 def _dict_r2_jet(system, q2d, i, j, degree):
     """The route the r^2 jet took before: a multi-index dict, from_coeffs."""
     nc, sd = system.coord_dim, system.space_dim
@@ -411,7 +407,7 @@ def test_pair_r2_powers_equal_the_full_product_series(degree):
                    BodySystem(2, 3, (0.8, 1.1), NewtonianPotential())):
         q2d = rng.uniform(-1.5, 1.5, (system.n_bodies, system.space_dim))
         for i, j in system.pairs():
-            r2 = _pair_r2_jet(system, q2d, i, j, degree)
+            r2 = pair_r2_jet(system, q2d, i, j, degree)
             for exponent in (-0.5, -1.5, 1.0, 2.5):
                 assert (jet_pow(r2, exponent).coeffs.tobytes()
                         == jet_pow_full(r2, exponent).coeffs.tobytes()), exponent
@@ -428,7 +424,7 @@ def test_sample_jets_equal_the_multi_index_route():
             z = rng.uniform(-1.5, 1.5, system.phase_dim)
             q2d = z[:nc].reshape(system.n_bodies, system.space_dim)
             for i, j in system.pairs():
-                assert (_pair_r2_jet(system, q2d, i, j, degree).coeffs.tobytes()
+                assert (pair_r2_jet(system, q2d, i, j, degree).coeffs.tobytes()
                         == _dict_r2_jet(system, q2d, i, j, degree).coeffs.tobytes())
             comps, kin = _dict_kinetic_jets(system, z, degree)
             got = field.jet_field(z, degree).components[:nc]
@@ -453,6 +449,26 @@ def _jet_systems():
         "3-body power law and bump": perturb(
             PerturbationSpec("potential", 2, 1e-2, 19), planar3, trial=0),
     }
+
+
+def _accuracy_systems():
+    return dict(_jet_systems(), **{"planar 4-body": BodySystem(
+        4, 2, (1.0, 1.3, 0.7, 0.9), NewtonianPotential())})
+
+
+@pytest.mark.parametrize("name", list(_accuracy_systems()))
+def test_potential_agrees_with_the_full_table_route(name):
+    # The pair-coordinate route sums in another order than each pair's
+    # series on the whole configuration table, so bits move; coefficients
+    # stay within 1e-13 of the largest, at the theory's degrees too.
+    system = _accuracy_systems()[name]
+    sampler = Sampler(box=(-1.5, 1.5), count=7, seed=37, min_separation=0.3)
+    nc = system.coord_dim
+    for k, degree in enumerate((0, 1, 2, 5, 7, 9, 10)):
+        q = sampler.draw(k, system.phase_dim, system)[:nc]
+        got = potential_config_jet(system, q, degree).coeffs
+        want = potential_full_table(system, q, degree).coeffs
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), degree
 
 
 @pytest.mark.parametrize("name", list(_jet_systems()))
@@ -480,21 +496,23 @@ def test_field_jets_equal_the_jet_by_jet_route(name):
 def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
     # The energy observable and the field both need the potential jet at the
     # sample's q and the tower order; the second asks for the jet the first
-    # built, so each pair's r^2 jet is built once per sample, not twice.
+    # built, so one pair stack, holding every pair, is built per sample.
     system = three_body((1.0, 1.3, 0.7))
     field, energy = HamiltonianField(system), EnergyObservable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=3, seed=31, min_separation=0.3)
+    pair_series = mech._pair_series
     calls = []
 
-    def counted(*args):
-        calls.append(args[2:4])
-        return _pair_r2(*args)
+    def counted(system, q, degree):
+        out = pair_series(system, q, degree)
+        calls.append((q.shape[1:], out.shape[1:], degree))
+        return out
 
-    monkeypatch.setattr(mech, "_pair_r2", counted)
+    monkeypatch.setattr(mech, "_pair_series", counted)
     for k in range(sampler.count):
         calls.clear()
         obstruction_at(energy, field, sampler.draw(k, 12, system), m=4)
-        assert sorted(calls) == system.pairs()
+        assert calls == [((1,), (3, 1), 4)]
     z = sampler.draw(0, 12, system)
     assert potential_config_jet(system, z[:6], 4).coeffs is potential_config_jet(
         system, z[:6].copy(), 4).coeffs
@@ -511,20 +529,36 @@ def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
 def test_an_energy_group_builds_its_potential_stack_once(monkeypatch):
     # A scan builds a group's jets as stacks, the energy's and then the
     # field's, so the field finds the potential stack the energy built:
-    # five samples in one group of twelve at (12, 4) build each pair's r^2
-    # once, for all five, where one jet per sample built five.
+    # five samples in one group of twelve at (12, 4) build one pair stack,
+    # every pair for all five, where one jet per sample built five.
     system = three_body((1.0, 1.3, 0.7))
     sampler = Sampler(box=(-1.5, 1.5), count=5, seed=31, min_separation=0.3)
+    pair_series = mech._pair_series
     widths = []
 
-    def counted(*args):
-        widths.append((args[2:4], args[1].shape[1:]))
-        return _pair_r2(*args)
+    def counted(system, q, degree):
+        out = pair_series(system, q, degree)
+        widths.append((q.shape[1:], out.shape[1:]))
+        return out
 
-    monkeypatch.setattr(mech, "_pair_r2", counted)
+    monkeypatch.setattr(mech, "_pair_series", counted)
     rep = obstruction_scan(system, EnergyObservable(system), sampler, m=4)
     assert rep.n_samples == 5 and rep.n_excluded_singular == 0
-    assert sorted(widths) == [(pair, (5,)) for pair in system.pairs()]
+    assert widths == [((5,), (3, 5))]
+
+
+def test_a_three_body_energy_sample_makes_no_configuration_products():
+    # The potential's series run in each pair's relative coordinates, so
+    # the (6, 7) configuration table of a planar 3-body energy sample at
+    # m = 7 serves its layout, derivatives and scatter only: no product
+    # there builds triples, full or restricted.
+    _space.cache_clear()
+    system = three_body((1.0, 1.3, 0.7))
+    z = Sampler(box=(-1.5, 1.5), count=1, seed=3,
+                min_separation=0.3).draw(0, 12, system)
+    obstruction_at(EnergyObservable(system), HamiltonianField(system), z, m=7)
+    sp = _space(6, 7)
+    assert "triples" not in vars(sp) and sp._within == {}
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
