@@ -11,12 +11,15 @@ a small duck-typed protocol:
 
 A handle may also build its jets as plain coefficient arrays, for one point
 or for a group of points at once: ``jet_coeffs(points, degree)`` for an
-observable, ``field_coeffs(points, degree)`` (one array per component) for a
-field.  ``points`` is one point of shape ``(dim,)``, giving arrays of shape
-``(size,)``, or a sample-minor stack ``(dim, S)``, giving ``(size, S)``
-with one column per point, the layout of
-:func:`~saarilab.jet_algebra._mul` and the tower chain.  ``jet`` and
-``jet_field`` are their one-point case, and validate one jet per result.
+observable, ``field_coeffs(points, degree)`` for a field.  ``points`` is one
+point of shape ``(dim,)``, giving arrays of shape ``(size,)``, or a
+sample-minor stack ``(dim, S)``, giving ``(size, S)`` with one column per
+point, the layout of :func:`~saarilab.jet_algebra._mul` and the tower
+chain.  ``field_coeffs`` gives one ``(mask, coeffs)`` pair per component:
+``mask=None`` for the whole table, or the bitmask of the variables the
+component uses and ``coeffs`` on that mask's table
+(:class:`~saarilab.jet_algebra._JetSpace`).  ``jet`` and ``jet_field`` are
+their one-point case on whole tables, and validate one jet per result.
 A stack runs the one-point arithmetic in the one-point order on every
 column: sums and products are elementwise, the Taylor shift sums each bin
 in triple order (:func:`~saarilab.jet_algebra._shift`), and the powers and
@@ -166,8 +169,8 @@ class PolynomialField:
     def jet_field(self, z, degree: int) -> JetField:
         return _jet_field_at(self, z, degree)
 
-    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
-        return [c.jet_coeffs(points, degree) for c in self.components]
+    def field_coeffs(self, points, degree: int) -> list[tuple]:
+        return [(None, c.jet_coeffs(points, degree)) for c in self.components]
 
     def to_json_dict(self) -> dict:
         return {"dim": self.dim,
@@ -222,13 +225,14 @@ class SumField:
     def jet_field(self, z, degree: int) -> JetField:
         return _jet_field_at(self, z, degree)
 
-    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
-        """The parts' components, summed per component in part order."""
+    def field_coeffs(self, points, degree: int) -> list[tuple]:
+        """The parts' whole-table components, summed in part order."""
+        sp = _space(len(points), degree)
         out = None
         for p in self.parts:
-            comps = field_coeffs(p, points, degree)
+            comps = [_expand(sp, *pair) for pair in field_coeffs(p, points, degree)]
             out = comps if out is None else [a + b for a, b in zip(out, comps)]
-        return out
+        return [(None, c) for c in out]
 
 
 def _jet_at(observable, z, degree: int) -> TruncatedJet:
@@ -240,10 +244,20 @@ def _jet_at(observable, z, degree: int) -> TruncatedJet:
 
 def _jet_field_at(field, z, degree: int) -> JetField:
     """``field.jet_field(z, degree)`` from its ``field_coeffs``: one
-    validated jet per component."""
+    validated jet per component, on the whole table."""
     z = np.asarray(z, float)
-    return JetField(tuple(TruncatedJet(z.size, degree, z, c)
-                          for c in field_coeffs(field, z, degree)))
+    return JetField(tuple(TruncatedJet(z.size, degree, z,
+                                       _expand(_space(z.size, degree), *pair))
+                          for pair in field_coeffs(field, z, degree)))
+
+
+def _expand(sp, mask: int | None, c: np.ndarray, fill: float = 0.0) -> np.ndarray:
+    """A ``(mask, coeffs)`` component on ``sp``'s table, ``fill`` off the mask."""
+    if mask is None:
+        return c
+    out = np.full((sp.size,) + c.shape[1:], fill)
+    out[sp.rows_within(mask)] = c
+    return out
 
 
 def _check_dim(handle, points: np.ndarray) -> None:
@@ -284,19 +298,18 @@ def observable_coeffs(F, points, degree: int) -> np.ndarray:
     return out
 
 
-def field_coeffs(X, points, degree: int) -> list[np.ndarray]:
-    """``X``'s component coefficients at one point or a stack of points
-    (see the module protocol): its ``field_coeffs``, else per point its
-    ``jet_field``, else sampled jets of each component."""
+def field_coeffs(X, points, degree: int) -> list[tuple]:
+    """``X``'s ``(mask, coeffs)`` components at one point or a stack of
+    points (see the module protocol): its ``field_coeffs``, else on the
+    whole table per point its ``jet_field``, else sampled jets of each
+    component."""
     _check_dim(X, points)
     if hasattr(X, "field_coeffs"):
         return X.field_coeffs(points, degree)
-    if hasattr(X, "jet_field"):
-        return _per_point(points, degree,
-                          lambda z: X.jet_field(z, degree).components)
-    return _per_point(points, degree, lambda z: [
-        jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]), z, degree)
-        for i in range(z.size)])
+    return [(None, c) for c in _per_point(points, degree, lambda z: (
+        X.jet_field(z, degree).components if hasattr(X, "jet_field") else [
+            jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]), z, degree)
+            for i in range(z.size)]))]
 
 
 def observable_grads(F, points) -> np.ndarray:
@@ -362,7 +375,7 @@ class SeparableOscillator:
     def jet_field(self, z, degree: int) -> JetField:
         return _jet_field_at(self, z, degree)
 
-    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
+    def field_coeffs(self, points, degree: int) -> list[tuple]:
         return self._poly.field_coeffs(points, degree)
 
 

@@ -139,11 +139,14 @@ class _JetSpace:
 
     Most N-body jets use few of the variables: a component ``p_c / m_c`` of
     the Hamiltonian field uses one momentum, and ``-dV/dq`` the
-    configuration only.  For such a factor
+    configuration only.  Such a factor lives on its variables' table: the
+    rows :meth:`rows_within` a bitmask ``mask``, in this table's order, are
+    exactly the graded-lex rows of ``_space(popcount(mask), degree)``.
     :meth:`triples_within` gives the triples whose j-row, and if asked also
-    whose i-row, uses only the variables of a bitmask.  It ranks the sums of
-    the rows inside the mask directly, so the full triples are never built
-    for it (10 518 300 at dim 12, degree 8 against 1 562 275 for the
+    whose i-row, lies inside the mask, with ``tri_j`` a position in that
+    small table and ``tri_i``, ``tri_k`` rows of this one.  It ranks the
+    sums of the rows inside the mask directly, so the full triples are never
+    built for it (10 518 300 at dim 12, degree 8 against 1 562 275 for the
     configuration half), and it keeps their i-major, j-ascending order.
     Every triple it leaves out multiplies a coefficient that is +0 or -0,
     and adding +-0 to a ``bincount`` sum that starts at +0 never changes a
@@ -211,6 +214,7 @@ class _JetSpace:
                 self.diff_src.append(self.rank(lower + unit))
                 self.diff_scale.append((lower[:, axis] + 1).astype(float))
         self._within: dict[tuple[int, bool], tuple] = {}
+        self._rows: dict[int, np.ndarray] = {}
         self._local = threading.local()
 
     @cached_property
@@ -219,32 +223,36 @@ class _JetSpace:
         rows = np.arange(self.size, dtype=np.intp)
         return self._convolution(rows, rows)
 
+    def rows_within(self, mask: int) -> np.ndarray:
+        """The rows using only the variables in ``mask`` (bit ``v`` for
+        ``z_v``), ascending: the mask's table.  Cached per mask; threads that
+        miss together build equal arrays, so no lock is needed (as below)."""
+        if mask not in self._rows:
+            outside = [v for v in range(self.dim) if not mask >> v & 1]
+            self._rows[mask] = np.flatnonzero(~self.exps[:, outside].any(axis=1))
+        return self._rows[mask]
+
     def triples_within(self, mask: int, both: bool = False
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The :attr:`triples` whose j-row, and if ``both`` also whose i-row,
-        uses only the variables in ``mask`` (bit ``v`` for ``z_v``).
+        uses only the variables in ``mask``, with ``tri_j`` a position in
+        the mask's own table (see above).
 
         Built with :meth:`rank` from the rows inside the mask, never by
         filtering :attr:`triples`, in the same i-major, j-ascending order, and
         cached per ``(mask, both)``.
         """
         key = (mask, both)
-        try:
-            return self._within[key]
-        except KeyError:
-            pass
-        # Threads that miss together each build the same arrays; any of them
-        # may stay cached, so no lock is needed.
-        outside = [v for v in range(self.dim) if not mask >> v & 1]
-        inside = np.flatnonzero(~self.exps[:, outside].any(axis=1))
-        rows = inside if both else np.arange(self.size, dtype=np.intp)
-        self._within[key] = self._convolution(rows, inside)
+        if key not in self._within:
+            inside = self.rows_within(mask)
+            rows = inside if both else np.arange(self.size, dtype=np.intp)
+            self._within[key] = self._convolution(rows, inside)
         return self._within[key]
 
     def _convolution(self, i_rows: np.ndarray, j_rows: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All (i, j, k) with i in ``i_rows``, j in ``j_rows`` and
-        alpha_i + alpha_j = alpha_k, i-major with j ascending.
+        """All (i, j, k) with i in ``i_rows``, ``j_rows[j]`` and alpha_i +
+        alpha_{j_rows[j]} = alpha_k, i-major with j ascending.
 
         Both row lists ascend, so, the layout being graded, the rows of order
         at most ``o`` are a prefix of each, and the rows of order ``o`` pair
@@ -261,8 +269,8 @@ class _JetSpace:
         tri_k = np.empty(n_tri, dtype=np.intp)
         at = 0
         for start, stop, width in blocks:
-            js = j_rows[:width]
-            j_exps = self.exps[js]
+            js = np.arange(width, dtype=np.intp)
+            j_exps = self.exps[j_rows[:width]]
             step = max(1, _CHUNK_ELEMENTS // (width * dim))
             for lo in range(start, stop, step):
                 chunk = i_rows[lo:min(lo + step, stop)]
@@ -289,13 +297,10 @@ class _JetSpace:
             buffers = self._local.buffers
         except AttributeError:
             buffers = self._local.buffers = {}
-        key = (mask, both)
-        try:
-            return buffers[key]
-        except KeyError:
+        if (mask, both) not in buffers:
             tri = self.triples if mask is None else self.triples_within(mask, both)
-            buffers[key] = (np.empty(len(tri[0])), np.empty(len(tri[0])))
-            return buffers[key]
+            buffers[mask, both] = (np.empty(len(tri[0])), np.empty(len(tri[0])))
+        return buffers[mask, both]
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
         """Table positions of the exponent rows ``exps[..., :]``.
@@ -563,11 +568,10 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
     """The one product kernel: the truncated Cauchy product of two checked
     coefficient arrays of ``sp``'s layout.
 
-    Given ``mask``, ``b`` (and ``a`` too if ``both``) must have no nonzero
-    coefficient on a row that uses a variable outside it; the product then
-    runs over :meth:`_JetSpace.triples_within` and is bitwise equal to the
-    full one (see :class:`_JetSpace`).  Callers compute the mask once per
-    operand, never per product: see :attr:`JetField.masks`.
+    Given ``mask``, ``b`` is on the mask's table (see :class:`_JetSpace`,
+    :func:`_compact`), to ``sp``'s degree or higher, and if ``both``, ``a``
+    is zero outside the mask; the product runs over
+    :meth:`_JetSpace.triples_within`, bitwise equal to the full one.
 
     ``a`` may be the prefix ``table_size(dim, e)`` of an array that is zero
     above order ``e``.  The product then gathers only the triples with
@@ -642,6 +646,15 @@ def _variable_mask(sp: _JetSpace, c: np.ndarray) -> int | None:
     return None if used == (1 << sp.dim) - 1 else used
 
 
+def _compact(sp: _JetSpace, c: np.ndarray, mask: int | None = None
+             ) -> tuple[int | None, np.ndarray]:
+    """``(mask, coeffs)`` on the mask's table: a whole table ``c`` (one
+    array or a stack) moves there after one :func:`_variable_mask` scan."""
+    if mask is None and (mask := _variable_mask(sp, c)) is not None:
+        c = c[sp.rows_within(mask)]
+    return mask, c
+
+
 def _top_orders(sp: _JetSpace, c: np.ndarray) -> np.ndarray:
     """Per variable ``z_v``, the highest order of a nonzero coefficient of
     ``c`` whose row uses ``z_v``, or 0 if none does.  For a sample-minor
@@ -714,10 +727,10 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     """The power core: ``c**exponent`` on coefficient arrays of ``sp``'s
     layout, for one jet ``(size,)`` or a sample-minor stack ``(size, S)``.
 
-    The series runs on coefficient arrays.  The mask of ``c``'s variables
-    is computed once per call, and every product of the series multiplies
-    two arrays in it over the restricted triples of
-    :meth:`_JetSpace.triples_within`, bitwise equal to full products.  On
+    The series runs on coefficient arrays.  The series variable ``w`` is
+    compacted once per call (:func:`_compact`), and every product of the
+    series multiplies two arrays in its mask over the restricted triples
+    of :meth:`_JetSpace.triples_within`, bitwise equal to full products.  On
     tables of at least ``_ORDER_SCAN_SIZE`` coefficients, with ``e`` the
     highest order of ``c``, the partial sum after ``s`` Horner steps is zero
     above order ``s * e``, so each product takes it as the prefix up to that
@@ -745,8 +758,8 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     w = (1.0 / a0) * c
     w[0] -= 1.0
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
-    # uses only c's variables, so both operands of each product lie in its mask.
-    mask = _variable_mask(sp, c)
+    # uses only w's variables, so both operands of each product lie in its mask.
+    mask, w = _compact(sp, w)
     top = (int(sp.orders[np.flatnonzero(c if c.ndim == 1 else c.any(axis=1))[-1]])
            if sp.size >= _ORDER_SCAN_SIZE else None)
     coeffs = [1.0]
@@ -1007,15 +1020,15 @@ class JetField:
         return self.components[0].base_point
 
     @cached_property
-    def masks(self) -> tuple[int | None, ...]:
-        """Per component, the bitmask of the variables it uses (``None``
-        for all of them), computed once per field for :func:`_mul`.
+    def compact(self) -> tuple[tuple[int | None, np.ndarray], ...]:
+        """Per component, its :func:`_compact` ``(mask, coeffs)``."""
+        sp = _space(self.dim, self.degree)
+        return tuple(_compact(sp, c.coeffs) for c in self.components)
 
-        A truncation uses a subset of its component's variables, so the
-        masks hold for :meth:`truncated` fields and truncated components too.
-        """
-        return tuple(_variable_mask(_space(c.dim, c.degree), c.coeffs)
-                     for c in self.components)
+    @property
+    def masks(self) -> tuple[int | None, ...]:
+        """Per component, its variables' bitmask (``None``: all of them)."""
+        return tuple(mask for mask, _ in self.compact)
 
     def values(self) -> np.ndarray:
         """Field value at the base point (constant terms)."""

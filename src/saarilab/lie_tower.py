@@ -37,15 +37,13 @@ from .fields import field_coeffs, observable_coeffs, observable_grads
 from .jet_algebra import (
     JetField,
     TruncatedJet,
-    jet_add,
-    jet_mul,
     jet_partial,
     jet_truncate,
+    _compact,
     _mul,
     _space,
     _stack,
     _top_orders,
-    _variable_mask,
     _ORDER_SCAN_SIZE,
 )
 
@@ -213,21 +211,18 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
         raise DegreeDeficitError(
             f"field degree {x.degree} cannot support a degree-{f.degree} observable"
         )
-    c = _lie_step(f.dim, f.degree, f.coeffs,
-                  [comp.coeffs for comp in x.components], x.masks)
+    c = _lie_step(f.dim, f.degree, f.coeffs, x.compact)
     return TruncatedJet(f.dim, f.degree - 1, f.base_point, c)
 
 
-def _lie_step(dim: int, degree: int, f: np.ndarray, comps, masks) -> np.ndarray:
+def _lie_step(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
     """``L_X F`` on coefficient arrays: ``f`` of the ``(dim, degree)``
-    layout, ``comps[i]`` the coefficients of ``X^i`` to degree at least
-    ``degree - 1`` and ``masks[i]`` its variables (:attr:`JetField.masks`).
-    Returns the degree ``degree - 1`` coefficients.
+    layout and ``comps[i]`` the ``(mask, coeffs)`` of ``X^i`` to degree at
+    least ``degree - 1`` (:attr:`JetField.compact`).  Returns the degree
+    ``degree - 1`` coefficients.
 
-    Each term is a partial times a truncated component, and only the sum,
-    in component order, is formed.  A component that uses only some
-    variables is multiplied over the restricted triples of its mask, bitwise
-    equal to a full :func:`jet_mul` (see
+    Each term is a partial times a component, and only the sum, in
+    component order, is formed, each product on its component's mask (see
     :class:`~saarilab.jet_algebra._JetSpace`).
 
     On tables of at least ``_ORDER_SCAN_SIZE`` coefficients, ``f`` is
@@ -240,7 +235,7 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, comps, masks) -> np.ndarray:
     than its calls, and the scan would cost more than it saves.
 
     ``f`` and every ``comps[i]`` may instead be sample-minor stacks
-    ``(coeffs, S)``, with ``masks[i]`` the union of the samples' masks.  The
+    ``(coeffs, S)``, each mask the union of the samples' masks.  The
     top orders are then the highest over the samples, and each sample's
     column is bitwise equal to its own step: the extra triples and orders
     multiply its +-0 coefficients, and a term that is +0 for it leaves its
@@ -249,7 +244,7 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, comps, masks) -> np.ndarray:
     sp, low = _space(dim, degree), _space(dim, degree - 1)
     top = _top_orders(sp, f) if sp.size >= _ORDER_SCAN_SIZE else None
     out = None
-    for i, mask in enumerate(masks):
+    for i, (mask, comp) in enumerate(comps):
         src, scale = sp.diff_src[i], sp.diff_scale[i]
         if top is not None:
             if not top[i]:
@@ -257,14 +252,14 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, comps, masks) -> np.ndarray:
             n = low.prefix[top[i] - 1]
             src, scale = src[:n], scale[:n]
         term = _mul(low, f[src] * (scale if f.ndim == 1 else scale[:, None]),
-                    comps[i][:low.size], mask)
+                    comp, mask)
         out = term if out is None else np.add(out, term, out)
     if out is None:
         out = np.zeros((low.size,) + f.shape[1:])
     return out
 
 
-def _tower(dim: int, m: int, g: np.ndarray, comps, masks):
+def _tower(dim: int, m: int, g: np.ndarray, comps):
     """The first ``m`` iterated Lie derivatives' values from the degree-``m``
     coefficients ``g``, with the field's as in :func:`_lie_step`, for one
     sample (1-D arrays) or a sample-minor stack.
@@ -276,7 +271,7 @@ def _tower(dim: int, m: int, g: np.ndarray, comps, masks):
     values = np.empty((m,) + g.shape[1:])
     finite = np.ones(g.shape[1:], dtype=bool)
     for k in range(m):
-        g = _lie_step(dim, m - k, g, comps, masks)
+        g = _lie_step(dim, m - k, g, comps)
         finite &= np.isfinite(g).all(axis=0)
         values[k] = g[0]
     return values, finite
@@ -314,8 +309,7 @@ def psi_tower(f: TruncatedJet, x: JetField, m: int) -> SaariVector:
     samples.  A chain that overflows raises ValueError.
     """
     _check_tower_inputs(f, x, m)
-    values, finite = _tower(f.dim, m, f.coeffs[:_space(f.dim, m).size],
-                            [c.coeffs for c in x.components], x.masks)
+    values, finite = _tower(f.dim, m, f.coeffs[:_space(f.dim, m).size], x.compact)
     if not finite:
         raise ValueError("jet coefficients must be finite")
     return SaariVector(values=values, order=m, base_point=f.base_point)
@@ -390,19 +384,26 @@ def dpsi_wrt_X(
     chain = [jet_truncate(f, m)]
     for _ in range(m - 1):
         chain.append(lie_derivative(chain[-1], x_work))
-    partials = [[jet_partial(g, i) for i in range(n)] for g in chain]
+    partials = [[jet_partial(g, i).coeffs for i in range(n)] for g in chain]
+    spaces = [_space(n, g.degree - 1) for g in chain]
     zero = TruncatedJet.zero(n, m, f.base_point)
     matrix = np.empty((m, n * spx.size))
     for t in range(spx.size):
-        dot = np.zeros(spx.size)
-        dot[t] = 1.0 / float(spx.factorials[t])
-        xdot = TruncatedJet(n, m - 1, f.base_point, dot)
-        xdots = [jet_truncate(xdot, g.degree - 1) for g in chain]
+        # xdot = e_t / alpha_t!, so a tangent term moves each coefficient
+        # alpha of the partial to alpha + alpha_t, times 1 / alpha_t!.  A
+        # product sums that value and +-0 from +0: at most the sign of a
+        # zero differs, and the Lie term it is added to is never -0.
+        order, scale = int(spx.orders[t]), 1.0 / float(spx.factorials[t])
+        shifted = spx.rank(spx.exps[:spx.prefix[m - 1 - order]] + spx.exps[t])
+        moved = [sp.prefix[sp.degree - order] if sp.degree >= order else 0
+                 for sp in spaces]
         for i in range(n):
             gdot = zero
-            for k in range(m):
-                tang = jet_mul(partials[k][i], xdots[k])
-                gdot = jet_add(lie_derivative(gdot, x_work), tang)
+            for k, sp in enumerate(spaces):
+                tang = np.zeros(sp.size)
+                tang[shifted[:moved[k]]] = partials[k][i][:moved[k]] * scale
+                gdot = TruncatedJet(n, sp.degree, f.base_point,
+                                    lie_derivative(gdot, x_work).coeffs + tang)
                 matrix[k, t * n + i] = gdot.value
 
     x_vals = x_work.values()
@@ -520,9 +521,10 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
         return values, near_eq, near_crit, singular
     n = len(zs)
     spx = _space(n, m - 1)
-    if not (np.isfinite(g).all() and all(np.isfinite(c).all() for c in comps)):
+    comps = [_compact(spx, c, mask) for mask, c in comps]
+    if not (np.isfinite(g).all() and all(np.isfinite(c).all() for _, c in comps)):
         raise ValueError("jet coefficients must be finite")
-    vals, finite = _tower(n, m, g, comps, [_variable_mask(spx, c) for c in comps])
+    vals, finite = _tower(n, m, g, comps)
     vals, bad = vals.reshape(m, -1), ~finite.reshape(-1)
     x_vals = np.array(x_vals)
 

@@ -48,11 +48,10 @@ from .errors import (
     _finite_array,
     _flag,
 )
-from .fields import PolynomialObservable, _jet_at, _jet_field_at, stream_rng
+from .fields import PolynomialObservable, _expand, _jet_at, field_coeffs, stream_rng
 from .jet_algebra import (
     JetField,
     TruncatedJet,
-    _embedding,
     _pow,
     _space,
     table_size,
@@ -651,35 +650,33 @@ class HamiltonianField:
         return hamiltonian(self.system, z)
 
     def jet_field(self, z, degree: int) -> JetField:
-        return _jet_field_at(self, z, degree)
+        """:meth:`field_coeffs` on the whole table; a force is -0 off the
+        configuration, as negated after its placement."""
+        z = np.asarray(z, float)
+        sp, nc = _space(z.size, degree), self.system.coord_dim
+        return JetField(tuple(
+            TruncatedJet(z.size, degree, z,
+                         _expand(sp, mask, c, -0.0 if k >= nc else 0.0))
+            for k, (mask, c) in enumerate(field_coeffs(self, z, degree))))
 
-    def field_coeffs(self, points, degree: int) -> list[np.ndarray]:
-        """The component jets' coefficients at one phase point ``(phase_dim,)``
-        or a sample-minor stack of them, each component filled row-wise for
-        every sample at once (see :mod:`saarilab.fields`)."""
-        sys = self.system
-        nc = sys.coord_dim
-        nph = sys.phase_dim
-        lin, _ = _quadratic_positions(nph)
-        shape = (table_size(nph, degree),) + points.shape[1:]
-        comps: list[np.ndarray] = []
+    def field_coeffs(self, points, degree: int) -> list[tuple]:
+        """The components at one phase point ``(phase_dim,)`` or a
+        sample-minor stack (see :mod:`saarilab.fields`): ``p_c / m_c`` on
+        ``p_c``'s table, the force ``-dV/dq_c`` on the configuration's."""
+        nc = self.system.coord_dim
+        comps: list[tuple] = []
         for c in range(nc):
-            coeffs = np.zeros(shape)
+            coeffs = np.zeros((degree + 1,) + points.shape[1:])
             coeffs[0] = points[nc + c] * self.minv[c]
             if degree >= 1:
-                coeffs[lin[nc + c]] = self.minv[c]
-            comps.append(coeffs)
-        # The force -dV/dq_c, negated after placement: its unplaced zeros
-        # are -0, as on the jet-by-jet route the tests compare against.
-        vjet = _potential(sys, points[:nc], degree + 1)
+                coeffs[1] = self.minv[c]
+            comps.append((1 << (nc + c), coeffs))
+        vjet = _potential(self.system, points[:nc], degree + 1)
         sp = _space(nc, degree + 1)
-        at = _embedding(nc, nph, tuple(range(nc)), degree)
         for c in range(nc):
-            force = np.zeros(shape)
             scale = sp.diff_scale[c]
-            force[at] = vjet[sp.diff_src[c]] * (
-                scale if vjet.ndim == 1 else scale[:, None])
-            comps.append(-force)
+            comps.append(((1 << nc) - 1, -(vjet[sp.diff_src[c]] * (
+                scale if vjet.ndim == 1 else scale[:, None]))))
         return comps
 
 
@@ -747,10 +744,8 @@ class EnergyObservable:
             coeffs[lin[p]] = points[nc:] * minv
         if degree >= 2:
             coeffs[quad[p, p]] = 0.5 * minv
-        potential = np.zeros(coeffs.shape)
-        potential[_embedding(nc, nph, tuple(range(nc)), degree)] = _potential(
-            sys, points[:nc], degree)
-        return coeffs + potential
+        return coeffs + _expand(_space(nph, degree), (1 << nc) - 1,
+                                _potential(sys, points[:nc], degree))
 
 
 def energy_observable(system: BodySystem) -> EnergyObservable:

@@ -90,6 +90,13 @@ from saarilab.mech import (
 WRT_X_STEP_SCALE = 1e-5
 
 
+def rows_inside(sp, mask: int) -> np.ndarray:
+    """The rows of ``sp`` whose exponents vanish outside ``mask``, ascending,
+    read off the exponent table."""
+    outside = [v for v in range(sp.dim) if not mask >> v & 1]
+    return np.flatnonzero(~sp.exps[:, outside].any(axis=1))
+
+
 def lie_derivative_full(f: TruncatedJet, x: JetField) -> TruncatedJet:
     """``L_X F`` with one full-table :func:`jet_mul` per component."""
     out = None
@@ -393,12 +400,18 @@ def obstruction_per_sample(F, X, z, m: int, tol_eq: float = 1e-9,
     z = np.asarray(z, float)
     x_val = np.asarray(X(z), float)
     g = observable_coeffs(F, z, m)
-    comps = field_coeffs(X, z, m - 1)
     n = z.size
-    if not (np.isfinite(g).all() and all(np.isfinite(c).all() for c in comps)):
+    sp = _space(n, m - 1)
+    comps = []
+    for mask, c in field_coeffs(X, z, m - 1):
+        if mask is None:  # a whole table: onto the table of its variables
+            mask = _variable_mask(sp, c)
+            if mask is not None:
+                c = c[rows_inside(sp, mask)]
+        comps.append((mask, c))
+    if not (np.isfinite(g).all() and all(np.isfinite(c).all() for _, c in comps)):
         raise ValueError("jet coefficients must be finite")
-    masks = [_variable_mask(_space(n, m - 1), c) for c in comps]
-    values, finite = _tower(n, m, g, comps, masks)
+    values, finite = _tower(n, m, g, comps)
     if not finite:
         raise ValueError("jet coefficients must be finite")
     psi = SaariVector(values=values, order=m, base_point=z)

@@ -34,7 +34,7 @@ from saarilab.genericity import (
     obstruction_scan,
     perturb,
 )
-from saarilab.jet_algebra import jet_add, table_size
+from saarilab.jet_algebra import _space, jet_add, table_size
 from saarilab.lie_tower import obstruction_at
 from saarilab.mech import (
     BodySystem,
@@ -59,6 +59,7 @@ from oracles import (
     obstruction_per_sample,
     obstruction_scan_per_sample,
     potential_jet_by_jets,
+    rows_inside,
     shift_by_triples,
 )
 
@@ -629,19 +630,26 @@ def test_group_stacks_equal_the_per_point_oracles(name):
     # Each column of a group's stacks must be bitwise the per-point
     # oracle's jet, and so must the one-point jets; a partial group (the
     # first two points) too.  Bytes are compared, so -0 against +0 fails.
+    # A field component with a mask is compared on the mask's table, and
+    # the oracle must vanish off it.
     X, F, system, points, m = _stack_cases()[name]
+    sp = _space(len(points[0]), m - 1)
     for group in (points, points[:2]):
         zs = group[0] if len(group) == 1 else np.stack(group, axis=1)
         g = observable_coeffs(F, zs, m)
         comps = field_coeffs(X, zs, m - 1)
-        assert g.shape[1:] == comps[0].shape[1:] == zs.shape[1:]
+        assert g.shape[1:] == comps[0][1].shape[1:] == zs.shape[1:]
         for s, z in enumerate(group):
             column = (lambda a: a) if zs.ndim == 1 else (lambda a: a[:, s])
             want = _oracle_observable(F, z, m)
             assert column(g).tobytes() == want.coeffs.tobytes(), s
             assert F.jet(z, m).coeffs.tobytes() == want.coeffs.tobytes(), s
-            want_x = [c.coeffs.tobytes() for c in _oracle_field(X, z, m - 1)]
-            assert [column(c).tobytes() for c in comps] == want_x, s
+            oracle = [c.coeffs for c in _oracle_field(X, z, m - 1)]
+            want_x = [c.tobytes() for c in oracle]
+            for (mask, c), w in zip(comps, oracle, strict=True):
+                rows = np.arange(sp.size) if mask is None else rows_inside(sp, mask)
+                assert column(c).tobytes() == w[rows].tobytes(), (s, mask)
+                assert not np.delete(w, rows).any(), (s, mask)
             assert [c.coeffs.tobytes()
                     for c in X.jet_field(z, m - 1).components] == want_x, s
             if system is not None:
@@ -701,6 +709,12 @@ def test_grouped_experiments_equal_the_per_sample_loop(monkeypatch, target):
     base = system if target == "potential" else build_hamiltonian_field(system)
     F = inertia_observable(system)
     spec = PerturbationSpec(target, 3, 1e-2, 5)
+    if target == "vector_field":
+        # The bumped field sums the Hamiltonian field's compact components
+        # and the bump's whole tables: expanded, summed, compacted again.
+        bumped = perturb(spec, base, trial=0)
+        assert isinstance(bumped, SumField)
+        assert isinstance(bumped.parts[0], HamiltonianField)
     sampler = Sampler(box=(-1.5, 1.5), count=26, seed=8, min_separation=0.3)
     got = genericity_experiment(base, F, spec, 2, sampler)
     monkeypatch.setattr(genericity, "obstruction_scan", obstruction_scan_per_sample)

@@ -297,16 +297,25 @@ def _inside(sp, mask):
 
 @pytest.mark.parametrize("dim,degree", [(1, 5), (3, 4), (6, 7), (8, 5), (12, 4)])
 def test_restricted_triples_are_the_masked_full_triples(dim, degree):
-    # Same value, dtype and order: the restricted products sum them with
-    # bincount in this order.
+    # Same value, dtype and order once tri_j is read through the rows
+    # inside the mask: the restricted products sum them with bincount in
+    # this order.  Those rows, in table order, are the mask's own table.
     sp = _space(dim, degree)
+    tri_i, tri_j, tri_k = sp.triples
     for mask in _masks(dim):
         inside = _inside(sp, mask)
-        tri_i, tri_j, tri_k = sp.triples
+        rows = np.flatnonzero(inside)
+        assert _same_array(sp.rows_within(mask), rows), mask
+        if mask:
+            variables = [v for v in range(dim) if mask >> v & 1]
+            small = _space(len(variables), degree).exps
+            assert np.array_equal(sp.exps[rows][:, variables], small), mask
         for both in (False, True):
             keep = inside[tri_j] & (inside[tri_i] if both else True)
-            got = sp.triples_within(mask, both)
-            for name, g, full in zip("ijk", got, (tri_i, tri_j, tri_k)):
+            got_i, got_j, got_k = sp.triples_within(mask, both)
+            assert got_j.dtype == tri_j.dtype and got_j.max() < len(rows)
+            for name, g, full in zip("ijk", (got_i, rows[got_j], got_k),
+                                     (tri_i, tri_j, tri_k)):
                 assert _same_array(g, full[keep]), (mask, both, name)
 
 
@@ -321,17 +330,36 @@ def _restricted_jet(sp, mask, rng, base):
 
 @pytest.mark.parametrize("dim,degree", [(3, 4), (6, 7), (8, 5), (12, 4)])
 def test_restricted_product_equals_jet_mul(dim, degree):
+    # b is given on its mask's table (its rows inside the mask), a whole or,
+    # with both, zero outside the mask, and a's samples stop at orders
+    # degree, 1 and 2, with -0.0 above.  One sample, a prefix of a, or a
+    # stack: every product keeps the bits of the full-table jet_mul.
     sp = _space(dim, degree)
     rng = np.random.default_rng(dim * 10 + degree)
     base = rng.uniform(-1.0, 1.0, dim)
     for mask in _masks(dim):
-        a = TruncatedJet(dim, degree, base, rng.normal(size=sp.size))
-        b = _restricted_jet(sp, mask, rng, base)
-        want = jet_mul(a, b).coeffs
-        assert _same_array(_mul(sp, a.coeffs, b.coeffs, mask), want)
-        a = _restricted_jet(sp, mask, rng, base)
-        assert _same_array(_mul(sp, a.coeffs, b.coeffs, mask, both=True),
-                           jet_mul(a, b).coeffs)
+        rows = np.flatnonzero(_inside(sp, mask))
+        for both in (False, True):
+            a_cols, b_cols, want = [], [], []
+            for top in (degree, 1, 2):
+                a = (_restricted_jet(sp, mask, rng, base).coeffs.copy() if both
+                     else rng.normal(size=sp.size))
+                a[sp.prefix[top]:] = -0.0
+                b = _restricted_jet(sp, mask, rng, base).coeffs
+                want.append(jet_mul(TruncatedJet(dim, degree, base, a),
+                                    TruncatedJet(dim, degree, base, b)).coeffs)
+                for n in (sp.size, sp.prefix[top]):
+                    assert _same_array(_mul(sp, a[:n], b[rows], mask, both),
+                                       want[-1]), (mask, both, top, n)
+                a_cols.append(a)
+                b_cols.append(b)
+            a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
+            # all three samples, and the last two on the prefix to order 2
+            for first, n in ((0, sp.size), (1, sp.prefix[2])):
+                got = _mul(sp, a[:n, first:], b[rows, first:], mask, both)
+                for s, w in enumerate(want[first:]):
+                    assert _same_array(np.ascontiguousarray(got[:, s]), w), (
+                        mask, both, first, s)
 
 
 @pytest.mark.parametrize("dim,degree", [(3, 4), (8, 5), (12, 4)])
@@ -354,12 +382,15 @@ def test_stacked_products_equal_each_sample_s_product(dim, degree):
             a[sp.prefix[top]:] = -0.0
             a_cols.append(a)
             b_cols.append(b)
-            want.append(_mul(sp, a[:sp.prefix[top]], b, mask, both))
+            want.append(_mul(sp, a[:sp.prefix[top]], b[sp.rows_within(mask)],
+                             mask, both))
         a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
         union = masks[0] | masks[1]
         assert _variable_mask(sp, b) in (union, None)
         for stacked_mask in (None, union):
-            got = _mul(sp, a[:sp.prefix[max(tops)]], b, stacked_mask, both)
+            got = _mul(sp, a[:sp.prefix[max(tops)]],
+                       b if stacked_mask is None else b[sp.rows_within(union)],
+                       stacked_mask, both)
             assert got.shape == (sp.size, len(tops))
             for s, w in enumerate(want):
                 assert _same_array(np.ascontiguousarray(got[:, s]), w), (
@@ -377,13 +408,14 @@ def test_warm_jet_mul_allocates_only_its_output():
             b = _restricted_jet(sp, mask, rng, np.zeros(8))
             if both:
                 a = _restricted_jet(sp, mask, rng, np.zeros(8))
-        _mul(sp, a.coeffs, b.coeffs, mask, both)  # builds the triples and buffers
+        b = b.coeffs if mask is None else b.coeffs[sp.rows_within(mask)]
+        _mul(sp, a.coeffs, b, mask, both)  # builds the triples and buffers
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _mul(sp, a.coeffs, b.coeffs, mask, both)
+            _mul(sp, a.coeffs, b, mask, both)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:

@@ -316,6 +316,22 @@ def test_dpsi_wrt_X_rejects_unknown_method():
         dpsi_wrt_X(fj, xf, m=2, method="fd")
 
 
+def test_dpsi_wrt_X_multiplies_each_column_on_its_monomial_s_table():
+    # The tangent e_t multiplies over the triples of the variables it uses,
+    # so a three-body field Jacobian builds no full triple set, where the
+    # tangent products built one per degree; the bits stay the per-column
+    # recursion's.
+    _space.cache_clear()
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    z = Sampler(box=(-1.0, 1.0), count=1, seed=5,
+                min_separation=0.3).draw(0, 12, system)
+    fj = energy_observable(system).jet(z, 3)
+    xf = build_hamiltonian_field(system).jet_field(z, 2)
+    got = dpsi_wrt_X(fj, xf, m=3).matrix
+    assert not [d for d in range(3) if "triples" in vars(_space(12, d))]
+    assert got.tobytes() == dpsi_wrt_X_per_column(fj, xf, 3).tobytes()
+
+
 def _assert_equals_per_column(fj, xf, m):
     got = dpsi_wrt_X(fj, xf, m=m).matrix
     assert got.tobytes() == dpsi_wrt_X_per_column(fj, xf, m).tobytes()
@@ -794,6 +810,19 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
                            else [(pairs, 1)] * 20)
 
 
+def _record_products(monkeypatch, record, *modules):
+    """Make every ``_mul`` that ``modules`` call first call ``record(sp, a,
+    b, mask, both)``."""
+    mul = jet_algebra._mul
+
+    def recorded(sp, a, b, mask=None, both=False):
+        record(sp, a, b, mask, both)
+        return mul(sp, a, b, mask, both)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_mul", recorded)
+
+
 @pytest.mark.parametrize("observable, gathered", [
     (inertia_observable, 60_600), (energy_observable, 331_428)])
 def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
@@ -813,18 +842,47 @@ def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
     obstruction_at(F, field, sampler.draw(0, 12, system), 7)
     z = sampler.draw(1, 12, system)
     counts = []
-    mul = jet_algebra._mul
 
-    def counted(sp, a, b, mask=None, both=False):
+    def count(sp, a, b, mask, both):
         tri_i = (sp.triples if mask is None else sp.triples_within(mask, both))[0]
         counts.append(int(np.count_nonzero(tri_i < len(a))) * a[0].size)
-        return mul(sp, a, b, mask, both)
 
-    monkeypatch.setattr(jet_algebra, "_mul", counted)
-    monkeypatch.setattr(lie_tower, "_mul", counted)
+    _record_products(monkeypatch, count, jet_algebra, lie_tower)
     obstruction_at(F, field, z, 7)
     monkeypatch.undo()
     assert sum(counts) == gathered
+
+
+def test_a_warm_three_body_energy_tower_scans_no_field_component(monkeypatch):
+    # The Hamiltonian field gives each component on the table of the
+    # variables it uses, so a warm sample scans no component for its mask:
+    # the one _variable_mask call left is the potential's power series.  A
+    # momentum's component holds 7 coefficients at degree 6 and a force 924
+    # (the configuration's table), where each was a whole (12, 6) table of
+    # 18 564 and a sample made 13 scans.
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    field, F = build_hamiltonian_field(system), energy_observable(system)
+    sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
+    obstruction_at(F, field, sampler.draw(0, 12, system), 7)
+    scans, sizes = [], []
+    variable_mask, tower = jet_algebra._variable_mask, lie_tower._tower
+
+    def scanned(sp, c):
+        scans.append(c.shape)
+        return variable_mask(sp, c)
+
+    def recorded(dim, m, g, comps):
+        sizes.extend(c.size for _, c in comps)
+        return tower(dim, m, g, comps)
+
+    for module in (jet_algebra, lie_tower):  # wherever a scan is called from
+        monkeypatch.setattr(module, "_variable_mask", scanned, raising=False)
+    monkeypatch.setattr(lie_tower, "_tower", recorded)
+    sample = obstruction_at(F, field, sampler.draw(1, 12, system), 7)
+    monkeypatch.undo()
+    assert np.isfinite(sample.psi.values).all()
+    assert len(scans) <= 1
+    assert sizes == [7] * 6 + [924] * 6
 
 
 @pytest.mark.parametrize("observable", [inertia_observable, energy_observable])
@@ -838,13 +896,8 @@ def test_a_warm_two_body_scan_multiplies_one_tower_per_group(monkeypatch,
     sampler = Sampler(box=(-1.5, 1.5), count=20, seed=1)
     obstruction_scan(system, F, sampler)
     widths = []
-    mul = lie_tower._mul
-
-    def counted(sp, a, b, mask=None, both=False):
-        widths.append(a.shape[1:])
-        return mul(sp, a, b, mask, both)
-
-    monkeypatch.setattr(lie_tower, "_mul", counted)
+    _record_products(monkeypatch, lambda sp, a, *_: widths.append(a.shape[1:]),
+                     lie_tower)
     obstruction_at(F, field, sampler.draw(0, 8, system), 5)
     one = len(widths)
     assert 0 < one <= 5 * 8 and set(widths) == {()}
@@ -859,13 +912,8 @@ def test_a_three_body_m7_scan_evaluates_one_sample_at_a_time(monkeypatch):
     # on plain arrays and the per-thread gather buffers.
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
     widths = []
-    mul = lie_tower._mul
-
-    def counted(sp, a, b, mask=None, both=False):
-        widths.append(a.ndim)
-        return mul(sp, a, b, mask, both)
-
-    monkeypatch.setattr(lie_tower, "_mul", counted)
+    _record_products(monkeypatch, lambda sp, a, *_: widths.append(a.ndim),
+                     lie_tower)
     sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
     rep = obstruction_scan(system, inertia_observable(system), sampler, m=7)
     assert rep.n_obstruction_nonzero == 2
