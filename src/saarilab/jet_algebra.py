@@ -72,8 +72,8 @@ def table_size(dim: int, degree: int) -> int:
 #: Upper bound on the exponent-array elements one chunk of the triple build
 #: holds, so its temporaries stay a few MB whatever the table size.
 _CHUNK_ELEMENTS = 1 << 18
-# Smallest table on which lie_derivative and jet_pow read the orders their
-# operands reach: on smaller ones a product costs little more than its
+# Smallest table on which _lie_step and _pow read the orders (and variables)
+# their operands reach: on smaller ones a product costs little more than its
 # calls, and the scan and the per-product prefix cost more than they save.
 _ORDER_SCAN_SIZE = 1000
 
@@ -142,16 +142,16 @@ class _JetSpace:
     configuration only.  Such a factor lives on its variables' table: the
     rows :meth:`rows_within` a bitmask ``mask``, in this table's order, are
     exactly the graded-lex rows of ``_space(popcount(mask), degree)``.
-    :meth:`triples_within` gives the triples whose j-row, and if asked also
-    whose i-row, lies inside the mask, with ``tri_j`` a position in that
-    small table and ``tri_i``, ``tri_k`` rows of this one.  It ranks the
-    sums of the rows inside the mask directly, so the full triples are never
-    built for it (10 518 300 at dim 12, degree 8 against 1 562 275 for the
+    :meth:`triples_within` gives the triples whose j-row lies inside the
+    mask and whose i-row inside ``a_mask`` (``None``: every row), with
+    ``tri_j`` a position in the mask's small table.  It ranks the sums of
+    the rows inside the masks directly, so the full triples are never built
+    for it (10 518 300 at dim 12, degree 8 against 1 562 275 for the
     configuration half), and it keeps their i-major, j-ascending order.
     Every triple it leaves out multiplies a coefficient that is +0 or -0,
     and adding +-0 to a ``bincount`` sum that starts at +0 never changes a
     bit, so a restricted product is bitwise equal to the full one.  Each set
-    is built on the first product with its mask and cached per mask.
+    is built on its first product and cached per ``(mask, a_mask)``.
 
     :meth:`mul_buffers` gives each thread two float buffers of the triple
     count for each triple set, built on its first :func:`_mul` with that
@@ -187,9 +187,9 @@ class _JetSpace:
         self.orders = self.exps.sum(axis=1)
         # int64 holds bits 0..62 exactly; wider tables keep Python ints, on
         # which the same ufuncs (OR, shift, and) run.
-        bits = (1 << np.arange(dim, dtype=np.int64) if dim < 64
-                else np.array([1 << v for v in range(dim)], dtype=object))
-        self.row_vars = (self.exps > 0) @ bits
+        self.bits = (1 << np.arange(dim, dtype=np.int64) if dim < 64
+                     else np.array([1 << v for v in range(dim)], dtype=object))
+        self.row_vars = (self.exps > 0) @ self.bits
         # Every partial product of alpha! divides degree!, and float64 holds
         # such integers exactly up to degree 22, so the products are exact.
         fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=float)
@@ -213,40 +213,44 @@ class _JetSpace:
             for axis, unit in enumerate(np.eye(dim, dtype=np.int64)):
                 self.diff_src.append(self.rank(lower + unit))
                 self.diff_scale.append((lower[:, axis] + 1).astype(float))
-        self._within: dict[tuple[int, bool], tuple] = {}
-        self._rows: dict[int, np.ndarray] = {}
+        self._within: dict[tuple[int | None, int | None], tuple] = {}
+        self._rows: dict[int | None, np.ndarray] = {}
         self._local = threading.local()
 
     @cached_property
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(tri_i, tri_j, tri_k)``: all (i, j, k) with alpha_i + alpha_j = alpha_k."""
-        rows = np.arange(self.size, dtype=np.intp)
+        rows = self.rows_within(None)
         return self._convolution(rows, rows)
 
-    def rows_within(self, mask: int) -> np.ndarray:
+    def rows_within(self, mask: int | None) -> np.ndarray:
         """The rows using only the variables in ``mask`` (bit ``v`` for
-        ``z_v``), ascending: the mask's table.  Cached per mask; threads that
-        miss together build equal arrays, so no lock is needed (as below)."""
+        ``z_v``; ``None``: all of them), ascending: the mask's table.  Cached
+        per mask; threads that miss together build equal arrays, so no lock
+        is needed (as below)."""
         if mask not in self._rows:
-            outside = [v for v in range(self.dim) if not mask >> v & 1]
+            outside = [v for v in range(self.dim)
+                       if mask is not None and not mask >> v & 1]
             self._rows[mask] = np.flatnonzero(~self.exps[:, outside].any(axis=1))
         return self._rows[mask]
 
-    def triples_within(self, mask: int, both: bool = False
+    def triples_within(self, mask: int | None, a_mask: int | None = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The :attr:`triples` whose j-row, and if ``both`` also whose i-row,
-        uses only the variables in ``mask``, with ``tri_j`` a position in
-        the mask's own table (see above).
+        """The :attr:`triples` whose j-row uses only the variables in
+        ``mask`` and whose i-row only those in ``a_mask`` (``None``: every
+        variable; both ``None``: :attr:`triples`), with ``tri_j`` a position
+        in ``mask``'s own table (see above).
 
-        Built with :meth:`rank` from the rows inside the mask, never by
+        Built with :meth:`rank` from the rows inside the masks, never by
         filtering :attr:`triples`, in the same i-major, j-ascending order, and
-        cached per ``(mask, both)``.
+        cached per ``(mask, a_mask)``.
         """
-        key = (mask, both)
+        key = (mask, a_mask)
+        if key == (None, None):
+            return self.triples
         if key not in self._within:
-            inside = self.rows_within(mask)
-            rows = inside if both else np.arange(self.size, dtype=np.intp)
-            self._within[key] = self._convolution(rows, inside)
+            self._within[key] = self._convolution(self.rows_within(a_mask),
+                                                  self.rows_within(mask))
         return self._within[key]
 
     def _convolution(self, i_rows: np.ndarray, j_rows: np.ndarray
@@ -283,24 +287,29 @@ class _JetSpace:
         return tri_i, tri_j, tri_k
 
     @cached_property
+    def row_squares(self) -> np.ndarray:
+        """Per row, the bitmask of the variables whose exponent is >= 2."""
+        return (self.exps > 1) @ self.bits
+
+    @cached_property
     def tri_binom(self) -> np.ndarray:
         """``binom(alpha_k; alpha_i) = alpha_k! / (alpha_i! * alpha_j!)`` per triple."""
         tri_i, tri_j, tri_k = self.triples
         f = self.factorials
         return f[tri_k] / (f[tri_i] * f[tri_j])
 
-    def mul_buffers(self, mask: int | None = None, both: bool = False
+    def mul_buffers(self, mask: int | None = None, a_mask: int | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """The calling thread's two gather buffers, one float per triple each,
-        for :attr:`triples` or, given a mask, :meth:`triples_within`."""
+        for :meth:`triples_within` ``(mask, a_mask)``."""
         try:
             buffers = self._local.buffers
         except AttributeError:
             buffers = self._local.buffers = {}
-        if (mask, both) not in buffers:
-            tri = self.triples if mask is None else self.triples_within(mask, both)
-            buffers[mask, both] = (np.empty(len(tri[0])), np.empty(len(tri[0])))
-        return buffers[mask, both]
+        if (mask, a_mask) not in buffers:
+            n = len(self.triples_within(mask, a_mask)[0])
+            buffers[mask, a_mask] = (np.empty(n), np.empty(n))
+        return buffers[mask, a_mask]
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
         """Table positions of the exponent rows ``exps[..., :]``.
@@ -564,14 +573,15 @@ def jet_scale(a: TruncatedJet, s: float) -> TruncatedJet:
 
 
 def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
-         both: bool = False) -> np.ndarray:
+         a_mask: int | None = None) -> np.ndarray:
     """The one product kernel: the truncated Cauchy product of two checked
     coefficient arrays of ``sp``'s layout.
 
     Given ``mask``, ``b`` is on the mask's table (see :class:`_JetSpace`,
-    :func:`_compact`), to ``sp``'s degree or higher, and if ``both``, ``a``
-    is zero outside the mask; the product runs over
-    :meth:`_JetSpace.triples_within`, bitwise equal to the full one.
+    :func:`_compact`), to ``sp``'s degree or higher; given ``a_mask``, ``a``
+    is zero on every row that uses a variable outside it.  The product runs
+    over :meth:`_JetSpace.triples_within` ``(mask, a_mask)``, bitwise equal
+    to the full one.
 
     ``a`` may be the prefix ``table_size(dim, e)`` of an array that is zero
     above order ``e``.  The product then gathers only the triples with
@@ -588,8 +598,8 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
     column, to the S products.  S is bounded by the group rule of
     :class:`_JetSpace`.
     """
-    tri_i, tri_j, tri_k = (sp.triples if mask is None
-                           else sp.triples_within(mask, both))
+    tri_i, tri_j, tri_k = (sp.triples if mask is None and a_mask is None
+                           else sp.triples_within(mask, a_mask))
     if a.ndim == 2:
         if len(a) < sp.size:
             n = tri_i.searchsorted(len(a))
@@ -599,7 +609,7 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
         p *= b.take(tri_j, 0)
         at = (tri_k * s)[:, None] + np.arange(s)
         return np.bincount(at.ravel(), p.ravel(), sp.size * s).reshape(sp.size, s)
-    p, q = sp.mul_buffers(mask, both)
+    p, q = sp.mul_buffers(mask, a_mask)
     if a.size < sp.size:
         n = tri_i.searchsorted(a.size)
         tri_i, tri_j, tri_k, p, q = tri_i[:n], tri_j[:n], tri_k[:n], p[:n], q[:n]
@@ -655,20 +665,23 @@ def _compact(sp: _JetSpace, c: np.ndarray, mask: int | None = None
     return mask, c
 
 
-def _top_orders(sp: _JetSpace, c: np.ndarray) -> np.ndarray:
-    """Per variable ``z_v``, the highest order of a nonzero coefficient of
-    ``c`` whose row uses ``z_v``, or 0 if none does.  For a sample-minor
-    stack ``(size, S)``, the highest over its samples.
-
-    With ``tail[o]`` the OR of the row bitmasks of the nonzero rows of order
-    at least ``o``, bit ``v`` is set in ``tail[1..top_v]`` and in no later
-    one, so counting the orders where it is set gives ``top_v``.
+def _top_orders(sp: _JetSpace, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """From one pass over the nonzero rows of ``c``, per variable ``z_v``:
+    the highest order of a nonzero coefficient whose row uses ``z_v`` (0 if
+    none does), and the bitmask of the variables of ``dc/dz_v``: those that
+    share a nonzero row with ``z_v``, and ``z_v`` itself if a nonzero row
+    raises it to a power of 2 or more.  For a sample-minor stack ``(size,
+    S)``, the highest orders and the unions over its samples.
     """
     nonzero = c != 0
     at = np.flatnonzero(nonzero if c.ndim == 1 else nonzero.any(axis=1))
-    tail = np.append(np.bitwise_or.accumulate(sp.row_vars[at[::-1]])[::-1], 0)
-    tail = tail[at.searchsorted(sp.prefix[:-1])]
-    return ((tail[:, None] >> np.arange(sp.dim)) & 1).sum(axis=0)
+    bits = sp.bits
+    uses = (bits[:, None] & sp.row_vars[at]) != 0
+    top = (uses * sp.orders[at]).max(axis=1, initial=0)
+    u = uses.astype(np.float32)  # a BLAS product: numpy's bool one is slow
+    masks = ((u @ u.T) > 0) @ bits & ~bits | np.bitwise_or.reduce(
+        sp.row_squares[at]) & bits
+    return top, masks.tolist()
 
 
 def jet_partial(a: TruncatedJet, axis: int) -> TruncatedJet:
@@ -769,7 +782,7 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     acc[0] = coeffs[d]
     for s, k in enumerate(range(d - 1, -1, -1)):
         n = sp.size if top is None else sp.prefix[min(s * top, d)]
-        acc = _mul(sp, acc[:n], w, mask, both=True)
+        acc = _mul(sp, acc[:n], w, mask, mask)
         acc[0] += coeffs[k]
     if c.ndim == 1:
         return (float(a0) ** exponent) * acc

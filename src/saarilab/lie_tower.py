@@ -23,6 +23,7 @@ because the highest-order partials enter each tower entry linearly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -221,42 +222,64 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
     least ``degree - 1`` (:attr:`JetField.compact`).  Returns the degree
     ``degree - 1`` coefficients.
 
-    Each term is a partial times a component, and only the sum, in
-    component order, is formed, each product on its component's mask (see
-    :class:`~saarilab.jet_algebra._JetSpace`).
+    Each term is a partial times a component, each product on its
+    component's mask (see :class:`~saarilab.jet_algebra._JetSpace`), and
+    only the sum is formed, in conjugate pairs ``(z_0, z_h), (z_1,
+    z_{h+1}), ...`` for an even ``dim = 2h``, else in component order.  On
+    a Hamiltonian field pair ``c`` is the Poisson-bracket term ``dF/dq_c *
+    p_c/m_c + dF/dp_c * (-dV/dq_c)``.  For ``F = H`` its two products read
+    the same floats, and each bin gets at most one nonzero product from
+    each, as ``p_c/m_c`` is linear: the pair sums to +0 exactly, and so
+    does ``L_X H``; in component order the rounding would not cancel.
 
-    On tables of at least ``_ORDER_SCAN_SIZE`` coefficients, ``f`` is
-    scanned once for the highest order ``top_i`` at which it uses each
-    variable ``z_i``.  Above order ``top_i - 1`` the partial ``dF/dz_i`` is
-    +-0, so only its prefix up to that order is gathered and multiplied
-    (see :func:`~saarilab.jet_algebra._mul`), and a component whose partial
-    is zero everywhere is skipped: its term would be +0, which leaves the
-    sum's bits as they are.  On smaller tables a product costs little more
-    than its calls, and the scan would cost more than it saves.
+    On tables of at least ``_ORDER_SCAN_SIZE`` coefficients, one scan of
+    ``f`` (:func:`~saarilab.jet_algebra._top_orders`) gives the highest
+    order ``top_i`` at which it uses each ``z_i`` and the variables of
+    each partial ``dF/dz_i``.  Only the partial's prefix up to order
+    ``top_i - 1`` is gathered, and its product runs over the rows of the
+    smallest component table that holds its variables, or every row (see
+    :func:`~saarilab.jet_algebra._mul`): a table caches triple sets for
+    pairs of component masks, not one per variable set.  A component whose
+    partial is zero is skipped.  Every triple, order and term left out
+    multiplies or adds +-0, so the sum keeps its bits.  On smaller tables
+    the scan would cost more than it saves.
 
     ``f`` and every ``comps[i]`` may instead be sample-minor stacks
-    ``(coeffs, S)``, each mask the union of the samples' masks.  The
-    top orders are then the highest over the samples, and each sample's
-    column is bitwise equal to its own step: the extra triples and orders
-    multiply its +-0 coefficients, and a term that is +0 for it leaves its
-    sum's bits as they are.
+    ``(coeffs, S)``, each mask the union of the samples' masks, and the
+    scan's results the highest and the unions over the samples: each
+    sample's column is bitwise its own step, by the same argument.
     """
     sp, low = _space(dim, degree), _space(dim, degree - 1)
-    top = _top_orders(sp, f) if sp.size >= _ORDER_SCAN_SIZE else None
+    if scan := sp.size >= _ORDER_SCAN_SIZE:
+        top, used = _top_orders(sp, f)
+        tables = sorted({mask for mask, _ in comps if mask is not None},
+                        key=int.bit_count)
+        cover = {u: next((t for t in tables if not u & ~t), None)
+                 for u in set(used)}
     out = None
-    for i, (mask, comp) in enumerate(comps):
-        src, scale = sp.diff_src[i], sp.diff_scale[i]
-        if top is not None:
+    for i in _term_order(dim):
+        mask, comp = comps[i]
+        src, scale, a_mask = sp.diff_src[i], sp.diff_scale[i], None
+        if scan:
             if not top[i]:
                 continue
             n = low.prefix[top[i] - 1]
             src, scale = src[:n], scale[:n]
+            a_mask = cover[used[i]]
         term = _mul(low, f[src] * (scale if f.ndim == 1 else scale[:, None]),
-                    comp, mask)
+                    comp, mask, a_mask)
         out = term if out is None else np.add(out, term, out)
     if out is None:
         out = np.zeros((low.size,) + f.shape[1:])
     return out
+
+
+@lru_cache(maxsize=None)
+def _term_order(dim: int) -> tuple[int, ...]:
+    """:func:`_lie_step`'s order of terms, once per ``dim``."""
+    h = dim // 2
+    return (tuple(range(dim)) if dim % 2
+            else tuple(i for c in range(h) for i in (c, h + c)))
 
 
 def _tower(dim: int, m: int, g: np.ndarray, comps):
@@ -266,14 +289,18 @@ def _tower(dim: int, m: int, g: np.ndarray, comps):
 
     Returns the values, shape ``(m,)`` or ``(m, S)``, and per sample whether
     every coefficient of its chain stayed finite.  A sample that overflowed
-    keeps to its own column, so the others' values are unaffected.
+    keeps to its own column, so the others' values are unaffected.  A step
+    of ``_ORDER_SCAN_SIZE`` or more coefficients that is zero everywhere, as
+    for a conserved energy, ends the chain: every later step is +0.
     """
-    values = np.empty((m,) + g.shape[1:])
+    values = np.zeros((m,) + g.shape[1:])
     finite = np.ones(g.shape[1:], dtype=bool)
     for k in range(m):
         g = _lie_step(dim, m - k, g, comps)
         finite &= np.isfinite(g).all(axis=0)
         values[k] = g[0]
+        if len(g) >= _ORDER_SCAN_SIZE and not g.any():
+            break
     return values, finite
 
 

@@ -98,9 +98,14 @@ def rows_inside(sp, mask: int) -> np.ndarray:
 
 
 def lie_derivative_full(f: TruncatedJet, x: JetField) -> TruncatedJet:
-    """``L_X F`` with one full-table :func:`jet_mul` per component."""
+    """``L_X F`` with one full-table :func:`jet_mul` per component, the terms
+    added in conjugate pairs ``(z_c, z_{h+c})`` for an even ``dim = 2h``, as
+    the library adds them, else in component order."""
+    h = f.dim // 2
+    order = (range(f.dim) if f.dim % 2
+             else [i for c in range(h) for i in (c, h + c)])
     out = None
-    for i in range(f.dim):
+    for i in order:
         term = jet_mul(jet_partial(f, i), jet_truncate(x.components[i], f.degree - 1))
         out = term if out is None else jet_add(out, term)
     return out

@@ -290,7 +290,9 @@ def _masks(dim):
 
 
 def _inside(sp, mask):
-    """Per table row: does it use only variables in ``mask``?"""
+    """Per table row: does it use only variables in ``mask`` (``None``: all)?"""
+    if mask is None:
+        return np.ones(sp.size, dtype=bool)
     return np.array([all(e == 0 or mask >> v & 1 for v, e in enumerate(row))
                      for row in sp.exps.tolist()])
 
@@ -300,9 +302,10 @@ def test_restricted_triples_are_the_masked_full_triples(dim, degree):
     # Same value, dtype and order once tri_j is read through the rows
     # inside the mask: the restricted products sum them with bincount in
     # this order.  Those rows, in table order, are the mask's own table.
+    # The i-rows lie inside a_mask: every row, the same mask, or another.
     sp = _space(dim, degree)
     tri_i, tri_j, tri_k = sp.triples
-    for mask in _masks(dim):
+    for mask in _masks(dim) + [None]:
         inside = _inside(sp, mask)
         rows = np.flatnonzero(inside)
         assert _same_array(sp.rows_within(mask), rows), mask
@@ -310,13 +313,13 @@ def test_restricted_triples_are_the_masked_full_triples(dim, degree):
             variables = [v for v in range(dim) if mask >> v & 1]
             small = _space(len(variables), degree).exps
             assert np.array_equal(sp.exps[rows][:, variables], small), mask
-        for both in (False, True):
-            keep = inside[tri_j] & (inside[tri_i] if both else True)
-            got_i, got_j, got_k = sp.triples_within(mask, both)
+        for a_mask in (None, mask, _masks(dim)[2], _masks(dim)[1]):
+            keep = inside[tri_j] & _inside(sp, a_mask)[tri_i]
+            got_i, got_j, got_k = sp.triples_within(mask, a_mask)
             assert got_j.dtype == tri_j.dtype and got_j.max() < len(rows)
             for name, g, full in zip("ijk", (got_i, rows[got_j], got_k),
                                      (tri_i, tri_j, tri_k)):
-                assert _same_array(g, full[keep]), (mask, both, name)
+                assert _same_array(g, full[keep]), (mask, a_mask, name)
 
 
 def _restricted_jet(sp, mask, rng, base):
@@ -330,36 +333,37 @@ def _restricted_jet(sp, mask, rng, base):
 
 @pytest.mark.parametrize("dim,degree", [(3, 4), (6, 7), (8, 5), (12, 4)])
 def test_restricted_product_equals_jet_mul(dim, degree):
-    # b is given on its mask's table (its rows inside the mask), a whole or,
-    # with both, zero outside the mask, and a's samples stop at orders
-    # degree, 1 and 2, with -0.0 above.  One sample, a prefix of a, or a
-    # stack: every product keeps the bits of the full-table jet_mul.
+    # b is given on its mask's table (its rows inside the mask), a whole or
+    # zero outside a_mask (the same mask, or the first variable only), and
+    # a's samples stop at orders degree, 1 and 2, with -0.0 above.  One
+    # sample, a prefix of a, or a stack: every product keeps the bits of the
+    # full-table jet_mul.
     sp = _space(dim, degree)
     rng = np.random.default_rng(dim * 10 + degree)
     base = rng.uniform(-1.0, 1.0, dim)
     for mask in _masks(dim):
         rows = np.flatnonzero(_inside(sp, mask))
-        for both in (False, True):
+        for a_mask in (None, mask, 1):
             a_cols, b_cols, want = [], [], []
             for top in (degree, 1, 2):
-                a = (_restricted_jet(sp, mask, rng, base).coeffs.copy() if both
-                     else rng.normal(size=sp.size))
+                a = (rng.normal(size=sp.size) if a_mask is None else
+                     _restricted_jet(sp, a_mask, rng, base).coeffs.copy())
                 a[sp.prefix[top]:] = -0.0
                 b = _restricted_jet(sp, mask, rng, base).coeffs
                 want.append(jet_mul(TruncatedJet(dim, degree, base, a),
                                     TruncatedJet(dim, degree, base, b)).coeffs)
                 for n in (sp.size, sp.prefix[top]):
-                    assert _same_array(_mul(sp, a[:n], b[rows], mask, both),
-                                       want[-1]), (mask, both, top, n)
+                    assert _same_array(_mul(sp, a[:n], b[rows], mask, a_mask),
+                                       want[-1]), (mask, a_mask, top, n)
                 a_cols.append(a)
                 b_cols.append(b)
             a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
             # all three samples, and the last two on the prefix to order 2
             for first, n in ((0, sp.size), (1, sp.prefix[2])):
-                got = _mul(sp, a[:n, first:], b[rows, first:], mask, both)
+                got = _mul(sp, a[:n, first:], b[rows, first:], mask, a_mask)
                 for s, w in enumerate(want[first:]):
                     assert _same_array(np.ascontiguousarray(got[:, s]), w), (
-                        mask, both, first, s)
+                        mask, a_mask, first, s)
 
 
 @pytest.mark.parametrize("dim,degree", [(3, 4), (8, 5), (12, 4)])
@@ -373,7 +377,7 @@ def test_stacked_products_equal_each_sample_s_product(dim, degree):
     rng = np.random.default_rng(dim * 7 + degree)
     base = np.zeros(dim)
     masks, tops = _masks(dim)[1:3] + _masks(dim)[1:2], (1, degree, 2)
-    for both in (False, True):
+    for both in (False, True):  # a whole, or zero outside b's mask
         a_cols, b_cols, want = [], [], []
         for mask, top in zip(masks, tops):
             b = _restricted_jet(sp, mask, rng, base).coeffs
@@ -383,14 +387,14 @@ def test_stacked_products_equal_each_sample_s_product(dim, degree):
             a_cols.append(a)
             b_cols.append(b)
             want.append(_mul(sp, a[:sp.prefix[top]], b[sp.rows_within(mask)],
-                             mask, both))
+                             mask, mask if both else None))
         a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
         union = masks[0] | masks[1]
         assert _variable_mask(sp, b) in (union, None)
         for stacked_mask in (None, union):
             got = _mul(sp, a[:sp.prefix[max(tops)]],
                        b if stacked_mask is None else b[sp.rows_within(union)],
-                       stacked_mask, both)
+                       stacked_mask, stacked_mask if both else None)
             assert got.shape == (sp.size, len(tops))
             for s, w in enumerate(want):
                 assert _same_array(np.ascontiguousarray(got[:, s]), w), (
@@ -401,21 +405,21 @@ def test_warm_jet_mul_allocates_only_its_output():
     # the full triples and two restricted sets, each with its own buffers
     sp = _space(8, 5)
     rng = np.random.default_rng(85)
-    for mask, both in ((None, False), (0b111111, False), (0b111111, True)):
+    for mask, a_mask in ((None, None), (0b111111, None), (0b111111, 0b111111)):
         a, b = (TruncatedJet(8, 5, np.zeros(8), rng.normal(size=sp.size))
                 for _ in range(2))
         if mask is not None:
             b = _restricted_jet(sp, mask, rng, np.zeros(8))
-            if both:
-                a = _restricted_jet(sp, mask, rng, np.zeros(8))
+        if a_mask is not None:
+            a = _restricted_jet(sp, a_mask, rng, np.zeros(8))
         b = b.coeffs if mask is None else b.coeffs[sp.rows_within(mask)]
-        _mul(sp, a.coeffs, b, mask, both)  # builds the triples and buffers
+        _mul(sp, a.coeffs, b, mask, a_mask)  # builds the triples and buffers
         was_tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            _mul(sp, a.coeffs, b, mask, both)
+            _mul(sp, a.coeffs, b, mask, a_mask)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             if not was_tracing:
@@ -423,8 +427,8 @@ def test_warm_jet_mul_allocates_only_its_output():
         # one float64 array of the triple count is 162 792 bytes for the full
         # triples here and 49 504 for the smallest restricted set; the output
         # is 10 KB
-        tri = sp.triples if mask is None else sp.triples_within(mask, both)
-        assert peak - before < 8 * len(tri[0]), (mask, both)
+        tri = sp.triples_within(mask, a_mask)
+        assert peak - before < 8 * len(tri[0]), (mask, a_mask)
 
 
 def test_incompatible_jets_refused():
@@ -480,15 +484,27 @@ def test_top_orders_are_the_highest_orders_each_variable_reaches(dim, degree):
         c = rng.normal(size=sp.size)
         c[rng.random(sp.size) > keep] = 0.0
         tables += [c, np.where(c == 0.0, -0.0, c)]
-    wants = []
+    # ... and each partial's variables, read off its nonzero rows
+    wants, unions = [], [0] * dim
     for c in tables:
         want = [max([int(sp.orders[t]) for t in np.flatnonzero(c) if sp.exps[t, v]],
                     default=0) for v in range(dim)]
-        assert _top_orders(sp, c).tolist() == want
+        jet = TruncatedJet(dim, degree, np.zeros(dim), c)
+        masks = []
+        for v in range(dim):
+            d = jet_partial(jet, v)
+            used = _space(dim, d.degree).exps[np.flatnonzero(d.coeffs)].any(axis=0)
+            masks.append(sum(1 << int(w) for w in np.flatnonzero(used)))
+        top, got = _top_orders(sp, c)
+        assert top.tolist() == want
+        assert got == masks
         wants.append(want)
-    # a sample-minor stack reaches the highest order of any of its samples
-    assert (_top_orders(sp, np.stack(tables, axis=1)).tolist()
-            == np.max(wants, axis=0).tolist())
+        unions = [u | m for u, m in zip(unions, masks)]
+    # a sample-minor stack reaches the highest order of any of its samples,
+    # and its partials the variables of any
+    top, got = _top_orders(sp, np.stack(tables, axis=1))
+    assert top.tolist() == np.max(wants, axis=0).tolist()
+    assert got == unions
 
 
 def test_pow_integer_matches_repeated_mul():

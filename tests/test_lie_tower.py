@@ -47,6 +47,7 @@ from saarilab.lie_tower import (
 from saarilab.mech import (
     BodySystem,
     NewtonianPotential,
+    PowerLawPotential,
     build_hamiltonian_field,
     energy_observable,
     inertia_observable,
@@ -88,6 +89,41 @@ def test_tower_conserved_energy_vanishes():
     z = np.array([0.7, -0.3])
     psi = psi_tower(obs.jet(z, 4), field.jet_field(z, 3), 4)
     np.testing.assert_allclose(psi.values, 0.0, atol=1e-14)
+
+
+def _energy_systems():
+    """(system, tower orders): the N-body problems whose energy towers are
+    checked for exact zeros."""
+    two = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    three = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    yield two, (7,)
+    yield three, (7, 9)
+    yield BodySystem(3, 2, (1.0, 1.3, 0.7),
+                     PowerLawPotential(((-1.0, -1.0), (0.3, -2.0)))), (7,)
+    yield perturb(PerturbationSpec("potential", 3, 0.05, 7), two), (7,)
+    yield BodySystem(2, 3, (1.0, 1.3), NewtonianPotential()), (7,)
+
+
+def test_n_body_energy_towers_are_exactly_zero():
+    # L_X H adds each conjugate pair's two Poisson-bracket products, exact
+    # negatives of each other, so it is +0 bit for bit and so is every
+    # later step: one point's tower, obstruction_at, a group's stacked
+    # chain and a scan.  Added in component order, the terms left roundoff
+    # of up to 6e-8 at three-body m = 9 and crossed TOL_ZERO at m = 10.
+    for system, orders in _energy_systems():
+        X, E = build_hamiltonian_field(system), energy_observable(system)
+        sampler = Sampler(box=(-1.0, 1.0), count=4, seed=4, min_separation=0.3)
+        points = [sampler.draw(i, system.phase_dim, system) for i in range(4)]
+        for m in orders:
+            for z in points:
+                assert (psi_tower(E.jet(z, m), X.jet_field(z, m - 1), m).values
+                        == 0.0).all(), (system, m)
+                assert (obstruction_at(E, X, z, m).psi.values == 0.0).all()
+            values, *_ = lie_tower._obstructions(E, X, points, m, 1e-9, 1e-9)
+            assert values.shape == (m, 4) and (values == 0.0).all(), (system, m)
+            rep = obstruction_scan(system, E, sampler, m=m)
+            assert rep.n_obstruction_zero == 4
+            assert rep.min_nonexcluded_norm == 0.0
 
 
 def test_lie_derivative_degree_drop_and_product_rule():
@@ -474,22 +510,27 @@ def _two_body(masses=(1.0, 1.3)):
 def test_tower_builds_triples_only_for_the_tables_it_multiplies():
     # At m = 9 the inertia jet lives on the (8, 9) table, but only the
     # degree-8 field jets are multiplied: the big table never needs triples.
-    # Each field component uses one momentum or the configuration only, so
-    # the (8, 8) table holds those restricted triples and never the full ones.
-    # The inertia uses no momentum, so the forces, whose partials dI/dp are
-    # zero, are not multiplied there: only the four momenta's sets are built.
-    # The energy is quadratic in p, so its tower adds the configuration's.
+    # Each field component uses one momentum or the configuration only, and
+    # each partial of the observable runs over the smallest component table
+    # that holds its variables, so the (8, 8) table holds triple sets keyed
+    # (component mask, partial's table) and never the full ones.  The
+    # inertia uses no momentum, so the forces, whose partials dI/dp are
+    # zero, are not multiplied there, and dI/dq lies on the configuration's
+    # table: four sets, one per momentum.  The energy adds the forces times
+    # dH/dp_c, which lies on p_c's table: four sets more.
     _space.cache_clear()
     system = _two_body()
     field = build_hamiltonian_field(system)
     z = Sampler(box=(-1.0, 1.0), count=1, seed=5).draw(0, 8, system)
     obstruction_at(inertia_observable(system), field, z, m=9)
     sp = _space(8, 8)
-    assert sorted(sp._within) == [(1 << v, False) for v in range(4, 8)]
+    p, q = [1 << v for v in range(4, 8)], 0b1111
+    assert sorted(sp._within) == [(c, q) for c in p]
+    assert sum(len(t[0]) for t in sp._within.values()) == 5_148
     obstruction_at(energy_observable(system), field, z, m=9)
     assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
     assert "triples" not in vars(sp)
-    assert len(sp._within) == 5  # four momenta and the configuration
+    assert sorted(sp._within) == sorted([(c, q) for c in p] + [(q, c) for c in p])
 
 
 _THREE_BODY_M9 = """
@@ -513,8 +554,21 @@ print(json.dumps({
 }))
 """
 
-#: The towers, bit for bit.
+#: The towers, bit for bit.  The energy is conserved, and its tower is
+#: exactly zero (see ``lie_tower._lie_step``).
 _THREE_BODY_M9_PSI = {
+    "inertia": [
+        "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de556p-1", "-0x1.cd240d6c19d5cp+0",
+        "0x1.6e238aa0d0243p+4", "0x1.321892275f34ap+1", "0x1.2049b1bc2991dp+7",
+        "0x1.5997b6311839fp+11", "0x1.496c0955f7c07p+13", "-0x1.97148853b4230p+17",
+    ],
+    "energy": ["0x0.0p+0"] * 9,
+}
+
+#: The towers as they were with each Lie step's terms added in component
+#: order, the route the conjugate pairs replaced: the energy tower was
+#: roundoff, up to 6.4e-8 here.
+_THREE_BODY_M9_PSI_COMPONENT_ORDER = {
     "inertia": [
         "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ap+0",
         "0x1.6e238aa0d0243p+4", "0x1.321892275f36ep+1", "0x1.2049b1bc29926p+7",
@@ -527,27 +581,12 @@ _THREE_BODY_M9_PSI = {
     ],
 }
 
-#: The towers as they were with each pair's potential series on the whole
-#: configuration table, the route the pair-coordinate series replaced.
-_THREE_BODY_M9_PSI_FULL_TABLE = {
-    "inertia": [
-        "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ep+0",
-        "0x1.6e238aa0d0243p+4", "0x1.321892275f46ep+1", "0x1.2049b1bc298f9p+7",
-        "0x1.5997b63118396p+11", "0x1.496c0955f7c04p+13", "-0x1.97148853b433cp+17",
-    ],
-    "energy": [
-        "-0x1.0000000000000p-54", "0x1.ba7cb5c41eb18p-57", "-0x1.10dff9a6bd89cp-51",
-        "0x1.3c2a72f8b8618p-46", "0x1.cbc011a55d747p-43", "0x1.ea5e253ff41d2p-39",
-        "0x1.7bcf14db09312p-35", "-0x1.6e43417cb50a5p-29", "0x1.5c80b9c83d5b6p-28",
-    ],
-}
-
 
 def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
     # A work guard by counts: the (12, 8) products take one restricted set
-    # per field mask, 1 562 275 triples for the configuration and 203 490
-    # for each of the six momenta, where the full table holds 10 518 300.
-    # A fresh process, so that the peak is these towers' own.
+    # per (field mask, partial's table), 80 190 triples in all, where the
+    # full table holds 10 518 300 and one set per field mask alone held
+    # 2 783 215.  A fresh process, so that the peak is these towers' own.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", _THREE_BODY_M9], env=env,
@@ -555,19 +594,93 @@ def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
     assert got["psi"] == _THREE_BODY_M9_PSI
-    # The potential's summation order moved the last bits: the inertia
-    # tower stays within 1e-12 relative of the replaced route's, and the
-    # energy tower, roundoff of a conserved quantity, within 1e-12 of the
-    # largest inertia entry.
+    # The pair order moved the inertia tower's last bits: it stays within
+    # 1e-12 relative of the replaced route's (measured 6.7e-15).
     new, old = ({name: np.array([float.fromhex(v) for v in values])
                  for name, values in psi.items()}
-                for psi in (_THREE_BODY_M9_PSI, _THREE_BODY_M9_PSI_FULL_TABLE))
+                for psi in (_THREE_BODY_M9_PSI, _THREE_BODY_M9_PSI_COMPONENT_ORDER))
     np.testing.assert_allclose(new["inertia"], old["inertia"], rtol=1e-12,
                                atol=0.0)
-    assert np.abs(new["energy"]).max() <= 1e-12 * np.abs(new["inertia"]).max()
     assert not got["full"]
     assert got["restricted"] < 3_000_000
     assert got["peak_mb"] <= 512
+
+
+_CACHE_BOUND = """
+import hashlib, json, sys
+from concurrent.futures import ThreadPoolExecutor
+import saarilab
+from saarilab.genericity import Sampler
+from saarilab.jet_algebra import _space
+
+system = saarilab.BodySystem(3, 2, (1.0, 1.3, 0.7), saarilab.NewtonianPotential())
+X = saarilab.build_hamiltonian_field(system)
+sampler = Sampler(box=(-1, 1), count=3, seed=4, min_separation=0.3)
+points = [sampler.draw(i, 12, system) for i in range(3)]
+m7 = ((7, saarilab.energy_observable(system)),
+      (7, saarilab.inertia_observable(system)))
+
+def run(towers):
+    for m, F in towers:
+        for z in points:
+            saarilab.obstruction_at(F, X, z, m)
+
+def state(degrees, dim=12):
+    spaces = [_space(dim, d) for d in range(degrees)]
+    digest = hashlib.sha256()
+    for sp in spaces:
+        for key in sorted(sp._within, key=repr):
+            for a in sp._within[key]:
+                digest.update(a.tobytes())
+    return {"keys": [len(sp._within) for sp in spaces],
+            "triples": sum(len(t[0]) for sp in spaces
+                           for t in sp._within.values()),
+            "full": [sp.degree for sp in spaces if "triples" in vars(sp)],
+            "digest": digest.hexdigest()}
+
+run(m7)
+serial = state(8)
+run(((9, saarilab.inertia_observable(system)),))
+got = state(10)
+_space.cache_clear()
+sys.setswitchinterval(1e-6)
+with ThreadPoolExecutor(max_workers=2) as pool:
+    list(pool.map(run, (m7, m7)))
+got["threads_equal"] = state(8) == serial
+# the basis monomials of dpsi_wrt_F, one observable per column
+two = saarilab.BodySystem(2, 2, (1.0, 1.3), saarilab.NewtonianPotential())
+z = Sampler(box=(-1, 1), count=1, seed=4, min_separation=0.3).draw(0, 8, two)
+saarilab.dpsi_wrt_F(saarilab.build_hamiltonian_field(two).jet_field(z, 4), m=5)
+got["monomials"] = state(5, dim=8)
+print(json.dumps(got))
+"""
+
+
+def test_triple_sets_stay_keyed_by_component_tables():
+    # Warm planar three-body m = 7 energy and inertia towers, then an m = 9
+    # inertia tower, in a fresh process.  Each table caches one triple set
+    # per (component mask, partial's table), so the counts are pinned
+    # exactly: 75 sets and 796 552 triples on the (12, d) tables, where one
+    # set per component mask took 63 and 2 576 420.  The only full triples
+    # are the inertia's own (12, 2) table, for its Taylor shift.  Keyed by
+    # each partial's exact variables, the 1 286 basis monomials of a
+    # two-body dpsi_wrt_F at m = 5 cached 815 sets on the (8, 4) table, as
+    # per-monomial sets once grew to 1 200 sets and 4.3 M triples in
+    # dpsi_wrt_X; keyed by component tables they cache 30.  Threads that
+    # miss together from an empty cache build the same sets, bit for bit.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _CACHE_BOUND], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["keys"] == [7, 7, 7, 8, 13, 7, 13, 7, 6, 0]
+    assert got["triples"] == 796_552
+    assert got["full"] == [2]
+    assert got["threads_equal"]
+    assert got["monomials"]["keys"] == [5, 5, 5, 5, 30]
+    assert got["monomials"]["triples"] == 8_127
+    assert got["monomials"]["full"] == []
 
 
 def _full_chain_cases():
@@ -812,26 +925,30 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
 
 def _record_products(monkeypatch, record, *modules):
     """Make every ``_mul`` that ``modules`` call first call ``record(sp, a,
-    b, mask, both)``."""
+    b, mask, a_mask)``."""
     mul = jet_algebra._mul
 
-    def recorded(sp, a, b, mask=None, both=False):
-        record(sp, a, b, mask, both)
-        return mul(sp, a, b, mask, both)
+    def recorded(sp, a, b, mask=None, a_mask=None):
+        record(sp, a, b, mask, a_mask)
+        return mul(sp, a, b, mask, a_mask)
 
     for module in modules:
         monkeypatch.setattr(module, "_mul", recorded)
 
 
 @pytest.mark.parametrize("observable, gathered", [
-    (inertia_observable, 60_600), (energy_observable, 331_428)])
+    (inertia_observable, 35_274), (energy_observable, 25_542)])
 def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
         monkeypatch, observable, gathered):
     # Counts the triples _mul gathers, once per column of a stacked
     # product, not time.  The inertia is quadratic in q and constant in p,
     # and the energy quadratic in p, so the first Lie steps multiply
     # partials of order 0 or 1; with every component multiplied at full
-    # order both towers gathered 1 430 295.  The potential's series gather
+    # order both towers gathered 1 430 295.  Each partial multiplies over
+    # the rows of the smallest component table that holds its variables:
+    # with every row of the table they gathered 60 600 and 331 428.  The
+    # energy's first Lie step is exactly zero, so its chain stops there.
+    # The potential's series gather
     # 6 930: seven products on the (2, 7) pair table, 330 triples each for
     # the three pairs' columns at once, where each pair's series on the
     # (6, 7) configuration table gathered 100 305 (153 975 and 424 803 in
@@ -843,8 +960,8 @@ def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
     z = sampler.draw(1, 12, system)
     counts = []
 
-    def count(sp, a, b, mask, both):
-        tri_i = (sp.triples if mask is None else sp.triples_within(mask, both))[0]
+    def count(sp, a, b, mask, a_mask):
+        tri_i = sp.triples_within(mask, a_mask)[0]
         counts.append(int(np.count_nonzero(tri_i < len(a))) * a[0].size)
 
     _record_products(monkeypatch, count, jet_algebra, lie_tower)
