@@ -18,6 +18,12 @@ step underflows.
 a trajectory by re-integrating a short window at tight tolerance and applying
 Richardson-extrapolated central differences; it is deliberately independent
 of the jet machinery so the two can check each other.
+
+``figure8_initial_conditions`` gives the equal-mass figure-eight, the
+standard non-rigid control, refined by Gauss-Newton shooting.  Each shoot
+integrates a third of the period and compares the end state with the
+initial one relabelled cyclically, which a choreography returns to after
+a third of its period.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ from scipy.integrate import solve_ivp
 from .errors import (
     ConfigError,
     InsufficientSamplesError,
+    NoConvergenceError,
     SingularityError,
+    _check_count,
     _finite,
     _flag,
 )
@@ -390,6 +398,12 @@ _FIG8_POS = (0.97000436, -0.24308753)
 _FIG8_VEL = (-0.93240737, -0.86473146)
 _FIG8_PERIOD = 6.32591398
 
+# A third of a period on, body k is where body _FIG8_SHIFT[k] started;
+# indexing a flat state (q, p) with _FIG8_RELABEL relabels it so.
+_FIG8_SHIFT = (2, 0, 1)
+_FIG8_RELABEL = np.array([block + 2 * b + c for block in (0, 6)
+                          for b in _FIG8_SHIFT for c in range(2)])
+
 
 def figure8_system():
     """Three unit masses under the Newtonian pair law."""
@@ -410,12 +424,25 @@ def figure8_initial_conditions(refine: bool = True,
 
     Starts from the standard published values and, when ``refine`` is set,
     runs a Gauss-Newton shooting iteration on (velocity of the middle body,
-    period) to close the orbit: the residual is the return defect
-    ``z(T) - z(0)`` under a tight adaptive integration.  Returns
-    ``(system, z0, period)``.  ``refine`` must be a bool, else
-    :class:`ConfigError`.
+    period) under a tight adaptive integration.  Each shoot runs a third of
+    the period: the residual is the one-third defect ``z(T/3) - P z(0)``,
+    where ``P`` relabels the bodies cyclically, body k of ``P z`` being
+    body ``(2, 0, 1)[k]`` of ``z``.  The orbit is a choreography, all three
+    bodies tracing one curve a third of a period apart, so it passes
+    through ``P z(0)`` at ``T/3``.  Relabelling equal masses maps solutions
+    to solutions, so ``z(T/3) = P z(0)`` gives ``z(2T/3) = P^2 z(0)`` and
+    ``z(T) = P^3 z(0) = z(0)``: closing the third closes the period, in a
+    third of the integration.  Returns ``(system, z0, period)``.
+
+    ``refine`` must be a bool, ``tol`` a finite number > 0 and ``max_iter``
+    an integer >= 1, else :class:`ConfigError`.  ``tol`` bounds the largest
+    entry of the one-third defect; if it is still ``>= tol`` after
+    ``max_iter`` Gauss-Newton steps, :class:`NoConvergenceError` carries
+    that entry as its ``residual``.
     """
     _flag(refine, "refine")
+    tol = _finite(tol, "tol", 0.0, strict=True)
+    _check_count(max_iter, "max_iter")
     system = figure8_system()
     field = build_hamiltonian_field(system)
     theta = np.array([*_FIG8_VEL, _FIG8_PERIOD])
@@ -424,11 +451,11 @@ def figure8_initial_conditions(refine: bool = True,
 
     def shoot(th: np.ndarray) -> np.ndarray:
         z0 = _fig8_state(th[0], th[1])
-        sol = solve_ivp(lambda t, y: field(y), (0.0, th[2]), z0,
+        sol = solve_ivp(lambda t, y: field(y), (0.0, th[2] / 3.0), z0,
                         method="DOP853", rtol=1e-13, atol=1e-13)
         if sol.status != 0:
             raise InsufficientSamplesError("figure-8 shooting integration failed")
-        return sol.y[:, -1] - z0
+        return sol.y[:, -1] - z0[_FIG8_RELABEL]
 
     r = shoot(theta)
     for _ in range(max_iter):
@@ -443,6 +470,11 @@ def figure8_initial_conditions(refine: bool = True,
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         theta = theta + step
         r = shoot(theta)
+    defect = float(np.max(np.abs(r)))
+    if not defect < tol:
+        raise NoConvergenceError(
+            f"figure-8 refinement left a one-third defect of {defect:.3e} "
+            f"(tol {tol:g}) after {max_iter} steps", residual=defect)
     return system, _fig8_state(theta[0], theta[1]), float(theta[2])
 
 

@@ -423,19 +423,21 @@ def potential_value(system: BodySystem, q):
     return _scalar_or_array(total)
 
 
-def grad_potential(system: BodySystem, q) -> np.ndarray:
-    """Flat gradient of ``V``; the force is its negative.
+def _gradient(system: BodySystem, x: list, q: np.ndarray) -> list:
+    """``dV/dq`` as a list of floats: the one pass of :func:`grad_potential`
+    and :meth:`HamiltonianField.__call__` over the system's pair plan.
 
-    One pass over the system's pair plan in Python floats.  A pair's
-    distance is that of :func:`pair_distances`, and a pair closer than
-    ``COLLISION_TOL`` raises :class:`SingularityError` before any later pair
-    is visited.  Each pair's force is added to body ``i`` and subtracted
-    from body ``j`` in pair order; the bumps' gradients follow.
+    ``x`` lists the flat configuration in Python floats and ``q`` holds it
+    as an array, read only by the bumps; both may run on past
+    ``coord_dim`` (a whole phase state), and those entries are not read.
+    A pair's distance is that of :func:`pair_distances`, and a pair closer
+    than ``COLLISION_TOL`` raises :class:`SingularityError` before any later
+    pair is visited.  Each pair's force is added to body ``i`` and
+    subtracted from body ``j`` in pair order; the bumps' gradients follow,
+    each added to the whole array.
     """
     plan = system._pair_plan
-    q = np.asarray(q, float).reshape(system.coord_dim)
-    x = q.tolist()
-    g = [0.0] * len(x)
+    g = [0.0] * system.coord_dim
     for i, j, uv, mm in plan.force:
         r2 = 0.0
         for u, v in uv:
@@ -452,10 +454,22 @@ def grad_potential(system: BodySystem, q) -> np.ndarray:
             w = s * (x[u] - x[v])
             g[u] += w
             g[v] -= w
-    out = np.array(g)
-    for bump in plan.bumps:
-        out = out + bump.grad(q)
-    return out
+    if plan.bumps:
+        out, q = np.array(g), q[:len(g)]
+        for bump in plan.bumps:
+            out = out + bump.grad(q)
+        g = out.tolist()
+    return g
+
+
+def grad_potential(system: BodySystem, q) -> np.ndarray:
+    """Flat gradient of ``V``; the force is its negative.
+
+    The system's one pair pass in Python floats, shared with
+    :meth:`HamiltonianField.__call__` (see :func:`_gradient`).
+    """
+    q = np.asarray(q, float).reshape(system.coord_dim)
+    return np.array(_gradient(system, q.tolist(), q))
 
 
 def kinetic_energy(system: BodySystem, p):
@@ -633,6 +647,7 @@ class HamiltonianField:
     def __init__(self, system: BodySystem):
         self.system = system
         self.minv = 1.0 / system.mass_vector
+        self._minv = self.minv.tolist()
 
     @property
     def dim(self) -> int:
@@ -642,9 +657,14 @@ class HamiltonianField:
         return grad_potential(self.system, qflat)
 
     def __call__(self, z) -> np.ndarray:
+        """``(p / m, -grad V(q))`` at one flat state, in one pass in Python
+        floats: each velocity is one product, and the force is the negated
+        gradient of the pair pass that :func:`grad_potential` runs."""
         z = np.asarray(z, float)
-        nc = self.system.coord_dim
-        return np.concatenate([z[nc:] * self.minv, -self.grad_v(z[:nc])])
+        x = z.tolist()
+        g = _gradient(self.system, x, z)
+        return np.array([p * w for p, w in zip(x[len(g):], self._minv)]
+                        + [-w for w in g])
 
     def energy(self, z) -> float:
         return hamiltonian(self.system, z)

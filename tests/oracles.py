@@ -17,6 +17,9 @@ library must agree with it to roundoff.
 ``grad_potential_by_pairs`` is the N-body force as first written, one numpy
 difference vector per pair, where the library runs one pass over the
 system's cached pair plan in Python floats; their bytes must be equal.
+``hamiltonian_field_by_concat`` is the Hamiltonian field as first written,
+the velocities and the negated force concatenated as two arrays, where the
+library takes both in one pass in Python floats; their bytes must be equal.
 ``shift_by_triples`` re-expands a polynomial's whole table, where the
 library shifts only the rows it returns, for one point or a group of
 points; their bytes must be equal too.  ``obstruction_scan_per_sample``
@@ -162,6 +165,15 @@ def grad_potential_by_pairs(system, q) -> np.ndarray:
     for bump in _bumps(system.potential):
         out = out + bump.grad(q2d.ravel())
     return out
+
+
+def hamiltonian_field_by_concat(field, z) -> np.ndarray:
+    """``HamiltonianField(z)`` as ``p / m`` and ``-grad V(q)`` made as two
+    arrays and concatenated, the force from :func:`grad_potential_by_pairs`."""
+    z = np.asarray(z, float)
+    nc = field.system.coord_dim
+    return np.concatenate([z[nc:] * field.minv,
+                           -grad_potential_by_pairs(field.system, z[:nc])])
 
 
 def pair_r2_jet(system, q2d, i: int, j: int, degree: int) -> TruncatedJet:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driven through ``saarilab.cli.main``."""
 
+import functools
 import json
 import math
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from saarilab import jet_algebra
+from saarilab import cli, jet_algebra
+from saarilab.flow import figure8_initial_conditions
 from saarilab.cli import (
     SCHEMA_VERSION,
     _build_integrator,
@@ -516,6 +518,14 @@ def test_figure8_refine_must_be_a_boolean(tmp_path, capsys, refine):
     path = write_config(tmp_path, "f8.json", {"refine": refine})
     code, out, err = run(capsys, ["figure8-demo", path])
     assert (code, out) == (2, "") and "refine" in err
+
+
+def test_figure8_refinement_that_does_not_converge_exits_3(monkeypatch,
+                                                          capsys):
+    monkeypatch.setattr(cli, "figure8_initial_conditions", functools.partial(
+        figure8_initial_conditions, tol=1e-30, max_iter=1))
+    code, out, err = run(capsys, ["figure8-demo"])
+    assert (code, out) == (3, "") and "one-third defect" in err
 
 
 _AT_POINT = {"system": OSC, "observable": {"kind": "energy"},

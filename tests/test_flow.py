@@ -4,8 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from saarilab.errors import ConfigError, InsufficientSamplesError, SingularityError
+from saarilab.errors import (
+    ConfigError,
+    InsufficientSamplesError,
+    NoConvergenceError,
+    SingularityError,
+)
 from saarilab.fields import (
     PolynomialObservable,
     SeparableOscillator,
@@ -372,6 +378,53 @@ def test_figure8_refined_orbit_closes():
                      IntegratorConfig("dop853", (1e-12, 1e-13), max_time=period))
     assert traj.status == "completed"
     assert np.linalg.norm(traj.final_state - z0) < 1e-9
+
+
+def test_figure8_one_third_defect_is_below_tol():
+    system, z0, period = figure8_initial_conditions(refine=True)
+    field = build_hamiltonian_field(system)
+    sol = solve_ivp(lambda t, y: field(y), (0.0, period / 3.0), z0,
+                    method="DOP853", rtol=1e-13, atol=1e-13)
+    # body k is where body (2, 0, 1)[k] started
+    relabelled = np.concatenate([
+        z0[:6].reshape(3, 2)[[2, 0, 1]].ravel(),
+        z0[6:].reshape(3, 2)[[2, 0, 1]].ravel()])
+    assert np.max(np.abs(sol.y[:, -1] - relabelled)) < 1e-11
+
+
+def test_figure8_refined_orbit_stays_the_full_period_one():
+    # (vx, vy, T) of the refinement that shot the whole period
+    _, z0, period = figure8_initial_conditions(refine=True)
+    got = np.array([z0[10], z0[11], period])
+    want = np.array([-0.9324073681390841, -0.8647314618351997,
+                     6.325914009781271])
+    assert np.max(np.abs(got - want)) < 1e-11
+
+
+def test_figure8_refinement_makes_few_field_calls(monkeypatch):
+    calls = []
+    call = mech.HamiltonianField.__call__
+    monkeypatch.setattr(mech.HamiltonianField, "__call__",
+                        lambda self, z: calls.append(1) or call(self, z))
+    figure8_initial_conditions(refine=True)
+    # each shoot covers a third of the period: 10 090 calls over full ones
+    assert 0 < len(calls) <= 4000
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
+    {"max_iter": -1}, {"tol": math.nan}, {"tol": 0.0}, {"tol": -1e-11},
+    {"tol": True}, {"tol": "1e-11"},
+], ids=repr)
+def test_figure8_refinement_arguments_are_config_errors(kwargs):
+    with pytest.raises(ConfigError):
+        figure8_initial_conditions(refine=True, **kwargs)
+
+
+def test_figure8_refinement_that_does_not_converge_raises():
+    with pytest.raises(NoConvergenceError) as err:
+        figure8_initial_conditions(refine=True, tol=1e-30, max_iter=2)
+    assert 1e-30 <= err.value.residual < 1e-9
 
 
 def test_figure8_unrefined_state_is_close():

@@ -59,6 +59,7 @@ from oracles import (
     energy_jet_by_jets,
     field_jet_by_jets,
     grad_potential_by_pairs,
+    hamiltonian_field_by_concat,
     jet_pow_full,
     pair_r2_jet,
     potential_full_table,
@@ -167,6 +168,53 @@ def test_force_reports_the_first_colliding_pair():
             grad(system, q)
         assert err.value.pair == (0, 3)
         assert str(err.value) == "bodies 0 and 3 are separated by 1.000e-12"
+
+
+_FIELD_CASES = {
+    "planar-2body": BodySystem(2, 2, (1.0, 1.0), NewtonianPotential()),
+    "planar-3body": BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential()),
+    "spatial-2body": BodySystem(2, 3, (1.0, 2.0), NewtonianPotential()),
+    # V = -1/r + 0.3/r^2 at unit masses
+    "power-law": BodySystem(2, 2, (1.0, 1.0),
+                            PowerLawPotential(((1.0, -1.0), (-0.3, -2.0)))),
+    "bump": BodySystem(3, 2, (1.0, 1.3, 0.7), PerturbedPotential(
+        NewtonianPotential(),
+        PolynomialObservable.from_coeffs(6, 3, {(1, 0, 0, 2, 0, 0): 0.05,
+                                                (0, 1, 0, 0, 0, 0): -0.02,
+                                                (0, 0, 0, 0, 1, 1): 0.03}))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIELD_CASES))
+def test_field_equals_the_concatenated_oracle_byte_for_byte(case):
+    system = _FIELD_CASES[case]
+    field, nc = HamiltonianField(system), system.coord_dim
+    rng = np.random.default_rng(sorted(_FIELD_CASES).index(case))
+    states = rng.normal(size=(100, system.phase_dim)) * 2.0
+    # bodies on the first axis and signed zero momenta: forces off that
+    # axis and velocities are signed zeros, which must keep their signs
+    states[0] = 0.0
+    states[0, :nc:system.space_dim] = np.arange(system.n_bodies)
+    states[0, nc + 1::2] = -0.0
+    for z in states:
+        want = hamiltonian_field_by_concat(field, z)
+        assert field(z).tobytes() == want.tobytes()
+        assert (-grad_potential(system, z[:nc])).tobytes() == want[nc:].tobytes()
+
+
+def test_field_reports_the_colliding_pair_of_the_oracle():
+    system = BodySystem(4, 2, np.ones(4), NewtonianPotential())
+    field = HamiltonianField(system)
+    # pairs (0, 3) and (1, 2) collide; (0, 3) comes first in pair order
+    z = np.concatenate([[0.0, 0.0, 1.0, 0.0, 1.0, 1e-12, 1e-12, 0.0],
+                        np.ones(8)])
+    errors = []
+    for call in (field, lambda z: hamiltonian_field_by_concat(field, z)):
+        with pytest.raises(SingularityError) as err:
+            call(z)
+        errors.append((err.value.pair, str(err.value)))
+    assert errors[0] == errors[1] == (
+        (0, 3), "bodies 0 and 3 are separated by 1.000e-12")
 
 
 def test_potential_serialization_roundtrip():
