@@ -40,6 +40,7 @@ from .lie_tower import _check_tower_order, _obstructions, default_tower_order
 from .mech import (
     BodySystem,
     PerturbedPotential,
+    _jacobi_tower,
     build_hamiltonian_field,
     pair_distances,
 )
@@ -321,9 +322,14 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     group's ``<grad F, X>`` check and its tallies run on its arrays.  Every
     kernel runs each column in one-sample arithmetic and order, so the
     report is bitwise equal to evaluating one sample at a time.
-    ``S = max(1, _CHUNK_ELEMENTS // (table_size(dim, m) * dim))``: 25 at
-    planar two-body m = 5, and 1 at planar three-body m = 7, whose products
-    gain nothing from a group and which runs on plain 1-D arrays.
+    ``S = max(1, _CHUNK_ELEMENTS // (table_size(n, m) * n))``, with ``n``
+    the dimension of the chart the towers run on: ``2 (N - 1) space_dim``
+    on the Jacobi chart of a translation-invariant system's energy or
+    inertia (see :func:`~saarilab.lie_tower._obstructions`), else the phase
+    dimension.  So S is 520 at planar two-body m = 5 and 5 at planar
+    three-body m = 7 on the Jacobi chart.  On the Cartesian chart it is 25
+    at planar two-body m = 5, and 1 at planar three-body m = 7, whose
+    products gain nothing from a group and which runs on plain 1-D arrays.
     """
     tol_zero = _finite(tol_zero, "tol_zero", 0.0, strict=True)
     tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)
@@ -338,7 +344,9 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
         n_eff = system.effective_phase_dim if system is not None else dim
         m = default_tower_order(n_eff)
     _check_tower_order(m)
-    group = max(1, _CHUNK_ELEMENTS // (table_size(dim, m) * dim))
+    chart = _jacobi_tower(F, fieldX)
+    n = dim if chart is None else chart.dim
+    group = max(1, _CHUNK_ELEMENTS // (table_size(n, m) * n))
     block = group * max(1, _CHUNK_ELEMENTS // (group * dim))
     n_eq = n_crit = n_sing = n_zero = n_nonzero = 0
     min_norm = math.inf

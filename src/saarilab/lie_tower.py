@@ -47,6 +47,7 @@ from .jet_algebra import (
     _top_orders,
     _ORDER_SCAN_SIZE,
 )
+from .mech import _jacobi_tower
 
 __all__ = [
     "SaariVector",
@@ -512,13 +513,21 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     :func:`~saarilab.fields.field_coeffs`), or plain arrays for one point,
     and every kernel runs each column in one-point arithmetic and order
     (see :mod:`saarilab.fields`), so each point's values are bitwise its
-    own.  Should a stack raise :class:`SingularityError` (an observable
-    singular where the field is not), the points run one at a time.  On the
-    group's arrays, for the first failing point, the chain must have stayed
-    finite (else ValueError, as :func:`psi_tower` raises) and the first
-    entry must match ``<grad F, X>`` (gradients from
-    :func:`~saarilab.fields.observable_grads`).  Each norm is summed in a
-    one-row layout, so no flag depends on the group.
+    own.  A translation-invariant system's energy or inertia along its
+    Hamiltonian field builds its jets and runs its chain on the system's
+    Jacobi chart instead (:func:`~saarilab.mech._jacobi_tower`), whose
+    towers are the same functions with fewer variables; every other pair
+    of handles runs on the Cartesian chart.  Should a stack raise
+    :class:`SingularityError` (an observable singular where the field is
+    not), the points run one at a time.  On the group's arrays, for the
+    first failing point, the chain must have stayed finite (else
+    ValueError, as :func:`psi_tower` raises) and the first entry must
+    match ``<grad F, X>`` (gradients from
+    :func:`~saarilab.fields.observable_grads`).  The flags, the gradients
+    and ``X(z)`` are Cartesian on either chart: ``|grad F|`` is read from
+    the observable's jet, or on the Jacobi chart from those gradients.
+    Each norm is summed in a one-row layout, so no flag depends on the
+    group.
     """
     _check_tower_order(m)
     points = np.asarray(points, float)
@@ -534,9 +543,15 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     if not kept:
         return values, near_eq, near_crit, singular
     zs = _stack(list(points[kept]))
+    chart = _jacobi_tower(F, X)
     try:
-        g = observable_coeffs(F, zs, m)
-        comps = field_coeffs(X, zs, m - 1)
+        if chart is None:
+            g = observable_coeffs(F, zs, m)
+            comps = field_coeffs(X, zs, m - 1)
+        else:
+            at = chart.points(zs)
+            g = chart.observable_coeffs(at, m)
+            comps = chart.field_coeffs(at, m - 1)
     except SingularityError as e:
         if len(kept) == 1:
             singular[kept[0]] = e
@@ -546,7 +561,7 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
                 _obstructions(F, X, points[k:k + 1], m, tol_eq, tol_crit))
             singular.update((k, err) for err in sing.values())
         return values, near_eq, near_crit, singular
-    n = len(zs)
+    n = len(zs) if chart is None else chart.dim
     spx = _space(n, m - 1)
     comps = [_compact(spx, c, mask) for mask, c in comps]
     if not (np.isfinite(g).all() and all(np.isfinite(c).all() for _, c in comps)):
@@ -556,10 +571,11 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     x_vals = np.array(x_vals)
 
     def rows(a):  # one point per row, contiguous: each row's sums alike
-        return np.ascontiguousarray(a.reshape(n, -1).T)
+        return np.ascontiguousarray(a.reshape(len(a), -1).T)
 
-    if hasattr(F, "grad"):
-        dot = np.add.reduce(rows(observable_grads(F, zs)) * x_vals, axis=1)
+    grads = rows(observable_grads(F, zs)) if hasattr(F, "grad") else None
+    if grads is not None:
+        dot = np.add.reduce(grads * x_vals, axis=1)
         scale = np.maximum(np.maximum(1.0, np.abs(vals[0])), np.abs(dot))
         bad |= np.abs(vals[0] - dot) > 1e-12 * scale
     if bad.any():
@@ -571,5 +587,6 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
             f"<grad F, X> = {float(dot[k])!r}")
     values[:, kept] = vals
     near_eq[kept] = np.linalg.norm(x_vals, axis=1) < tol_eq
-    near_crit[kept] = np.linalg.norm(rows(g[n:0:-1]), axis=1) < tol_crit
+    near_crit[kept] = np.linalg.norm(
+        rows(g[n:0:-1]) if chart is None else grads, axis=1) < tol_crit
     return values, near_eq, near_crit, singular

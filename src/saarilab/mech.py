@@ -19,16 +19,34 @@ Potential jets are exact: the squared pair distance is an explicit quadratic
 jet and fractional powers go through the truncated binomial series, so the
 Hamiltonian field exposes analytic jets to any degree.  Each pair's term is
 a series in its relative coordinates ``d = q_i - q_j``, on the small
-``(space_dim, degree)`` table, then scattered into the configuration table:
-with ``d = delta_i - delta_j``, the coefficient of ``delta_i^a delta_j^b``
-is that of ``d^(a+b)`` times ``prod_c C(a_c + b_c, a_c) * (-1)^|b|``, an
-integer exact in a float, and rows of one body sum their pairs from +0 in
-pair order.  All products are elementwise or per column, so a stack of
-samples keeps each column's bits.
+``(space_dim, degree)`` table, then scattered into the configuration table
+of a chart.  A chart holds K position blocks ``x_k`` (``space_dim``
+variables each) and, per pair, its row: ``d = sum_k r_k x_k``.  The
+coefficient of ``prod_k delta_k^(a_k)`` is that of ``d^(sum_k a_k)`` times
+``prod_c (sum_k a_kc)! / prod_k a_kc!`` times ``prod_k r_k^|a_k|``, over the
+blocks with ``r_k != 0``, and rows sum their pairs from +0 in pair order.
+
+* The Cartesian chart (:class:`_PairPlan`) has the bodies as blocks and
+  rows ``e_i - e_j``: the factors are ``prod_c C(a_c + b_c, a_c)`` and
+  ``(-1)^|b|``, integers exact in a float.
+* The Jacobi chart (:class:`_JacobiPlan`) has the mass-weighted Jacobi
+  vectors ``rho_k = q_{k+1} - C_k`` as blocks, ``C_k`` the centre of mass
+  of bodies ``0..k``, and rows ``D_ij``; its momenta are ``pi_k = mu_k
+  drho_k/dt`` with reduced masses ``mu_k = m_{k+1} M_k / M_{k+1}``
+  (``M_k = m_0 + ... + m_k``).  The change is linear and symplectic, and
+  the centre of mass ``(R, P)`` drops out: ``H = sum_k |pi_k|^2 / 2 mu_k
+  + V(rho) + |P|^2 / 2M`` and ``I = sum_k mu_k |rho_k|^2`` (Meyer, Hall &
+  Offin, *Introduction to Hamiltonian Dynamical Systems and the N-Body
+  Problem*, 2nd ed.).  :func:`_jacobi_tower` runs the towers of a
+  translation-invariant system's energy and inertia there.
+
+All products are elementwise or per column, so a stack of samples keeps
+each column's bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,6 +94,7 @@ __all__ = [
     "build_hamiltonian_field",
     "moment_of_inertia",
     "inertia_observable",
+    "InertiaObservable",
     "EnergyObservable",
     "energy_observable",
     "RelEqSolution",
@@ -256,6 +275,10 @@ class BodySystem:
     def _pair_plan(self) -> "_PairPlan":
         return _PairPlan(self)
 
+    @cached_property
+    def _jacobi_plan(self) -> "_JacobiPlan":
+        return _JacobiPlan(self)
+
     def to_json_dict(self) -> dict:
         return {
             "n_bodies": self.n_bodies,
@@ -345,7 +368,7 @@ def _scalar_or_array(x):
 
 class _PairPlan:
     """A system's pair geometry and pair-force coefficients, built once per
-    system (``BodySystem._pair_plan``).
+    system (``BodySystem._pair_plan``); also its Cartesian chart.
 
     ``pairs`` are the body pairs ``i < j`` in lexicographic order, ``I``,
     ``J`` index their bodies and ``scale`` holds their ``-m_i m_j``.
@@ -353,6 +376,11 @@ class _PairPlan:
     ``(i*D + c, j*D + c)`` and ``-m_i m_j``;
     ``terms`` holds ``(beta*alpha, alpha - 1)`` per power-law term, and
     ``bumps`` the polynomial bumps, outermost first.
+
+    As a chart (see the module notes, and :class:`_JacobiPlan` for the
+    other one): ``nc`` configuration variables, ``mass`` and ``minv`` per
+    configuration coordinate, and per pair its ``rows`` entry ``e_i -
+    e_j`` over the bodies.
     """
 
     def __init__(self, system: BodySystem):
@@ -368,6 +396,78 @@ class _PairPlan:
         self.terms = tuple((b * a, a - 1.0)
                            for b, a in _pair_terms(system.potential))
         self.bumps = tuple(_bumps(system.potential))
+        self.nc = system.coord_dim
+        self.mass = system.mass_vector
+        self.minv = 1.0 / self.mass
+        self.rows = tuple(tuple(1.0 if k == i else -1.0 if k == j else 0.0
+                                for k in range(n)) for i, j in self.pairs)
+
+
+class _JacobiPlan:
+    """A system's mass-weighted Jacobi chart, built once per system
+    (``BodySystem._jacobi_plan``) for a translation-invariant potential.
+
+    With ``M_k = m_0 + ... + m_k``, ``C_0 = q_0`` and ``P_0 = p_0``, the
+    chart point of a Cartesian phase point is, for ``k = 0 .. N-2``::
+
+        rho_k = q_{k+1} - C_k,     C_{k+1} = C_k + (m_{k+1} / M_{k+1}) rho_k,
+        pi_k  = (M_k / M_{k+1}) p_{k+1} - (m_{k+1} / M_{k+1}) P_k,
+        P_{k+1} = P_k + p_{k+1},
+
+    flat as ``(rho, pi)``, each block-major: ``rho_k``'s component ``c`` is
+    variable ``k * space_dim + c`` and its conjugate ``pi`` is ``nc`` on.
+    ``C_{N-1}`` and ``P_{N-1}`` are the centre of mass and the total
+    momentum, which the chart drops (see the module notes).
+
+    As a chart: ``nc = (N - 1) * space_dim``, ``dim = 2 * nc``, ``mass``
+    holds each ``mu_k = m_{k+1} M_k / M_{k+1}`` per coordinate and
+    ``minv`` its inverse, and ``rows`` per pair ``i < j`` the coefficients
+    ``D_ijk`` of ``q_i - q_j = sum_k D_ijk rho_k``: ``-1`` at ``k = j - 1``,
+    ``0`` from ``k = j`` on, and below ``j - 1`` the coefficient of
+    ``rho_k`` in ``q_i``, which is ``-m_{k+1} / M_{k+1}`` for ``k >= i``,
+    ``M_k / M_{k+1}`` at ``k = i - 1`` and ``0`` before.
+    """
+
+    bumps = ()
+
+    def __init__(self, system: BodySystem):
+        if _bumps(system.potential):
+            raise ValueError("a potential bump is not translation invariant")
+        n, dim = system.n_bodies, system.space_dim
+        m = system.masses.tolist()
+        total = list(itertools.accumulate(m))
+        self.n_bodies, self.space_dim = n, dim
+        self.shift = [m[k + 1] / total[k + 1] for k in range(n - 1)]
+        self.keep = [total[k] / total[k + 1] for k in range(n - 1)]
+        self.mu = [m[k + 1] * total[k] / total[k + 1] for k in range(n - 1)]
+        self.nc = (n - 1) * dim
+        self.dim = 2 * self.nc
+        self.mass = np.repeat(self.mu, dim)
+        self.minv = 1.0 / self.mass
+
+        def in_q(i, k):  # the coefficient of rho_k in q_i
+            return (-self.shift[k] if k >= i else self.keep[k] if k == i - 1
+                    else 0.0)
+
+        self.rows = tuple(
+            tuple(in_q(i, k) if k < j - 1 else -1.0 if k == j - 1 else 0.0
+                  for k in range(n - 1))
+            for i, j in system._pair_plan.pairs)
+
+    def to_chart(self, points: np.ndarray) -> np.ndarray:
+        """The chart points of Cartesian phase points: one ``(phase_dim,)``
+        or a sample-minor stack ``(phase_dim, S)``, elementwise, so each
+        column keeps its one-point bits."""
+        rest = points.shape[1:]
+        q, p = points.reshape((2, self.n_bodies, self.space_dim) + rest)
+        centre, momentum = q[0], p[0]
+        rho, pi = [], []
+        for k in range(self.n_bodies - 1):
+            rho.append(q[k + 1] - centre)
+            pi.append(self.keep[k] * p[k + 1] - self.shift[k] * momentum)
+            centre = centre + self.shift[k] * rho[-1]
+            momentum = momentum + p[k + 1]
+        return np.concatenate(rho + pi).reshape((self.dim,) + rest)
 
 
 def pair_distances(system: BodySystem, q) -> np.ndarray:
@@ -537,15 +637,28 @@ def _each_sample(fn, x: np.ndarray):
     return np.array([fn(col) for col in np.ascontiguousarray(x.T)])
 
 
-def _pair_series(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
+def _pair_differences(system: BodySystem, chart, q: np.ndarray) -> np.ndarray:
+    """Each pair's ``d = sum_k r_k x_k`` over the chart positions of a
+    sample-minor stack ``q`` ``(nc, S)``: ``(pairs, space_dim, S)``.  The
+    terms with ``r_k != 0`` are added in block order, elementwise, so the
+    Cartesian ``1.0 * x_i + -1.0 * x_j`` is bitwise ``q_i - q_j``."""
+    x = q.reshape(len(chart.rows[0]), system.space_dim, -1)
+    out = []
+    for row in chart.rows:
+        d = None
+        for r, xk in zip(row, x):
+            if r:
+                d = r * xk if d is None else d + r * xk
+        out.append(d)
+    return np.stack(out)
+
+
+def _pair_series(system: BodySystem, d: np.ndarray, degree: int) -> np.ndarray:
     """Each pair's term ``-m_i m_j f(|d|)`` of ``V`` about each column of a
-    sample-minor stack ``q`` ``(coord_dim, S)``, in its relative coordinates
-    ``d = q_i - q_j``: ``(table_size(space_dim, degree), pairs, S)``.  Every
-    pair and sample is a column of one stacked ``_pow`` per power-law term,
-    and ``|d|^2`` is summed in coordinate order."""
-    plan = system._pair_plan
-    q = q.reshape(system.n_bodies, system.space_dim, -1)
-    d = q[plan.I] - q[plan.J]
+    stack of pair differences ``d`` ``(pairs, space_dim, S)``, in its
+    relative coordinates: ``(table_size(space_dim, degree), pairs, S)``.
+    Every pair and sample is a column of one stacked ``_pow`` per
+    power-law term, and ``|d|^2`` is summed in coordinate order."""
     lin, quad = _quadratic_positions(system.space_dim)
     sp = _space(system.space_dim, degree)
     r2 = np.zeros((sp.size, d.shape[0], d.shape[2]))
@@ -559,45 +672,52 @@ def _pair_series(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
     g = 0.0
     for beta, alpha in _pair_terms(system.potential):
         g = g + beta * _pow(sp, r2.reshape(sp.size, -1), alpha / 2.0)
-    return g.reshape(r2.shape) * plan.scale[:, None]
+    return g.reshape(r2.shape) * system._pair_plan.scale[:, None]
 
 
 @lru_cache(maxsize=None)
-def _pair_scatter(n_bodies: int, space_dim: int, degree: int
+def _pair_scatter(rows: tuple, space_dim: int, degree: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, src, weight)``: ``V``'s configuration table of one sample is
-    ``bincount(rows, weight * g[src])``, with ``g`` the sample's
-    :func:`_pair_series` flattened row-major; the entries run pair-major,
-    rows ascending (see the module notes)."""
-    pairs = [(i, j) for i in range(n_bodies) for j in range(i + 1, n_bodies)]
-    exps = _space(n_bodies * space_dim, degree).exps
-    rows, src, weight = [], [], []
-    for p, (i, j) in enumerate(pairs):
-        a = exps[:, i * space_dim:(i + 1) * space_dim]
-        b = exps[:, j * space_dim:(j + 1) * space_dim]
-        at = np.flatnonzero(a.sum(axis=1) + b.sum(axis=1) == exps.sum(axis=1))
-        a, b = a[at], b[at]
-        rows.append(at)
-        src.append(_space(space_dim, degree).rank(a + b) * len(pairs) + p)
-        weight.append(np.prod(np.vectorize(math.comb, otypes=[float])(
-            a + b, a), axis=1) * (1.0 - 2.0 * (b.sum(axis=1) % 2)))
-    out = tuple(map(np.concatenate, (rows, src, weight)))
+    """``(rows, src, weight)``: ``V``'s table on a chart with pair rows
+    ``rows`` of one sample is ``bincount(rows, weight * g[src])``, with
+    ``g`` the sample's :func:`_pair_series` flattened row-major; the
+    entries run pair-major, table rows ascending (see the module notes)."""
+    blocks = len(rows[0])
+    exps = _space(blocks * space_dim, degree).exps.reshape(
+        -1, blocks, space_dim)
+    small = _space(space_dim, degree)
+    fact = np.array([math.factorial(k) for k in range(degree + 1)], float)
+    at_rows, src, weight = [], [], []
+    for p, row in enumerate(rows):
+        used = [k for k, r in enumerate(row) if r]
+        at = np.flatnonzero(~np.delete(exps, used, axis=1).any(axis=(1, 2)))
+        a = exps[at][:, used]
+        total = a.sum(axis=1)
+        at_rows.append(at)
+        src.append(small.rank(total) * len(rows) + p)
+        weight.append(
+            np.prod(fact[total] / np.prod(fact[a], axis=1), axis=1)
+            * np.prod(np.array(row)[used] ** a.sum(axis=2), axis=1))
+    out = tuple(map(np.concatenate, (at_rows, src, weight)))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-#: The last ``(system, degree, q shape and bytes, coefficients)``: an
-#: energy sample or group asks twice, for the observable and for the field.
-#: It is read and replaced whole, so threads share it without a lock.
-_last_potential: tuple = (None, None, None, None)
+#: The last ``(system, chart, degree, q shape and bytes, coefficients)``:
+#: an energy sample or group asks twice, for the observable and for the
+#: field.  It is read and replaced whole, so threads share it without a
+#: lock.
+_last_potential: tuple = (None, None, None, None, None)
 
 
-def _potential(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
-    """Exact jet coefficients of ``V`` in the configuration variables about
-    one flat configuration ``q`` ``(coord_dim,)`` or each column of a
-    sample-minor stack ``(coord_dim, S)``; the previous call's (read-only)
-    array if it had this system, degree and ``q``.
+def _potential(system: BodySystem, q: np.ndarray, degree: int,
+               chart=None) -> np.ndarray:
+    """Exact jet coefficients of ``V`` in a chart's configuration variables
+    (``None``: the Cartesian chart) about one flat configuration ``q``
+    ``(nc,)`` or each column of a sample-minor stack ``(nc, S)``; the
+    previous call's (read-only) array if it had this system, chart, degree
+    and ``q``.
 
     The pair-coordinate route of the module notes: one
     :func:`_pair_series` stack for every pair and sample, scattered by one
@@ -606,23 +726,26 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int) -> np.ndarray:
     ``jet_coeffs``; so each column is bitwise equal to its one-point jet.
     """
     global _last_potential
+    chart = system._pair_plan if chart is None else chart
     key = (q.shape, q.tobytes())
     last = _last_potential
-    if last[0] is system and last[1] == degree and last[2] == key:
-        return last[3]
-    _check_collisions(system, pair_distances(system, q.T))
-    size = table_size(system.coord_dim, degree)
-    rows, src, weight = _pair_scatter(system.n_bodies, system.space_dim, degree)
+    if (last[0] is system and last[1] is chart and last[2] == degree
+            and last[3] == key):
+        return last[4]
     stack = q.reshape(len(q), -1)
+    d = _pair_differences(system, chart, stack)
+    _check_collisions(system, np.sqrt(np.add.reduce(d * d, axis=1)).T)
+    size = table_size(chart.nc, degree)
+    rows, src, weight = _pair_scatter(chart.rows, system.space_dim, degree)
     s = stack.shape[1]
-    p = weight[:, None] * _pair_series(system, stack, degree).reshape(-1, s)[src]
+    p = weight[:, None] * _pair_series(system, d, degree).reshape(-1, s)[src]
     at = (rows * s)[:, None] + np.arange(s)
     out = np.bincount(at.ravel(), p.ravel(), size * s).reshape(
         (size,) + q.shape[1:])
-    for bump in _bumps(system.potential):
+    for bump in chart.bumps:
         out += bump.jet_coeffs(q, degree)
     out.flags.writeable = False
-    _last_potential = (system, degree, key, out)
+    _last_potential = (system, chart, degree, key, out)
     return out
 
 
@@ -646,7 +769,7 @@ class HamiltonianField:
 
     def __init__(self, system: BodySystem):
         self.system = system
-        self.minv = 1.0 / system.mass_vector
+        self.minv = system._pair_plan.minv
         self._minv = self.minv.tolist()
 
     @property
@@ -681,30 +804,48 @@ class HamiltonianField:
 
     def field_coeffs(self, points, degree: int) -> list[tuple]:
         """The components at one phase point ``(phase_dim,)`` or a
-        sample-minor stack (see :mod:`saarilab.fields`): ``p_c / m_c`` on
-        ``p_c``'s table, the force ``-dV/dq_c`` on the configuration's."""
-        nc = self.system.coord_dim
-        comps: list[tuple] = []
-        for c in range(nc):
-            coeffs = np.zeros((degree + 1,) + points.shape[1:])
-            coeffs[0] = points[nc + c] * self.minv[c]
-            if degree >= 1:
-                coeffs[1] = self.minv[c]
-            comps.append((1 << (nc + c), coeffs))
-        vjet = _potential(self.system, points[:nc], degree + 1)
-        sp = _space(nc, degree + 1)
-        for c in range(nc):
-            scale = sp.diff_scale[c]
-            comps.append(((1 << nc) - 1, -(vjet[sp.diff_src[c]] * (
-                scale if vjet.ndim == 1 else scale[:, None]))))
-        return comps
+        sample-minor stack (see :mod:`saarilab.fields`), on the Cartesian
+        chart (see :func:`_field_coeffs`)."""
+        return _field_coeffs(self.system, self.system._pair_plan, points,
+                             degree)
+
+
+def _field_coeffs(system: BodySystem, chart, points, degree: int) -> list[tuple]:
+    """The Hamiltonian field's components on a chart at its points: the
+    velocity ``p_c / m_c`` on ``p_c``'s table, the force ``-dV/dq_c`` on
+    the configuration's, with ``m_c`` the chart's ``mass``."""
+    nc = chart.nc
+    comps: list[tuple] = []
+    for c in range(nc):
+        coeffs = np.zeros((degree + 1,) + points.shape[1:])
+        coeffs[0] = points[nc + c] * chart.minv[c]
+        if degree >= 1:
+            coeffs[1] = chart.minv[c]
+        comps.append((1 << (nc + c), coeffs))
+    vjet = _potential(system, points[:nc], degree + 1, chart)
+    sp = _space(nc, degree + 1)
+    for c in range(nc):
+        scale = sp.diff_scale[c]
+        comps.append(((1 << nc) - 1, -(vjet[sp.diff_src[c]] * (
+            scale if vjet.ndim == 1 else scale[:, None]))))
+    return comps
 
 
 def build_hamiltonian_field(system: BodySystem) -> HamiltonianField:
     return HamiltonianField(system)
 
 
-def inertia_observable(system: BodySystem) -> PolynomialObservable:
+class InertiaObservable(PolynomialObservable):
+    """The polynomial ``I`` of :func:`inertia_observable`, which knows its
+    system, so that its towers can run on the system's Jacobi chart (see
+    :func:`_jacobi_tower`); it compares as the polynomial."""
+
+    def __init__(self, poly: TruncatedJet, system: BodySystem):
+        super().__init__(poly)
+        object.__setattr__(self, "system", system)
+
+
+def inertia_observable(system: BodySystem) -> InertiaObservable:
     """``I`` about the centre of mass, lifted to phase space (exact quadratic)."""
     nph = system.phase_dim
     sd = system.space_dim
@@ -721,7 +862,8 @@ def inertia_observable(system: BodySystem) -> PolynomialObservable:
                 e2[i * sd + c] = 1
                 e2[j * sd + c] = 1
                 entries[tuple(e2)] = -2.0 * m[i] * m[j] / mt
-    return PolynomialObservable.from_coeffs(nph, 2, entries)
+    return InertiaObservable(
+        PolynomialObservable.from_coeffs(nph, 2, entries).poly, system)
 
 
 class EnergyObservable:
@@ -729,7 +871,6 @@ class EnergyObservable:
 
     def __init__(self, system: BodySystem):
         self.system = system
-        self._minv = 1.0 / system.mass_vector
 
     @property
     def dim(self) -> int:
@@ -742,30 +883,111 @@ class EnergyObservable:
         z = np.asarray(z, float)
         nc = self.system.coord_dim
         return np.concatenate([
-            grad_potential(self.system, z[:nc]), z[nc:] * self._minv
+            grad_potential(self.system, z[:nc]),
+            z[nc:] * self.system._pair_plan.minv
         ])
 
     def jet(self, z, degree: int) -> TruncatedJet:
         return _jet_at(self, z, degree)
 
     def jet_coeffs(self, points, degree: int) -> np.ndarray:
-        """The kinetic jet plus the embedded potential jet, at one phase
-        point or a sample-minor stack of them (see :mod:`saarilab.fields`)."""
-        sys = self.system
-        nc = sys.coord_dim
-        nph = sys.phase_dim
-        lin, quad = _quadratic_positions(nph)
-        p = np.arange(nc, nph)
-        minv = self._minv if points.ndim == 1 else self._minv[:, None]
-        coeffs = np.zeros((table_size(nph, degree),) + points.shape[1:])
-        coeffs[0] = _each_sample(lambda v: 0.5 * np.sum(v ** 2 * self._minv),
-                                 points[nc:])
-        if degree >= 1:
-            coeffs[lin[p]] = points[nc:] * minv
-        if degree >= 2:
-            coeffs[quad[p, p]] = 0.5 * minv
-        return coeffs + _expand(_space(nph, degree), (1 << nc) - 1,
-                                _potential(sys, points[:nc], degree))
+        """The energy's jet at one phase point or a sample-minor stack of
+        them (see :mod:`saarilab.fields`), on the Cartesian chart (see
+        :func:`_energy_coeffs`)."""
+        return _energy_coeffs(self.system, self.system._pair_plan, points,
+                              degree)
+
+
+def _energy_coeffs(system: BodySystem, chart, points, degree: int) -> np.ndarray:
+    """The kinetic jet plus the embedded potential jet on a chart at its
+    points, the kinetic part ``sum_c p_c^2 / 2 m_c`` with ``m_c`` the
+    chart's ``mass``."""
+    nc = chart.nc
+    nph = 2 * nc
+    lin, quad = _quadratic_positions(nph)
+    p = np.arange(nc, nph)
+    minv = chart.minv if points.ndim == 1 else chart.minv[:, None]
+    coeffs = np.zeros((table_size(nph, degree),) + points.shape[1:])
+    coeffs[0] = _each_sample(lambda v: 0.5 * np.sum(v ** 2 * chart.minv),
+                             points[nc:])
+    if degree >= 1:
+        coeffs[lin[p]] = points[nc:] * minv
+    if degree >= 2:
+        coeffs[quad[p, p]] = 0.5 * minv
+    return coeffs + _expand(_space(nph, degree), (1 << nc) - 1,
+                            _potential(system, points[:nc], degree, chart))
+
+
+def _inertia_coeffs(chart, points, degree: int) -> np.ndarray:
+    """``sum_c m_c q_c^2`` on a chart at its points, ``m_c`` the chart's
+    ``mass``: on the Jacobi chart, ``I = sum_k mu_k |rho_k|^2``."""
+    nc = chart.nc
+    lin, quad = _quadratic_positions(2 * nc)
+    q = np.arange(nc)
+    mass = chart.mass if points.ndim == 1 else chart.mass[:, None]
+    coeffs = np.zeros((table_size(2 * nc, degree),) + points.shape[1:])
+    coeffs[0] = _each_sample(lambda v: np.sum(v ** 2 * chart.mass),
+                             points[:nc])
+    if degree >= 1:
+        coeffs[lin[q]] = 2.0 * mass * points[:nc]
+    if degree >= 2:
+        coeffs[quad[q, q]] = mass
+    return coeffs
+
+
+class _JacobiTower:
+    """The towers of one observable, a translation-invariant system's
+    energy or inertia, along its Hamiltonian field, run on the system's
+    Jacobi chart (:class:`_JacobiPlan`): :meth:`points` maps Cartesian
+    phase points there, and :meth:`observable_coeffs` and
+    :meth:`field_coeffs` give the jets there, as the handles' methods of
+    :mod:`saarilab.fields` do on the Cartesian chart.
+
+    ``I`` and ``H - |P|^2 / 2M`` do not depend on ``(R, P)``, and
+    ``|P|^2 / 2M`` is conserved, so their towers are the Cartesian ones on
+    or off the centre-of-mass slice.  The energy's and the field's
+    potential jets are one array, and each momentum's partial reads the
+    field's floats, so the energy towers stay exactly zero (see
+    :func:`~saarilab.lie_tower._lie_step`).
+    """
+
+    def __init__(self, system: BodySystem, energy: bool):
+        self.system, self.energy = system, energy
+
+    @property
+    def dim(self) -> int:
+        return self.system._jacobi_plan.dim
+
+    def points(self, zs: np.ndarray) -> np.ndarray:
+        return self.system._jacobi_plan.to_chart(zs)
+
+    def observable_coeffs(self, points, degree: int) -> np.ndarray:
+        chart = self.system._jacobi_plan
+        if self.energy:
+            return _energy_coeffs(self.system, chart, points, degree)
+        return _inertia_coeffs(chart, points, degree)
+
+    def field_coeffs(self, points, degree: int) -> list[tuple]:
+        return _field_coeffs(self.system, self.system._jacobi_plan, points,
+                             degree)
+
+
+def _jacobi_tower(F, X) -> _JacobiTower | None:
+    """The Jacobi-chart route of a pair of handles, or ``None`` for the
+    Cartesian one: ``X`` must be a :class:`HamiltonianField` whose
+    potential has no bump, and ``F`` that system's
+    :class:`EnergyObservable` or :class:`InertiaObservable`.  Any other
+    pair, such as a bumped potential, a sum of fields or observables, or a
+    plain polynomial, keeps the Cartesian chart."""
+    if not isinstance(X, HamiltonianField) or _bumps(X.system.potential):
+        return None
+    if not isinstance(F, (EnergyObservable, InertiaObservable)):
+        return None
+    system = X.system
+    if F.system is not system and (
+            F.system.to_json_dict() != system.to_json_dict()):
+        return None
+    return _JacobiTower(system, isinstance(F, EnergyObservable))
 
 
 def energy_observable(system: BodySystem) -> EnergyObservable:

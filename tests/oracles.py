@@ -31,7 +31,11 @@ written, where the library draws a whole scan in one call and checks the
 separations of all pending samples at once, and it evaluates each sample
 with ``obstruction_per_sample``, one point's tower with its own
 ``<grad F, X>`` cross-check and its own norms, where the library checks a
-group on its arrays; draws must be equal byte for byte too.
+group on its arrays; draws must be equal byte for byte too.  With
+``cartesian``, both run N-body energy and inertia towers on Cartesian jets,
+the route before the Jacobi chart: the accuracy oracle of the chart's
+towers, and the byte oracle of every pair of handles that keeps the
+Cartesian chart.
 """
 
 import math
@@ -79,6 +83,7 @@ from saarilab.lie_tower import (
     psi_tower,
 )
 from saarilab.mech import (
+    _jacobi_tower,
     _bodies,
     _bumps,
     _check_collisions,
@@ -289,7 +294,7 @@ def energy_jet_by_jets(energy, z, degree: int) -> TruncatedJet:
     nc = sys.coord_dim
     nph = sys.phase_dim
     lin, quad = _quadratic_positions(nph)
-    minv = energy._minv
+    minv = 1.0 / sys.mass_vector
     p = np.arange(nc, nph)
     coeffs = np.zeros(_space(nph, degree).size)
     coeffs[0] = 0.5 * np.sum(z[nc:] ** 2 * minv)
@@ -410,17 +415,34 @@ def draw_per_sample(sampler, index: int, dim: int, system=None) -> np.ndarray:
 
 
 def obstruction_per_sample(F, X, z, m: int, tol_eq: float = 1e-9,
-                           tol_crit: float = 1e-9) -> ObstructionSample:
+                           tol_crit: float = 1e-9,
+                           cartesian: bool = False) -> ObstructionSample:
     """``obstruction_at`` as first written: one point's jets and chain, its
     first entry checked against ``F.grad(z) . X(z)``, and its flags from
-    ``np.linalg.norm`` of ``X(z)`` and of the jet's gradient."""
+    ``np.linalg.norm`` of ``X(z)`` and of the jet's gradient.
+
+    A pair of handles that the library runs on the Jacobi chart
+    (``mech._jacobi_tower``) runs there too, one point's chart jets, and
+    takes its F-critical flag from ``F.grad(z)``; with ``cartesian`` it
+    keeps the Cartesian jets, the route before the chart and the accuracy
+    oracle of the chart's towers."""
     z = np.asarray(z, float)
     x_val = np.asarray(X(z), float)
-    g = observable_coeffs(F, z, m)
-    n = z.size
+    chart = None if cartesian else _jacobi_tower(F, X)
+    if chart is None:
+        g = observable_coeffs(F, z, m)
+        jets = field_coeffs(X, z, m - 1)
+        n = z.size
+        grad = g[1:n + 1][::-1]
+    else:
+        at = chart.points(z)
+        g = chart.observable_coeffs(at, m)
+        jets = chart.field_coeffs(at, m - 1)
+        n = chart.dim
+        grad = np.asarray(F.grad(z), float)
     sp = _space(n, m - 1)
     comps = []
-    for mask, c in field_coeffs(X, z, m - 1):
+    for mask, c in jets:
         if mask is None:  # a whole table: onto the table of its variables
             mask = _variable_mask(sp, c)
             if mask is not None:
@@ -444,17 +466,18 @@ def obstruction_per_sample(F, X, z, m: int, tol_eq: float = 1e-9,
         psi=psi,
         norm_inf=psi.norm_inf,
         is_near_equilibrium=bool(np.linalg.norm(x_val) < tol_eq),
-        is_near_F_critical=bool(np.linalg.norm(np.array(g[1:n + 1][::-1]))
-                                < tol_crit),
+        is_near_F_critical=bool(np.linalg.norm(np.array(grad)) < tol_crit),
         tol_eq=tol_eq,
         tol_crit=tol_crit,
     )
 
 
 def obstruction_scan_per_sample(X, F, sampler, m=None, tol_zero=TOL_ZERO,
-                                tol_eq=1e-9, tol_crit=1e-9) -> ScanReport:
+                                tol_eq=1e-9, tol_crit=1e-9,
+                                cartesian=False) -> ScanReport:
     """``obstruction_scan`` as one :func:`draw_per_sample` and one
-    :func:`obstruction_per_sample` per sample."""
+    :func:`obstruction_per_sample` per sample, on the Cartesian chart with
+    ``cartesian``."""
     fieldX, system = _field_and_system(X)
     dim = fieldX.dim if hasattr(fieldX, "dim") else F.dim
     if m is None:
@@ -466,7 +489,8 @@ def obstruction_scan_per_sample(X, F, sampler, m=None, tol_zero=TOL_ZERO,
         z = draw_per_sample(sampler, idx, dim, system)
         try:
             samp = obstruction_per_sample(F, fieldX, z, m=m, tol_eq=tol_eq,
-                                          tol_crit=tol_crit)
+                                          tol_crit=tol_crit,
+                                          cartesian=cartesian)
         except SingularityError:
             n_sing += 1
             continue

@@ -26,6 +26,8 @@ from saarilab.mech import (
     releq_trajectory,
 )
 
+from fresh import run_fresh
+
 OSC = {"kind": "oscillator"}
 NBODY2 = {
     "kind": "nbody",
@@ -98,6 +100,40 @@ def test_tower_writes_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["tower", cfg])
     assert code == 0 and out == ""
     assert json.loads(out_file.read_text())["command"] == "tower"
+
+
+#: The README's planar three-body system.
+NBODY3 = {"kind": "nbody", "n_bodies": 3, "space_dim": 2,
+          "masses": [1.0, 1.0, 1.0], "potential": {"variant": "newtonian"}}
+
+_TOWER_FRESH = """
+import json, sys
+import saarilab.cli
+code = saarilab.cli.main(["tower", sys.argv[1]])
+print(json.dumps({"code": code, "peak_mb": peak_mb()}))
+"""
+
+
+def test_three_body_tower_runs_at_its_default_order(tmp_path):
+    # Without "tower_order" the tower takes m = phase_dim + 1 = 13.  The
+    # inertia runs on the Jacobi chart's (8, 13) table of 203 490
+    # coefficients, where the Cartesian (12, 13) table of 5 200 300 ran out
+    # of memory: in a fresh process it takes about 0.7 s and 215 MB on 2
+    # vCPUs.  Its first entry is dI/dt = 2 q.p about the centre of mass.
+    q = [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]]
+    p = [[0.1, 0.3], [-0.2, -0.1], [0.1, -0.2]]
+    out = tmp_path / "report.json"
+    cfg = write_config(tmp_path, "t.json", {
+        "system": NBODY3, "observable": {"kind": "inertia"},
+        "state": {"q": q, "p": p}, "output": str(out)})
+    got = run_fresh(_TOWER_FRESH, cfg)
+    assert got["code"] == 0
+    assert got["peak_mb"] < 400
+    tower = json.loads(out.read_text())["tower"]
+    assert tower["order"] == 13 and len(tower["values"]) == 13
+    assert np.isfinite(tower["values"]).all()
+    assert tower["values"][0] == pytest.approx(
+        2.0 * float(np.sum(np.array(q) * np.array(p))), rel=1e-12)
 
 
 # -- rank ----------------------------------------------------------------------------

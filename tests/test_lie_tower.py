@@ -53,6 +53,7 @@ from saarilab.mech import (
     inertia_observable,
 )
 
+from fresh import run_fresh
 from oracles import (
     dpsi_wrt_X_fd,
     dpsi_wrt_X_per_column,
@@ -508,33 +509,33 @@ def _two_body(masses=(1.0, 1.3)):
 
 
 def test_tower_builds_triples_only_for_the_tables_it_multiplies():
-    # At m = 9 the inertia jet lives on the (8, 9) table, but only the
-    # degree-8 field jets are multiplied: the big table never needs triples.
-    # Each field component uses one momentum or the configuration only, and
-    # each partial of the observable runs over the smallest component table
-    # that holds its variables, so the (8, 8) table holds triple sets keyed
-    # (component mask, partial's table) and never the full ones.  The
-    # inertia uses no momentum, so the forces, whose partials dI/dp are
-    # zero, are not multiplied there, and dI/dq lies on the configuration's
-    # table: four sets, one per momentum.  The energy adds the forces times
-    # dH/dp_c, which lies on p_c's table: four sets more.
+    # At m = 9 the two-body inertia and energy run on the Jacobi chart
+    # (rho, pi), four variables.  The observable's jet lives on the (4, 9)
+    # table, but only the degree-8 field jets are multiplied: the big table
+    # never needs triples.  Each field component uses one momentum or the
+    # configuration only, so the (4, 8) table holds one triple set per
+    # component mask, 5 577 triples, and never the full ones; at 495
+    # coefficients it is below the order scan, so every partial multiplies
+    # over every row and no component is skipped.  On the Cartesian chart
+    # the (8, 8) table held four sets of 5 148 triples for the inertia and
+    # eight for both.
     _space.cache_clear()
     system = _two_body()
     field = build_hamiltonian_field(system)
     z = Sampler(box=(-1.0, 1.0), count=1, seed=5).draw(0, 8, system)
     obstruction_at(inertia_observable(system), field, z, m=9)
-    sp = _space(8, 8)
-    p, q = [1 << v for v in range(4, 8)], 0b1111
-    assert sorted(sp._within) == [(c, q) for c in p]
-    assert sum(len(t[0]) for t in sp._within.values()) == 5_148
+    sp = _space(4, 8)
+    sets = [(0b11, None), (1 << 2, None), (1 << 3, None)]
+    assert sorted(sp._within) == sets
+    assert sum(len(t[0]) for t in sp._within.values()) == 5_577
     obstruction_at(energy_observable(system), field, z, m=9)
-    assert not [name for name in vars(_space(8, 9)) if name.startswith("tri")]
+    assert not [name for name in vars(_space(4, 9)) if name.startswith("tri")]
     assert "triples" not in vars(sp)
-    assert sorted(sp._within) == sorted([(c, q) for c in p] + [(q, c) for c in p])
+    assert sorted(sp._within) == sets
 
 
 _THREE_BODY_M9 = """
-import json, resource
+import json, time
 import saarilab
 from saarilab.genericity import Sampler
 from saarilab.jet_algebra import _space
@@ -542,68 +543,73 @@ from saarilab.jet_algebra import _space
 system = saarilab.BodySystem(3, 2, (1.0, 1.3, 0.7), saarilab.NewtonianPotential())
 z = Sampler(box=(-1, 1), count=10, seed=4, min_separation=0.3).draw(0, 12, system)
 X = saarilab.build_hamiltonian_field(system)
-psi = {name: saarilab.obstruction_at(F(system), X, z, m=9).psi.values
-       for name, F in (("inertia", saarilab.inertia_observable),
-                       ("energy", saarilab.energy_observable))}
-sp = _space(12, 8)
+start = time.perf_counter()
+psi = {"inertia": saarilab.obstruction_at(
+    saarilab.inertia_observable(system), X, z, m=9).psi.values}
+cold_s = time.perf_counter() - start
+psi["energy"] = saarilab.obstruction_at(
+    saarilab.energy_observable(system), X, z, m=9).psi.values
+sp = _space(8, 8)
 print(json.dumps({
     "psi": {name: [float(v).hex() for v in p] for name, p in psi.items()},
-    "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_mb": peak_mb(),
+    "cold_s": cold_s,
     "full": "triples" in vars(sp),
     "restricted": sum(len(t[0]) for t in sp._within.values()),
 }))
 """
 
-#: The towers, bit for bit.  The energy is conserved, and its tower is
-#: exactly zero (see ``lie_tower._lie_step``).
+#: The towers on the Jacobi chart, bit for bit.  The energy is conserved,
+#: and its tower is exactly zero (see ``lie_tower._lie_step``).
 _THREE_BODY_M9_PSI = {
     "inertia": [
-        "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de556p-1", "-0x1.cd240d6c19d5cp+0",
-        "0x1.6e238aa0d0243p+4", "0x1.321892275f34ap+1", "0x1.2049b1bc2991dp+7",
-        "0x1.5997b6311839fp+11", "0x1.496c0955f7c07p+13", "-0x1.97148853b4230p+17",
+        "0x1.2b0dc9c22eaadp-1", "-0x1.f70c8106de55cp-1", "-0x1.cd240d6c19d64p+0",
+        "0x1.6e238aa0d0246p+4", "0x1.321892275f258p+1", "0x1.2049b1bc29930p+7",
+        "0x1.5997b631183a8p+11", "0x1.496c0955f7c56p+13", "-0x1.97148853b4338p+17",
     ],
     "energy": ["0x0.0p+0"] * 9,
 }
 
-#: The towers as they were with each Lie step's terms added in component
-#: order, the route the conjugate pairs replaced: the energy tower was
-#: roundoff, up to 6.4e-8 here.
-_THREE_BODY_M9_PSI_COMPONENT_ORDER = {
-    "inertia": [
-        "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de557p-1", "-0x1.cd240d6c19d5ap+0",
-        "0x1.6e238aa0d0243p+4", "0x1.321892275f36ep+1", "0x1.2049b1bc29926p+7",
-        "0x1.5997b631183a9p+11", "0x1.496c0955f7bffp+13", "-0x1.97148853b4249p+17",
-    ],
-    "energy": [
-        "-0x1.0000000000000p-54", "0x1.559315cf87a9ep-53", "0x1.960ff72403aa7p-49",
-        "-0x1.a2f14e913509dp-47", "-0x1.5bffd1b91d79fp-44", "-0x1.b62ff34867cf0p-42",
-        "-0x1.a77afa7433d5bp-39", "0x1.51ca4d8faf08ep-31", "-0x1.136cde2f99a02p-24",
-    ],
-}
+#: The inertia tower on the Cartesian chart (twelve variables), the route
+#: before the Jacobi chart, with each Lie step's terms in conjugate pairs.
+#: Added in component order instead, its last bits moved by up to 6.7e-15
+#: relative, and the energy tower was roundoff, up to 6.4e-8 here.
+_THREE_BODY_M9_PSI_CARTESIAN = [
+    "0x1.2b0dc9c22eaaap-1", "-0x1.f70c8106de556p-1", "-0x1.cd240d6c19d5cp+0",
+    "0x1.6e238aa0d0243p+4", "0x1.321892275f34ap+1", "0x1.2049b1bc2991dp+7",
+    "0x1.5997b6311839fp+11", "0x1.496c0955f7c07p+13", "-0x1.97148853b4230p+17",
+]
 
 
 def test_three_body_m9_inertia_tower_multiplies_only_restricted_triples():
-    # A work guard by counts: the (12, 8) products take one restricted set
-    # per (field mask, partial's table), 80 190 triples in all, where the
-    # full table holds 10 518 300 and one set per field mask alone held
-    # 2 783 215.  A fresh process, so that the peak is these towers' own.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", _THREE_BODY_M9], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
+    # A work guard by counts: on the Jacobi chart the (8, 8) products take
+    # one restricted set per (field mask, partial's table), 10 296 triples
+    # in all, where the Cartesian (12, 8) sets took 80 190, its full table
+    # holds 10 518 300 and one set per field mask alone held 2 783 215.  A
+    # fresh process, so that the peak and the cold inertia tower are these
+    # towers' own: 94 MB and 0.06 s on 2 vCPUs, where the Cartesian chart
+    # took 270 MB and 1.1 s.
+    got = run_fresh(_THREE_BODY_M9)
     assert got["psi"] == _THREE_BODY_M9_PSI
-    # The pair order moved the inertia tower's last bits: it stays within
-    # 1e-12 relative of the replaced route's (measured 6.7e-15).
-    new, old = ({name: np.array([float.fromhex(v) for v in values])
-                 for name, values in psi.items()}
-                for psi in (_THREE_BODY_M9_PSI, _THREE_BODY_M9_PSI_COMPONENT_ORDER))
-    np.testing.assert_allclose(new["inertia"], old["inertia"], rtol=1e-12,
-                               atol=0.0)
+    # The chart moved the inertia tower's last bits: it stays within 1e-12
+    # relative of the Cartesian one (measured 4.5e-14).
+    new = np.array([float.fromhex(v) for v in _THREE_BODY_M9_PSI["inertia"]])
+    old = np.array([float.fromhex(v) for v in _THREE_BODY_M9_PSI_CARTESIAN])
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
     assert not got["full"]
-    assert got["restricted"] < 3_000_000
-    assert got["peak_mb"] <= 512
+    assert got["restricted"] == 10_296
+    assert got["peak_mb"] <= 150
+    assert got["cold_s"] < 0.2
+
+
+def test_three_body_m9_cartesian_tower_keeps_its_bits():
+    # The Cartesian route, the oracle of the chart, keeps its bits.
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    z = Sampler(box=(-1, 1), count=10, seed=4, min_separation=0.3).draw(0, 12, system)
+    got = obstruction_per_sample(inertia_observable(system),
+                                 build_hamiltonian_field(system), z, 9,
+                                 cartesian=True)
+    assert [v.hex() for v in got.psi.values] == _THREE_BODY_M9_PSI_CARTESIAN
 
 
 _CACHE_BOUND = """
@@ -625,7 +631,7 @@ def run(towers):
         for z in points:
             saarilab.obstruction_at(F, X, z, m)
 
-def state(degrees, dim=12):
+def state(degrees, dim=8):
     spaces = [_space(dim, d) for d in range(degrees)]
     digest = hashlib.sha256()
     for sp in spaces:
@@ -647,11 +653,13 @@ sys.setswitchinterval(1e-6)
 with ThreadPoolExecutor(max_workers=2) as pool:
     list(pool.map(run, (m7, m7)))
 got["threads_equal"] = state(8) == serial
-# the basis monomials of dpsi_wrt_F, one observable per column
+# the basis monomials of dpsi_wrt_F, one observable per column, on the
+# Cartesian (8, d) tables of a two-body field, apart from the chart's
+_space.cache_clear()
 two = saarilab.BodySystem(2, 2, (1.0, 1.3), saarilab.NewtonianPotential())
 z = Sampler(box=(-1, 1), count=1, seed=4, min_separation=0.3).draw(0, 8, two)
 saarilab.dpsi_wrt_F(saarilab.build_hamiltonian_field(two).jet_field(z, 4), m=5)
-got["monomials"] = state(5, dim=8)
+got["monomials"] = state(5)
 print(json.dumps(got))
 """
 
@@ -660,23 +668,20 @@ def test_triple_sets_stay_keyed_by_component_tables():
     # Warm planar three-body m = 7 energy and inertia towers, then an m = 9
     # inertia tower, in a fresh process.  Each table caches one triple set
     # per (component mask, partial's table), so the counts are pinned
-    # exactly: 75 sets and 796 552 triples on the (12, d) tables, where one
-    # set per component mask took 63 and 2 576 420.  The only full triples
-    # are the inertia's own (12, 2) table, for its Taylor shift.  Keyed by
+    # exactly: 59 sets and 32 194 triples on the Jacobi chart's (8, d)
+    # tables, where the Cartesian (12, d) tables took 75 sets and 796 552
+    # triples, and one set per component mask 63 and 2 576 420.  No (8, d)
+    # table holds full triples: the chart's inertia is built in closed
+    # form, not by a Taylor shift.  Keyed by
     # each partial's exact variables, the 1 286 basis monomials of a
     # two-body dpsi_wrt_F at m = 5 cached 815 sets on the (8, 4) table, as
     # per-monomial sets once grew to 1 200 sets and 4.3 M triples in
     # dpsi_wrt_X; keyed by component tables they cache 30.  Threads that
     # miss together from an empty cache build the same sets, bit for bit.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-c", _CACHE_BOUND], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["keys"] == [7, 7, 7, 8, 13, 7, 13, 7, 6, 0]
-    assert got["triples"] == 796_552
-    assert got["full"] == [2]
+    got = run_fresh(_CACHE_BOUND)
+    assert got["keys"] == [5, 5, 5, 5, 13, 9, 8, 5, 4, 0]
+    assert got["triples"] == 32_194
+    assert got["full"] == []
     assert got["threads_equal"]
     assert got["monomials"]["keys"] == [5, 5, 5, 5, 30]
     assert got["monomials"]["triples"] == 8_127
@@ -898,8 +903,8 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
         built.append(jet.degree)
         validate(jet)
 
-    def counted_pairs(system, q, degree):
-        out = pair_series(system, q, degree)
+    def counted_pairs(system, d, degree):
+        out = pair_series(system, d, degree)
         pair_stacks.append(out.shape[1:])
         return out
 
@@ -911,7 +916,8 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
     # A grouped scan: the field and an energy observable share one
     # potential stack per group, so one pair stack, every pair for every
     # sample of the group, is built per group (groups of 20 at two-body
-    # m = 5, of one at three-body m = 7).
+    # m = 5, of five at three-body m = 7 on the Jacobi chart, where the
+    # Cartesian chart ran groups of one).
     built.clear()
     pair_stacks.clear()
     rep = obstruction_scan(system, F, sampler, m=m)
@@ -920,7 +926,7 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
     assert len(built) == built_per_sample * sampler.count <= 3 * sampler.count
     pairs = len(system.pairs())
     assert pair_stacks == ([(pairs, 20)] if system.n_bodies == 2
-                           else [(pairs, 1)] * 20)
+                           else [(pairs, 5)] * 4)
 
 
 def _record_products(monkeypatch, record, *modules):
@@ -937,22 +943,24 @@ def _record_products(monkeypatch, record, *modules):
 
 
 @pytest.mark.parametrize("observable, gathered", [
-    (inertia_observable, 35_274), (energy_observable, 25_542)])
+    (inertia_observable, 13_030), (energy_observable, 10_122)])
 def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
         monkeypatch, observable, gathered):
     # Counts the triples _mul gathers, once per column of a stacked
-    # product, not time.  The inertia is quadratic in q and constant in p,
-    # and the energy quadratic in p, so the first Lie steps multiply
-    # partials of order 0 or 1; with every component multiplied at full
-    # order both towers gathered 1 430 295.  Each partial multiplies over
-    # the rows of the smallest component table that holds its variables:
-    # with every row of the table they gathered 60 600 and 331 428.  The
-    # energy's first Lie step is exactly zero, so its chain stops there.
-    # The potential's series gather
-    # 6 930: seven products on the (2, 7) pair table, 330 triples each for
-    # the three pairs' columns at once, where each pair's series on the
-    # (6, 7) configuration table gathered 100 305 (153 975 and 424 803 in
-    # all).
+    # product, not time.  The towers run on the Jacobi chart's (8, d)
+    # tables.  The inertia is quadratic in rho and constant in pi, and the
+    # energy quadratic in pi, so the first Lie steps multiply partials of
+    # order 0 or 1, and each partial multiplies over the rows of the
+    # smallest component table that holds its variables: the chains gather
+    # 6 100 and 3 192.  The energy's first Lie step is exactly zero, so its
+    # chain stops there.  The potential's series gather 6 930: seven
+    # products on the (2, 7) pair table, 330 triples each for the three
+    # pairs' columns at once, as on the Cartesian chart.  There the chains
+    # on the (12, d) tables gathered 28 344 and 18 612 (35 274 and 25 542
+    # in all); with every component multiplied at full order 1 430 295,
+    # with every row of the table 60 600 and 331 428, and with each pair's
+    # series on the (6, 7) configuration table 153 975 and 424 803 in
+    # all.
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
     field, F = build_hamiltonian_field(system), observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
@@ -973,10 +981,12 @@ def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
 def test_a_warm_three_body_energy_tower_scans_no_field_component(monkeypatch):
     # The Hamiltonian field gives each component on the table of the
     # variables it uses, so a warm sample scans no component for its mask:
-    # the one _variable_mask call left is the potential's power series.  A
-    # momentum's component holds 7 coefficients at degree 6 and a force 924
-    # (the configuration's table), where each was a whole (12, 6) table of
-    # 18 564 and a sample made 13 scans.
+    # the one _variable_mask call left is the potential's power series.  On
+    # the Jacobi chart a momentum's component holds 7 coefficients at
+    # degree 6 and a force 210 (the (4, 6) configuration table); on the
+    # Cartesian chart there were 6 of each and a force held 924, and
+    # before that each was a whole (12, 6) table of 18 564 and a sample
+    # made 13 scans.
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
     field, F = build_hamiltonian_field(system), energy_observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
@@ -999,7 +1009,7 @@ def test_a_warm_three_body_energy_tower_scans_no_field_component(monkeypatch):
     monkeypatch.undo()
     assert np.isfinite(sample.psi.values).all()
     assert len(scans) <= 1
-    assert sizes == [7] * 6 + [924] * 6
+    assert sizes == [7] * 4 + [210] * 4
 
 
 @pytest.mark.parametrize("observable", [inertia_observable, energy_observable])
@@ -1024,17 +1034,24 @@ def test_a_warm_two_body_scan_multiplies_one_tower_per_group(monkeypatch,
 
 
 def test_a_three_body_m7_scan_evaluates_one_sample_at_a_time(monkeypatch):
-    # A (12, 7) observable is 50 388 coefficients, so 12 components of a
+    # On the Cartesian chart, as for a plain polynomial observable, a
+    # (12, 7) observable is 50 388 coefficients, so 12 components of a
     # group of two would pass _CHUNK_ELEMENTS: the scan runs groups of one,
-    # on plain arrays and the per-thread gather buffers.
+    # on plain arrays and the per-thread gather buffers.  The system's own
+    # inertia runs on the Jacobi chart, whose (8, 7) observable is 6 435
+    # coefficients: groups of five, two samples in one stacked chain.
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
-    widths = []
-    _record_products(monkeypatch, lambda sp, a, *_: widths.append(a.ndim),
-                     lie_tower)
+    inertia = inertia_observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
-    rep = obstruction_scan(system, inertia_observable(system), sampler, m=7)
-    assert rep.n_obstruction_nonzero == 2
-    assert widths and set(widths) == {1}
+    for F, width in ((PolynomialObservable(inertia.poly), ()),
+                     (inertia, (2,))):
+        widths = []
+        _record_products(monkeypatch, lambda sp, a, *_: widths.append(
+            a.shape[1:]), lie_tower)
+        rep = obstruction_scan(system, F, sampler, m=7)
+        monkeypatch.undo()
+        assert rep.n_obstruction_nonzero == 2
+        assert widths and set(widths) == {width}
 
 
 @pytest.mark.parametrize("observable", [inertia_observable, energy_observable])
@@ -1156,7 +1173,7 @@ def test_concurrent_towers_equal_serial_ones():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
-    assert _space(8, 4)._within and "triples" in vars(_space(3, 4))
+    assert _space(4, 4)._within and "triples" in vars(_space(3, 4))
 
 
 _TRACED_RUN = """

@@ -544,23 +544,24 @@ def test_field_jets_equal_the_jet_by_jet_route(name):
 def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
     # The energy observable and the field both need the potential jet at the
     # sample's q and the tower order; the second asks for the jet the first
-    # built, so one pair stack, holding every pair, is built per sample.
+    # built, so one pair stack, holding every pair, is built per sample,
+    # from the pair differences (pairs, space_dim, 1) on the Jacobi chart.
     system = three_body((1.0, 1.3, 0.7))
     field, energy = HamiltonianField(system), EnergyObservable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=3, seed=31, min_separation=0.3)
     pair_series = mech._pair_series
     calls = []
 
-    def counted(system, q, degree):
-        out = pair_series(system, q, degree)
-        calls.append((q.shape[1:], out.shape[1:], degree))
+    def counted(system, d, degree):
+        out = pair_series(system, d, degree)
+        calls.append((d.shape, out.shape[1:], degree))
         return out
 
     monkeypatch.setattr(mech, "_pair_series", counted)
     for k in range(sampler.count):
         calls.clear()
         obstruction_at(energy, field, sampler.draw(k, 12, system), m=4)
-        assert calls == [((1,), (3, 1), 4)]
+        assert calls == [((3, 2, 1), (3, 1), 4)]
     z = sampler.draw(0, 12, system)
     assert potential_config_jet(system, z[:6], 4).coeffs is potential_config_jet(
         system, z[:6].copy(), 4).coeffs
@@ -577,36 +578,39 @@ def test_an_energy_sample_builds_its_potential_jet_once(monkeypatch):
 def test_an_energy_group_builds_its_potential_stack_once(monkeypatch):
     # A scan builds a group's jets as stacks, the energy's and then the
     # field's, so the field finds the potential stack the energy built:
-    # five samples in one group of twelve at (12, 4) build one pair stack,
-    # every pair for all five, where one jet per sample built five.
+    # five samples in one group of 66 on the Jacobi chart's (8, 4) table
+    # build one pair stack, every pair for all five, where one jet per
+    # sample built five.
     system = three_body((1.0, 1.3, 0.7))
     sampler = Sampler(box=(-1.5, 1.5), count=5, seed=31, min_separation=0.3)
     pair_series = mech._pair_series
     widths = []
 
-    def counted(system, q, degree):
-        out = pair_series(system, q, degree)
-        widths.append((q.shape[1:], out.shape[1:]))
+    def counted(system, d, degree):
+        out = pair_series(system, d, degree)
+        widths.append((d.shape, out.shape[1:]))
         return out
 
     monkeypatch.setattr(mech, "_pair_series", counted)
     rep = obstruction_scan(system, EnergyObservable(system), sampler, m=4)
     assert rep.n_samples == 5 and rep.n_excluded_singular == 0
-    assert widths == [((5,), (3, 5))]
+    assert widths == [((3, 2, 5), (3, 5))]
 
 
 def test_a_three_body_energy_sample_makes_no_configuration_products():
     # The potential's series run in each pair's relative coordinates, so
-    # the (6, 7) configuration table of a planar 3-body energy sample at
-    # m = 7 serves its layout, derivatives and scatter only: no product
-    # there builds triples, full or restricted.
+    # the configuration table of a planar 3-body energy sample at m = 7,
+    # (4, 7) on the Jacobi chart, serves its layout, derivatives and
+    # scatter only: no product there builds triples, full or restricted.
+    # Nor does the Cartesian potential jet on its (6, 7) table.
     _space.cache_clear()
     system = three_body((1.0, 1.3, 0.7))
     z = Sampler(box=(-1.5, 1.5), count=1, seed=3,
                 min_separation=0.3).draw(0, 12, system)
     obstruction_at(EnergyObservable(system), HamiltonianField(system), z, m=7)
-    sp = _space(6, 7)
-    assert "triples" not in vars(sp) and sp._within == {}
+    potential_config_jet(system, z[:6], 7)
+    for sp in (_space(4, 7), _space(6, 7)):
+        assert "triples" not in vars(sp) and sp._within == {}
 
 
 def test_energy_observable_is_conserved_to_all_tower_orders():
