@@ -25,7 +25,6 @@ from .jet_algebra import (
     JetField,
     jet_add,
     jet_eval,
-    jet_from_samples,
     jet_mul,
     jet_partial,
     jet_pow,

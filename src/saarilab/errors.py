@@ -22,7 +22,7 @@ class DegreeDeficitError(SaariLabError):
 
 
 class EvaluationDomainError(SaariLabError):
-    """A sampled function returned non-finite values."""
+    """A jet power was asked for outside its domain (see ``jet_pow``)."""
 
 
 class SingularityError(SaariLabError):

@@ -3,13 +3,13 @@
 The rest of the package talks to scalar observables and vector fields through
 a small duck-typed protocol:
 
-* an observable is callable, ``F(z) -> float``; if it also has
-  ``jet(z, degree)`` its Taylor data is taken analytically, and ``grad(z)``
-  supplies an independent gradient when available;
-* a vector field is callable, ``X(z) -> ndarray``; ``jet_field(z, degree)``
-  supplies analytic component jets.
+* an observable is callable, ``F(z) -> float``, and brings its exact jets:
+  ``jet(z, degree)``; ``grad(z)`` supplies an independent gradient when
+  available;
+* a vector field is callable, ``X(z) -> ndarray``, and brings its exact
+  component jets: ``jet_field(z, degree)``.
 
-A handle may also build its jets as plain coefficient arrays, for one point
+A handle may instead build its jets as plain coefficient arrays, for one point
 or for a group of points at once: ``jet_coeffs(points, degree)`` for an
 observable, ``field_coeffs(points, degree)`` for a field.  ``points`` is one
 point of shape ``(dim,)``, giving arrays of shape ``(size,)``, or a
@@ -28,15 +28,14 @@ one-point layout.  So each column is bitwise equal to that point's jet.
 
 :func:`observable_coeffs` and :func:`field_coeffs` take any handle: one
 without ``jet_coeffs`` / ``field_coeffs`` gives its jets one point at a
-time, through ``jet`` / ``jet_field`` or, lacking those, finite-difference
-sampling, and they are checked and stacked.  Everything here is polynomial, so jets are
-exact re-expansions (a Taylor shift), not estimates.
+time, through ``jet`` / ``jet_field``, checked and stacked, and one with
+neither is a :class:`ConfigError`.  Everything here is polynomial, so jets
+are exact re-expansions (a Taylor shift), not estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .jet_algebra import (
     JetField,
     TruncatedJet,
     jet_eval,
-    jet_from_samples,
     table_size,
     _pad,
     _shift,
@@ -155,8 +153,9 @@ class PolynomialField:
 
     def __post_init__(self):
         comps = tuple(self.components)
-        if not comps or len(comps) != comps[0].dim:
-            raise ValueError("component count must match variable count")
+        if not comps or {c.dim for c in comps} != {len(comps)}:
+            raise ValueError("component count must match each component's "
+                             "variable count")
         object.__setattr__(self, "components", comps)
 
     @property
@@ -177,17 +176,25 @@ class PolynomialField:
                 "components": [c.to_json_dict() for c in self.components]}
 
 
-class SumObservable:
-    """Pointwise sum of observable handles, each contributing its own jets."""
+class _Sum:
+    """Pointwise sum of handles; the parts that have a ``dim`` share it,
+    and the sum has it too."""
 
     def __init__(self, *parts):
+        what = type(self).__name__
         if not parts:
-            raise ValueError("SumObservable needs at least one part")
+            raise ValueError(f"{what} needs at least one part")
+        dims = sorted({getattr(p, "dim", None) for p in parts} - {None})
+        if len(dims) > 1:
+            raise CombinabilityError(
+                f"{what} parts have differing dims {dims}")
         self.parts = tuple(parts)
+        if dims:
+            self.dim = dims[0]
 
-    @property
-    def dim(self):
-        return self.parts[0].dim
+
+class SumObservable(_Sum):
+    """Pointwise sum of observable handles, each contributing its own jets."""
 
     def __call__(self, z) -> float:
         return float(sum(p(z) for p in self.parts))
@@ -207,17 +214,8 @@ class SumObservable:
         return observable_grads(self, np.asarray(z, float))
 
 
-class SumField:
+class SumField(_Sum):
     """Pointwise sum of vector-field handles."""
-
-    def __init__(self, *parts):
-        if not parts:
-            raise ValueError("SumField needs at least one part")
-        self.parts = tuple(parts)
-
-    @property
-    def dim(self):
-        return self.parts[0].dim
 
     def __call__(self, z) -> np.ndarray:
         return np.sum([np.asarray(p(z), float) for p in self.parts], axis=0)
@@ -260,11 +258,25 @@ def _expand(sp, mask: int | None, c: np.ndarray, fill: float = 0.0) -> np.ndarra
     return out
 
 
-def _check_dim(handle, points: np.ndarray) -> None:
-    dim = getattr(handle, "dim", None)
-    if dim is not None and dim != len(points):
+def _check_handle(handle, dim: int | None, bulk: str, one: str) -> None:
+    """:class:`ConfigError` unless ``handle`` has ``bulk`` or ``one``, its
+    kind's jet methods (see the module protocol), and
+    :class:`CombinabilityError` unless its ``dim``, if it has one, is
+    ``dim``."""
+    if not (hasattr(handle, bulk) or hasattr(handle, one)):
+        raise ConfigError(f"a handle has neither {bulk} nor {one}: handles "
+                          "must supply exact jets")
+    own = getattr(handle, "dim", None)
+    if own is not None and own != dim:
         raise CombinabilityError(
-            f"handle of dim {dim} evaluated at points of dim {len(points)}")
+            f"handle of dim {own} evaluated at points of dim {dim}")
+
+
+def _check_handles(F, X, dim: int | None) -> None:
+    """Before any field value, table or jet: :func:`_check_handle` on the
+    observable ``F`` and the field ``X``."""
+    _check_handle(F, dim, "jet_coeffs", "jet")
+    _check_handle(X, dim, "field_coeffs", "jet_field")
 
 
 def _per_point(points: np.ndarray, degree: int, jets_at) -> list[np.ndarray]:
@@ -288,28 +300,23 @@ def _per_point(points: np.ndarray, degree: int, jets_at) -> list[np.ndarray]:
 
 def observable_coeffs(F, points, degree: int) -> np.ndarray:
     """``F``'s jet coefficients at one point or a stack of points (see the
-    module protocol): its ``jet_coeffs``, else per point its ``jet``, else
-    sampled jets."""
-    _check_dim(F, points)
+    module protocol): its ``jet_coeffs``, else per point its ``jet``."""
+    _check_handle(F, len(points), "jet_coeffs", "jet")
     if hasattr(F, "jet_coeffs"):
         return F.jet_coeffs(points, degree)
-    jet = F.jet if hasattr(F, "jet") else partial(jet_from_samples, F)
-    [out] = _per_point(points, degree, lambda z: (jet(z, degree),))
+    [out] = _per_point(points, degree, lambda z: (F.jet(z, degree),))
     return out
 
 
 def field_coeffs(X, points, degree: int) -> list[tuple]:
     """``X``'s ``(mask, coeffs)`` components at one point or a stack of
     points (see the module protocol): its ``field_coeffs``, else on the
-    whole table per point its ``jet_field``, else sampled jets of each
-    component."""
-    _check_dim(X, points)
+    whole table per point its ``jet_field``."""
+    _check_handle(X, len(points), "field_coeffs", "jet_field")
     if hasattr(X, "field_coeffs"):
         return X.field_coeffs(points, degree)
-    return [(None, c) for c in _per_point(points, degree, lambda z: (
-        X.jet_field(z, degree).components if hasattr(X, "jet_field") else [
-            jet_from_samples(lambda w, i=i: float(np.asarray(X(w))[i]), z, degree)
-            for i in range(z.size)]))]
+    return [(None, c) for c in _per_point(
+        points, degree, lambda z: X.jet_field(z, degree).components)]
 
 
 def observable_grads(F, points) -> np.ndarray:

@@ -43,7 +43,6 @@ from .errors import (
     _finite,
     _flag,
 )
-from .jet_algebra import _stencil_1d
 from .mech import (
     BodySystem,
     NewtonianPotential,
@@ -484,6 +483,18 @@ _PROBE_RTOL = 1e-13
 _PROBE_ATOL = 1e-13
 _PROBE_LADDER = (1.0, 2.0, 4.0, 8.0)
 _PROBE_MAX_STEP = 0.125
+
+
+def _stencil_1d(order: int) -> list[tuple[float, float]]:
+    """(offset, weight) pairs of the central difference delta^order.
+
+    delta f(x) = f(x + 1/2) - f(x - 1/2); offsets are in step units, weights
+    are (-1)^t * C(order, t).  Bias is O(h^2).
+    """
+    return [
+        (order / 2.0 - t, (-1.0) ** t * math.comb(order, t))
+        for t in range(order + 1)
+    ]
 
 
 @dataclass(frozen=True)

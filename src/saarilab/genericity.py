@@ -33,6 +33,7 @@ from .fields import (
     SumField,
     SumObservable,
     stream_rng,
+    _check_handles,
 )
 from .flow import Trajectory
 from .jet_algebra import _CHUNK_ELEMENTS, TruncatedJet, table_size
@@ -310,8 +311,9 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     exclusion zones of the theory; singular evaluations are counted and
     excluded rather than fatal.  The default tower order is one more than the
     effective phase dimension.  Each tolerance must be a finite number > 0.
-    The phase dimension is the field's ``dim``, else the observable's; a
-    scan of two handles without one is a :class:`ConfigError`.
+    The phase dimension is the field's ``dim``, else the observable's; two
+    handles without one, or a handle without exact jets, are a
+    :class:`ConfigError` before any sample is drawn.
 
     Samples are drawn by :meth:`Sampler.draw_group`, one call per block of
     whole groups of about ``_CHUNK_ELEMENTS`` coordinates (all samples of
@@ -336,6 +338,7 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     tol_crit = _finite(tol_crit, "tol_crit", 0.0, strict=True)
     fieldX, system = _field_and_system(X)
     dim = getattr(fieldX, "dim", None) or getattr(F, "dim", None)
+    _check_handles(F, fieldX, dim)
     if dim is None:
         raise ConfigError(
             "obstruction_scan needs the phase dimension: neither the field "

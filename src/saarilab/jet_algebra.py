@@ -11,7 +11,7 @@ a dense table ordered graded-lexicographically (total order first, then
 lexicographic on the exponent tuples).  That ordering makes truncation to a
 lower degree a prefix slice and lets products run as precomputed index
 convolutions, so the arithmetic stays exact: no differencing is involved
-anywhere except :func:`jet_from_samples`.
+anywhere.
 
 Jets are combinable only when dimension, degree and base point agree exactly;
 mixing expansions about different points is a :class:`CombinabilityError`, not
@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -52,16 +52,8 @@ __all__ = [
     "shift_base",
     "embed_jet",
     "partials_from_jet",
-    "jet_from_samples",
     "table_size",
-    "MAX_SAMPLE_DEGREE",
 ]
-
-#: Largest degree jet_from_samples will attempt; finite differencing beyond
-#: this is numerically meaningless in double precision.
-MAX_SAMPLE_DEGREE = 8
-
-_EPS = float(np.finfo(float).eps)
 
 
 def table_size(dim: int, degree: int) -> int:
@@ -400,8 +392,6 @@ class TruncatedJet:
     base_point : expansion point, shape ``(dim,)``.
     coeffs : coefficient table in graded-lex order, length
         ``table_size(dim, degree)``.
-    coeff_errors : optional per-coefficient error estimates (set by
-        :func:`jet_from_samples`; ``None`` for exact jets).
 
     Every jet the library returns is validated here; the kernels that build
     one (products, powers, Lie derivatives, N-body jets) keep their
@@ -412,7 +402,6 @@ class TruncatedJet:
     degree: int
     base_point: np.ndarray
     coeffs: np.ndarray
-    coeff_errors: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         space = _space(self.dim, self.degree)
@@ -428,8 +417,6 @@ class TruncatedJet:
             raise ValueError("jet coefficients must be finite")
         object.__setattr__(self, "base_point", base)
         object.__setattr__(self, "coeffs", coeffs)
-        if self.coeff_errors is not None:
-            object.__setattr__(self, "coeff_errors", _readonly(self.coeff_errors))
 
     # -- constructors ------------------------------------------------------
 
@@ -532,6 +519,14 @@ class TruncatedJet:
             d["dim"], d["degree"], _finite_array(d["base"], "base"), entries)
 
     # -- operators ---------------------------------------------------------
+
+    def __eq__(self, other):
+        """Value equality, a bool: same dim, degree, base point and table."""
+        if not isinstance(other, TruncatedJet):
+            return NotImplemented
+        return (self.dim == other.dim and self.degree == other.degree
+                and np.array_equal(self.base_point, other.base_point)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __add__(self, other):
         if isinstance(other, TruncatedJet):
@@ -715,7 +710,7 @@ def jet_pad(a: TruncatedJet, degree: int) -> TruncatedJet:
     """Embed into a higher degree with zero coefficients above ``a.degree``.
 
     Only valid when the extra coefficients are genuinely zero (polynomial
-    data); for sampled jets this would fabricate orders, so callers decide.
+    data); otherwise it fabricates orders, so callers decide.
     """
     if degree < a.degree:
         raise ValueError("jet_pad target degree below current degree")
@@ -876,122 +871,6 @@ def partials_from_jet(a: TruncatedJet, alpha) -> float:
     """Partial-derivative value ``d^alpha f(base) = alpha! * c_alpha``."""
     alpha = tuple(alpha)
     return a.coeff(alpha) * math.prod(math.factorial(int(e)) for e in alpha)
-
-
-# -- finite-difference jet extraction --------------------------------------
-
-
-def _stencil_1d(order: int) -> list[tuple[float, float]]:
-    """(offset, weight) pairs of the central difference delta^order.
-
-    delta f(x) = f(x + 1/2) - f(x - 1/2); offsets are in step units, weights
-    are (-1)^t * C(order, t).  Bias is O(h^2).
-    """
-    return [
-        (order / 2.0 - t, (-1.0) ** t * math.comb(order, t))
-        for t in range(order + 1)
-    ]
-
-
-def _fd_partial(f, z, alpha: tuple, h: float, cache: dict) -> tuple[float, float]:
-    """Tensor-product central difference estimate of d^alpha f(z).
-
-    Returns the estimate together with the largest sample magnitude seen,
-    which feeds the roundoff term of the error model.
-    """
-    axes = [i for i, e in enumerate(alpha) if e > 0]
-    stencils = [_stencil_1d(alpha[i]) for i in axes]
-    total = 0.0
-    biggest = 0.0
-    for combo in itertools.product(*stencils):
-        off = np.zeros(len(z))
-        w = 1.0
-        for ax, (o, c) in zip(axes, combo):
-            off[ax] = o
-            w *= c
-        key = tuple(np.round(off * 2).astype(int))
-        if key not in cache:
-            val = float(f(z + h * off))
-            if not math.isfinite(val):
-                raise EvaluationDomainError(
-                    f"non-finite sample at offset {h * off} from base point"
-                )
-            cache[key] = val
-        biggest = max(biggest, abs(cache[key]))
-        total += w * cache[key]
-    return total / h ** sum(alpha), biggest
-
-
-#: Geometric step ladder explored per coefficient (multiples of the base step).
-_STEP_LADDER = (1.0, 2.0, 4.0, 8.0)
-#: Largest absolute step attempted, regardless of derivative order.
-_MAX_STEP = 0.25
-
-
-def jet_from_samples(
-    f: Callable[[np.ndarray], float],
-    z,
-    degree: int,
-    dim: int | None = None,
-) -> TruncatedJet:
-    """Estimate a jet by central finite differences with Richardson refinement.
-
-    For a coefficient of derivative order ``k`` the base step is
-    ``eps**(1/(k+4))`` — the noise/bias optimum once one Richardson level has
-    promoted the central-difference bias from O(h^2) to O(h^4).  Each
-    coefficient is estimated on a short geometric step ladder; adjacent rungs
-    form Richardson pairs, and the pair with the smallest modeled error
-    (extrapolation disagreement plus a roundoff term ``eps*|f|/h^k``) wins.
-    Larger rungs are what make polynomial coefficients come out at roundoff
-    level instead of being drowned by cancellation noise.
-
-    The winning error model is stored per coefficient on the returned jet.
-    Degrees above :data:`MAX_SAMPLE_DEGREE` are refused.
-    """
-    z = np.asarray(z, float)
-    if dim is None:
-        dim = z.size
-    if z.shape != (dim,):
-        raise ValueError(f"base point shape {z.shape} does not match dim {dim}")
-    if degree > MAX_SAMPLE_DEGREE:
-        raise DegreeDeficitError(
-            f"sampled jets support degree <= {MAX_SAMPLE_DEGREE}, got {degree}"
-        )
-    sp = _space(dim, degree)
-    coeffs = np.zeros(sp.size)
-    errors = np.zeros(sp.size)
-    f0 = float(f(z))
-    if not math.isfinite(f0):
-        raise EvaluationDomainError("non-finite sample at the base point")
-    coeffs[0] = f0
-    errors[0] = abs(f0) * _EPS
-    caches: dict[float, dict] = {}
-    for idx in range(1, sp.size):
-        alpha = tuple(sp.exps[idx].tolist())
-        k = int(sp.orders[idx])
-        base = _EPS ** (1.0 / (k + 4))
-        steps = [base * m for m in _STEP_LADDER if base * m <= _MAX_STEP]
-        if not steps:
-            steps = [base]
-        rungs = []
-        for h in steps:
-            est, fmax = _fd_partial(f, z, alpha, h, caches.setdefault(h, {}))
-            rungs.append((h, est, fmax))
-        weight_sum = 2.0 ** k  # sum of |stencil weights|
-        best_val, best_err = rungs[0][1], math.inf
-        for (h, lo, fm_lo), (_, hi, fm_hi) in zip(rungs, rungs[1:]):
-            extrap = (4.0 * lo - hi) / 3.0
-            noise = _EPS * max(fm_lo, fm_hi, 1e-300) * weight_sum / h ** k
-            err = abs(lo - hi) / 3.0 + noise
-            if err < best_err:
-                best_val, best_err = extrap, err
-        if len(rungs) == 1:
-            h, best_val, fm = rungs[0]
-            best_err = _EPS * max(fm, 1e-300) * weight_sum / h ** k
-        fact = sp.factorials[idx]
-        coeffs[idx] = best_val / fact
-        errors[idx] = best_err / fact + _EPS * abs(best_val) / fact
-    return TruncatedJet(dim, degree, z, coeffs, coeff_errors=errors)
 
 
 # -- jet-valued vector fields ------------------------------------------------

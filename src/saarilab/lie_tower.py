@@ -34,7 +34,7 @@ from .errors import (
     SingularityError,
     _check_count,
 )
-from .fields import field_coeffs, observable_coeffs, observable_grads
+from .fields import field_coeffs, observable_coeffs, observable_grads, _check_handles
 from .jet_algebra import (
     JetField,
     TruncatedJet,
@@ -483,11 +483,11 @@ def obstruction_at(
 ) -> ObstructionSample:
     """Evaluate the tower at ``z`` from observable/field handles.
 
-    Handles exposing ``jet`` / ``jet_field`` contribute analytic jets;
-    anything else is sampled by finite differences.  The first tower entry is
-    cross-checked against an independent ``<grad F(z), X(z)>`` evaluation
-    whenever the observable carries an analytic gradient.  The one-sample
-    case of :func:`_obstructions`.
+    The handles bring their exact jets (see :mod:`saarilab.fields`), else
+    :class:`ConfigError` before ``X(z)`` is evaluated.  The first tower
+    entry is cross-checked against an independent ``<grad F(z), X(z)>``
+    evaluation whenever the observable carries an analytic gradient.  The
+    one-sample case of :func:`_obstructions`.
     """
     values, near_eq, near_crit, singular = _obstructions(
         F, X, [z], m, tol_eq, tol_crit)
@@ -507,7 +507,8 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     singular), the flags ``|X(z)| < tol_eq`` and ``|grad F(z)| < tol_crit``
     per point, and ``{point: SingularityError}``.
 
-    ``X(z)`` is evaluated at each point first, so a collision fails before
+    The handles are checked first (:func:`~saarilab.fields._check_handles`),
+    then ``X(z)`` is evaluated at each point, so a collision fails before
     any jet is built.  The other points' jets are sample-minor stacks
     ``(coeffs, S)`` (:func:`~saarilab.fields.observable_coeffs`,
     :func:`~saarilab.fields.field_coeffs`), or plain arrays for one point,
@@ -531,6 +532,7 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     """
     _check_tower_order(m)
     points = np.asarray(points, float)
+    _check_handles(F, X, points.shape[-1])
     values = np.full((m, len(points)), np.nan)
     near_eq, near_crit = np.zeros((2, len(points)), dtype=bool)
     singular, kept, x_vals = {}, [], []

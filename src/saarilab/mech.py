@@ -245,6 +245,15 @@ class BodySystem:
                 stacklevel=2,
             )
 
+    def __eq__(self, other):
+        """Value equality, a bool: the masses compare as arrays."""
+        if not isinstance(other, BodySystem):
+            return NotImplemented
+        return ((self.n_bodies, self.space_dim, self.potential, self.com_fixed)
+                == (other.n_bodies, other.space_dim, other.potential,
+                    other.com_fixed)
+                and np.array_equal(self.masses, other.masses))
+
     @property
     def coord_dim(self) -> int:
         return self.n_bodies * self.space_dim
@@ -838,7 +847,9 @@ def build_hamiltonian_field(system: BodySystem) -> HamiltonianField:
 class InertiaObservable(PolynomialObservable):
     """The polynomial ``I`` of :func:`inertia_observable`, which knows its
     system, so that its towers can run on the system's Jacobi chart (see
-    :func:`_jacobi_tower`); it compares as the polynomial."""
+    :func:`_jacobi_tower`).  Two compare equal when their polynomials do,
+    whatever their systems; a plain :class:`PolynomialObservable` never
+    equals one."""
 
     def __init__(self, poly: TruncatedJet, system: BodySystem):
         super().__init__(poly)
@@ -984,8 +995,7 @@ def _jacobi_tower(F, X) -> _JacobiTower | None:
     if not isinstance(F, (EnergyObservable, InertiaObservable)):
         return None
     system = X.system
-    if F.system is not system and (
-            F.system.to_json_dict() != system.to_json_dict()):
+    if F.system is not system and F.system != system:
         return None
     return _JacobiTower(system, isinstance(F, EnergyObservable))
 

@@ -35,20 +35,26 @@ group on its arrays; draws must be equal byte for byte too.  With
 ``cartesian``, both run N-body energy and inertia towers on Cartesian jets,
 the route before the Jacobi chart: the accuracy oracle of the chart's
 towers, and the byte oracle of every pair of handles that keeps the
-Cartesian chart.
+Cartesian chart.  ``jet_from_samples`` estimates a jet of any callable from
+central finite differences of its values, with no jet arithmetic: the
+independent check on the exact N-body jets, within its error estimates.
 """
 
+import itertools
 import math
 
 
 import numpy as np
 
 from saarilab.errors import (
+    DegreeDeficitError,
+    EvaluationDomainError,
     InsufficientSamplesError,
     InternalConsistencyError,
     SingularityError,
 )
 from saarilab.fields import field_coeffs, observable_coeffs, stream_rng
+from saarilab.flow import _stencil_1d
 from saarilab.genericity import (
     TOL_ZERO,
     ScanReport,
@@ -518,3 +524,103 @@ def obstruction_scan_per_sample(X, F, sampler, m=None, tol_zero=TOL_ZERO,
         seed=sampler.seed,
         tower_order=m,
     )
+
+
+#: Largest degree jet_from_samples will attempt; finite differencing beyond
+#: this is numerically meaningless in double precision.
+MAX_SAMPLE_DEGREE = 8
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _fd_partial(f, z, alpha: tuple, h: float, cache: dict) -> tuple[float, float]:
+    """Tensor-product central difference estimate of d^alpha f(z).
+
+    Returns the estimate together with the largest sample magnitude seen,
+    which feeds the roundoff term of the error model.
+    """
+    axes = [i for i, e in enumerate(alpha) if e > 0]
+    stencils = [_stencil_1d(alpha[i]) for i in axes]
+    total = 0.0
+    biggest = 0.0
+    for combo in itertools.product(*stencils):
+        off = np.zeros(len(z))
+        w = 1.0
+        for ax, (o, c) in zip(axes, combo):
+            off[ax] = o
+            w *= c
+        key = tuple(np.round(off * 2).astype(int))
+        if key not in cache:
+            val = float(f(z + h * off))
+            if not math.isfinite(val):
+                raise EvaluationDomainError(
+                    f"non-finite sample at offset {h * off} from base point"
+                )
+            cache[key] = val
+        biggest = max(biggest, abs(cache[key]))
+        total += w * cache[key]
+    return total / h ** sum(alpha), biggest
+
+
+#: Geometric step ladder explored per coefficient (multiples of the base step).
+_STEP_LADDER = (1.0, 2.0, 4.0, 8.0)
+#: Largest absolute step attempted, regardless of derivative order.
+_MAX_STEP = 0.25
+
+
+def jet_from_samples(f, z, degree: int) -> tuple[TruncatedJet, np.ndarray]:
+    """Estimate a jet by central finite differences with Richardson refinement.
+
+    For a coefficient of derivative order ``k`` the base step is
+    ``eps**(1/(k+4))`` — the noise/bias optimum once one Richardson level has
+    promoted the central-difference bias from O(h^2) to O(h^4).  Each
+    coefficient is estimated on a short geometric step ladder; adjacent rungs
+    form Richardson pairs, and the pair with the smallest modeled error
+    (extrapolation disagreement plus a roundoff term ``eps*|f|/h^k``) wins.
+    Larger rungs are what make polynomial coefficients come out at roundoff
+    level instead of being drowned by cancellation noise.
+
+    Returns the jet and the winning error model per coefficient.  Degrees
+    above :data:`MAX_SAMPLE_DEGREE` are refused.
+    """
+    z = np.asarray(z, float)
+    dim = z.size
+    if degree > MAX_SAMPLE_DEGREE:
+        raise DegreeDeficitError(
+            f"sampled jets support degree <= {MAX_SAMPLE_DEGREE}, got {degree}"
+        )
+    sp = _space(dim, degree)
+    coeffs = np.zeros(sp.size)
+    errors = np.zeros(sp.size)
+    f0 = float(f(z))
+    if not math.isfinite(f0):
+        raise EvaluationDomainError("non-finite sample at the base point")
+    coeffs[0] = f0
+    errors[0] = abs(f0) * _EPS
+    caches: dict[float, dict] = {}
+    for idx in range(1, sp.size):
+        alpha = tuple(sp.exps[idx].tolist())
+        k = int(sp.orders[idx])
+        base = _EPS ** (1.0 / (k + 4))
+        steps = [base * m for m in _STEP_LADDER if base * m <= _MAX_STEP]
+        if not steps:
+            steps = [base]
+        rungs = []
+        for h in steps:
+            est, fmax = _fd_partial(f, z, alpha, h, caches.setdefault(h, {}))
+            rungs.append((h, est, fmax))
+        weight_sum = 2.0 ** k  # sum of |stencil weights|
+        best_val, best_err = rungs[0][1], math.inf
+        for (h, lo, fm_lo), (_, hi, fm_hi) in zip(rungs, rungs[1:]):
+            extrap = (4.0 * lo - hi) / 3.0
+            noise = _EPS * max(fm_lo, fm_hi, 1e-300) * weight_sum / h ** k
+            err = abs(lo - hi) / 3.0 + noise
+            if err < best_err:
+                best_val, best_err = extrap, err
+        if len(rungs) == 1:
+            h, best_val, fm = rungs[0]
+            best_err = _EPS * max(fm, 1e-300) * weight_sum / h ** k
+        fact = sp.factorials[idx]
+        coeffs[idx] = best_val / fact
+        errors[idx] = best_err / fact + _EPS * abs(best_val) / fact
+    return TruncatedJet(dim, degree, z, coeffs), errors

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from saarilab import lie_tower, mech
+from saarilab.errors import CombinabilityError
 from saarilab.fields import PolynomialObservable
 from saarilab.genericity import (
     PerturbationSpec,
@@ -206,6 +207,21 @@ def test_the_jacobi_chart_reduces_the_centre_of_mass():
     with pytest.raises(ValueError, match="translation invariant"):
         perturb(PerturbationSpec("potential", 2, 0.05, 7),
                 system)._jacobi_plan
+
+
+def test_a_wrong_length_point_is_refused_on_either_chart():
+    # The handles' dim is checked against the point before X(z) and before
+    # any jet: the energy and inertia run on the Jacobi chart, a plain
+    # polynomial of the inertia on the Cartesian one.
+    system = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    field = build_hamiltonian_field(system)
+    inertia = inertia_observable(system)
+    for F in (energy_observable(system), inertia,
+              PolynomialObservable(inertia.poly)):
+        for size in (7, 9):
+            with pytest.raises(CombinabilityError,
+                               match=f"dim 8 evaluated at points of dim {size}"):
+                obstruction_at(F, field, np.linspace(-0.9, 0.8, size), 5)
 
 
 def test_the_chart_sizes_scan_groups(monkeypatch):

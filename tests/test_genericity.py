@@ -412,17 +412,45 @@ def test_scan_two_body_inertia_nonzero_off_the_special_orbit():
     assert rep.min_nonexcluded_norm > 1e-3
 
 
-def test_scan_takes_the_dimension_from_the_observable():
-    # A plain-callable field has no dim: the observable's is used, and with
-    # neither handle carrying one the scan names what is missing.
-    def X(z):
-        return np.array([z[1], -z[0]])
+class _NoDim:
+    """A handle's call and jet methods without its ``dim``."""
 
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __call__(self, z):
+        return self.handle(z)
+
+    def jet(self, z, degree):
+        return self.handle.jet(z, degree)
+
+    def jet_field(self, z, degree):
+        return self.handle.jet_field(z, degree)
+
+
+def test_scan_takes_the_dimension_from_the_observable():
+    # A field with jets but no dim: the observable's dim is used, and with
+    # neither handle carrying one the scan names what is missing.
+    X = _NoDim(oscillator_field())
     sampler = Sampler(box=(0.5, 1.5), count=5, seed=3)
     rep = obstruction_scan(X, oscillator_energy(), sampler, m=3)
     assert rep.n_obstruction_zero == 5
     with pytest.raises(ConfigError, match="phase dimension.*dim"):
-        obstruction_scan(X, lambda z: z[0] ** 2, sampler, m=3)
+        obstruction_scan(X, _NoDim(oscillator_energy()), sampler, m=3)
+
+
+def test_a_scan_of_a_handle_without_jets_draws_no_sample(monkeypatch):
+    # A plain callable is refused by the jet methods it lacks before any
+    # sample is drawn or the field is evaluated.
+    def refuse(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(Sampler, "draw_group", refuse)
+    sampler = Sampler(box=(0.5, 1.5), count=5, seed=3)
+    with pytest.raises(ConfigError, match="neither field_coeffs nor jet_field"):
+        obstruction_scan(lambda z: refuse(), oscillator_energy(), sampler, m=3)
+    with pytest.raises(ConfigError, match="neither jet_coeffs nor jet"):
+        obstruction_scan(oscillator_field(), lambda z: z[0] ** 2, sampler, m=3)
 
 
 class _CollidesRight:
@@ -452,12 +480,6 @@ def _scan_cases():
     def sampler(count, seed=8, min_separation=0.3):
         return Sampler(box=(-1.5, 1.5), count=count, seed=seed,
                        min_separation=min_separation)
-
-    def plain_field(z):
-        return np.array([z[1], -z[0]])
-
-    def plain_observable(z):
-        return z[0] ** 2 * z[1] + z[1]
 
     def nonzero(rep):
         return rep.n_obstruction_nonzero > 0
@@ -490,12 +512,6 @@ def _scan_cases():
         "separable oscillator": (
             SeparableOscillator(), PolynomialObservable.from_coeffs(
                 2, 3, {(3, 0): 1.0, (0, 1): 0.5}), Sampler((-1.0, 1.0), 30, 4),
-            {"m": 4}, nonzero),
-        "plain-callable field": (
-            plain_field, oscillator_energy(), Sampler((0.5, 1.5), 7, 5), {},
-            lambda rep: rep.n_obstruction_zero == 7),
-        "plain-callable observable": (
-            oscillator_field(), plain_observable, Sampler((-1.0, 1.0), 7, 5),
             {"m": 4}, nonzero),
         "singular samples": (
             _CollidesRight(two), inertia_observable(two), sampler(26, seed=9),

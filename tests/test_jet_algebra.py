@@ -15,12 +15,10 @@ from saarilab.errors import (
     EvaluationDomainError,
 )
 from saarilab.jet_algebra import (
-    MAX_SAMPLE_DEGREE,
     TruncatedJet,
     embed_jet,
     jet_add,
     jet_eval,
-    jet_from_samples,
     jet_mul,
     jet_pad,
     jet_partial,
@@ -34,7 +32,12 @@ from saarilab.jet_algebra import (
 from saarilab.jet_algebra import _mul, _space, _top_orders, _variable_mask
 from saarilab.fields import random_polynomial_observable, stream_rng
 
-from oracles import jet_pow_full, shift_by_triples
+from oracles import (
+    MAX_SAMPLE_DEGREE,
+    jet_from_samples,
+    jet_pow_full,
+    shift_by_triples,
+)
 
 
 def _jet(dim, degree, base, entries):
@@ -685,7 +688,7 @@ def test_scale_is_linear(ca, s):
     np.testing.assert_allclose(jet_scale(a, s).coeffs, s * a.coeffs)
 
 
-# -- sampled jets -----------------------------------------------------------------
+# -- sampled jets: the finite-difference oracle of oracles.py ----------------------
 
 
 def test_sampled_polynomial_recovers_coefficients():
@@ -693,7 +696,7 @@ def test_sampled_polynomial_recovers_coefficients():
         x, y = w
         return 2.0 + x - 3.0 * y + 0.5 * x * x * y - y ** 3
 
-    est = jet_from_samples(f, (0.3, -0.2), 3)
+    est, _ = jet_from_samples(f, (0.3, -0.2), 3)
     exact = {
         (0, 0): f((0.3, -0.2)),
         (1, 0): 1.0 + 0.3 * (-0.2),                 # df/dx = 1 + x y
@@ -708,7 +711,7 @@ def test_sampled_polynomial_recovers_coefficients():
 
 
 def test_sampled_transcendental_partials():
-    est = jet_from_samples(lambda w: math.sin(w[0] + 2 * w[1]), (0.2, 0.1), 3)
+    est, _ = jet_from_samples(lambda w: math.sin(w[0] + 2 * w[1]), (0.2, 0.1), 3)
     s, c = math.sin(0.4), math.cos(0.4)
     assert partials_from_jet(est, (1, 0)) == pytest.approx(c, abs=1e-8)
     assert partials_from_jet(est, (0, 1)) == pytest.approx(2 * c, abs=1e-8)
@@ -717,20 +720,19 @@ def test_sampled_transcendental_partials():
 
 
 def test_sampled_error_estimates_cover_actuals():
-    est = jet_from_samples(lambda w: math.exp(w[0]) * math.cos(w[1]),
-                           (0.1, -0.3), 3)
+    est, errors = jet_from_samples(lambda w: math.exp(w[0]) * math.cos(w[1]),
+                                   (0.1, -0.3), 3)
     e, s, c = math.exp(0.1), math.sin(-0.3), math.cos(-0.3)
     exact = {
         (0, 0): e * c, (1, 0): e * c, (0, 1): -e * s,
         (2, 0): e * c / 2, (1, 1): -e * s, (0, 2): -e * c / 2,
         (3, 0): e * c / 6, (0, 3): e * s / 6,
     }
-    assert est.coeff_errors is not None
     sp = _space(2, 3)
     for alpha, want in exact.items():
         idx = int(sp.rank(np.array(alpha)))
         actual = abs(est.coeffs[idx] - want)
-        claimed = est.coeff_errors[idx]
+        claimed = errors[idx]
         assert actual <= max(50 * claimed, 1e-12), (alpha, actual, claimed)
 
 

@@ -22,6 +22,8 @@ from saarilab.errors import (
 from saarilab.fields import (
     PolynomialField,
     PolynomialObservable,
+    SumField,
+    SumObservable,
     coordinate_observable,
     linear1d_field,
     observable_coeffs,
@@ -409,14 +411,41 @@ def test_obstruction_with_analytic_handles():
 
 
 def test_obstruction_with_plain_callables():
-    # Sampled jets: F = q^2 along the oscillator at (1, 0) gives (0, -2, 0).
-    sample = obstruction_at(
-        lambda z: z[0] ** 2,
-        lambda z: np.array([z[1], -z[0]]),
-        np.array([1.0, 0.0]),
-        m=3,
-    )
-    np.testing.assert_allclose(sample.psi.values, [0.0, -2.0, 0.0], atol=1e-5)
+    # Handles must bring exact jets: a plain callable is refused by the
+    # methods it lacks, before the field is evaluated at the point.
+    calls = []
+
+    def field(z):
+        calls.append(z)
+        return np.array([z[1], -z[0]])
+
+    z = np.array([1.0, 0.0])
+    with pytest.raises(ConfigError, match="neither jet_coeffs nor jet"):
+        obstruction_at(lambda z: z[0] ** 2, field, z, m=3)
+    with pytest.raises(ConfigError, match="neither field_coeffs nor jet_field"):
+        obstruction_at(oscillator_energy(), field, z, m=3)
+    assert calls == []
+    with pytest.raises(ConfigError, match="neither jet_coeffs nor jet"):
+        observable_coeffs(lambda z: z[0] ** 2, z, 3)
+
+
+def test_composite_handles_refuse_parts_of_differing_dims():
+    # As JetField does, a composite handle checks its parts' dims when it
+    # is built, not when a tower first reaches the mismatch.
+    two, three = oscillator_energy(), coordinate_observable(3, 0)
+    with pytest.raises(ValueError, match="each component's variable count"):
+        PolynomialField((two, three))
+    with pytest.raises(CombinabilityError, match=r"differing dims \[2, 3\]"):
+        SumObservable(two, three)
+    with pytest.raises(CombinabilityError, match=r"differing dims \[1, 2\]"):
+        SumField(oscillator_field(), linear1d_field())
+    assert SumField(oscillator_field(), oscillator_field()).dim == 2
+    # A part without a dim leaves the others' dim to the sum.
+    def no_dim(z):
+        return np.array([z[1], -z[0]])
+
+    assert SumField(no_dim, oscillator_field()).dim == 2
+    assert not hasattr(SumField(no_dim), "dim")
 
 
 def test_obstruction_flags_equilibrium():
@@ -768,8 +797,6 @@ def _group_cases():
             yield F, build_hamiltonian_field(system), points, m
     points = [np.array([0.6, 0.8]), np.array([-0.3, 0.2]), np.array([1.1, -0.4])]
     yield oscillator_energy(), oscillator_field(), points, 4
-    yield (lambda z: z[0] ** 2 * z[1], lambda z: np.array([z[1], -z[0]]),
-           points, 3)
     # On 8 variables at m = 5 the observable's (8, 5) table takes the order
     # scan, and the two sides differ in masks and in top orders.
     def obs(degree, terms):
@@ -1220,3 +1247,33 @@ def test_traced_benchmark_run_wraps_the_tower():
     proc = subprocess.run([sys.executable, "-c", _TRACED_RUN], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_TRACER_INSTALL = """
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import saarilab
+import saarilab.cli
+import spans
+
+spans.Tracer().install(saarilab)
+wrapped = []
+for name, short, attr, cls in spans._SPANS:
+    owner = getattr(saarilab, short)
+    if cls is not None:
+        owner = getattr(owner, cls)
+    if hasattr(getattr(owner, attr), "__wrapped__"):
+        wrapped.append(name)
+print(json.dumps({"spans": [span[0] for span in spans._SPANS],
+                  "wrapped": wrapped}))
+"""
+
+
+def test_the_benchmark_tracer_installs_on_every_span():
+    # The traced benchmark run looks up each span's function by name, so
+    # removing a public name breaks it: every span must still be wrapped.
+    root = Path(__file__).resolve().parents[1]
+    got = run_fresh(_TRACER_INSTALL, str(root / "perfbench"))
+    assert got["wrapped"] == got["spans"]

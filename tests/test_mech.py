@@ -19,7 +19,6 @@ from saarilab.jet_algebra import (
     embed_jet,
     jet_add,
     jet_eval,
-    jet_from_samples,
     jet_pad,
     jet_pow,
     jet_truncate,
@@ -60,6 +59,7 @@ from oracles import (
     field_jet_by_jets,
     grad_potential_by_pairs,
     hamiltonian_field_by_concat,
+    jet_from_samples,
     jet_pow_full,
     pair_r2_jet,
     potential_full_table,
@@ -244,6 +244,36 @@ def test_system_serialization_roundtrip():
     assert not back.com_fixed
 
 
+def test_equal_values_compare_equal():
+    # Distinct but equal jets, polynomials and systems compare by value, to
+    # a bool; a perturbed potential compares through its bump's jet.
+    def system(masses=(1.0, 1.3), bump=None, com_fixed=True):
+        bump = bump or {(2, 0, 0, 0): 0.1, (0, 1, 1, 0): -0.2}
+        return BodySystem(2, 2, masses, PerturbedPotential(
+            NewtonianPotential(), PolynomialObservable.from_coeffs(4, 2, bump)),
+            com_fixed)
+
+    a = system()
+    assert (a == system()) is True and (a != system()) is False
+    assert a == BodySystem.from_json_dict(a.to_json_dict())
+    for other in (system(masses=(1.0, 1.4)), system(bump={(2, 0, 0, 0): 0.1}),
+                  system(com_fixed=False), two_body(masses=(1.0, 1.3))):
+        assert (a == other) is False
+    jet = a.potential.bump.poly
+    assert jet == TruncatedJet.from_json_dict(jet.to_json_dict())
+    assert jet != shift_base(jet, np.full(4, 0.5)) and jet != jet_pad(jet, 3)
+    # Inertia observables compare as their polynomials, and never equal a
+    # plain one; the system's own handles find the chart by value.
+    inertia = inertia_observable(a)
+    assert inertia == inertia_observable(system())
+    assert inertia != PolynomialObservable(inertia.poly)
+    assert PolynomialObservable(inertia.poly) == PolynomialObservable(
+        TruncatedJet.from_json_dict(inertia.to_json_dict()))
+    plain = two_body(masses=(1.0, 1.3))
+    assert mech._jacobi_tower(energy_observable(plain), build_hamiltonian_field(
+        BodySystem.from_json_dict(plain.to_json_dict()))) is not None
+
+
 def test_system_validation():
     # a bad value is a configuration error, named, and never coerced
     for args, name in [((1, 2, (1.0,)), "n_bodies"),
@@ -327,7 +357,7 @@ def test_config_jet_matches_sampled_jet():
     system = two_body(PowerLawPotential(((1.0, -1.0), (0.2, 1.0))))
     q = np.array([1.1, 0.2, -0.9, -0.4])
     exact = potential_config_jet(system, q, 3)
-    sampled = jet_from_samples(lambda w: potential_value(system, w), q, 3)
+    sampled, _ = jet_from_samples(lambda w: potential_value(system, w), q, 3)
     np.testing.assert_allclose(sampled.coeffs, exact.coeffs, atol=1e-6)
 
 
@@ -623,7 +653,7 @@ def test_energy_observable_is_conserved_to_all_tower_orders():
     assert obs(z) == pytest.approx(field.energy(z), rel=1e-14)
     np.testing.assert_allclose(
         obs.grad(z),
-        jet_from_samples(obs, z, 1).gradient(), atol=1e-7)
+        jet_from_samples(obs, z, 1)[0].gradient(), atol=1e-7)
     psi = psi_tower(obs.jet(z, 3), field.jet_field(z, 2), 3)
     np.testing.assert_allclose(psi.values, 0.0, atol=1e-12)
 
