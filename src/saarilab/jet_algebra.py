@@ -528,6 +528,11 @@ class TruncatedJet:
                 and np.array_equal(self.base_point, other.base_point)
                 and np.array_equal(self.coeffs, other.coeffs))
 
+    def __hash__(self):
+        """Agrees with ``==``: adding +0.0 maps -0.0 to +0.0 first."""
+        return hash((self.dim, self.degree, (self.base_point + 0.0).tobytes(),
+                     (self.coeffs + 0.0).tobytes()))
+
     def __add__(self, other):
         if isinstance(other, TruncatedJet):
             return jet_add(self, other)

@@ -9,10 +9,13 @@ flow of ``X`` at a point ``z``::
 
 ``Psi(z) = 0`` is the obstruction to ``F`` being constant along the orbit
 through ``z`` (to order ``m``).  Everything runs on exact truncated jet
-arithmetic.  Both tower Jacobians are exact to roundoff: the tower is linear
-in the observable, and the field Jacobian propagates tangents through the
-tower.  The field Jacobian is cross-checked against closed-form structural
-entries: in partial-derivative coordinates,
+arithmetic.  Both tower Jacobians are exact to roundoff.  The tower is
+linear in the observable: entry ``k`` is ``<w_k, f>`` on its coefficients
+``f``, with ``w_0 = e_0`` and ``w_k = L^T w_{k-1}``, so the observable
+Jacobian takes ``m`` transposed Lie sweeps, about one tower's cost, however
+many columns it has.  The field Jacobian propagates tangents through the
+tower, one tangent chain per column.  The field Jacobian is cross-checked
+against closed-form structural entries: in partial-derivative coordinates,
 
     dPsi_k / dF_{j..j}   = (X^j(z))**k          (k repetitions),
     dPsi_k / dX^i_{j..j} = F_i(z) (X^j(z))**(k-1)   (k-1 repetitions),
@@ -275,6 +278,28 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
     return out
 
 
+def _lie_step_t(dim: int, degree: int, w: np.ndarray, comps) -> np.ndarray:
+    """The transpose of :func:`_lie_step`: the degree-``degree``
+    coefficients ``r`` with ``<w, L_X f> = <r, f>`` for every ``f``, from
+    ``w`` of the ``(dim, degree - 1)`` layout and ``comps`` as there.
+
+    Term ``i`` of the step sums ``partial_i[a] * comp_i[j]`` into bin ``k``
+    over :meth:`~saarilab.jet_algebra._JetSpace.triples_within` ``(mask_i,
+    None)``, so its transpose sums ``w[k] * comp_i[j]`` into bin ``a``, and
+    the partial's gather moves coefficient ``a`` to ``diff_src[i][a]``, an
+    injective map, times ``diff_scale[i][a]``.  The terms run in the step's
+    order and on its cached triple sets.
+    """
+    sp, low = _space(dim, degree), _space(dim, degree - 1)
+    out = np.zeros(sp.size)
+    for i in _term_order(dim):
+        mask, comp = comps[i]
+        tri_i, tri_j, tri_k = low.triples_within(mask, None)
+        v = np.bincount(tri_i, w[tri_k] * comp[tri_j], low.size)
+        out[sp.diff_src[i]] += v * sp.diff_scale[i]
+    return out
+
+
 @lru_cache(maxsize=None)
 def _term_order(dim: int) -> tuple[int, ...]:
     """:func:`_lie_step`'s order of terms, once per ``dim``."""
@@ -316,16 +341,20 @@ def _check_tower_order(m: int) -> None:
     _check_count(m, "tower order")
 
 
+def _check_field_degree(x: JetField, m: int) -> None:
+    if x.degree < m - 1:
+        raise DegreeDeficitError(
+            f"field jet degree {x.degree} < required {m - 1} for tower order {m}"
+        )
+
+
 def _check_tower_inputs(f: TruncatedJet, x: JetField, m: int) -> None:
     _check_tower_order(m)
     if f.degree < m:
         raise DegreeDeficitError(
             f"observable jet degree {f.degree} < tower order {m}"
         )
-    if x.degree < m - 1:
-        raise DegreeDeficitError(
-            f"field jet degree {x.degree} < required {m - 1} for tower order {m}"
-        )
+    _check_field_degree(x, m)
     _check_operands(f, x)
 
 
@@ -350,21 +379,33 @@ def dpsi_wrt_F(
 ) -> JacobianResult:
     """Exact Jacobian of the tower with respect to the observable's jet.
 
-    The tower is linear in ``F``, so the matrix is assembled by running
-    :func:`psi_tower` on each monomial basis jet of degree ``m`` (constant
-    term excluded — constants never move the tower).  Columns are in
-    partial-derivative coordinates; expected full rank is ``m``.
+    Columns are the degree-``m`` coefficients in partial-derivative
+    coordinates, constant term excluded (constants never move the tower);
+    expected full rank is ``m``.  The tower is linear in ``F``: entry ``k``
+    is ``<w_k, f>`` on the coefficients ``f``, with ``w_0 = e_0`` and ``w_k
+    = L_t(w_{k-1})`` (:func:`_lie_step_t`), so the ``m`` rows take ``m``
+    transposed sweeps of the degree-``m`` step, not one tower per column.
+    Each sweep starts from the ``(n, m - 1)`` prefix of the last ``w``:
+    entry ``k - 1`` reads no order above ``k - 1`` of its argument, and the
+    degree-``m`` step's output up to order ``d - 1`` is the degree-``d``
+    step's, so the truncation is exact.  Row ``k`` is ``w_k`` over the
+    coefficients' factorials.  A chain that overflows raises ValueError.
     """
     if m is None:
         m = default_tower_order(x.dim)
     _check_tower_order(m)
-    sp = _space(x.dim, m)
+    _check_field_degree(x, m)
+    n = x.dim
+    sp, low = _space(n, m), _space(n, m - 1)
     matrix = np.empty((m, sp.size - 1))
-    for idx in range(1, sp.size):
-        coeffs = np.zeros(sp.size)
-        coeffs[idx] = 1.0 / sp.factorials[idx]
-        basis = TruncatedJet(x.dim, m, x.base_point, coeffs)
-        matrix[:, idx - 1] = psi_tower(basis, x, m).values
+    w = np.zeros(low.size)
+    w[0] = 1.0
+    for k in range(m):
+        w = _lie_step_t(n, m, w, x.compact)
+        matrix[k] = w[1:] / sp.factorials[1:]
+        w = w[:low.size]
+    if not np.isfinite(matrix).all():
+        raise ValueError("jet coefficients must be finite")
     report = _rank_report(matrix, full_rank_expected=m, threshold=threshold)
     return JacobianResult(
         matrix=matrix,

@@ -254,6 +254,11 @@ class BodySystem:
                     other.com_fixed)
                 and np.array_equal(self.masses, other.masses))
 
+    def __hash__(self):
+        """Agrees with ``==``: adding +0.0 maps -0.0 to +0.0 first."""
+        return hash((self.n_bodies, self.space_dim, self.potential,
+                     self.com_fixed, (self.masses + 0.0).tobytes()))
+
     @property
     def coord_dim(self) -> int:
         return self.n_bodies * self.space_dim

@@ -4,7 +4,10 @@
 is the independent check on the tangent recursion of
 :func:`saarilab.lie_tower.dpsi_wrt_X`.  ``dpsi_wrt_X_per_column`` is that
 recursion as it was first written, rebuilding the Lie chain for every
-column; the library route must equal it bit for bit.  ``lie_derivative_full``
+column; the library route must equal it bit for bit.
+``dpsi_wrt_F_per_column`` is the observable Jacobian as first written, one
+tower per monomial basis jet, where the library runs ``m`` transposed Lie
+sweeps; they must agree to roundoff.  ``lie_derivative_full``
 and ``jet_pow_full`` multiply over the full convolution triples, where the
 library restricts them to the variables a jet uses; they too must agree bit
 for bit.  ``potential_jet_by_jets``, ``field_jet_by_jets`` and
@@ -395,6 +398,24 @@ def dpsi_wrt_X_per_column(f: TruncatedJet, x: JetField, m: int) -> np.ndarray:
         for i in range(n):
             matrix[:, t * n + i] = _tower_tangent(f_work, x_work, m, i, dot)
     return matrix
+
+
+def dpsi_wrt_F_per_column(x: JetField, m: int) -> JacobianResult:
+    """The observable Jacobian as first written: one :func:`psi_tower` on
+    each monomial basis jet of degree ``m`` (constant term excluded), in
+    partial-derivative coordinates."""
+    sp = _space(x.dim, m)
+    matrix = np.empty((m, sp.size - 1))
+    for idx in range(1, sp.size):
+        coeffs = np.zeros(sp.size)
+        coeffs[idx] = 1.0 / sp.factorials[idx]
+        basis = TruncatedJet(x.dim, m, x.base_point, coeffs)
+        matrix[:, idx - 1] = psi_tower(basis, x, m).values
+    return JacobianResult(
+        matrix=matrix,
+        rank_report=_rank_report(matrix, m, RANK_THRESHOLD),
+        x_norm=float(np.linalg.norm(x.values())),
+    )
 
 
 def draw_per_sample(sampler, index: int, dim: int, system=None) -> np.ndarray:

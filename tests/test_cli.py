@@ -152,6 +152,36 @@ def test_rank_submersion_passes(tmp_path, capsys):
     assert rep["rank"]["numerical_rank"] == 3
 
 
+_RANK_FRESH = """
+import contextlib, io, json, sys, time
+import saarilab.cli
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = saarilab.cli.main(["rank", sys.argv[1]])
+seconds = time.perf_counter() - start
+print(json.dumps({"code": code, "seconds": seconds,
+                  "report": json.loads(out.getvalue())}))
+"""
+
+
+def test_two_body_rank_runs_at_its_default_order(tmp_path):
+    # The README's two-body system: without "tower_order" the observable
+    # Jacobian takes m = phase_dim + 1 = 9 over the 24 309 non-constant
+    # coefficients of the (8, 9) table, in m transposed sweeps: about 0.2 s
+    # on 2 vCPUs.
+    cfg = write_config(tmp_path, "r.json", {
+        "system": NBODY2,
+        "state": {"q": [[-0.5, 0.0], [0.5, 0.0]],
+                  "p": [[0.0, -0.5], [0.0, 0.5]]},
+        "jacobian": "F"})
+    got = run_fresh(_RANK_FRESH, cfg)
+    assert got["code"] == 0
+    rank = got["report"]["rank"]
+    assert len(rank["singular_values"]) == 9
+    assert rank["submersion"] is True
+    assert got["seconds"] < 10.0
+
+
 def test_rank_degenerate_field_fails_expectation(tmp_path, capsys):
     # x' = x^2 vanishes to first order at the origin: every tower entry
     # does too, so the Jacobian cannot reach full rank there.

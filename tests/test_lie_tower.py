@@ -2,8 +2,6 @@
 
 import itertools
 import json
-import os
-import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +55,7 @@ from saarilab.mech import (
 
 from fresh import run_fresh
 from oracles import (
+    dpsi_wrt_F_per_column,
     dpsi_wrt_X_fd,
     dpsi_wrt_X_per_column,
     lie_derivative_full,
@@ -168,6 +167,12 @@ def test_tower_degree_requirements():
         psi_tower(obs.jet(z, 4), field.jet_field(z, 1), 4)
     with pytest.raises(DegreeDeficitError):
         lie_derivative(obs.jet(z, 3), field.jet_field(z, 1))
+    with pytest.raises(DegreeDeficitError, match="field jet degree 1"):
+        dpsi_wrt_F(field.jet_field(z, 1), m=4)
+    # A chain that overflows raises, as psi_tower does.
+    huge = JetField(tuple(TruncatedJet.constant(1e200, 2, 2, z) for _ in range(2)))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        dpsi_wrt_F(huge, m=3)
 
 
 def test_lie_derivative_rejects_mismatched_base_points():
@@ -227,6 +232,60 @@ def test_dpsi_wrt_F_linearity():
     psi = psi_tower(fj, xf, m)
     np.testing.assert_allclose(res.matrix @ partial_coords, psi.values,
                                rtol=1e-10, atol=1e-12)
+
+
+def _wrt_F_cases():
+    """(field jet, m): criterion-2 draws, two-body and planar three-body
+    Hamiltonian fields, whose components use few variables each, the zero
+    field and m = 1."""
+    for i in range(30):
+        n = 1 + i % 3
+        for attempt in itertools.count():
+            rng = stream_rng(7101, 0, i, attempt)
+            X = random_polynomial_field(n, 4, rng)
+            z = rng.uniform(-1.0, 1.0, n)
+            if np.linalg.norm(X(z)) > 0.1:
+                break
+        yield X.jet_field(z, n), n + 1
+    for masses, ms in (((1.0, 1.3), (1, 2, 3, 4, 5)), ((1.0, 1.3, 0.7), (2, 4))):
+        system = BodySystem(len(masses), 2, masses, NewtonianPotential())
+        z = Sampler(box=(-1.0, 1.0), count=1, seed=4,
+                    min_separation=0.3).draw(0, system.phase_dim, system)
+        X = build_hamiltonian_field(system)
+        for m in ms:
+            xf = X.jet_field(z, m - 1)
+            assert any(mask is not None for mask in xf.masks)
+            yield xf, m
+    yield JetField(tuple(TruncatedJet.zero(3, 2, np.zeros(3)) for _ in range(3))), 3
+    yield oscillator_field().jet_field(np.array([0.6, 0.8]), 2), 1
+
+
+def test_dpsi_wrt_F_equals_one_tower_per_column():
+    # The m transposed sweeps give the matrix of one tower per monomial
+    # basis jet, to roundoff, and the same rank.
+    for xf, m in _wrt_F_cases():
+        got, want = dpsi_wrt_F(xf, m=m), dpsi_wrt_F_per_column(xf, m)
+        assert got.matrix.shape == want.matrix.shape
+        scale = max(float(np.abs(want.matrix).max()), np.finfo(float).tiny)
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-14 * scale, (xf.dim, m)
+        assert (got.rank_report.numerical_rank
+                == want.rank_report.numerical_rank), (xf.dim, m)
+        assert got.x_norm == want.x_norm
+
+
+def test_transposed_lie_step_is_the_adjoint_of_the_step():
+    # <w, L f> = <L_t(w), f> for random w and f, on masked components.
+    rng = np.random.default_rng(11)
+    system = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    z = Sampler(box=(-1.0, 1.0), count=1, seed=4,
+                min_separation=0.3).draw(0, system.phase_dim, system)
+    for degree in (1, 3, 5):
+        comps = build_hamiltonian_field(system).jet_field(z, degree - 1).compact
+        f = rng.normal(size=_space(8, degree).size)
+        w = rng.normal(size=_space(8, degree - 1).size)
+        lhs = w @ lie_tower._lie_step(8, degree, f, comps)
+        rhs = lie_tower._lie_step_t(8, degree, w, comps) @ f
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_singular_values_are_the_svd_s_own_descending_order():
@@ -682,8 +741,8 @@ sys.setswitchinterval(1e-6)
 with ThreadPoolExecutor(max_workers=2) as pool:
     list(pool.map(run, (m7, m7)))
 got["threads_equal"] = state(8) == serial
-# the basis monomials of dpsi_wrt_F, one observable per column, on the
-# Cartesian (8, d) tables of a two-body field, apart from the chart's
+# dpsi_wrt_F's transposed sweeps on the Cartesian (8, d) tables of a
+# two-body field, with the chart's sets cleared first
 _space.cache_clear()
 two = saarilab.BodySystem(2, 2, (1.0, 1.3), saarilab.NewtonianPotential())
 z = Sampler(box=(-1, 1), count=1, seed=4, min_separation=0.3).draw(0, 8, two)
@@ -701,19 +760,20 @@ def test_triple_sets_stay_keyed_by_component_tables():
     # tables, where the Cartesian (12, d) tables took 75 sets and 796 552
     # triples, and one set per component mask 63 and 2 576 420.  No (8, d)
     # table holds full triples: the chart's inertia is built in closed
-    # form, not by a Taylor shift.  Keyed by
-    # each partial's exact variables, the 1 286 basis monomials of a
-    # two-body dpsi_wrt_F at m = 5 cached 815 sets on the (8, 4) table, as
-    # per-monomial sets once grew to 1 200 sets and 4.3 M triples in
-    # dpsi_wrt_X; keyed by component tables they cache 30.  Threads that
-    # miss together from an empty cache build the same sets, bit for bit.
+    # form, not by a Taylor shift.  A two-body dpsi_wrt_F at m = 5 runs
+    # its five transposed sweeps on the (8, 4) table alone, over one set
+    # per component mask: the four momenta and the configuration.  Keyed
+    # by each partial's exact variables, one tower per basis monomial once
+    # cached 815 sets there, as per-monomial sets once grew to 1 200 sets
+    # and 4.3 M triples in dpsi_wrt_X.  Threads that miss together from an
+    # empty cache build the same sets, bit for bit.
     got = run_fresh(_CACHE_BOUND)
     assert got["keys"] == [5, 5, 5, 5, 13, 9, 8, 5, 4, 0]
     assert got["triples"] == 32_194
     assert got["full"] == []
     assert got["threads_equal"]
-    assert got["monomials"]["keys"] == [5, 5, 5, 5, 30]
-    assert got["monomials"]["triples"] == 8_127
+    assert got["monomials"]["keys"] == [0, 0, 0, 0, 5]
+    assert got["monomials"]["triples"] == 4_680
     assert got["monomials"]["full"] == []
 
 
@@ -1204,6 +1264,10 @@ def test_concurrent_towers_equal_serial_ones():
 
 
 _TRACED_RUN = """
+import json
+import sys
+
+sys.path.insert(0, sys.argv[1])
 import numpy as np
 import saarilab
 import saarilab.cli
@@ -1216,13 +1280,14 @@ z = np.array([0.6, 0.8])
 F, X = saarilab.oscillator_energy(), saarilab.oscillator_field()
 saarilab.obstruction_at(F, X, z, 3)
 xf = X.jet_field(z, 2)
+saarilab.psi_tower(F.jet(z, 3), xf, 3)
 saarilab.dpsi_wrt_F(xf, m=3)
 saarilab.dpsi_wrt_X(F.jet(z, 3), xf, m=3, method="exact")
 got = tracer.metrics([1.0], 1.0)
-for name in ("lie_tower.obstruction_at.self_ms", "lie_tower.dpsi_wrt_F.self_ms",
-             "lie_tower.dpsi_wrt_X.self_ms", "lie_tower.psi_tower.calls",
-             "lie_tower.lie_derivative.calls", "jet_algebra.jets_built"):
-    assert got[name]["value"] > 0, name
+checks = {name: got[name]["value"] > 0 for name in (
+    "lie_tower.obstruction_at.self_ms", "lie_tower.dpsi_wrt_F.self_ms",
+    "lie_tower.dpsi_wrt_X.self_ms", "lie_tower.psi_tower.calls",
+    "lie_tower.lie_derivative.calls", "jet_algebra.jets_built")}
 # Grouped two-body scans under a potential bump and an observable bump,
 # as the benchmark's genericity items run them: their stacked jets and
 # towers land in the scan's own time.
@@ -1234,19 +1299,19 @@ for target in ("potential", "observable"):
     spec = saarilab.PerturbationSpec(target, 3, 1e-2, 3)
     saarilab.genericity_experiment(system, inertia, spec, 2, sampler)
 got = tracer.metrics([1.0, 1.0], 1.0)
-assert got["genericity.scan.self_ms"]["value"] > 0
+checks["genericity.scan.self_ms"] = got["genericity.scan.self_ms"]["value"] > 0
+print(json.dumps(checks))
 """
 
 
 def test_traced_benchmark_run_wraps_the_tower():
     # The benchmark's traced run wraps package functions by name; a rename
-    # must fail here rather than in the benchmark.
+    # must fail here rather than in the benchmark.  Each named figure must
+    # read above 0.
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), str(root / "perfbench")]))
-    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    checks = run_fresh(_TRACED_RUN, str(root / "perfbench"), timeout=120)
+    assert [name for name, ok in checks.items() if not ok] == []
+    assert len(checks) == 7
 
 
 _TRACER_INSTALL = """

@@ -274,6 +274,31 @@ def test_equal_values_compare_equal():
         BodySystem.from_json_dict(plain.to_json_dict()))) is not None
 
 
+def test_equal_values_hash_equal():
+    # Equal jets, polynomials, inertias and systems hash equal, a -0.0
+    # coefficient or base entry as its +0.0 (np.array_equal holds them
+    # equal), so a system keys a dict.
+    def bump(c):
+        return PolynomialObservable.from_coeffs(4, 2, {(2, 0, 0, 0): 0.1,
+                                                       (0, 1, 1, 0): c})
+
+    plus, minus = bump(0.0), bump(-0.0)
+    assert np.signbit(minus.coeffs).any() and plus == minus
+    assert hash(plus) == hash(minus) and hash(plus.poly) == hash(minus.poly)
+    at = TruncatedJet.constant(1.0, 2, 2, [-0.0, 1.0])
+    assert at == TruncatedJet.constant(1.0, 2, 2, [0.0, 1.0])
+    assert hash(at) == hash(TruncatedJet.constant(1.0, 2, 2, [0.0, 1.0]))
+    a = BodySystem(2, 2, (1.0, 1.3), PerturbedPotential(NewtonianPotential(), plus))
+    b = BodySystem(2, 2, np.array([1.0, 1.3]),
+                   PerturbedPotential(NewtonianPotential(), minus))
+    assert a == b and hash(a) == hash(b)
+    assert hash(inertia_observable(a)) == hash(inertia_observable(b))
+    plain = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    keyed = {a: "bumped", plain: "plain"}
+    assert keyed[b] == "bumped"
+    assert keyed[BodySystem.from_json_dict(plain.to_json_dict())] == "plain"
+
+
 def test_system_validation():
     # a bad value is a configuration error, named, and never coerced
     for args, name in [((1, 2, (1.0,)), "n_bodies"),
