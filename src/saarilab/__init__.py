@@ -23,13 +23,8 @@ from .errors import (
 from .jet_algebra import (
     TruncatedJet,
     JetField,
-    jet_add,
     jet_eval,
     jet_mul,
-    jet_partial,
-    jet_pow,
-    jet_scale,
-    jet_truncate,
     shift_base,
     table_size,
 )

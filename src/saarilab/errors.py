@@ -22,7 +22,8 @@ class DegreeDeficitError(SaariLabError):
 
 
 class EvaluationDomainError(SaariLabError):
-    """A jet power was asked for outside its domain (see ``jet_pow``)."""
+    """A jet power was asked for outside its domain: a zero constant term, or
+    a negative one with a non-integer exponent."""
 
 
 class SingularityError(SaariLabError):

@@ -240,15 +240,17 @@ def _as_flat(z0) -> np.ndarray:
     return np.asarray(z0, float).ravel()
 
 
-def _fixed_steps(h: float, max_time: float) -> tuple[int, int, float]:
-    """Steps covering [0, max_time] exactly: the step count, the count of
-    full steps of size ``h`` that start it, and the size of the one
+def _fixed_steps(h: float, max_time: float) -> tuple[np.ndarray, int, float]:
+    """Steps covering [0, max_time] exactly: the times they reach, ``k * h``
+    after ``k`` full steps of size ``h`` and ``max_time`` after the last,
+    the count of full steps that start them, and the size of the one
     remainder step after them (``h`` when there is none)."""
     n_full = math.floor(max_time / h + 1e-9)
     remainder = max_time - n_full * h
-    if remainder > 1e-9 * h:
-        return n_full + 1, n_full, remainder
-    return n_full, n_full, h
+    n_steps = n_full + 1 if remainder > 1e-9 * h else n_full
+    times = np.arange(n_steps + 1) * h
+    times[-1] = max_time
+    return times, n_full, remainder if n_steps > n_full else h
 
 
 def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
@@ -261,8 +263,8 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     nq = minv.size
     q = z0[:nq].copy()
     p = z0[nq:].copy()
-    n_steps, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
-    times = np.zeros(n_steps + 1)
+    times, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
+    n_steps = len(times) - 1
     states = np.empty((n_steps + 1, z0.size))
     states[0] = z0
     status = "completed"
@@ -278,7 +280,6 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
             break
         g = field.grad_v(q)
         p = p_half - 0.5 * h * g
-        times[filled] = times[filled - 1] + h
         states[filled, :nq] = q
         states[filled, nq:] = p
         filled += 1
@@ -288,8 +289,8 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
 def _integrate_rk4(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     system = _system_of(field)
     z = z0.copy()
-    n_steps, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
-    times = np.zeros(n_steps + 1)
+    times, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
+    n_steps = len(times) - 1
     states = np.empty((n_steps + 1, z0.size))
     states[0] = z0
     status = "completed"
@@ -305,7 +306,6 @@ def _integrate_rk4(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
                 system, z[:system.coord_dim]).min() < MIN_SEPARATION):
             status = "singular"
             break
-        times[filled] = times[filled - 1] + h
         states[filled] = z
         filled += 1
     return times[:filled], states[:filled], status

@@ -38,20 +38,17 @@ from .errors import (
     _finite_array,
 )
 
+# The library's kernels run on coefficient arrays; a jet is their input and
+# output type.  ``jet_mul``, ``shift_base`` and ``embed_jet`` have no library
+# caller left: they stay public because the benchmark's tracer wraps them by
+# module attribute, and ``jet_eval`` serves ``PolynomialObservable``.
 __all__ = [
     "TruncatedJet",
     "JetField",
-    "jet_add",
-    "jet_scale",
     "jet_mul",
-    "jet_partial",
-    "jet_truncate",
-    "jet_pad",
-    "jet_pow",
     "jet_eval",
     "shift_base",
     "embed_jet",
-    "partials_from_jet",
     "table_size",
 ]
 
@@ -64,8 +61,8 @@ def table_size(dim: int, degree: int) -> int:
 #: Upper bound on the exponent-array elements one chunk of the triple build
 #: holds, so its temporaries stay a few MB whatever the table size.
 _CHUNK_ELEMENTS = 1 << 18
-# Smallest table on which _lie_step and _pow read the orders (and variables)
-# their operands reach: on smaller ones a product costs little more than its
+# Smallest table on which _lie_step reads the orders (and variables) its
+# operand reaches: on smaller ones a product costs little more than its
 # calls, and the scan and the per-product prefix cost more than they save.
 _ORDER_SCAN_SIZE = 1000
 
@@ -126,8 +123,8 @@ class _JetSpace:
     (38 567 100 of them at dim 12, degree 9), so they are built on the first
     full :func:`_mul` or :func:`_shift` on this space, and
     :attr:`tri_binom` on the first :func:`_shift`.  A space used only for
-    its layout, :meth:`rank`, :func:`jet_partial` or :func:`embed_jet` never
-    holds them.
+    its layout, :meth:`rank`, its differentiation gathers or
+    :func:`embed_jet` never holds them.
 
     Most N-body jets use few of the variables: a component ``p_c / m_c`` of
     the Hamiltonian field uses one momentum, and ``-dV/dq`` the
@@ -535,14 +532,17 @@ class TruncatedJet:
 
     def __add__(self, other):
         if isinstance(other, TruncatedJet):
-            return jet_add(self, other)
+            _check_combinable(self, other)
+            return TruncatedJet(self.dim, self.degree, self.base_point,
+                                self.coeffs + other.coeffs)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, TruncatedJet):
             return jet_mul(self, other)
         if isinstance(other, (int, float)):
-            return jet_scale(self, float(other))
+            return TruncatedJet(self.dim, self.degree, self.base_point,
+                                float(other) * self.coeffs)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -561,15 +561,6 @@ def _check_combinable(a: TruncatedJet, b: TruncatedJet) -> None:
         raise CombinabilityError(f"degree mismatch: {a.degree} vs {b.degree}")
     if not np.array_equal(a.base_point, b.base_point):
         raise CombinabilityError("base points differ")
-
-
-def jet_add(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
-    _check_combinable(a, b)
-    return TruncatedJet(a.dim, a.degree, a.base_point, a.coeffs + b.coeffs)
-
-
-def jet_scale(a: TruncatedJet, s: float) -> TruncatedJet:
-    return TruncatedJet(a.dim, a.degree, a.base_point, s * a.coeffs)
 
 
 def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
@@ -684,84 +675,30 @@ def _top_orders(sp: _JetSpace, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return top, masks.tolist()
 
 
-def jet_partial(a: TruncatedJet, axis: int) -> TruncatedJet:
-    """Partial derivative along one coordinate; degree drops by one.
-
-    A degree-0 input has no derivative information and yields the zero jet of
-    degree 0 (the only honest answer without extra orders).
-    """
-    if not 0 <= axis < a.dim:
-        raise ValueError(f"axis {axis} out of range for dim {a.dim}")
-    if a.degree == 0:
-        return TruncatedJet.zero(a.dim, 0, a.base_point)
-    sp = _space(a.dim, a.degree)
-    c = a.coeffs[sp.diff_src[axis]] * sp.diff_scale[axis]
-    return TruncatedJet(a.dim, a.degree - 1, a.base_point, c)
-
-
-def jet_truncate(a: TruncatedJet, degree: int) -> TruncatedJet:
-    """Forget orders above ``degree`` (a prefix slice of the table)."""
-    if degree > a.degree:
-        raise DegreeDeficitError(
-            f"cannot truncate degree-{a.degree} jet up to degree {degree}"
-        )
-    if degree == a.degree:
-        return a
-    n = table_size(a.dim, degree)
-    return TruncatedJet(a.dim, degree, a.base_point, a.coeffs[:n])
-
-
-def jet_pad(a: TruncatedJet, degree: int) -> TruncatedJet:
-    """Embed into a higher degree with zero coefficients above ``a.degree``.
-
-    Only valid when the extra coefficients are genuinely zero (polynomial
-    data); otherwise it fabricates orders, so callers decide.
-    """
-    if degree < a.degree:
-        raise ValueError("jet_pad target degree below current degree")
-    if degree == a.degree:
-        return a
-    return TruncatedJet(a.dim, degree, a.base_point,
-                        _pad(a.coeffs, table_size(a.dim, degree)))
-
-
-def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
-    """``a**exponent`` for real exponents via the truncated binomial series
-    (see :func:`_pow`).
-
-    Requires a nonzero constant term (and a positive one for non-integer
-    exponents); the series is exact at the truncation degree.
-    """
-    return TruncatedJet(a.dim, a.degree, a.base_point,
-                        _pow(_space(a.dim, a.degree), a.coeffs, exponent))
-
-
 def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     """The power core: ``c**exponent`` on coefficient arrays of ``sp``'s
     layout, for one jet ``(size,)`` or a sample-minor stack ``(size, S)``.
 
-    The series runs on coefficient arrays.  The series variable ``w`` is
-    compacted once per call (:func:`_compact`), and every product of the
-    series multiplies two arrays in its mask over the restricted triples
-    of :meth:`_JetSpace.triples_within`, bitwise equal to full products.  On
-    tables of at least ``_ORDER_SCAN_SIZE`` coefficients, with ``e`` the
-    highest order of ``c``, the partial sum after ``s`` Horner steps is zero
-    above order ``s * e``, so each product takes it as the prefix up to that
-    order (see :func:`_mul`), again bitwise equal.
+    The series variable ``w`` is compacted once per call (:func:`_compact`),
+    and every product of the series multiplies two arrays in its mask over
+    the restricted triples of :meth:`_JetSpace.triples_within`, bitwise
+    equal to full products.  Each product runs over the whole table: the
+    N-body pair series, the only caller, works on tables of a few dozen to
+    a hundred coefficients, well below ``_ORDER_SCAN_SIZE``.
 
     A stack runs one Horner chain for all its columns on the stacked
-    :func:`_mul`.  Its mask is the union of the columns' and ``e`` the
-    highest over them, which only add products of a column's +-0
-    coefficients; the scales and divisions are elementwise, and the leading
-    power ``c_0**exponent`` is taken per column in Python floats, as for one
-    jet.  So each column is bitwise equal to the one-jet power.
+    :func:`_mul`.  Its mask is the union of the columns', which only adds
+    products of a column's +-0 coefficients; the scales and divisions are
+    elementwise, and the leading power ``c_0**exponent`` is taken per
+    column in Python floats, as for one jet.  So each column is bitwise
+    equal to the one-jet power.
     """
     a0 = c[0]
     if not a0.all():
-        raise EvaluationDomainError("jet_pow needs a nonzero constant term")
+        raise EvaluationDomainError("a jet power needs a nonzero constant term")
     if (a0 < 0.0).any() and exponent != round(exponent):
         raise EvaluationDomainError(
-            "jet_pow with non-integer exponent needs a positive constant term"
+            "a jet power with non-integer exponent needs a positive constant term"
         )
     d = sp.degree
     # w has zero constant term, so w**k contributes only to orders >= k.
@@ -773,16 +710,13 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
     # uses only w's variables, so both operands of each product lie in its mask.
     mask, w = _compact(sp, w)
-    top = (int(sp.orders[np.flatnonzero(c if c.ndim == 1 else c.any(axis=1))[-1]])
-           if sp.size >= _ORDER_SCAN_SIZE else None)
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
     acc = np.zeros(c.shape)
     acc[0] = coeffs[d]
-    for s, k in enumerate(range(d - 1, -1, -1)):
-        n = sp.size if top is None else sp.prefix[min(s * top, d)]
-        acc = _mul(sp, acc[:n], w, mask, mask)
+    for k in range(d - 1, -1, -1):
+        acc = _mul(sp, acc, w, mask, mask)
         acc[0] += coeffs[k]
     if c.ndim == 1:
         return (float(a0) ** exponent) * acc
@@ -872,12 +806,6 @@ def embed_jet(a: TruncatedJet, big_dim: int, positions: Sequence[int],
     return TruncatedJet(big_dim, a.degree, base_point, c)
 
 
-def partials_from_jet(a: TruncatedJet, alpha) -> float:
-    """Partial-derivative value ``d^alpha f(base) = alpha! * c_alpha``."""
-    alpha = tuple(alpha)
-    return a.coeff(alpha) * math.prod(math.factorial(int(e)) for e in alpha)
-
-
 # -- jet-valued vector fields ------------------------------------------------
 
 
@@ -932,7 +860,16 @@ class JetField:
         return np.array([c.value for c in self.components])
 
     def truncated(self, degree: int) -> "JetField":
-        return JetField(tuple(jet_truncate(c, degree) for c in self.components))
+        """The field's jets to ``degree``, at most its own: each
+        component's coefficient prefix."""
+        if degree > self.degree:
+            raise DegreeDeficitError(
+                f"cannot truncate degree-{self.degree} field up to degree {degree}")
+        if degree == self.degree:
+            return self
+        n = table_size(self.dim, degree)
+        return JetField(tuple(TruncatedJet(c.dim, degree, c.base_point, c.coeffs[:n])
+                              for c in self.components))
 
     def to_json_dict(self) -> dict:
         return {

@@ -41,6 +41,10 @@ towers, and the byte oracle of every pair of handles that keeps the
 Cartesian chart.  ``jet_from_samples`` estimates a jet of any callable from
 central finite differences of its values, with no jet arithmetic: the
 independent check on the exact N-body jets, within its error estimates.
+The one-jet helpers ``jet_add``, ``jet_scale``, ``jet_partial``,
+``jet_truncate``, ``jet_pad``, ``jet_pow`` and ``partials_from_jet`` wrap
+the library's array operations one validated jet at a time; no library
+code calls them, and the oracles named above are written in them.
 """
 
 import itertools
@@ -67,14 +71,12 @@ from saarilab.genericity import (
 from saarilab.jet_algebra import (
     JetField,
     TruncatedJet,
+    _check_combinable,
     embed_jet,
-    jet_add,
     jet_mul,
-    jet_pad,
-    jet_partial,
-    jet_pow,
-    jet_scale,
-    jet_truncate,
+    table_size,
+    _pad,
+    _pow,
     _space,
     _variable_mask,
 )
@@ -101,6 +103,76 @@ from saarilab.mech import (
     _quadratic_positions,
     pair_distances,
 )
+
+# -- one-jet helpers -----------------------------------------------------------
+
+
+def jet_add(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
+    _check_combinable(a, b)
+    return TruncatedJet(a.dim, a.degree, a.base_point, a.coeffs + b.coeffs)
+
+
+def jet_scale(a: TruncatedJet, s: float) -> TruncatedJet:
+    return TruncatedJet(a.dim, a.degree, a.base_point, s * a.coeffs)
+
+
+def jet_partial(a: TruncatedJet, axis: int) -> TruncatedJet:
+    """Partial derivative along one coordinate; degree drops by one.
+
+    A degree-0 input has no derivative information and yields the zero jet of
+    degree 0 (the only honest answer without extra orders).
+    """
+    if not 0 <= axis < a.dim:
+        raise ValueError(f"axis {axis} out of range for dim {a.dim}")
+    if a.degree == 0:
+        return TruncatedJet.zero(a.dim, 0, a.base_point)
+    sp = _space(a.dim, a.degree)
+    c = a.coeffs[sp.diff_src[axis]] * sp.diff_scale[axis]
+    return TruncatedJet(a.dim, a.degree - 1, a.base_point, c)
+
+
+def jet_truncate(a: TruncatedJet, degree: int) -> TruncatedJet:
+    """Forget orders above ``degree`` (a prefix slice of the table)."""
+    if degree > a.degree:
+        raise DegreeDeficitError(
+            f"cannot truncate degree-{a.degree} jet up to degree {degree}"
+        )
+    if degree == a.degree:
+        return a
+    n = table_size(a.dim, degree)
+    return TruncatedJet(a.dim, degree, a.base_point, a.coeffs[:n])
+
+
+def jet_pad(a: TruncatedJet, degree: int) -> TruncatedJet:
+    """Embed into a higher degree with zero coefficients above ``a.degree``.
+
+    Only valid when the extra coefficients are genuinely zero (polynomial
+    data); otherwise it fabricates orders, so callers decide.
+    """
+    if degree < a.degree:
+        raise ValueError("jet_pad target degree below current degree")
+    if degree == a.degree:
+        return a
+    return TruncatedJet(a.dim, degree, a.base_point,
+                        _pad(a.coeffs, table_size(a.dim, degree)))
+
+
+def jet_pow(a: TruncatedJet, exponent: float) -> TruncatedJet:
+    """``a**exponent`` for real exponents via the truncated binomial series
+    of the library's power kernel.
+
+    Requires a nonzero constant term (and a positive one for non-integer
+    exponents); the series is exact at the truncation degree.
+    """
+    return TruncatedJet(a.dim, a.degree, a.base_point,
+                        _pow(_space(a.dim, a.degree), a.coeffs, exponent))
+
+
+def partials_from_jet(a: TruncatedJet, alpha) -> float:
+    """Partial-derivative value ``d^alpha f(base) = alpha! * c_alpha``."""
+    alpha = tuple(alpha)
+    return a.coeff(alpha) * math.prod(math.factorial(int(e)) for e in alpha)
+
 
 #: Finite-difference step scale: coefficient ``c`` moves by
 #: ``WRT_X_STEP_SCALE * max(1, |c|)`` in partial-derivative coordinates.

@@ -118,11 +118,42 @@ def test_pair_plan_is_built_once_per_system_over_an_rk4_run(monkeypatch):
 
 
 def test_fixed_step_lands_exactly_on_max_time():
+    # the README's fixed steps do not sum to 10.0 in floats: time k is k * h
     field = SeparableOscillator()
-    traj = integrate(field, [1.0, 0.0],
-                     IntegratorConfig("stormer_verlet", 0.3, max_time=1.0))
-    assert traj.t_final == 1.0
-    assert traj.status == "completed"
+    for method, step, max_time in (("stormer_verlet", 0.3, 1.0),
+                                   ("rk4", 0.1, 10.0),
+                                   ("stormer_verlet", 0.01, 10.0)):
+        traj = integrate(field, [1.0, 0.0],
+                         IntegratorConfig(method, step, max_time=max_time))
+        assert traj.t_final == max_time, (method, step)
+        assert traj.status == "completed"
+        full = np.arange(traj.times.size - 1) * step
+        assert traj.times[:-1].tobytes() == full.tobytes(), (method, step)
+
+
+@pytest.mark.parametrize("method, step, closing, drift", [
+    ("rk4", 0.01, 1e-7, 1e-9), ("stormer_verlet", 1e-3, 1e-4, 1e-11)])
+def test_fixed_step_integrators_close_the_circular_orbit(method, step, closing,
+                                                         drift):
+    field, z0, period = circular_two_body()
+    traj = integrate(field, z0, IntegratorConfig(method, step, max_time=period))
+    assert traj.status == "completed" and traj.t_final == period
+    assert np.linalg.norm(traj.final_state - z0) < closing
+    assert traj.energy_drift < drift
+
+
+@pytest.mark.parametrize("method", ["rk4", "stormer_verlet"])
+def test_fixed_step_head_on_collision_halts(method):
+    # from rest at separation 1e-5 the bodies meet at t ~ 2.4e-8, and steps
+    # of 1e-10 resolve the fall to below MIN_SEPARATION
+    system = BodySystem(2, 2, (1.0, 1.0), NewtonianPotential())
+    z0 = PhaseState(np.array([[-5e-6, 0.0], [5e-6, 0.0]]),
+                    np.zeros((2, 2))).flat()
+    traj = integrate(build_hamiltonian_field(system), z0,
+                     IntegratorConfig(method, 1e-10, max_time=1e-7))
+    assert traj.status == "singular"
+    assert traj.t_final < 1e-7
+    assert traj.min_sep[-1] < 1e-5
 
 
 # -- accuracy on the harmonic oscillator ----------------------------------------------

@@ -34,7 +34,7 @@ from saarilab.genericity import (
     obstruction_scan,
     perturb,
 )
-from saarilab.jet_algebra import _space, jet_add, table_size
+from saarilab.jet_algebra import _space, table_size
 from saarilab.lie_tower import obstruction_at
 from saarilab.mech import (
     BodySystem,
@@ -56,6 +56,7 @@ from oracles import (
     draw_per_sample,
     energy_jet_by_jets,
     field_jet_by_jets,
+    jet_add,
     obstruction_per_sample,
     obstruction_scan_per_sample,
     potential_jet_by_jets,

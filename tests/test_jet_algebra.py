@@ -17,15 +17,8 @@ from saarilab.errors import (
 from saarilab.jet_algebra import (
     TruncatedJet,
     embed_jet,
-    jet_add,
     jet_eval,
     jet_mul,
-    jet_pad,
-    jet_partial,
-    jet_pow,
-    jet_scale,
-    jet_truncate,
-    partials_from_jet,
     shift_base,
     table_size,
 )
@@ -34,8 +27,15 @@ from saarilab.fields import random_polynomial_observable, stream_rng
 
 from oracles import (
     MAX_SAMPLE_DEGREE,
+    jet_add,
     jet_from_samples,
+    jet_pad,
+    jet_partial,
+    jet_pow,
     jet_pow_full,
+    jet_scale,
+    jet_truncate,
+    partials_from_jet,
     shift_by_triples,
 )
 

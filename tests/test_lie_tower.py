@@ -33,7 +33,7 @@ from saarilab.fields import (
 )
 from saarilab import jet_algebra, lie_tower, mech
 from saarilab.genericity import PerturbationSpec, Sampler, obstruction_scan, perturb
-from saarilab.jet_algebra import JetField, TruncatedJet, _space, jet_pow, table_size
+from saarilab.jet_algebra import JetField, TruncatedJet, _space, table_size
 from saarilab.lie_tower import (
     RANK_THRESHOLD,
     SaariVector,
@@ -58,6 +58,9 @@ from oracles import (
     dpsi_wrt_F_per_column,
     dpsi_wrt_X_fd,
     dpsi_wrt_X_per_column,
+    jet_add,
+    jet_pow,
+    jet_truncate,
     lie_derivative_full,
     obstruction_per_sample,
 )
@@ -147,7 +150,7 @@ def test_lie_derivative_leibniz(cf, cg):
     x = oscillator_field().jet_field(z, 2)
     f = TruncatedJet(2, 3, z, np.array(cf))
     g = TruncatedJet(2, 3, z, np.array(cg))
-    from saarilab.jet_algebra import jet_add, jet_mul, jet_truncate
+    from saarilab.jet_algebra import jet_mul
 
     lhs = lie_derivative(jet_mul(f, g), x)
     rhs = jet_add(
@@ -412,6 +415,30 @@ def test_dpsi_wrt_X_rejects_unknown_method():
         dpsi_wrt_X(fj, xf, m=2, method="adjoint")
     with pytest.raises(ValueError):
         dpsi_wrt_X(fj, xf, m=2, method="fd")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_dpsi_wrt_X_checks_its_inputs_as_psi_tower_does(m):
+    # a field and an observable of different dimensions do not combine,
+    # also at m = 1, where the chain takes no Lie step
+    for n_f, n_x in ((3, 2), (2, 3)):
+        rng = stream_rng(5, n_f, n_x)
+        fj = random_polynomial_observable(n_f, 3, rng).jet(np.zeros(n_f), m)
+        xf = random_polynomial_field(n_x, 3, rng).jet_field(np.zeros(n_x), m - 1)
+        for call in (psi_tower, dpsi_wrt_X):
+            with pytest.raises(CombinabilityError):
+                call(fj, xf, m)
+    field, obs, z = oscillator_field(), oscillator_energy(), np.zeros(2)
+    short_f = (obs.jet(z, m + 1), field.jet_field(z, m), m + 2)
+    short_x = (obs.jet(z, m + 2), field.jet_field(z, m - 1), m + 2)
+    for args, message in ((short_f, "observable jet degree"),
+                          (short_x, "field jet degree")):
+        for call in (psi_tower, dpsi_wrt_X):
+            with pytest.raises(DegreeDeficitError, match=message):
+                call(*args)
+    huge = JetField(tuple(TruncatedJet.constant(1e200, 2, 3, z) for _ in range(2)))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        dpsi_wrt_X(obs.jet(z, 3), huge, m=3)
 
 
 def test_dpsi_wrt_X_multiplies_each_column_on_its_monomial_s_table():

@@ -17,11 +17,7 @@ from saarilab.jet_algebra import (
     TruncatedJet,
     _space,
     embed_jet,
-    jet_add,
     jet_eval,
-    jet_pad,
-    jet_pow,
-    jet_truncate,
     shift_base,
 )
 from saarilab.lie_tower import obstruction_at, psi_tower
@@ -59,8 +55,12 @@ from oracles import (
     field_jet_by_jets,
     grad_potential_by_pairs,
     hamiltonian_field_by_concat,
+    jet_add,
     jet_from_samples,
+    jet_pad,
+    jet_pow,
     jet_pow_full,
+    jet_truncate,
     pair_r2_jet,
     potential_full_table,
     potential_jet_by_jets,
@@ -502,9 +502,8 @@ def _dict_kinetic_jets(system, z, degree):
 
 @pytest.mark.parametrize("degree", [7, 9])
 def test_pair_r2_powers_equal_the_full_product_series(degree):
-    # r^2 has order 2, so after s Horner steps jet_pow's partial sum is zero
-    # above order 2s and each product takes that prefix only.  A planar
-    # 3-body pair's r^2 uses 4 of the 6 variables, a spatial 2-body one all 6
+    # jet_pow restricts each product to r^2's variables.  A planar 3-body
+    # pair's r^2 uses 4 of the 6 variables, a spatial 2-body one all 6
     rng = np.random.default_rng(degree)
     for system in (three_body((1.0, 1.3, 0.7)),
                    BodySystem(2, 3, (0.8, 1.1), NewtonianPotential())):
