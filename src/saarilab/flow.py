@@ -51,6 +51,7 @@ from .mech import (
     hamiltonian,
     moment_of_inertia,
     pair_distances,
+    _bodies,
 )
 
 __all__ = [
@@ -344,8 +345,11 @@ def integrate(field, z0, cfg: IntegratorConfig) -> Trajectory:
     """Integrate ``dz/dt = field(z)`` from ``z0`` for ``cfg.max_time``.
 
     Halts early (partial trajectory, status ``"singular"``) when bodies of an
-    N-body field come within ``MIN_SEPARATION``.  A non-finite ``z0`` is a
-    :class:`ConfigError`, raised before the first step.
+    N-body field come within ``MIN_SEPARATION``: ``dop853`` at its event,
+    the fixed-step methods at the start of the step in which they do, also
+    when the approach lies inside the step (:func:`_first_close_step`).  A
+    non-finite ``z0`` is a :class:`ConfigError`, raised before the first
+    step.
     """
     z0 = _as_flat(z0)
     if not np.all(np.isfinite(z0)):
@@ -354,13 +358,60 @@ def integrate(field, z0, cfg: IntegratorConfig) -> Trajectory:
     if (system is not None and pair_distances(
             system, z0[:system.coord_dim]).min() < MIN_SEPARATION):
         raise SingularityError("initial state is already near collision")
-    if cfg.method == "stormer_verlet":
-        times, states, status = _integrate_verlet(field, z0, cfg)
-    elif cfg.method == "rk4":
-        times, states, status = _integrate_rk4(field, z0, cfg)
-    else:
+    if cfg.method == "dop853":
         times, states, status = _integrate_dop853(field, z0, cfg)
+    else:
+        integrator = (_integrate_verlet if cfg.method == "stormer_verlet"
+                      else _integrate_rk4)
+        times, states, status = integrator(field, z0, cfg)
+        if system is not None:
+            minv = getattr(field, "minv", system._pair_plan.minv)
+            k = _first_close_step(system, times, states, minv)
+            if k is not None:
+                times, states, status = times[:k + 1], states[:k + 1], "singular"
     return Trajectory(field, times, states, status, cfg)
+
+
+def _first_close_step(system, times, states, minv) -> int | None:
+    """The first fixed step, from ``states[k]`` to ``states[k + 1]``, in
+    which a pair of bodies comes within ``MIN_SEPARATION``, or ``None``.
+
+    A step's end states can both be far apart while the bodies pass
+    through each other between them, so each pair's relative position
+    ``d(s)``, ``s`` in [0, 1], is taken as the cubic Hermite interpolant
+    of its end positions and velocities ``p * minv``:
+    ``d(s) = d0 + b s + c s**2 + e s**3``.  The triangle inequality bounds
+    ``|d(s)|`` below by the distance of the segment ``d0 + b s`` from 0,
+    less ``|c| + |e|``, on all steps at once; only a pair whose bound falls
+    below ``MIN_SEPARATION`` has its minimum found, at the real roots of the
+    derivative of ``|d(s)|**2`` and at the ends.
+    """
+    nq = system.coord_dim
+    plan = system._pair_plan
+    q = _bodies(system, states[:, :nq])
+    v = _bodies(system, states[:, nq:] * minv)
+    d, u = q[:, plan.I] - q[:, plan.J], v[:, plan.I] - v[:, plan.J]
+    h = np.diff(times)[:, None, None]
+    d0, d1, b, b1 = d[:-1], d[1:], h * u[:-1], h * u[1:]
+    c = 3.0 * (d1 - d0) - 2.0 * b - b1
+    e = 2.0 * (d0 - d1) + b + b1
+
+    def dot(x, y):
+        return np.add.reduce(x * y, axis=-1)
+
+    bb = dot(b, b)
+    nearest = np.clip(-dot(d0, b) / np.where(bb > 0.0, bb, 1.0), 0.0, 1.0)
+    segment = d0 + nearest[..., None] * b
+    bound = np.sqrt(dot(segment, segment)) - np.sqrt(dot(c, c)) - np.sqrt(dot(e, e))
+    poly = np.polynomial.polynomial
+    for k, pair in zip(*np.nonzero(bound < MIN_SEPARATION)):
+        coeffs = np.stack([d0[k, pair], b[k, pair], c[k, pair], e[k, pair]])
+        square = sum(poly.polymul(x, x) for x in coeffs.T)
+        roots = poly.polyroots(poly.polyder(square)).real
+        s = np.concatenate([[0.0, 1.0], np.clip(roots, 0.0, 1.0)])
+        if poly.polyval(s, square).min() < MIN_SEPARATION ** 2:
+            return int(k)
+    return None
 
 
 class _Reversed:

@@ -61,6 +61,15 @@ def table_size(dim: int, degree: int) -> int:
 #: Upper bound on the exponent-array elements one chunk of the triple build
 #: holds, so its temporaries stay a few MB whatever the table size.
 _CHUNK_ELEMENTS = 1 << 18
+#: Upper bound on the output elements ``terms * size`` of one chunk of a
+#: fused Lie step (see :class:`_JetSpace`): each chunk's block stays 512
+#: kB, and into a table of more than half this many coefficients, such as
+#: the (12, 7) table of 50 388, every term runs alone, where a block of
+#: two such tables made the step slower than two products.
+_BLOCK_ELEMENTS = _CHUNK_ELEMENTS // 4
+#: Upper bound on the triples of one chunk of several terms, which its plan
+#: copies: a term of more triples runs alone, on views of its cached set.
+_FUSED_TRIPLES = _CHUNK_ELEMENTS // 16
 # Smallest table on which _lie_step reads the orders (and variables) its
 # operand reaches: on smaller ones a product costs little more than its
 # calls, and the scan and the per-product prefix cost more than they save.
@@ -142,9 +151,22 @@ class _JetSpace:
     bit, so a restricted product is bitwise equal to the full one.  Each set
     is built on its first product and cached per ``(mask, a_mask)``.
 
-    :meth:`mul_buffers` gives each thread two float buffers of the triple
-    count for each triple set, built on its first :func:`_mul` with that
-    set and reused after, so a product allocates only its output.
+    :meth:`buffers` gives each thread two float buffers, grown to the most
+    triples it has gathered on this space and reused after, so a one-sample
+    product allocates only its output, and a Lie step chunk its partials
+    and its output; threads never share them.
+
+    :attr:`plans` caches, per field layout and order scan, the plan of a
+    Lie step whose output is this table (see
+    :func:`~saarilab.lie_tower._step_plan`): its terms' restricted triple
+    sets, truncated to the orders their partials reach, packed in term
+    order into chunks of at most ``_BLOCK_ELEMENTS // size`` terms and,
+    past their first term, ``_FUSED_TRIPLES`` triples, each concatenated
+    once with the offsets of its gathers and output rows.  A term alone in
+    its chunk runs on views of its cached triple set, copying none: on a
+    table of more than ``_BLOCK_ELEMENTS // 2`` coefficients every term
+    does.  The plans live on the space, so ``_space.cache_clear()`` drops
+    them with the triples they index.
 
     The same triples multiply a group of S samples at once, on coefficient
     arrays stacked sample-minor, shape ``(size, S)``: :func:`_mul` gathers
@@ -204,6 +226,7 @@ class _JetSpace:
                 self.diff_scale.append((lower[:, axis] + 1).astype(float))
         self._within: dict[tuple[int | None, int | None], tuple] = {}
         self._rows: dict[int | None, np.ndarray] = {}
+        self.plans: dict[tuple, tuple] = {}
         self._local = threading.local()
 
     @cached_property
@@ -287,18 +310,15 @@ class _JetSpace:
         f = self.factorials
         return f[tri_k] / (f[tri_i] * f[tri_j])
 
-    def mul_buffers(self, mask: int | None = None, a_mask: int | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """The calling thread's two gather buffers, one float per triple each,
-        for :meth:`triples_within` ``(mask, a_mask)``."""
+    def buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The calling thread's two gather buffers, ``n`` floats each."""
         try:
-            buffers = self._local.buffers
+            p, q = self._local.buffers
         except AttributeError:
-            buffers = self._local.buffers = {}
-        if (mask, a_mask) not in buffers:
-            n = len(self.triples_within(mask, a_mask)[0])
-            buffers[mask, a_mask] = (np.empty(n), np.empty(n))
-        return buffers[mask, a_mask]
+            p = q = np.empty(0)
+        if len(p) < n:
+            p, q = self._local.buffers = np.empty(n), np.empty(n)
+        return p[:n], q[:n]
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
         """Table positions of the exponent rows ``exps[..., :]``.
@@ -600,10 +620,10 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
         p *= b.take(tri_j, 0)
         at = (tri_k * s)[:, None] + np.arange(s)
         return np.bincount(at.ravel(), p.ravel(), sp.size * s).reshape(sp.size, s)
-    p, q = sp.mul_buffers(mask, a_mask)
     if a.size < sp.size:
         n = tri_i.searchsorted(a.size)
-        tri_i, tri_j, tri_k, p, q = tri_i[:n], tri_j[:n], tri_k[:n], p[:n], q[:n]
+        tri_i, tri_j, tri_k = tri_i[:n], tri_j[:n], tri_k[:n]
+    p, q = sp.buffers(len(tri_i))
     # Positional arguments: the keyword forms cost more per call than the
     # gather itself on small tables.  "clip" lets take write into ``out``
     # unbuffered; the indices are in range by construction.
@@ -641,10 +661,20 @@ def _variable_mask(sp: _JetSpace, c: np.ndarray) -> int | None:
     # Rows 1..dim are the linear terms: all nonzero settles it without a scan.
     if sp.degree >= 1 and c[1:sp.dim + 1].all():
         return None
-    nonzero = c != 0
-    used = int(np.bitwise_or.reduce(sp.row_vars[
-        nonzero if c.ndim == 1 else nonzero.any(axis=1)]))
+    used = int(np.bitwise_or.reduce(sp.row_vars[_nonzero_rows(c)]))
     return None if used == (1 << sp.dim) - 1 else used
+
+
+def _nonzero_rows(c: np.ndarray) -> np.ndarray:
+    """Per row of ``c``, whether it holds a nonzero coefficient; for a
+    sample-minor stack, in any sample.  A stack counts its rows' nonzeros
+    in one float32 BLAS product, exact below 2**24 samples:
+    ``(c != 0).any(axis=1)`` reduces along the short sample axis, 130 us
+    against 12 on a (6 435, 3) stack, and OR-ing the columns' ``c[:, j] !=
+    0`` takes a call per sample, 125 us against 3 on a (6, 100) one."""
+    if c.ndim == 1:
+        return c != 0
+    return (c != 0).astype(np.float32) @ np.ones(c.shape[1], np.float32) > 0
 
 
 def _compact(sp: _JetSpace, c: np.ndarray, mask: int | None = None
@@ -656,6 +686,18 @@ def _compact(sp: _JetSpace, c: np.ndarray, mask: int | None = None
     return mask, c
 
 
+def _join(comps) -> tuple[tuple, np.ndarray]:
+    """A field's :func:`_compact` components ``(mask, coeffs)`` as one
+    array: ``(layout, coeffs)``, with ``layout[i] = (mask, start, stop)``
+    and component ``i`` in ``coeffs[start:stop]``.  One array or a stack
+    per component, concatenated along the rows."""
+    layout, at = [], 0
+    for mask, c in comps:
+        layout.append((mask, at, at + len(c)))
+        at += len(c)
+    return tuple(layout), np.concatenate([c for _, c in comps])
+
+
 def _top_orders(sp: _JetSpace, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """From one pass over the nonzero rows of ``c``, per variable ``z_v``:
     the highest order of a nonzero coefficient whose row uses ``z_v`` (0 if
@@ -664,8 +706,7 @@ def _top_orders(sp: _JetSpace, c: np.ndarray) -> tuple[np.ndarray, list[int]]:
     raises it to a power of 2 or more.  For a sample-minor stack ``(size,
     S)``, the highest orders and the unions over its samples.
     """
-    nonzero = c != 0
-    at = np.flatnonzero(nonzero if c.ndim == 1 else nonzero.any(axis=1))
+    at = np.flatnonzero(_nonzero_rows(c))
     bits = sp.bits
     uses = (bits[:, None] & sp.row_vars[at]) != 0
     top = (uses * sp.orders[at]).max(axis=1, initial=0)
@@ -849,6 +890,11 @@ class JetField:
         """Per component, its :func:`_compact` ``(mask, coeffs)``."""
         sp = _space(self.dim, self.degree)
         return tuple(_compact(sp, c.coeffs) for c in self.components)
+
+    @cached_property
+    def joined(self) -> tuple[tuple, np.ndarray]:
+        """The components :attr:`compact`, concatenated by :func:`_join`."""
+        return _join(self.compact)
 
     @property
     def masks(self) -> tuple[int | None, ...]:

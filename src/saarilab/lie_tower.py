@@ -44,10 +44,12 @@ from .jet_algebra import (
     TruncatedJet,
     table_size,
     _compact,
-    _mul,
+    _join,
     _space,
     _stack,
     _top_orders,
+    _BLOCK_ELEMENTS,
+    _FUSED_TRIPLES,
     _ORDER_SCAN_SIZE,
 )
 from .mech import _jacobi_tower
@@ -207,9 +209,11 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
 
     A degree-0 observable carries no derivative information and maps to the
     zero jet of degree 0.  The operands are checked once, and the step runs
-    on their coefficient arrays (see :func:`_lie_step`).  Its one library
-    caller is the column loop of :func:`dpsi_wrt_X`; it stays public also
-    because the benchmark's tracer counts its calls by module attribute.
+    on their coefficient arrays (see :func:`_lie_step`), with the field's
+    components concatenated once per field (:attr:`JetField.joined`).  Its
+    one library caller is the column loop of :func:`dpsi_wrt_X`; it stays
+    public also because the benchmark's tracer counts its calls by module
+    attribute.
     """
     _check_operands(f, x)
     if f.degree == 0:
@@ -218,14 +222,15 @@ def lie_derivative(f: TruncatedJet, x: JetField) -> TruncatedJet:
         raise DegreeDeficitError(
             f"field degree {x.degree} cannot support a degree-{f.degree} observable"
         )
-    c = _lie_step(f.dim, f.degree, f.coeffs, x.compact)
+    c = _lie_step(f.dim, f.degree, f.coeffs, x.joined)
     return TruncatedJet(f.dim, f.degree - 1, f.base_point, c)
 
 
-def _lie_step(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
+def _lie_step(dim: int, degree: int, f: np.ndarray, field) -> np.ndarray:
     """``L_X F`` on coefficient arrays: ``f`` of the ``(dim, degree)``
-    layout and ``comps[i]`` the ``(mask, coeffs)`` of ``X^i`` to degree at
-    least ``degree - 1`` (:attr:`JetField.compact`).  Returns the degree
+    layout and ``field`` the :func:`~saarilab.jet_algebra._join` ``(layout,
+    coeffs)`` of the components ``X^i``, each on its mask's table to degree
+    at least ``degree - 1`` (:attr:`JetField.joined`).  Returns the degree
     ``degree - 1`` coefficients.
 
     Each term is a partial times a component, each product on its
@@ -250,56 +255,167 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
     multiplies or adds +-0, so the sum keeps its bits.  On smaller tables
     the scan would cost more than it saves.
 
-    ``f`` and every ``comps[i]`` may instead be sample-minor stacks
-    ``(coeffs, S)``, each mask the union of the samples' masks, and the
-    scan's results the highest and the unions over the samples: each
-    sample's column is bitwise its own step, by the same argument.
+    The terms run fused, over the cached plan of :func:`_step_plan`: per
+    chunk, one gather and scale of its partials, one gather from them and
+    one from the joined components, one multiply and one ``bincount`` into
+    a block of one output table per term (:func:`_chunk_product`).  Term
+    ``t``'s table sums its triples from +0 in their order, as a product of
+    its own would, and the tables are added in the order above, so the
+    step is bitwise the sum of per-term products.
+
+    ``f`` and the components may instead be sample-minor stacks ``(coeffs,
+    S)``, each mask the union of the samples' masks, and the scan's results
+    the highest and the unions over the samples: each sample's column is
+    bitwise its own step, by the same argument.
     """
     sp, low = _space(dim, degree), _space(dim, degree - 1)
-    if scan := sp.size >= _ORDER_SCAN_SIZE:
+    layout, comps = field
+    scan = None
+    if sp.size >= _ORDER_SCAN_SIZE:
         top, used = _top_orders(sp, f)
-        tables = sorted({mask for mask, _ in comps if mask is not None},
+        tables = sorted({mask for mask, _, _ in layout if mask is not None},
                         key=int.bit_count)
         cover = {u: next((t for t in tables if not u & ~t), None)
                  for u in set(used)}
-    out = None
-    for i in _term_order(dim):
-        mask, comp = comps[i]
-        src, scale, a_mask = sp.diff_src[i], sp.diff_scale[i], None
-        if scan:
-            if not top[i]:
-                continue
-            n = low.prefix[top[i] - 1]
-            src, scale = src[:n], scale[:n]
-            a_mask = cover[used[i]]
-        term = _mul(low, f[src] * (scale if f.ndim == 1 else scale[:, None]),
-                    comp, mask, a_mask)
-        out = term if out is None else np.add(out, term, out)
+        scan = tuple((low.prefix[t - 1], cover[u]) if t else None
+                     for t, u in zip(top.tolist(), used))
+    plan = low.plans.get((layout, scan, False))
+    if plan is None:
+        plan = _step_plan(low, layout, scan)
+    out, size = None, low.size
+    for chunk in plan:
+        block = _chunk_product(low, chunk, f, comps)
+        for at in range(0, len(block), size):
+            row = block[at:at + size]
+            out = row if out is None else np.add(out, row, out)
     if out is None:
-        out = np.zeros((low.size,) + f.shape[1:])
+        out = np.zeros((size,) + f.shape[1:])
     return out
 
 
-def _lie_step_t(dim: int, degree: int, w: np.ndarray, comps) -> np.ndarray:
+def _chunk_product(low, chunk, f: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """One chunk of :func:`_lie_step`: its terms' products, each
+    ``low.size`` rows of the block one after the other, shape ``(terms *
+    low.size,)`` or ``(terms * low.size, S)`` for stacks.
+
+    One sample gathers into the thread's buffers
+    (:meth:`~saarilab.jet_algebra._JetSpace.buffers`); a stack gathers
+    whole rows and offsets the bins to ``bin * S + s``, as
+    :func:`~saarilab.jet_algebra._mul` does, so each bin still adds its
+    triples from +0 in one-sample order.
+    """
+    rows, src, scale, gather, lo, hi, c_at, bins = chunk
+    size = rows * low.size
+    part = f[src]
+    if f.ndim == 1:
+        part *= scale
+        p, q = low.buffers(len(gather))
+        part.take(gather, None, p, "clip")
+        comps[lo:hi].take(c_at, None, q, "clip")
+        np.multiply(p, q, p)
+        return np.bincount(bins, p, size)
+    part *= scale[:, None]
+    s = f.shape[1]
+    p = part.take(gather, 0)
+    p *= comps[lo:hi].take(c_at, 0)
+    at = (bins * s)[:, None] + np.arange(s)
+    return np.bincount(at.ravel(), p.ravel(), size * s).reshape(size, s)
+
+
+def _lie_step_t(dim: int, degree: int, w: np.ndarray, field) -> np.ndarray:
     """The transpose of :func:`_lie_step`: the degree-``degree``
     coefficients ``r`` with ``<w, L_X f> = <r, f>`` for every ``f``, from
-    ``w`` of the ``(dim, degree - 1)`` layout and ``comps`` as there.
+    ``w`` of the ``(dim, degree - 1)`` layout and ``field`` as there.
 
     Term ``i`` of the step sums ``partial_i[a] * comp_i[j]`` into bin ``k``
     over :meth:`~saarilab.jet_algebra._JetSpace.triples_within` ``(mask_i,
     None)``, so its transpose sums ``w[k] * comp_i[j]`` into bin ``a``, and
     the partial's gather moves coefficient ``a`` to ``diff_src[i][a]``, an
-    injective map, times ``diff_scale[i][a]``.  The terms run in the step's
-    order and on its cached triple sets.
+    injective map, times ``diff_scale[i][a]``.  The terms run on the step's
+    plan (:func:`_step_plan`): one ``bincount`` per chunk into the bins
+    ``t * size + a`` of its term ``t``, each bin summing its triples from
+    +0 in their order, then the scatters in the step's order of terms.
     """
     sp, low = _space(dim, degree), _space(dim, degree - 1)
+    layout, comps = field
     out = np.zeros(sp.size)
-    for i in _term_order(dim):
-        mask, comp = comps[i]
-        tri_i, tri_j, tri_k = low.triples_within(mask, None)
-        v = np.bincount(tri_i, w[tri_k] * comp[tri_j], low.size)
-        out[sp.diff_src[i]] += v * sp.diff_scale[i]
+    plan = low.plans.get((layout, None, True))
+    if plan is None:
+        plan = _step_plan(low, layout, None, True)
+    size = low.size
+    for terms, gather, lo, hi, c_at, bins in plan:
+        v = np.bincount(bins, w[gather] * comps[lo:hi][c_at], len(terms) * size)
+        for t, i in enumerate(terms):
+            out[sp.diff_src[i]] += v[t * size:(t + 1) * size] * sp.diff_scale[i]
     return out
+
+
+def _step_plan(low, layout, scan, transpose: bool = False) -> tuple:
+    """The chunks of a Lie step into ``low``'s table, cached in
+    :attr:`~saarilab.jet_algebra._JetSpace.plans` per field ``layout``,
+    order ``scan`` (per component ``(prefix, a_mask)`` of its partial, or
+    ``None`` to skip it; ``scan=None`` for whole partials) and direction.
+
+    The callers look the plan up themselves first, which saves a call on
+    small tables.  The kept terms, in :func:`_term_order`, are packed into
+    chunks of at most ``_BLOCK_ELEMENTS // low.size`` terms and, past the
+    first term, ``_FUSED_TRIPLES`` triples: a chunk of several terms copies
+    its triples, and a term of more triples, whose arithmetic outweighs its
+    calls, runs alone.
+
+    For the step a chunk is ``(rows, src, scale, gather, lo, hi, c_at,
+    bins)``: its partials are ``f[src] * scale``, term ``t``'s behind the
+    earlier terms' prefixes, its components ``coeffs[lo:hi]``, and triple
+    ``(i, j, k)`` of term ``t`` gathers ``i`` plus its partial's offset and
+    ``j`` plus its component's, into bin ``t * low.size + k``.  For the
+    transpose it is ``(terms, gather, lo, hi, c_at, bins)``, gathering
+    ``w`` at ``k`` into bin ``t * low.size + i``.  A one-term chunk holds
+    views of the cached triple set and of the differentiation gathers.
+    """
+    sp = _space(low.dim, low.degree + 1)
+    terms = []  # (i, partial prefix, tri_i, tri_j, tri_k) per kept term
+    for i in _term_order(low.dim):
+        n, a_mask = (low.size, None) if scan is None else scan[i] or (0, None)
+        if n:
+            tri = low.triples_within(layout[i][0], a_mask)
+            if n < low.size:
+                tri = tuple(t[:tri[0].searchsorted(n)] for t in tri)
+            terms.append((i, n, *tri))
+    chunks = []
+    for term in terms:
+        if (chunks and (len(chunks[-1]) + 1) * low.size <= _BLOCK_ELEMENTS
+                and triples + len(term[2]) <= _FUSED_TRIPLES):
+            chunks[-1].append(term)
+            triples += len(term[2])
+        else:
+            chunks.append([term])
+            triples = len(term[2])
+    plan = []
+    for chunk in chunks:
+        index, prefix, tri_i, tri_j, tri_k = zip(*chunk)
+        rows = [t * low.size for t in range(len(chunk))]
+        lo = min(layout[i][1] for i in index)
+        hi = max(layout[i][2] for i in index)
+        c_at = _concat(tri_j, [layout[i][1] - lo for i in index])
+        if transpose:
+            plan.append((index, _concat(tri_k), lo, hi, c_at, _concat(tri_i, rows)))
+            continue
+        starts = np.cumsum((0,) + prefix[:-1]).tolist()
+        plan.append((len(chunk),
+                     _concat([sp.diff_src[i][:n] for i, n in zip(index, prefix)]),
+                     _concat([sp.diff_scale[i][:n] for i, n in zip(index, prefix)]),
+                     _concat(tri_i, starts), lo, hi, c_at, _concat(tri_k, rows)))
+    plan = low.plans[layout, scan, transpose] = tuple(plan)
+    return plan
+
+
+def _concat(arrays, offsets=None) -> np.ndarray:
+    """The ``arrays``, each plus its offset (none: 0), concatenated; a
+    single array with offset 0 is returned as it is, a view and no copy."""
+    offsets = offsets or [0] * len(arrays)
+    if len(arrays) == 1 and not offsets[0]:
+        return arrays[0]
+    return np.concatenate([a + off if off else a for a, off in zip(arrays, offsets)])
 
 
 @lru_cache(maxsize=None)
@@ -312,8 +428,9 @@ def _term_order(dim: int) -> tuple[int, ...]:
 
 def _tower(dim: int, m: int, g: np.ndarray, comps):
     """The first ``m`` iterated Lie derivatives' values from the degree-``m``
-    coefficients ``g``, with the field's as in :func:`_lie_step`, for one
-    sample (1-D arrays) or a sample-minor stack.
+    coefficients ``g`` and the field's :func:`~saarilab.jet_algebra._compact`
+    components ``comps``, joined once for the chain (see :func:`_lie_step`),
+    for one sample (1-D arrays) or a sample-minor stack.
 
     Returns the values, shape ``(m,)`` or ``(m, S)``, and per sample whether
     every coefficient of its chain stayed finite.  A sample that overflowed
@@ -321,10 +438,11 @@ def _tower(dim: int, m: int, g: np.ndarray, comps):
     of ``_ORDER_SCAN_SIZE`` or more coefficients that is zero everywhere, as
     for a conserved energy, ends the chain: every later step is +0.
     """
+    field = _join(comps)
     values = np.zeros((m,) + g.shape[1:])
     finite = np.ones(g.shape[1:], dtype=bool)
     for k in range(m):
-        g = _lie_step(dim, m - k, g, comps)
+        g = _lie_step(dim, m - k, g, field)
         finite &= np.isfinite(g).all(axis=0)
         values[k] = g[0]
         if len(g) >= _ORDER_SCAN_SIZE and not g.any():
@@ -403,7 +521,7 @@ def dpsi_wrt_F(
     w = np.zeros(low.size)
     w[0] = 1.0
     for k in range(m):
-        w = _lie_step_t(n, m, w, x.compact)
+        w = _lie_step_t(n, m, w, x.joined)
         matrix[k] = w[1:] / sp.factorials[1:]
         w = w[:low.size]
     if not np.isfinite(matrix).all():
@@ -451,7 +569,7 @@ def dpsi_wrt_X(
     # depend on the column.
     chain = [f.coeffs[:table_size(n, m)]]
     for k in range(1, m):
-        chain.append(_lie_step(n, m - k + 1, chain[-1], x_work.compact))
+        chain.append(_lie_step(n, m - k + 1, chain[-1], x_work.joined))
     if not all(np.isfinite(g).all() for g in chain):
         raise ValueError("jet coefficients must be finite")
     partials = []

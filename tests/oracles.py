@@ -41,6 +41,8 @@ towers, and the byte oracle of every pair of handles that keeps the
 Cartesian chart.  ``jet_from_samples`` estimates a jet of any callable from
 central finite differences of its values, with no jet arithmetic: the
 independent check on the exact N-body jets, within its error estimates.
+``lie_step_per_term`` and ``lie_step_t_per_term`` are the Lie step and
+its transpose one product per term, the byte oracles of the fused steps.
 The one-jet helpers ``jet_add``, ``jet_scale``, ``jet_partial``,
 ``jet_truncate``, ``jet_pad``, ``jet_pow`` and ``partials_from_jet`` wrap
 the library's array operations one validated jet at a time; no library
@@ -75,10 +77,13 @@ from saarilab.jet_algebra import (
     embed_jet,
     jet_mul,
     table_size,
+    _mul,
     _pad,
     _pow,
     _space,
+    _top_orders,
     _variable_mask,
+    _ORDER_SCAN_SIZE,
 )
 from saarilab.lie_tower import (
     JacobianResult,
@@ -88,6 +93,7 @@ from saarilab.lie_tower import (
     SaariVector,
     _rank_report,
     _structural_check,
+    _term_order,
     _tower,
     default_tower_order,
     lie_derivative,
@@ -197,6 +203,49 @@ def lie_derivative_full(f: TruncatedJet, x: JetField) -> TruncatedJet:
     for i in order:
         term = jet_mul(jet_partial(f, i), jet_truncate(x.components[i], f.degree - 1))
         out = term if out is None else jet_add(out, term)
+    return out
+
+
+def lie_step_per_term(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
+    """``lie_tower._lie_step`` one term at a time, on the per-component
+    ``(mask, coeffs)`` list ``comps``: one :func:`_mul` per kept term, on
+    the same order scan, prefixes and triple sets, the terms added in
+    :func:`_term_order` from the first."""
+    sp, low = _space(dim, degree), _space(dim, degree - 1)
+    if scan := sp.size >= _ORDER_SCAN_SIZE:
+        top, used = _top_orders(sp, f)
+        tables = sorted({mask for mask, _ in comps if mask is not None},
+                        key=int.bit_count)
+        cover = {u: next((t for t in tables if not u & ~t), None)
+                 for u in set(used)}
+    out = None
+    for i in _term_order(dim):
+        mask, comp = comps[i]
+        src, scale, a_mask = sp.diff_src[i], sp.diff_scale[i], None
+        if scan:
+            if not top[i]:
+                continue
+            n = low.prefix[top[i] - 1]
+            src, scale = src[:n], scale[:n]
+            a_mask = cover[used[i]]
+        term = _mul(low, f[src] * (scale if f.ndim == 1 else scale[:, None]),
+                    comp, mask, a_mask)
+        out = term if out is None else np.add(out, term, out)
+    if out is None:
+        out = np.zeros((low.size,) + f.shape[1:])
+    return out
+
+
+def lie_step_t_per_term(dim: int, degree: int, w: np.ndarray, comps) -> np.ndarray:
+    """``lie_tower._lie_step_t`` one term at a time: one ``bincount`` per
+    component over its triple set, scattered in :func:`_term_order`."""
+    sp, low = _space(dim, degree), _space(dim, degree - 1)
+    out = np.zeros(sp.size)
+    for i in _term_order(dim):
+        mask, comp = comps[i]
+        tri_i, tri_j, tri_k = low.triples_within(mask, None)
+        v = np.bincount(tri_i, w[tri_k] * comp[tri_j], low.size)
+        out[sp.diff_src[i]] += v * sp.diff_scale[i]
     return out
 
 

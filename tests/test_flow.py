@@ -156,6 +156,21 @@ def test_fixed_step_head_on_collision_halts(method):
     assert traj.min_sep[-1] < 1e-5
 
 
+@pytest.mark.parametrize("method", ["rk4", "stormer_verlet"])
+def test_fixed_step_collision_inside_a_step_halts(method):
+    # From rest at +-0.5 the bodies meet at t = pi/4 ~ 0.785, between two
+    # steps of 0.01 whose end states stay 0.063 (rk4) and 6.6e-4 (Verlet)
+    # apart; the closest approach inside the step stops the run there, as
+    # dop853's collision event does.
+    system = BodySystem(2, 2, (1.0, 1.0), NewtonianPotential())
+    z0 = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]), np.zeros((2, 2))).flat()
+    traj = integrate(build_hamiltonian_field(system), z0,
+                     IntegratorConfig(method, 0.01, max_time=10.0))
+    assert traj.status == "singular"
+    assert 0.7 < traj.t_final < 0.785
+    assert traj.min_sep.min() > MIN_SEPARATION
+
+
 # -- accuracy on the harmonic oscillator ----------------------------------------------
 
 

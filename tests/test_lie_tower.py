@@ -33,7 +33,8 @@ from saarilab.fields import (
 )
 from saarilab import jet_algebra, lie_tower, mech
 from saarilab.genericity import PerturbationSpec, Sampler, obstruction_scan, perturb
-from saarilab.jet_algebra import JetField, TruncatedJet, _space, table_size
+from saarilab.jet_algebra import (
+    JetField, TruncatedJet, _compact, _join, _space, _stack, table_size)
 from saarilab.lie_tower import (
     RANK_THRESHOLD,
     SaariVector,
@@ -62,6 +63,8 @@ from oracles import (
     jet_pow,
     jet_truncate,
     lie_derivative_full,
+    lie_step_per_term,
+    lie_step_t_per_term,
     obstruction_per_sample,
 )
 
@@ -283,12 +286,83 @@ def test_transposed_lie_step_is_the_adjoint_of_the_step():
     z = Sampler(box=(-1.0, 1.0), count=1, seed=4,
                 min_separation=0.3).draw(0, system.phase_dim, system)
     for degree in (1, 3, 5):
-        comps = build_hamiltonian_field(system).jet_field(z, degree - 1).compact
+        comps = build_hamiltonian_field(system).jet_field(z, degree - 1).joined
         f = rng.normal(size=_space(8, degree).size)
         w = rng.normal(size=_space(8, degree - 1).size)
         lhs = w @ lie_tower._lie_step(8, degree, f, comps)
         rhs = lie_tower._lie_step_t(8, degree, w, comps) @ f
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _chain_inputs(F, X, points, m, jacobi):
+    """``(dim, g, comps)`` of a tower chain at ``points`` (one array for
+    one point, else sample-minor stacks), on the Jacobi chart or the
+    Cartesian one, as :func:`lie_tower._obstructions` builds them."""
+    zs = _stack(list(points))
+    if jacobi:
+        chart = mech._jacobi_tower(F, X)
+        at = chart.points(zs)
+        n, g = chart.dim, chart.observable_coeffs(at, m)
+        comps = chart.field_coeffs(at, m - 1)
+    else:
+        n, g = len(zs), observable_coeffs(F, zs, m)
+        comps = X.field_coeffs(zs, m - 1)
+    spx = _space(n, m - 1)
+    return n, g, [_compact(spx, c, mask) for mask, c in comps]
+
+
+def test_fused_lie_steps_are_bitwise_the_per_term_steps():
+    # The fused step and its transpose against one product per term
+    # (oracles): 1-D arrays and stacks of 3 and 20 samples, tables below
+    # and above _ORDER_SCAN_SIZE, steps that skip terms (the inertia's
+    # momentum partials are zero), the energy's exactly-zero first step,
+    # both charts, and the Cartesian three-body (12, 8) and (12, 7) steps,
+    # whose 50 388 and 18 564 output rows split their terms into several
+    # chunks, of one term and of several.  Any other order of adding the
+    # terms moves bits here.
+    cases = []  # (inputs, degree, steps, whether the first step is +0)
+    for masses, m, widths in (((1.0, 1.3), 5, (1, 3, 20)),
+                              ((1.0, 1.3, 0.7), 7, (1, 3))):
+        system = BodySystem(len(masses), 2, masses, NewtonianPotential())
+        X = build_hamiltonian_field(system)
+        sampler = Sampler(box=(-1.5, 1.5), count=20, seed=5, min_separation=0.3)
+        for F in (energy_observable(system), inertia_observable(system)):
+            for jacobi in (True, False) if len(masses) == 2 else (True,):
+                for s in widths:
+                    points = [sampler.draw(i, system.phase_dim, system)
+                              for i in range(s)]
+                    cases.append((_chain_inputs(F, X, points, m, jacobi), m, m,
+                                  F.__class__.__name__ == "EnergyObservable"))
+    system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
+    z = Sampler(box=(-1.5, 1.5), count=1, seed=5, min_separation=0.3).draw(
+        0, 12, system)
+    X = build_hamiltonian_field(system)
+    cases.append((_chain_inputs(inertia_observable(system), X, [z], 8, False),
+                  8, 3, False))
+    rng = stream_rng(47, 0)
+    for n in (1, 2, 3):
+        xf = random_polynomial_field(n, 4, rng).jet_field(np.zeros(n), 4)
+        f = random_polynomial_observable(n, 5, rng).jet(np.zeros(n), 5).coeffs
+        cases.append(((n, f, list(xf.compact)), 5, 5, False))
+    for (n, g, comps), degree, steps, zero in cases:
+        field = _join(comps)
+        for d in range(degree, degree - steps, -1):
+            fused = lie_tower._lie_step(n, d, g, field)
+            assert fused.tobytes() == lie_step_per_term(n, d, g, comps).tobytes()
+            assert not (zero and d == degree and fused.any())
+            g = fused
+    for degree, terms in ((7, 1), (6, 2)):
+        plans = [plan for (_, _, t), plan in _space(12, degree).plans.items()
+                 if not t]
+        assert any(len(plan) >= 2 and max(c[0] for c in plan) >= terms
+                   for plan in plans)
+    for xf in (X.jet_field(z, 6), X.jet_field(z, 3),
+               build_hamiltonian_field(_two_body()).jet_field(z[:8], 4),
+               random_polynomial_field(3, 4, rng).jet_field(np.zeros(3), 4)):
+        n, degree = xf.dim, xf.degree + 1
+        w = rng.normal(size=_space(n, degree - 1).size)
+        assert (lie_tower._lie_step_t(n, degree, w, xf.joined).tobytes()
+                == lie_step_t_per_term(n, degree, w, xf.compact).tobytes())
 
 
 def test_singular_values_are_the_svd_s_own_descending_order():
@@ -1043,53 +1117,67 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
                            else [(pairs, 5)] * 4)
 
 
-def _record_products(monkeypatch, record, *modules):
-    """Make every ``_mul`` that ``modules`` call first call ``record(sp, a,
-    b, mask, a_mask)``."""
+def _record_products(monkeypatch, record):
+    """Make every ``_mul`` call first call ``record(sp, a, b, mask,
+    a_mask)``."""
     mul = jet_algebra._mul
 
     def recorded(sp, a, b, mask=None, a_mask=None):
         record(sp, a, b, mask, a_mask)
         return mul(sp, a, b, mask, a_mask)
 
-    for module in modules:
-        monkeypatch.setattr(module, "_mul", recorded)
+    monkeypatch.setattr(jet_algebra, "_mul", recorded)
+
+
+def _record_chunks(monkeypatch, record):
+    """Make every fused chunk of a Lie step first call ``record(low, chunk,
+    f)``."""
+    product = lie_tower._chunk_product
+
+    def recorded(low, chunk, f, comps):
+        record(low, chunk, f)
+        return product(low, chunk, f, comps)
+
+    monkeypatch.setattr(lie_tower, "_chunk_product", recorded)
 
 
 @pytest.mark.parametrize("observable, gathered", [
     (inertia_observable, 13_030), (energy_observable, 10_122)])
 def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
         monkeypatch, observable, gathered):
-    # Counts the triples _mul gathers, once per column of a stacked
-    # product, not time.  The towers run on the Jacobi chart's (8, d)
-    # tables.  The inertia is quadratic in rho and constant in pi, and the
-    # energy quadratic in pi, so the first Lie steps multiply partials of
-    # order 0 or 1, and each partial multiplies over the rows of the
-    # smallest component table that holds its variables: the chains gather
-    # 6 100 and 3 192.  The energy's first Lie step is exactly zero, so its
-    # chain stops there.  The potential's series gather 6 930: seven
-    # products on the (2, 7) pair table, 330 triples each for the three
-    # pairs' columns at once, as on the Cartesian chart.  There the chains
-    # on the (12, d) tables gathered 28 344 and 18 612 (35 274 and 25 542
-    # in all); with every component multiplied at full order 1 430 295,
-    # with every row of the table 60 600 and 331 428, and with each pair's
-    # series on the (6, 7) configuration table 153 975 and 424 803 in
-    # all.
+    # Counts the triples gathered, once per column of a stacked product,
+    # not time: those of the Lie steps' fused chunks and of _mul.  The
+    # towers run on the Jacobi chart's (8, d) tables.  The inertia is
+    # quadratic in rho and constant in pi, and the energy quadratic in pi,
+    # so the first Lie steps multiply partials of order 0 or 1, and each
+    # partial multiplies over the rows of the smallest component table that
+    # holds its variables: the chains gather 6 100 and 3 192.  The energy's
+    # first Lie step is exactly zero, so its chain stops there.  The
+    # potential's series gather 6 930 in _mul: seven products on the (2, 7)
+    # pair table, 330 triples each for the three pairs' columns at once, as
+    # on the Cartesian chart.  There the chains on the (12, d) tables
+    # gathered 28 344 and 18 612 (35 274 and 25 542 in all); with every
+    # component multiplied at full order 1 430 295, with every row of the
+    # table 60 600 and 331 428, and with each pair's series on the (6, 7)
+    # configuration table 153 975 and 424 803 in all.
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
     field, F = build_hamiltonian_field(system), observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=2, seed=1, min_separation=0.3)
     obstruction_at(F, field, sampler.draw(0, 12, system), 7)
     z = sampler.draw(1, 12, system)
-    counts = []
+    chains, series = [], []
 
     def count(sp, a, b, mask, a_mask):
         tri_i = sp.triples_within(mask, a_mask)[0]
-        counts.append(int(np.count_nonzero(tri_i < len(a))) * a[0].size)
+        series.append(int(np.count_nonzero(tri_i < len(a))) * a[0].size)
 
-    _record_products(monkeypatch, count, jet_algebra, lie_tower)
+    _record_products(monkeypatch, count)
+    _record_chunks(monkeypatch, lambda low, chunk, f: chains.append(
+        len(chunk[3]) * f[0].size))
     obstruction_at(F, field, z, 7)
     monkeypatch.undo()
-    assert sum(counts) == gathered
+    assert sum(chains) + sum(series) == gathered
+    assert sum(series) == 6_930
 
 
 def test_a_warm_three_body_energy_tower_scans_no_field_component(monkeypatch):
@@ -1129,16 +1217,16 @@ def test_a_warm_three_body_energy_tower_scans_no_field_component(monkeypatch):
 @pytest.mark.parametrize("observable", [inertia_observable, energy_observable])
 def test_a_warm_two_body_scan_multiplies_one_tower_per_group(monkeypatch,
                                                               observable):
-    # Counts the tower's products, not time: 20 samples at m = 5 are one
-    # group, so the scan makes the products of one sample's tower, each on
-    # a stack of 20 columns, where one tower per sample made 20 times as many.
+    # Counts the tower's fused Lie step chunks, not time: 20 samples at
+    # m = 5 are one group, so the scan runs the chunks of one sample's
+    # tower, each on a stack of 20 columns, where one tower per sample ran
+    # 20 times as many.
     system = _two_body((1.0, 1.0))
     field, F = build_hamiltonian_field(system), observable(system)
     sampler = Sampler(box=(-1.5, 1.5), count=20, seed=1)
     obstruction_scan(system, F, sampler)
     widths = []
-    _record_products(monkeypatch, lambda sp, a, *_: widths.append(a.shape[1:]),
-                     lie_tower)
+    _record_chunks(monkeypatch, lambda low, chunk, f: widths.append(f.shape[1:]))
     obstruction_at(F, field, sampler.draw(0, 8, system), 5)
     one = len(widths)
     assert 0 < one <= 5 * 8 and set(widths) == {()}
@@ -1160,8 +1248,8 @@ def test_a_three_body_m7_scan_evaluates_one_sample_at_a_time(monkeypatch):
     for F, width in ((PolynomialObservable(inertia.poly), ()),
                      (inertia, (2,))):
         widths = []
-        _record_products(monkeypatch, lambda sp, a, *_: widths.append(
-            a.shape[1:]), lie_tower)
+        _record_chunks(monkeypatch, lambda low, chunk, f: widths.append(
+            f.shape[1:]))
         rep = obstruction_scan(system, F, sampler, m=7)
         monkeypatch.undo()
         assert rep.n_obstruction_nonzero == 2
