@@ -337,6 +337,12 @@ def _cmd_releq(cfg: dict, args) -> int:
     if system is None:
         raise ConfigError("releq needs an nbody system")
     family = cfg["family"]
+    if family in ("lagrange", "euler") and system.n_bodies != 3:
+        raise ConfigError(f"family {family!r} needs three bodies, got "
+                          f"{system.n_bodies}")
+    if family == "lagrange" and system.space_dim != 2:
+        raise ConfigError(f"family 'lagrange' needs planar bodies, got "
+                          f"space_dim {system.space_dim}")
     if family == "lagrange":
         sol = releq_lagrange(system, side=cfg.get("side", 1.0))
     elif family == "euler":

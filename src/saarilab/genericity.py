@@ -347,8 +347,8 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
         n_eff = system.effective_phase_dim if system is not None else dim
         m = default_tower_order(n_eff)
     _check_tower_order(m)
-    chart = _jacobi_tower(F, fieldX)
-    n = dim if chart is None else chart.dim
+    route = _jacobi_tower(F, fieldX)
+    n = dim if route is None else route[0]._jacobi_plan.dim
     group = max(1, _CHUNK_ELEMENTS // (table_size(n, m) * n))
     block = group * max(1, _CHUNK_ELEMENTS // (group * dim))
     n_eq = n_crit = n_sing = n_zero = n_nonzero = 0

@@ -121,9 +121,9 @@ class _JetSpace:
 
     The convolution triples :attr:`triples` ``= (tri_i, tri_j, tri_k)`` list
     every ``alpha_i + alpha_j = alpha_k`` i-major with j ascending.  That
-    order is load-bearing: :func:`_mul` and :func:`_shift` sum them
-    with ``np.bincount`` in this order, so any other order moves the last bits
-    of every product and every seeded report.  It also makes the triples
+    order is load-bearing: every product sums them in this order, in the
+    one ``bincount`` of :func:`_product`, so any other order moves the last
+    bits of every product and every seeded report.  It also makes the triples
     prefix-stable: for each ``i`` of a lower-degree table, that table's
     triples are the first of the triples with that ``i`` here, and the rest
     have ``|alpha_k|`` above its degree.
@@ -152,9 +152,9 @@ class _JetSpace:
     is built on its first product and cached per ``(mask, a_mask)``.
 
     :meth:`buffers` gives each thread two float buffers, grown to the most
-    triples it has gathered on this space and reused after, so a one-sample
-    product allocates only its output, and a Lie step chunk its partials
-    and its output; threads never share them.
+    triples :func:`_product` has gathered on this space and reused after,
+    so a one-sample product allocates only its output, and a Lie step chunk
+    its partials and its output; threads never share them.
 
     :attr:`plans` caches, per field layout and order scan, the plan of a
     Lie step whose output is this table (see
@@ -166,16 +166,18 @@ class _JetSpace:
     its chunk runs on views of its cached triple set, copying none: on a
     table of more than ``_BLOCK_ELEMENTS // 2`` coefficients every term
     does.  The plans live on the space, so ``_space.cache_clear()`` drops
-    them with the triples they index.
+    them with the triples they index.  The transposed step
+    (:func:`~saarilab.lie_tower._lie_step_t`) reads the plans for whole
+    partials too.
 
     The same triples multiply a group of S samples at once, on coefficient
-    arrays stacked sample-minor, shape ``(size, S)``: :func:`_mul` gathers
-    whole rows and offsets only ``tri_k``, to ``tri_k * S + s``, for one
-    ``bincount``, so each bin still adds its triples from +0 in the order
-    above and every sample keeps its bits.  A stacked product allocates its
-    gathers and offsets, S times the triple count each, and nothing is
-    cached per S; so a scan groups samples only while ``table_size(dim, m)
-    * dim * S <= _CHUNK_ELEMENTS`` (see
+    arrays stacked sample-minor, shape ``(size, S)``: :func:`_product`
+    gathers whole rows and offsets only the bins, to ``bin * S + s``, for
+    one ``bincount``, so each bin still adds its triples from +0 in the
+    order above and every sample keeps its bits.  A stacked product
+    allocates its gathers and offsets, S times the triple count each, and
+    nothing is cached per S; so a scan groups samples only while
+    ``table_size(dim, m) * dim * S <= _CHUNK_ELEMENTS`` (see
     :func:`~saarilab.genericity.obstruction_scan`).
 
     Every triple set, full or restricted, is i-major with i ascending, and
@@ -583,10 +585,53 @@ def _check_combinable(a: TruncatedJet, b: TruncatedJet) -> None:
         raise CombinabilityError("base points differ")
 
 
+def _product(sp: _JetSpace, bins: np.ndarray, size: int, a: np.ndarray,
+             ia: np.ndarray | None, b: np.ndarray, ib: np.ndarray
+             ) -> np.ndarray:
+    """The one product kernel: ``bincount(bins, a[ia] * b[ib], size)``,
+    with ``ia=None`` for an ``a`` already gathered.  Every gather, multiply
+    and ``bincount`` of the package runs here: :func:`_mul`, :func:`_shift`,
+    the Lie step and its transpose
+    (:func:`~saarilab.lie_tower._lie_step`) and the potential's scatter
+    (:func:`~saarilab.mech._potential`).  The gathers wrap: an index past
+    the end of ``a`` reads entry ``index % len(a)``, so the transposed step
+    gathers its operand at the step's bins, whose terms sit a whole table
+    apart.
+
+    For 1-D operands the gathers go into the calling thread's buffers of
+    ``sp`` (:meth:`_JetSpace.buffers`), so a call allocates only its
+    output.  ``b`` may instead be a sample-minor stack ``(n, S)``, one
+    column per sample, and ``a`` one too or a 1-D operand, the same for
+    every sample.  Whole rows are gathered, and one ``bincount`` sums sample
+    ``s``'s product ``t`` into bin ``bins[t] * S + s``; the flattened
+    weights run product-major, so each bin adds its products from +0 in
+    one-sample order, and the ``(size, S)`` result is bitwise equal, column
+    by column, to the one-sample results.  A float product is the same
+    whichever operand comes first.
+    """
+    if a.ndim == 1 and b.ndim == 1:
+        p, q = sp.buffers(len(bins))
+        # Positional arguments: the keyword forms cost more per call than
+        # the gather itself on small tables.  "wrap" lets take write into
+        # ``out`` unbuffered, which the default "raise" does not.
+        if ia is not None:
+            a = a.take(ia, None, p, "wrap")
+        b.take(ib, None, q, "wrap")
+        np.multiply(a, q, p)
+        return np.bincount(bins, p, size)
+    p = b.take(ib, 0, None, "wrap")
+    q = a if ia is None else a.take(ia, 0, None, "wrap")
+    p *= q if q.ndim == 2 else q[:, None]
+    s = p.shape[1]
+    at = (bins * s)[:, None] + np.arange(s)
+    return np.bincount(at.ravel(), p.ravel(), size * s).reshape(size, s)
+
+
 def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
          a_mask: int | None = None) -> np.ndarray:
-    """The one product kernel: the truncated Cauchy product of two checked
-    coefficient arrays of ``sp``'s layout.
+    """The truncated Cauchy product of two checked coefficient arrays of
+    ``sp``'s layout: :func:`_product` over the triples, ``a`` gathered at
+    ``tri_i`` and ``b`` at ``tri_j`` into bin ``tri_k``.
 
     Given ``mask``, ``b`` is on the mask's table (see :class:`_JetSpace`,
     :func:`_compact`), to ``sp``'s degree or higher; given ``a_mask``, ``a``
@@ -602,35 +647,14 @@ def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
 
     ``a`` and ``b`` may instead both be sample-minor stacks ``(coeffs, S)``,
     one column per sample; a mask, or a prefix of ``a``, must then hold for
-    every column.  Whole rows are gathered, and one ``bincount`` sums sample
-    ``s``'s coefficient ``k`` in bin ``k * S + s``.  The flattened weights
-    run triple-major, so each bin adds its triples from +0 in one-sample
-    order, and the ``(sp.size, S)`` result is bitwise equal, column by
-    column, to the S products.  S is bounded by the group rule of
-    :class:`_JetSpace`.
+    every column, and each column is bitwise its own product.  S is bounded
+    by the group rule of :class:`_JetSpace`.
     """
-    tri_i, tri_j, tri_k = (sp.triples if mask is None and a_mask is None
-                           else sp.triples_within(mask, a_mask))
-    if a.ndim == 2:
-        if len(a) < sp.size:
-            n = tri_i.searchsorted(len(a))
-            tri_i, tri_j, tri_k = tri_i[:n], tri_j[:n], tri_k[:n]
-        s = a.shape[1]
-        p = a.take(tri_i, 0)
-        p *= b.take(tri_j, 0)
-        at = (tri_k * s)[:, None] + np.arange(s)
-        return np.bincount(at.ravel(), p.ravel(), sp.size * s).reshape(sp.size, s)
-    if a.size < sp.size:
-        n = tri_i.searchsorted(a.size)
+    tri_i, tri_j, tri_k = sp.triples_within(mask, a_mask)
+    if len(a) < sp.size:
+        n = tri_i.searchsorted(len(a))
         tri_i, tri_j, tri_k = tri_i[:n], tri_j[:n], tri_k[:n]
-    p, q = sp.buffers(len(tri_i))
-    # Positional arguments: the keyword forms cost more per call than the
-    # gather itself on small tables.  "clip" lets take write into ``out``
-    # unbuffered; the indices are in range by construction.
-    a.take(tri_i, None, p, "clip")
-    b.take(tri_j, None, q, "clip")
-    np.multiply(p, q, p)
-    return np.bincount(tri_k, p, sp.size)
+    return _product(sp, tri_k, sp.size, a, tri_i, b, tri_j)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -792,15 +816,14 @@ def _shift(sp: _JetSpace, c: np.ndarray, u: np.ndarray, size: int) -> np.ndarray
 
     Coefficient ``i`` is the sum over the :attr:`_JetSpace.triples`
     ``alpha_i + alpha_j = alpha_k`` of ``binom(alpha_k; alpha_i) * c_k *
-    u**alpha_j``, in one ``bincount``.  The triples are i-major, so the rows
+    u**alpha_j``: one :func:`_product` of the weights ``binom * c_k`` and
+    the powers, into bin ``tri_i``.  The triples are i-major, so the rows
     below ``size`` take only the prefix with ``tri_i < size``, and each of
     their bins adds the same triples in the same order as on the whole
     table: a lower-degree jet is bitwise the truncated whole shift.
 
-    A stack offsets ``tri_i`` to ``tri_i * S + s``, as :func:`_mul`
-    offsets ``tri_k``, for one ``bincount``.  The weights run triple-major,
-    so each bin adds its triples from +0 in one-point order, and the powers
-    come from :meth:`_JetSpace.monomials` in the one-point layout: each
+    For a stack the weights are the same for every column, and the powers
+    come from :meth:`_JetSpace.monomials` in the one-point layout, so each
     column is bitwise equal to the one-point shift.
     """
     tri_i, tri_j, tri_k = sp.triples
@@ -808,14 +831,8 @@ def _shift(sp: _JetSpace, c: np.ndarray, u: np.ndarray, size: int) -> np.ndarray
     if size < sp.size:
         n = tri_i.searchsorted(size)
         tri_i, tri_j, tri_k, binom = tri_i[:n], tri_j[:n], tri_k[:n], binom[:n]
-    w = binom * c[tri_k]
-    zpow = sp.monomials(u)
-    if u.ndim == 1:
-        return np.bincount(tri_i, w * zpow[tri_j], size)
-    s = u.shape[1]
-    at = (tri_i * s)[:, None] + np.arange(s)
-    p = w[:, None] * zpow[tri_j]
-    return np.bincount(at.ravel(), p.ravel(), size * s).reshape(size, s)
+    return _product(sp, tri_i, size, binom * c[tri_k], None, sp.monomials(u),
+                    tri_j)
 
 
 @lru_cache(maxsize=None)

@@ -45,6 +45,7 @@ from .jet_algebra import (
     table_size,
     _compact,
     _join,
+    _product,
     _space,
     _stack,
     _top_orders,
@@ -52,7 +53,7 @@ from .jet_algebra import (
     _FUSED_TRIPLES,
     _ORDER_SCAN_SIZE,
 )
-from .mech import _jacobi_tower
+from .mech import _chart_jets, _jacobi_tower
 
 __all__ = [
     "SaariVector",
@@ -249,16 +250,18 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, field) -> np.ndarray:
     each partial ``dF/dz_i``.  Only the partial's prefix up to order
     ``top_i - 1`` is gathered, and its product runs over the rows of the
     smallest component table that holds its variables, or every row (see
-    :func:`~saarilab.jet_algebra._mul`): a table caches triple sets for
-    pairs of component masks, not one per variable set.  A component whose
+    :meth:`~saarilab.jet_algebra._JetSpace.triples_within`): a table
+    caches triple sets for pairs of component masks, not one per variable
+    set.  A component whose
     partial is zero is skipped.  Every triple, order and term left out
     multiplies or adds +-0, so the sum keeps its bits.  On smaller tables
     the scan would cost more than it saves.
 
     The terms run fused, over the cached plan of :func:`_step_plan`: per
-    chunk, one gather and scale of its partials, one gather from them and
-    one from the joined components, one multiply and one ``bincount`` into
-    a block of one output table per term (:func:`_chunk_product`).  Term
+    chunk, one gather and scale of its partials, then one
+    :func:`~saarilab.jet_algebra._product` of them and the joined
+    components into a block of one output table per term
+    (:func:`_chunk_product`).  Term
     ``t``'s table sums its triples from +0 in their order, as a product of
     its own would, and the tables are added in the order above, so the
     step is bitwise the sum of per-term products.
@@ -279,7 +282,7 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, field) -> np.ndarray:
                  for u in set(used)}
         scan = tuple((low.prefix[t - 1], cover[u]) if t else None
                      for t, u in zip(top.tolist(), used))
-    plan = low.plans.get((layout, scan, False))
+    plan = low.plans.get((layout, scan))
     if plan is None:
         plan = _step_plan(low, layout, scan)
     out, size = None, low.size
@@ -296,30 +299,14 @@ def _lie_step(dim: int, degree: int, f: np.ndarray, field) -> np.ndarray:
 def _chunk_product(low, chunk, f: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """One chunk of :func:`_lie_step`: its terms' products, each
     ``low.size`` rows of the block one after the other, shape ``(terms *
-    low.size,)`` or ``(terms * low.size, S)`` for stacks.
-
-    One sample gathers into the thread's buffers
-    (:meth:`~saarilab.jet_algebra._JetSpace.buffers`); a stack gathers
-    whole rows and offsets the bins to ``bin * S + s``, as
-    :func:`~saarilab.jet_algebra._mul` does, so each bin still adds its
-    triples from +0 in one-sample order.
-    """
+    low.size,)`` or ``(terms * low.size, S)`` for stacks, in one
+    :func:`~saarilab.jet_algebra._product` of its partials and its
+    components."""
     rows, src, scale, gather, lo, hi, c_at, bins = chunk
-    size = rows * low.size
     part = f[src]
-    if f.ndim == 1:
-        part *= scale
-        p, q = low.buffers(len(gather))
-        part.take(gather, None, p, "clip")
-        comps[lo:hi].take(c_at, None, q, "clip")
-        np.multiply(p, q, p)
-        return np.bincount(bins, p, size)
-    part *= scale[:, None]
-    s = f.shape[1]
-    p = part.take(gather, 0)
-    p *= comps[lo:hi].take(c_at, 0)
-    at = (bins * s)[:, None] + np.arange(s)
-    return np.bincount(at.ravel(), p.ravel(), size * s).reshape(size, s)
+    part *= scale if f.ndim == 1 else scale[:, None]
+    return _product(low, bins, rows * low.size, part, gather, comps[lo:hi],
+                    c_at)
 
 
 def _lie_step_t(dim: int, degree: int, w: np.ndarray, field) -> np.ndarray:
@@ -327,34 +314,38 @@ def _lie_step_t(dim: int, degree: int, w: np.ndarray, field) -> np.ndarray:
     coefficients ``r`` with ``<w, L_X f> = <r, f>`` for every ``f``, from
     ``w`` of the ``(dim, degree - 1)`` layout and ``field`` as there.
 
-    Term ``i`` of the step sums ``partial_i[a] * comp_i[j]`` into bin ``k``
-    over :meth:`~saarilab.jet_algebra._JetSpace.triples_within` ``(mask_i,
-    None)``, so its transpose sums ``w[k] * comp_i[j]`` into bin ``a``, and
-    the partial's gather moves coefficient ``a`` to ``diff_src[i][a]``, an
-    injective map, times ``diff_scale[i][a]``.  The terms run on the step's
-    plan (:func:`_step_plan`): one ``bincount`` per chunk into the bins
-    ``t * size + a`` of its term ``t``, each bin summing its triples from
-    +0 in their order, then the scatters in the step's order of terms.
+    Term ``t`` of a chunk of the step sums ``partial[gather] *
+    comp[c_at]`` into bin ``bins``, so its transpose sums ``w[k] *
+    comp[c_at]`` into bin ``gather``, with ``k = bins - t * size``: one
+    :func:`~saarilab.jet_algebra._product` per chunk of the step's plan for
+    whole partials (:func:`_step_plan`), gathering ``w`` at the step's
+    bins, which wrap to ``k``.  Each bin sums its triples from +0 in their
+    order.
+    The partials' gather moves coefficient ``a`` to ``src[a]``, an
+    injective map per term, times ``scale[a]``, so each block times
+    ``scale`` is added back at ``src`` by ``np.add.at``, one index after the
+    other: each coefficient adds its terms in the step's order.
     """
     sp, low = _space(dim, degree), _space(dim, degree - 1)
     layout, comps = field
     out = np.zeros(sp.size)
-    plan = low.plans.get((layout, None, True))
+    plan = low.plans.get((layout, None))
     if plan is None:
-        plan = _step_plan(low, layout, None, True)
-    size = low.size
-    for terms, gather, lo, hi, c_at, bins in plan:
-        v = np.bincount(bins, w[gather] * comps[lo:hi][c_at], len(terms) * size)
-        for t, i in enumerate(terms):
-            out[sp.diff_src[i]] += v[t * size:(t + 1) * size] * sp.diff_scale[i]
+        plan = _step_plan(low, layout, None)
+    for rows, src, scale, gather, lo, hi, c_at, bins in plan:
+        v = _product(low, gather, rows * low.size, w, bins, comps[lo:hi],
+                     c_at)
+        v *= scale
+        np.add.at(out, src, v)
     return out
 
 
-def _step_plan(low, layout, scan, transpose: bool = False) -> tuple:
+def _step_plan(low, layout, scan) -> tuple:
     """The chunks of a Lie step into ``low``'s table, cached in
-    :attr:`~saarilab.jet_algebra._JetSpace.plans` per field ``layout``,
+    :attr:`~saarilab.jet_algebra._JetSpace.plans` per field ``layout`` and
     order ``scan`` (per component ``(prefix, a_mask)`` of its partial, or
-    ``None`` to skip it; ``scan=None`` for whole partials) and direction.
+    ``None`` to skip it; ``scan=None`` for whole partials, the plan the
+    transpose :func:`_lie_step_t` reads too).
 
     The callers look the plan up themselves first, which saves a call on
     small tables.  The kept terms, in :func:`_term_order`, are packed into
@@ -363,13 +354,11 @@ def _step_plan(low, layout, scan, transpose: bool = False) -> tuple:
     its triples, and a term of more triples, whose arithmetic outweighs its
     calls, runs alone.
 
-    For the step a chunk is ``(rows, src, scale, gather, lo, hi, c_at,
-    bins)``: its partials are ``f[src] * scale``, term ``t``'s behind the
-    earlier terms' prefixes, its components ``coeffs[lo:hi]``, and triple
-    ``(i, j, k)`` of term ``t`` gathers ``i`` plus its partial's offset and
-    ``j`` plus its component's, into bin ``t * low.size + k``.  For the
-    transpose it is ``(terms, gather, lo, hi, c_at, bins)``, gathering
-    ``w`` at ``k`` into bin ``t * low.size + i``.  A one-term chunk holds
+    A chunk is ``(rows, src, scale, gather, lo, hi, c_at, bins)``: its
+    partials are ``f[src] * scale``, term ``t``'s behind the earlier terms'
+    prefixes, its components ``coeffs[lo:hi]``, and triple ``(i, j, k)`` of
+    term ``t`` gathers ``i`` plus its partial's offset and ``j`` plus its
+    component's, into bin ``t * low.size + k``.  A one-term chunk holds
     views of the cached triple set and of the differentiation gathers.
     """
     sp = _space(low.dim, low.degree + 1)
@@ -397,15 +386,12 @@ def _step_plan(low, layout, scan, transpose: bool = False) -> tuple:
         lo = min(layout[i][1] for i in index)
         hi = max(layout[i][2] for i in index)
         c_at = _concat(tri_j, [layout[i][1] - lo for i in index])
-        if transpose:
-            plan.append((index, _concat(tri_k), lo, hi, c_at, _concat(tri_i, rows)))
-            continue
         starts = np.cumsum((0,) + prefix[:-1]).tolist()
         plan.append((len(chunk),
                      _concat([sp.diff_src[i][:n] for i, n in zip(index, prefix)]),
                      _concat([sp.diff_scale[i][:n] for i, n in zip(index, prefix)]),
                      _concat(tri_i, starts), lo, hi, c_at, _concat(tri_k, rows)))
-    plan = low.plans[layout, scan, transpose] = tuple(plan)
+    plan = low.plans[layout, scan] = tuple(plan)
     return plan
 
 
@@ -679,8 +665,9 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     (see :mod:`saarilab.fields`), so each point's values are bitwise its
     own.  A translation-invariant system's energy or inertia along its
     Hamiltonian field builds its jets and runs its chain on the system's
-    Jacobi chart instead (:func:`~saarilab.mech._jacobi_tower`), whose
-    towers are the same functions with fewer variables; every other pair
+    Jacobi chart instead (:func:`~saarilab.mech._jacobi_tower`,
+    :func:`~saarilab.mech._chart_jets`), whose towers are the same
+    functions with fewer variables; every other pair
     of handles runs on the Cartesian chart.  Should a stack raise
     :class:`SingularityError` (an observable singular where the field is
     not), the points run one at a time.  On the group's arrays, for the
@@ -708,15 +695,13 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     if not kept:
         return values, near_eq, near_crit, singular
     zs = _stack(list(points[kept]))
-    chart = _jacobi_tower(F, X)
+    route = _jacobi_tower(F, X)
     try:
-        if chart is None:
-            g = observable_coeffs(F, zs, m)
+        if route is None:
+            n, g = len(zs), observable_coeffs(F, zs, m)
             comps = field_coeffs(X, zs, m - 1)
         else:
-            at = chart.points(zs)
-            g = chart.observable_coeffs(at, m)
-            comps = chart.field_coeffs(at, m - 1)
+            n, g, comps = _chart_jets(*route, zs, m)
     except SingularityError as e:
         if len(kept) == 1:
             singular[kept[0]] = e
@@ -726,7 +711,6 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
                 _obstructions(F, X, points[k:k + 1], m, tol_eq, tol_crit))
             singular.update((k, err) for err in sing.values())
         return values, near_eq, near_crit, singular
-    n = len(zs) if chart is None else chart.dim
     spx = _space(n, m - 1)
     comps = [_compact(spx, c, mask) for mask, c in comps]
     if not (np.isfinite(g).all() and all(np.isfinite(c).all() for _, c in comps)):
@@ -753,5 +737,5 @@ def _obstructions(F, X, points, m: int, tol_eq: float, tol_crit: float):
     values[:, kept] = vals
     near_eq[kept] = np.linalg.norm(x_vals, axis=1) < tol_eq
     near_crit[kept] = np.linalg.norm(
-        rows(g[n:0:-1]) if chart is None else grads, axis=1) < tol_crit
+        rows(g[n:0:-1]) if route is None else grads, axis=1) < tol_crit
     return values, near_eq, near_crit, singular

@@ -37,8 +37,9 @@ blocks with ``r_k != 0``, and rows sum their pairs from +0 in pair order.
   the centre of mass ``(R, P)`` drops out: ``H = sum_k |pi_k|^2 / 2 mu_k
   + V(rho) + |P|^2 / 2M`` and ``I = sum_k mu_k |rho_k|^2`` (Meyer, Hall &
   Offin, *Introduction to Hamiltonian Dynamical Systems and the N-Body
-  Problem*, 2nd ed.).  :func:`_jacobi_tower` runs the towers of a
-  translation-invariant system's energy and inertia there.
+  Problem*, 2nd ed.).  :func:`_jacobi_tower` routes the towers of a
+  translation-invariant system's energy and inertia there, and
+  :func:`_chart_jets` builds their jets from one potential jet.
 
 All products are elementwise or per column, so a stack of samples keeps
 each column's bits.
@@ -71,6 +72,7 @@ from .jet_algebra import (
     JetField,
     TruncatedJet,
     _pow,
+    _product,
     _space,
     table_size,
 )
@@ -719,9 +721,10 @@ def _pair_scatter(rows: tuple, space_dim: int, degree: int
 
 
 #: The last ``(system, chart, degree, q shape and bytes, coefficients)``:
-#: an energy sample or group asks twice, for the observable and for the
-#: field.  It is read and replaced whole, so threads share it without a
-#: lock.
+#: a Cartesian energy sample or group asks twice, for the observable and
+#: for the field, and an inertia scan at an energy scan's points asks again
+#: on the Jacobi chart.  It is read and replaced whole, so threads share it
+#: without a lock.
 _last_potential: tuple = (None, None, None, None, None)
 
 
@@ -735,8 +738,7 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int,
 
     The pair-coordinate route of the module notes: one
     :func:`_pair_series` stack for every pair and sample, scattered by one
-    ``bincount`` that offsets a stack's rows as
-    :func:`~saarilab.jet_algebra._mul` does, plus each bump's stacked
+    :func:`~saarilab.jet_algebra._product`, plus each bump's stacked
     ``jet_coeffs``; so each column is bitwise equal to its one-point jet.
     """
     global _last_potential
@@ -749,13 +751,10 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int,
     stack = q.reshape(len(q), -1)
     d = _pair_differences(system, chart, stack)
     _check_collisions(system, np.sqrt(np.add.reduce(d * d, axis=1)).T)
-    size = table_size(chart.nc, degree)
+    sp = _space(chart.nc, degree)
     rows, src, weight = _pair_scatter(chart.rows, system.space_dim, degree)
-    s = stack.shape[1]
-    p = weight[:, None] * _pair_series(system, d, degree).reshape(-1, s)[src]
-    at = (rows * s)[:, None] + np.arange(s)
-    out = np.bincount(at.ravel(), p.ravel(), size * s).reshape(
-        (size,) + q.shape[1:])
+    g = _pair_series(system, d, degree).reshape((-1,) + q.shape[1:])
+    out = _product(sp, rows, sp.size, weight, None, g, src)
     for bump in chart.bumps:
         out += bump.jet_coeffs(q, degree)
     out.flags.writeable = False
@@ -820,14 +819,16 @@ class HamiltonianField:
         """The components at one phase point ``(phase_dim,)`` or a
         sample-minor stack (see :mod:`saarilab.fields`), on the Cartesian
         chart (see :func:`_field_coeffs`)."""
-        return _field_coeffs(self.system, self.system._pair_plan, points,
-                             degree)
+        system = self.system
+        return _field_coeffs(system._pair_plan, points, degree, _potential(
+            system, points[:system.coord_dim], degree + 1))
 
 
-def _field_coeffs(system: BodySystem, chart, points, degree: int) -> list[tuple]:
-    """The Hamiltonian field's components on a chart at its points: the
-    velocity ``p_c / m_c`` on ``p_c``'s table, the force ``-dV/dq_c`` on
-    the configuration's, with ``m_c`` the chart's ``mass``."""
+def _field_coeffs(chart, points, degree: int, vjet: np.ndarray) -> list[tuple]:
+    """The Hamiltonian field's components on a chart at its points, from
+    the degree ``degree + 1`` potential jet ``vjet`` there: the velocity
+    ``p_c / m_c`` on ``p_c``'s table, the force ``-dV/dq_c`` on the
+    configuration's, with ``m_c`` the chart's ``mass``."""
     nc = chart.nc
     comps: list[tuple] = []
     for c in range(nc):
@@ -836,7 +837,6 @@ def _field_coeffs(system: BodySystem, chart, points, degree: int) -> list[tuple]
         if degree >= 1:
             coeffs[1] = chart.minv[c]
         comps.append((1 << (nc + c), coeffs))
-    vjet = _potential(system, points[:nc], degree + 1, chart)
     sp = _space(nc, degree + 1)
     for c in range(nc):
         scale = sp.diff_scale[c]
@@ -910,91 +910,46 @@ class EnergyObservable:
         """The energy's jet at one phase point or a sample-minor stack of
         them (see :mod:`saarilab.fields`), on the Cartesian chart (see
         :func:`_energy_coeffs`)."""
-        return _energy_coeffs(self.system, self.system._pair_plan, points,
-                              degree)
+        system = self.system
+        return _energy_coeffs(system._pair_plan, points, degree, _potential(
+            system, points[:system.coord_dim], degree))
 
 
-def _energy_coeffs(system: BodySystem, chart, points, degree: int) -> np.ndarray:
-    """The kinetic jet plus the embedded potential jet on a chart at its
-    points, the kinetic part ``sum_c p_c^2 / 2 m_c`` with ``m_c`` the
-    chart's ``mass``."""
-    nc = chart.nc
-    nph = 2 * nc
-    lin, quad = _quadratic_positions(nph)
-    p = np.arange(nc, nph)
-    minv = chart.minv if points.ndim == 1 else chart.minv[:, None]
-    coeffs = np.zeros((table_size(nph, degree),) + points.shape[1:])
-    coeffs[0] = _each_sample(lambda v: 0.5 * np.sum(v ** 2 * chart.minv),
-                             points[nc:])
+def _diagonal_quadratic(dim: int, degree: int, at: np.ndarray, x: np.ndarray,
+                        w: np.ndarray) -> np.ndarray:
+    """The jet of ``sum_c w_c z_c^2`` in ``dim`` variables, ``z_c`` the
+    variable ``at[c]``, about ``x`` (its values of the ``z_c``): one point
+    ``(len(at),)`` or a sample-minor stack ``(len(at), S)``.  The
+    coefficients are ``sum_c w_c x_c^2``, ``2 w_c x_c`` and ``w_c``."""
+    lin, quad = _quadratic_positions(dim)
+    col = w if x.ndim == 1 else w[:, None]
+    coeffs = np.zeros((table_size(dim, degree),) + x.shape[1:])
+    coeffs[0] = _each_sample(lambda v: np.sum(v ** 2 * w), x)
     if degree >= 1:
-        coeffs[lin[p]] = points[nc:] * minv
+        coeffs[lin[at]] = 2.0 * col * x
     if degree >= 2:
-        coeffs[quad[p, p]] = 0.5 * minv
-    return coeffs + _expand(_space(nph, degree), (1 << nc) - 1,
-                            _potential(system, points[:nc], degree, chart))
-
-
-def _inertia_coeffs(chart, points, degree: int) -> np.ndarray:
-    """``sum_c m_c q_c^2`` on a chart at its points, ``m_c`` the chart's
-    ``mass``: on the Jacobi chart, ``I = sum_k mu_k |rho_k|^2``."""
-    nc = chart.nc
-    lin, quad = _quadratic_positions(2 * nc)
-    q = np.arange(nc)
-    mass = chart.mass if points.ndim == 1 else chart.mass[:, None]
-    coeffs = np.zeros((table_size(2 * nc, degree),) + points.shape[1:])
-    coeffs[0] = _each_sample(lambda v: np.sum(v ** 2 * chart.mass),
-                             points[:nc])
-    if degree >= 1:
-        coeffs[lin[q]] = 2.0 * mass * points[:nc]
-    if degree >= 2:
-        coeffs[quad[q, q]] = mass
+        coeffs[quad[at, at]] = col
     return coeffs
 
 
-class _JacobiTower:
-    """The towers of one observable, a translation-invariant system's
-    energy or inertia, along its Hamiltonian field, run on the system's
-    Jacobi chart (:class:`_JacobiPlan`): :meth:`points` maps Cartesian
-    phase points there, and :meth:`observable_coeffs` and
-    :meth:`field_coeffs` give the jets there, as the handles' methods of
-    :mod:`saarilab.fields` do on the Cartesian chart.
-
-    ``I`` and ``H - |P|^2 / 2M`` do not depend on ``(R, P)``, and
-    ``|P|^2 / 2M`` is conserved, so their towers are the Cartesian ones on
-    or off the centre-of-mass slice.  The energy's and the field's
-    potential jets are one array, and each momentum's partial reads the
-    field's floats, so the energy towers stay exactly zero (see
-    :func:`~saarilab.lie_tower._lie_step`).
-    """
-
-    def __init__(self, system: BodySystem, energy: bool):
-        self.system, self.energy = system, energy
-
-    @property
-    def dim(self) -> int:
-        return self.system._jacobi_plan.dim
-
-    def points(self, zs: np.ndarray) -> np.ndarray:
-        return self.system._jacobi_plan.to_chart(zs)
-
-    def observable_coeffs(self, points, degree: int) -> np.ndarray:
-        chart = self.system._jacobi_plan
-        if self.energy:
-            return _energy_coeffs(self.system, chart, points, degree)
-        return _inertia_coeffs(chart, points, degree)
-
-    def field_coeffs(self, points, degree: int) -> list[tuple]:
-        return _field_coeffs(self.system, self.system._jacobi_plan, points,
-                             degree)
+def _energy_coeffs(chart, points, degree: int, vjet: np.ndarray) -> np.ndarray:
+    """The kinetic jet plus the embedded degree-``degree`` potential jet
+    ``vjet`` on a chart at its points, the kinetic part ``sum_c p_c^2 / 2
+    m_c`` with ``m_c`` the chart's ``mass``."""
+    nc = chart.nc
+    kinetic = _diagonal_quadratic(2 * nc, degree, np.arange(nc, 2 * nc),
+                                  points[nc:], 0.5 * chart.minv)
+    return kinetic + _expand(_space(2 * nc, degree), (1 << nc) - 1, vjet)
 
 
-def _jacobi_tower(F, X) -> _JacobiTower | None:
-    """The Jacobi-chart route of a pair of handles, or ``None`` for the
-    Cartesian one: ``X`` must be a :class:`HamiltonianField` whose
-    potential has no bump, and ``F`` that system's
-    :class:`EnergyObservable` or :class:`InertiaObservable`.  Any other
-    pair, such as a bumped potential, a sum of fields or observables, or a
-    plain polynomial, keeps the Cartesian chart."""
+def _jacobi_tower(F, X) -> tuple[BodySystem, bool] | None:
+    """The Jacobi-chart route of a pair of handles, ``(system, energy)``,
+    or ``None`` for the Cartesian one: ``X`` must be a
+    :class:`HamiltonianField` whose potential has no bump, and ``F`` that
+    system's :class:`EnergyObservable` (``energy``) or
+    :class:`InertiaObservable`.  Any other pair, such as a bumped
+    potential, a sum of fields or observables, or a plain polynomial,
+    keeps the Cartesian chart."""
     if not isinstance(X, HamiltonianField) or _bumps(X.system.potential):
         return None
     if not isinstance(F, (EnergyObservable, InertiaObservable)):
@@ -1002,7 +957,35 @@ def _jacobi_tower(F, X) -> _JacobiTower | None:
     system = X.system
     if F.system is not system and F.system != system:
         return None
-    return _JacobiTower(system, isinstance(F, EnergyObservable))
+    return system, isinstance(F, EnergyObservable)
+
+
+def _chart_jets(system: BodySystem, energy: bool, zs: np.ndarray, m: int
+                ) -> tuple[int, np.ndarray, list[tuple]]:
+    """``(dim, g, comps)`` of the order-``m`` towers of ``system``'s energy
+    (``energy``) or inertia along its Hamiltonian field, on the system's
+    Jacobi chart (:class:`_JacobiPlan`), at Cartesian phase points ``zs``,
+    one ``(phase_dim,)`` or a sample-minor stack: the chart's dimension,
+    the observable's degree-``m`` jet and the field's degree ``m - 1``
+    components, as :func:`~saarilab.fields.observable_coeffs` and
+    :func:`~saarilab.fields.field_coeffs` give them on the Cartesian chart.
+
+    ``I`` and ``H - |P|^2 / 2M`` do not depend on ``(R, P)``, and ``|P|^2
+    / 2M`` is conserved, so their towers are the Cartesian ones on or off
+    the centre-of-mass slice.  The energy and the field read one potential
+    jet, and each momentum's partial reads the field's floats, so the
+    energy towers stay exactly zero (see
+    :func:`~saarilab.lie_tower._lie_step`).  On the chart ``I = sum_k mu_k
+    |rho_k|^2``.
+    """
+    chart = system._jacobi_plan
+    at = chart.to_chart(zs)
+    q = at[:chart.nc]
+    vjet = _potential(system, q, m, chart)
+    g = (_energy_coeffs(chart, at, m, vjet) if energy
+         else _diagonal_quadratic(chart.dim, m, np.arange(chart.nc), q,
+                                  chart.mass))
+    return chart.dim, g, _field_coeffs(chart, at, m - 1, vjet)
 
 
 def energy_observable(system: BodySystem) -> EnergyObservable:

@@ -100,6 +100,7 @@ from saarilab.lie_tower import (
     psi_tower,
 )
 from saarilab.mech import (
+    _chart_jets,
     _jacobi_tower,
     _bodies,
     _bumps,
@@ -576,17 +577,14 @@ def obstruction_per_sample(F, X, z, m: int, tol_eq: float = 1e-9,
     oracle of the chart's towers."""
     z = np.asarray(z, float)
     x_val = np.asarray(X(z), float)
-    chart = None if cartesian else _jacobi_tower(F, X)
-    if chart is None:
+    route = None if cartesian else _jacobi_tower(F, X)
+    if route is None:
         g = observable_coeffs(F, z, m)
         jets = field_coeffs(X, z, m - 1)
         n = z.size
         grad = g[1:n + 1][::-1]
     else:
-        at = chart.points(z)
-        g = chart.observable_coeffs(at, m)
-        jets = chart.field_coeffs(at, m - 1)
-        n = chart.dim
+        n, g, jets = _chart_jets(*route, z, m)
         grad = np.asarray(F.grad(z), float)
     sp = _space(n, m - 1)
     comps = []

@@ -51,3 +51,22 @@ def test_the_public_api_is_consistent():
         assert name not in jet_algebra.__all__, name
     for module, name in TRACED:
         assert name in _public(modules[module]), (module, name)
+
+
+def test_bincount_runs_only_in_the_product_kernel():
+    # Every gather-multiply-bincount of the package goes through
+    # jet_algebra._product, so a change to how products sum (a different
+    # arithmetic, a bound beside each value) is one edit.
+    calls = []
+    for path in sorted(Path(saarilab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "bincount"):
+                inside = [f.name for f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                calls.append((path.name, inside[-1] if inside else None))
+    assert calls and set(calls) == {("jet_algebra.py", "_product")}, calls

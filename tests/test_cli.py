@@ -329,6 +329,27 @@ def test_releq_rejects_bad_numbers_as_config_errors(tmp_path, capsys, family,
     assert code == 2 and key in err and out == ""
 
 
+@pytest.mark.parametrize("family, n_bodies, space_dim, needs", [
+    ("lagrange", 2, 2, "three bodies"),
+    ("lagrange", 4, 2, "three bodies"),
+    ("lagrange", 3, 3, "planar"),
+    ("euler", 2, 2, "three bodies"),
+    ("euler", 4, 3, "three bodies"),
+])
+def test_releq_on_a_system_of_the_wrong_shape_is_a_config_error(
+        tmp_path, capsys, family, n_bodies, space_dim, needs):
+    # The library raises ValueError for these; the command checks the
+    # shape first, so a wrong system is exit 2, not a run-time error.
+    cfg = write_config(tmp_path, "shape.json", {
+        "system": {**NBODY2, "n_bodies": n_bodies, "space_dim": space_dim,
+                   "masses": [1.0] * n_bodies},
+        "family": family,
+    })
+    code, out, err = run(capsys, ["releq", cfg])
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and needs in err
+
+
 def test_releq_unknown_family(tmp_path, capsys):
     cfg = write_config(tmp_path, "x.json", {
         "system": NBODY2, "family": "halo",
