@@ -14,10 +14,10 @@ or for a group of points at once: ``jet_coeffs(points, degree)`` for an
 observable, ``field_coeffs(points, degree)`` for a field.  ``points`` is one
 point of shape ``(dim,)``, giving arrays of shape ``(size,)``, or a
 sample-minor stack ``(dim, S)``, giving ``(size, S)`` with one column per
-point, the layout of :func:`~saarilab.jet_algebra._mul` and the tower
-chain.  ``field_coeffs`` gives one ``(mask, coeffs)`` pair per component:
-``mask=None`` for the whole table, or the bitmask of the variables the
-component uses and ``coeffs`` on that mask's table
+point, the layout of :func:`~saarilab.jet_algebra._product` and the
+tower chain.  ``field_coeffs`` gives one ``(mask, coeffs)`` pair per
+component: ``mask=None`` for the whole table, or the bitmask of the
+variables the component uses and ``coeffs`` on that mask's table
 (:class:`~saarilab.jet_algebra._JetSpace`).  ``jet`` and ``jet_field`` are
 their one-point case on whole tables, and validate one jet per result.
 A stack runs the one-point arithmetic in the one-point order on every

@@ -320,8 +320,8 @@ def obstruction_scan(X, F, sampler: Sampler, m: int | None = None,
     a short scan), and run in groups of S: the field is evaluated at each
     sample (a singular one is dropped there), the others' jets are built as
     sample-minor stacks ``(coeffs, S)`` (see :mod:`saarilab.fields`), and
-    one tower chain runs them (see :func:`~saarilab.jet_algebra._mul`); the
-    group's ``<grad F, X>`` check and its tallies run on its arrays.  Every
+    one tower chain runs them (see :func:`~saarilab.jet_algebra._product`);
+    the group's ``<grad F, X>`` check and its tallies run on its arrays.  Every
     kernel runs each column in one-sample arithmetic and order, so the
     report is bitwise equal to evaluating one sample at a time.
     ``S = max(1, _CHUNK_ELEMENTS // (table_size(n, m) * n))``, with ``n``

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
@@ -130,7 +129,7 @@ class _JetSpace:
 
     Only products need the triples, and they are the bulk of a large table
     (38 567 100 of them at dim 12, degree 9), so they are built on the first
-    full :func:`_mul` or :func:`_shift` on this space, and
+    :func:`_mul` or :func:`_shift` on this space, and
     :attr:`tri_binom` on the first :func:`_shift`.  A space used only for
     its layout, :meth:`rank`, its differentiation gathers or
     :func:`embed_jet` never holds them.
@@ -150,11 +149,6 @@ class _JetSpace:
     and adding +-0 to a ``bincount`` sum that starts at +0 never changes a
     bit, so a restricted product is bitwise equal to the full one.  Each set
     is built on its first product and cached per ``(mask, a_mask)``.
-
-    :meth:`buffers` gives each thread two float buffers, grown to the most
-    triples :func:`_product` has gathered on this space and reused after,
-    so a one-sample product allocates only its output, and a Lie step chunk
-    its partials and its output; threads never share them.
 
     :attr:`plans` caches, per field layout and order scan, the plan of a
     Lie step whose output is this table (see
@@ -229,7 +223,6 @@ class _JetSpace:
         self._within: dict[tuple[int | None, int | None], tuple] = {}
         self._rows: dict[int | None, np.ndarray] = {}
         self.plans: dict[tuple, tuple] = {}
-        self._local = threading.local()
 
     @cached_property
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,16 +304,6 @@ class _JetSpace:
         tri_i, tri_j, tri_k = self.triples
         f = self.factorials
         return f[tri_k] / (f[tri_i] * f[tri_j])
-
-    def buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The calling thread's two gather buffers, ``n`` floats each."""
-        try:
-            p, q = self._local.buffers
-        except AttributeError:
-            p = q = np.empty(0)
-        if len(p) < n:
-            p, q = self._local.buffers = np.empty(n), np.empty(n)
-        return p[:n], q[:n]
 
     def rank(self, exps: np.ndarray) -> np.ndarray:
         """Table positions of the exponent rows ``exps[..., :]``.
@@ -585,7 +568,7 @@ def _check_combinable(a: TruncatedJet, b: TruncatedJet) -> None:
         raise CombinabilityError("base points differ")
 
 
-def _product(sp: _JetSpace, bins: np.ndarray, size: int, a: np.ndarray,
+def _product(bins: np.ndarray, size: int, a: np.ndarray,
              ia: np.ndarray | None, b: np.ndarray, ib: np.ndarray
              ) -> np.ndarray:
     """The one product kernel: ``bincount(bins, a[ia] * b[ib], size)``,
@@ -596,65 +579,41 @@ def _product(sp: _JetSpace, bins: np.ndarray, size: int, a: np.ndarray,
     (:func:`~saarilab.mech._potential`).  The gathers wrap: an index past
     the end of ``a`` reads entry ``index % len(a)``, so the transposed step
     gathers its operand at the step's bins, whose terms sit a whole table
-    apart.
+    apart.  Each gather is a fresh array, so a call holds nothing once it
+    returns, and threads share nothing they write.
 
-    For 1-D operands the gathers go into the calling thread's buffers of
-    ``sp`` (:meth:`_JetSpace.buffers`), so a call allocates only its
-    output.  ``b`` may instead be a sample-minor stack ``(n, S)``, one
-    column per sample, and ``a`` one too or a 1-D operand, the same for
-    every sample.  Whole rows are gathered, and one ``bincount`` sums sample
-    ``s``'s product ``t`` into bin ``bins[t] * S + s``; the flattened
-    weights run product-major, so each bin adds its products from +0 in
-    one-sample order, and the ``(size, S)`` result is bitwise equal, column
-    by column, to the one-sample results.  A float product is the same
-    whichever operand comes first.
+    ``b`` may instead be a sample-minor stack ``(n, S)``, one column per
+    sample, and ``a`` one too or a 1-D operand, the same for every sample.
+    Whole rows are gathered, and one ``bincount`` sums sample ``s``'s
+    product ``t`` into bin ``bins[t] * S + s``; the flattened weights run
+    product-major, so each bin adds its products from +0 in one-sample
+    order, and the ``(size, S)`` result is bitwise equal, column by column,
+    to the one-sample results.  A float product is the same whichever
+    operand comes first.
     """
-    if a.ndim == 1 and b.ndim == 1:
-        p, q = sp.buffers(len(bins))
-        # Positional arguments: the keyword forms cost more per call than
-        # the gather itself on small tables.  "wrap" lets take write into
-        # ``out`` unbuffered, which the default "raise" does not.
-        if ia is not None:
-            a = a.take(ia, None, p, "wrap")
-        b.take(ib, None, q, "wrap")
-        np.multiply(a, q, p)
-        return np.bincount(bins, p, size)
+    # Positional arguments: the keyword forms cost more per call than the
+    # gather itself on small tables.
     p = b.take(ib, 0, None, "wrap")
     q = a if ia is None else a.take(ia, 0, None, "wrap")
+    if p.ndim == 1:
+        p *= q
+        return np.bincount(bins, p, size)
     p *= q if q.ndim == 2 else q[:, None]
     s = p.shape[1]
     at = (bins * s)[:, None] + np.arange(s)
     return np.bincount(at.ravel(), p.ravel(), size * s).reshape(size, s)
 
 
-def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray, mask: int | None = None,
-         a_mask: int | None = None) -> np.ndarray:
+def _mul(sp: _JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The truncated Cauchy product of two checked coefficient arrays of
-    ``sp``'s layout: :func:`_product` over the triples, ``a`` gathered at
-    ``tri_i`` and ``b`` at ``tri_j`` into bin ``tri_k``.
+    ``sp``'s layout: :func:`_product` over :attr:`_JetSpace.triples`, ``a``
+    gathered at ``tri_i`` and ``b`` at ``tri_j`` into bin ``tri_k``.
 
-    Given ``mask``, ``b`` is on the mask's table (see :class:`_JetSpace`,
-    :func:`_compact`), to ``sp``'s degree or higher; given ``a_mask``, ``a``
-    is zero on every row that uses a variable outside it.  The product runs
-    over :meth:`_JetSpace.triples_within` ``(mask, a_mask)``, bitwise equal
-    to the full one.
-
-    ``a`` may be the prefix ``table_size(dim, e)`` of an array that is zero
-    above order ``e``.  The product then gathers only the triples with
-    ``tri_i < len(a)``, a prefix of every triple set, and is bitwise equal to
-    the product with the whole array: each triple it leaves out multiplies a
-    +-0 coefficient.
-
-    ``a`` and ``b`` may instead both be sample-minor stacks ``(coeffs, S)``,
-    one column per sample; a mask, or a prefix of ``a``, must then hold for
-    every column, and each column is bitwise its own product.  S is bounded
-    by the group rule of :class:`_JetSpace`.
+    ``a`` and ``b`` may instead both be sample-minor stacks ``(size, S)``,
+    one column per sample, and each column is bitwise its own product.
     """
-    tri_i, tri_j, tri_k = sp.triples_within(mask, a_mask)
-    if len(a) < sp.size:
-        n = tri_i.searchsorted(len(a))
-        tri_i, tri_j, tri_k = tri_i[:n], tri_j[:n], tri_k[:n]
-    return _product(sp, tri_k, sp.size, a, tri_i, b, tri_j)
+    tri_i, tri_j, tri_k = sp.triples
+    return _product(tri_k, sp.size, a, tri_i, b, tri_j)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -680,8 +639,9 @@ def jet_mul(a: TruncatedJet, b: TruncatedJet) -> TruncatedJet:
 def _variable_mask(sp: _JetSpace, c: np.ndarray) -> int | None:
     """Bitmask of the variables the nonzero coefficients of ``c`` use, bit
     ``v`` for ``z_v``: the OR of their rows' variables.  ``None`` when that
-    is every variable, which :func:`_mul` reads as no restriction.  For a
-    sample-minor stack ``(size, S)``, the variables any sample uses."""
+    is every variable, which :meth:`_JetSpace.triples_within` reads as no
+    restriction.  For a sample-minor stack ``(size, S)``, the variables any
+    sample uses."""
     # Rows 1..dim are the linear terms: all nonzero settles it without a scan.
     if sp.degree >= 1 and c[1:sp.dim + 1].all():
         return None
@@ -744,19 +704,15 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     """The power core: ``c**exponent`` on coefficient arrays of ``sp``'s
     layout, for one jet ``(size,)`` or a sample-minor stack ``(size, S)``.
 
-    The series variable ``w`` is compacted once per call (:func:`_compact`),
-    and every product of the series multiplies two arrays in its mask over
-    the restricted triples of :meth:`_JetSpace.triples_within`, bitwise
-    equal to full products.  Each product runs over the whole table: the
-    N-body pair series, the only caller, works on tables of a few dozen to
-    a hundred coefficients, well below ``_ORDER_SCAN_SIZE``.
+    Every product of the series runs over the full triples: the N-body
+    pair series, the only caller, works on tables of a few dozen to a
+    hundred coefficients, well below ``_ORDER_SCAN_SIZE``, and from degree
+    2 on its series variable uses every variable of the table.
 
     A stack runs one Horner chain for all its columns on the stacked
-    :func:`_mul`.  Its mask is the union of the columns', which only adds
-    products of a column's +-0 coefficients; the scales and divisions are
-    elementwise, and the leading power ``c_0**exponent`` is taken per
-    column in Python floats, as for one jet.  So each column is bitwise
-    equal to the one-jet power.
+    :func:`_mul`; the scales and divisions are elementwise, and the leading
+    power ``c_0**exponent`` is taken per column in Python floats, as for
+    one jet.  So each column is bitwise equal to the one-jet power.
     """
     a0 = c[0]
     if not a0.all():
@@ -772,16 +728,14 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
     # and a product, a ``bincount`` from +0, never holds -0.
     w = (1.0 / a0) * c
     w[0] -= 1.0
-    # Horner evaluation of sum_k binom(exponent, k) w**k.  Every partial sum
-    # uses only w's variables, so both operands of each product lie in its mask.
-    mask, w = _compact(sp, w)
+    # Horner evaluation of sum_k binom(exponent, k) w**k.
     coeffs = [1.0]
     for k in range(1, d + 1):
         coeffs.append(coeffs[-1] * (exponent - k + 1) / k)
     acc = np.zeros(c.shape)
     acc[0] = coeffs[d]
     for k in range(d - 1, -1, -1):
-        acc = _mul(sp, acc, w, mask, mask)
+        acc = _mul(sp, acc, w)
         acc[0] += coeffs[k]
     if c.ndim == 1:
         return (float(a0) ** exponent) * acc
@@ -789,8 +743,13 @@ def _pow(sp: _JetSpace, c: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def jet_eval(a: TruncatedJet, x) -> float:
-    """Evaluate the truncated expansion at the absolute point ``x``."""
-    u = np.asarray(x, float) - a.base_point
+    """Evaluate the truncated expansion at the absolute point ``x``; a point
+    of another shape than the base point's is a :class:`CombinabilityError`."""
+    x = np.asarray(x, float)
+    if x.shape != a.base_point.shape:
+        raise CombinabilityError(
+            f"jet of dim {a.dim} evaluated at a point of shape {x.shape}")
+    u = x - a.base_point
     sp = _space(a.dim, a.degree)
     return float(a.coeffs @ sp.monomials(u))
 
@@ -831,8 +790,7 @@ def _shift(sp: _JetSpace, c: np.ndarray, u: np.ndarray, size: int) -> np.ndarray
     if size < sp.size:
         n = tri_i.searchsorted(size)
         tri_i, tri_j, tri_k, binom = tri_i[:n], tri_j[:n], tri_k[:n], binom[:n]
-    return _product(sp, tri_i, size, binom * c[tri_k], None, sp.monomials(u),
-                    tri_j)
+    return _product(tri_i, size, binom * c[tri_k], None, sp.monomials(u), tri_j)
 
 
 @lru_cache(maxsize=None)

@@ -305,8 +305,7 @@ def _chunk_product(low, chunk, f: np.ndarray, comps: np.ndarray) -> np.ndarray:
     rows, src, scale, gather, lo, hi, c_at, bins = chunk
     part = f[src]
     part *= scale if f.ndim == 1 else scale[:, None]
-    return _product(low, bins, rows * low.size, part, gather, comps[lo:hi],
-                    c_at)
+    return _product(bins, rows * low.size, part, gather, comps[lo:hi], c_at)
 
 
 def _lie_step_t(dim: int, degree: int, w: np.ndarray, field) -> np.ndarray:
@@ -333,8 +332,7 @@ def _lie_step_t(dim: int, degree: int, w: np.ndarray, field) -> np.ndarray:
     if plan is None:
         plan = _step_plan(low, layout, None)
     for rows, src, scale, gather, lo, hi, c_at, bins in plan:
-        v = _product(low, gather, rows * low.size, w, bins, comps[lo:hi],
-                     c_at)
+        v = _product(gather, rows * low.size, w, bins, comps[lo:hi], c_at)
         v *= scale
         np.add.at(out, src, v)
     return out

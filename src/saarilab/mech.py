@@ -57,6 +57,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import (
+    CombinabilityError,
     ConfigError,
     NoConvergenceError,
     SingularityError,
@@ -754,7 +755,7 @@ def _potential(system: BodySystem, q: np.ndarray, degree: int,
     sp = _space(chart.nc, degree)
     rows, src, weight = _pair_scatter(chart.rows, system.space_dim, degree)
     g = _pair_series(system, d, degree).reshape((-1,) + q.shape[1:])
-    out = _product(sp, rows, sp.size, weight, None, g, src)
+    out = _product(rows, sp.size, weight, None, g, src)
     for bump in chart.bumps:
         out += bump.jet_coeffs(q, degree)
     out.flags.writeable = False
@@ -795,9 +796,14 @@ class HamiltonianField:
     def __call__(self, z) -> np.ndarray:
         """``(p / m, -grad V(q))`` at one flat state, in one pass in Python
         floats: each velocity is one product, and the force is the negated
-        gradient of the pair pass that :func:`grad_potential` runs."""
+        gradient of the pair pass that :func:`grad_potential` runs.  A state
+        of another length than ``phase_dim`` is a
+        :class:`CombinabilityError`."""
         z = np.asarray(z, float)
         x = z.tolist()
+        if len(x) != 2 * len(self._minv):  # one momentum per inverse mass
+            raise CombinabilityError(
+                f"field of dim {self.dim} evaluated at a state of {len(x)} entries")
         g = _gradient(self.system, x, z)
         return np.array([p * w for p, w in zip(x[len(g):], self._minv)]
                         + [-w for w in g])

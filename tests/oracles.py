@@ -42,7 +42,10 @@ Cartesian chart.  ``jet_from_samples`` estimates a jet of any callable from
 central finite differences of its values, with no jet arithmetic: the
 independent check on the exact N-body jets, within its error estimates.
 ``lie_step_per_term`` and ``lie_step_t_per_term`` are the Lie step and
-its transpose one product per term, the byte oracles of the fused steps.
+its transpose one product per term, the byte oracles of the fused steps;
+each product of the first is a ``restricted_product``, the truncated
+Cauchy product over the triples inside two variable masks and below a
+prefix of its left operand.
 The one-jet helpers ``jet_add``, ``jet_scale``, ``jet_partial``,
 ``jet_truncate``, ``jet_pad``, ``jet_pow`` and ``partials_from_jet`` wrap
 the library's array operations one validated jet at a time; no library
@@ -77,9 +80,9 @@ from saarilab.jet_algebra import (
     embed_jet,
     jet_mul,
     table_size,
-    _mul,
     _pad,
     _pow,
+    _product,
     _space,
     _top_orders,
     _variable_mask,
@@ -207,11 +210,29 @@ def lie_derivative_full(f: TruncatedJet, x: JetField) -> TruncatedJet:
     return out
 
 
+def restricted_product(sp, a: np.ndarray, b: np.ndarray, mask=None,
+                       a_mask=None) -> np.ndarray:
+    """The truncated Cauchy product on ``sp``'s layout over
+    ``sp.triples_within(mask, a_mask)``: ``b`` on the mask's table, to
+    ``sp``'s degree or higher, and ``a`` zero on every row that uses a
+    variable outside ``a_mask``.  ``a`` may be the prefix
+    ``table_size(dim, e)`` of an array that is zero above order ``e``; only
+    the triples with ``tri_i < len(a)``, a prefix of every triple set, are
+    then gathered.  ``a`` and ``b`` may both be sample-minor stacks whose
+    every column keeps the masks and the prefix.  Every triple left out
+    multiplies a +-0 coefficient, so the product is bitwise the full one."""
+    tri_i, tri_j, tri_k = sp.triples_within(mask, a_mask)
+    if len(a) < sp.size:
+        n = tri_i.searchsorted(len(a))
+        tri_i, tri_j, tri_k = tri_i[:n], tri_j[:n], tri_k[:n]
+    return _product(tri_k, sp.size, a, tri_i, b, tri_j)
+
+
 def lie_step_per_term(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray:
     """``lie_tower._lie_step`` one term at a time, on the per-component
-    ``(mask, coeffs)`` list ``comps``: one :func:`_mul` per kept term, on
-    the same order scan, prefixes and triple sets, the terms added in
-    :func:`_term_order` from the first."""
+    ``(mask, coeffs)`` list ``comps``: one :func:`restricted_product` per
+    kept term, on the same order scan, prefixes and triple sets, the terms
+    added in :func:`_term_order` from the first."""
     sp, low = _space(dim, degree), _space(dim, degree - 1)
     if scan := sp.size >= _ORDER_SCAN_SIZE:
         top, used = _top_orders(sp, f)
@@ -229,8 +250,9 @@ def lie_step_per_term(dim: int, degree: int, f: np.ndarray, comps) -> np.ndarray
             n = low.prefix[top[i] - 1]
             src, scale = src[:n], scale[:n]
             a_mask = cover[used[i]]
-        term = _mul(low, f[src] * (scale if f.ndim == 1 else scale[:, None]),
-                    comp, mask, a_mask)
+        term = restricted_product(
+            low, f[src] * (scale if f.ndim == 1 else scale[:, None]), comp,
+            mask, a_mask)
         out = term if out is None else np.add(out, term, out)
     if out is None:
         out = np.zeros((low.size,) + f.shape[1:])

@@ -70,3 +70,19 @@ def test_bincount_runs_only_in_the_product_kernel():
                           if f.lineno <= node.lineno <= f.end_lineno]
                 calls.append((path.name, inside[-1] if inside else None))
     assert calls and set(calls) == {("jet_algebra.py", "_product")}, calls
+
+
+def test_no_module_imports_threading():
+    # The kernels keep no per-thread state: each product gathers into fresh
+    # arrays, and the caches on a table are built whole before they are
+    # stored, so threads share them without a lock.
+    imported = []
+    for path in sorted(Path(saarilab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert imported
+    assert [(name, module) for name, module in imported
+            if module.split(".")[0] == "threading"] == []

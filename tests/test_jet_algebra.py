@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +23,11 @@ from saarilab.jet_algebra import (
     shift_base,
     table_size,
 )
-from saarilab.jet_algebra import _mul, _space, _top_orders, _variable_mask
-from saarilab.fields import random_polynomial_observable, stream_rng
+from saarilab.jet_algebra import (
+    _JetSpace, _mul, _space, _top_orders, _variable_mask)
+from saarilab.fields import (
+    oscillator_energy, oscillator_field, random_polynomial_observable,
+    stream_rng)
 
 from oracles import (
     MAX_SAMPLE_DEGREE,
@@ -36,6 +40,7 @@ from oracles import (
     jet_scale,
     jet_truncate,
     partials_from_jet,
+    restricted_product,
     shift_by_triples,
 )
 
@@ -164,6 +169,20 @@ def test_hand_expanded_quadratic():
         assert jet_eval(f, (x, y)) == pytest.approx(x * x * y, rel=1e-14)
 
 
+def test_a_point_of_the_wrong_shape_is_refused():
+    # A point that broadcasts against the base point gave a wrong value:
+    # the oscillator's energy read 0.36 at [0.6], and its field, which
+    # evaluates one observable per component, gave 2 numbers at 3 entries.
+    energy, field = oscillator_energy(), oscillator_field()
+    for z in ([0.6], [0.6, 0.1, 0.2], [[0.6, -0.1]], 0.6):
+        for call in (partial(jet_eval, energy.poly), energy, field):
+            with pytest.raises(CombinabilityError,
+                               match="jet of dim 2 evaluated at a point"):
+                call(z)
+    assert energy([0.6, 0.0]) == pytest.approx(0.18)
+    assert field([0.6, 0.0]).tolist() == [0.0, -0.6]
+
+
 def test_partials_roundtrip():
     f = _jet(2, 3, (1.0, 2.0), {(0, 0): 2.0, (1, 0): 4.0, (0, 1): 1.0,
                                 (2, 0): 2.0, (1, 1): 2.0, (2, 1): 1.0})
@@ -274,8 +293,7 @@ def _fancy_index_product(a, b):
 
 @pytest.mark.parametrize("dim,degree", [(1, 4), (3, 3), (8, 5), (12, 4)])
 def test_jet_mul_equals_the_fancy_index_product(dim, degree):
-    # jet_mul reuses per-thread gather buffers, so check squares and
-    # back-to-back products of different operands, bit for bit
+    # squares and back-to-back products of different operands, bit for bit
     rng = np.random.default_rng(dim * 100 + degree)
     base = rng.uniform(-1.0, 1.0, dim)
     a, b, c = (TruncatedJet(dim, degree, base,
@@ -356,14 +374,16 @@ def test_restricted_product_equals_jet_mul(dim, degree):
                 want.append(jet_mul(TruncatedJet(dim, degree, base, a),
                                     TruncatedJet(dim, degree, base, b)).coeffs)
                 for n in (sp.size, sp.prefix[top]):
-                    assert _same_array(_mul(sp, a[:n], b[rows], mask, a_mask),
-                                       want[-1]), (mask, a_mask, top, n)
+                    assert _same_array(
+                        restricted_product(sp, a[:n], b[rows], mask, a_mask),
+                        want[-1]), (mask, a_mask, top, n)
                 a_cols.append(a)
                 b_cols.append(b)
             a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
             # all three samples, and the last two on the prefix to order 2
             for first, n in ((0, sp.size), (1, sp.prefix[2])):
-                got = _mul(sp, a[:n, first:], b[rows, first:], mask, a_mask)
+                got = restricted_product(sp, a[:n, first:], b[rows, first:],
+                                         mask, a_mask)
                 for s, w in enumerate(want[first:]):
                     assert _same_array(np.ascontiguousarray(got[:, s]), w), (
                         mask, a_mask, first, s)
@@ -389,49 +409,47 @@ def test_stacked_products_equal_each_sample_s_product(dim, degree):
             a[sp.prefix[top]:] = -0.0
             a_cols.append(a)
             b_cols.append(b)
-            want.append(_mul(sp, a[:sp.prefix[top]], b[sp.rows_within(mask)],
-                             mask, mask if both else None))
+            want.append(restricted_product(
+                sp, a[:sp.prefix[top]], b[sp.rows_within(mask)], mask,
+                mask if both else None))
         a, b = np.stack(a_cols, axis=1), np.stack(b_cols, axis=1)
         union = masks[0] | masks[1]
         assert _variable_mask(sp, b) in (union, None)
         for stacked_mask in (None, union):
-            got = _mul(sp, a[:sp.prefix[max(tops)]],
-                       b if stacked_mask is None else b[sp.rows_within(union)],
-                       stacked_mask, stacked_mask if both else None)
+            got = restricted_product(
+                sp, a[:sp.prefix[max(tops)]],
+                b if stacked_mask is None else b[sp.rows_within(union)],
+                stacked_mask, stacked_mask if both else None)
             assert got.shape == (sp.size, len(tops))
             for s, w in enumerate(want):
                 assert _same_array(np.ascontiguousarray(got[:, s]), w), (
                     both, stacked_mask, s)
 
 
-def test_warm_jet_mul_allocates_only_its_output():
-    # the full triples and two restricted sets, each with its own buffers
-    sp = _space(8, 5)
+def test_a_product_holds_no_memory_once_it_returns():
+    # Each gather is a fresh array, so once a product on a fresh table has
+    # returned, the table holds its triples and nothing of the product:
+    # less than the output, where one gather is 162 792 bytes here.  While
+    # it runs, it holds its two gathers and its output (10 296 bytes).
+    sp = _JetSpace(8, 5)
     rng = np.random.default_rng(85)
-    for mask, a_mask in ((None, None), (0b111111, None), (0b111111, 0b111111)):
-        a, b = (TruncatedJet(8, 5, np.zeros(8), rng.normal(size=sp.size))
-                for _ in range(2))
-        if mask is not None:
-            b = _restricted_jet(sp, mask, rng, np.zeros(8))
-        if a_mask is not None:
-            a = _restricted_jet(sp, a_mask, rng, np.zeros(8))
-        b = b.coeffs if mask is None else b.coeffs[sp.rows_within(mask)]
-        _mul(sp, a.coeffs, b, mask, a_mask)  # builds the triples and buffers
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            _mul(sp, a.coeffs, b, mask, a_mask)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        # one float64 array of the triple count is 162 792 bytes for the full
-        # triples here and 49 504 for the smallest restricted set; the output
-        # is 10 KB
-        tri = sp.triples_within(mask, a_mask)
-        assert peak - before < 8 * len(tri[0]), (mask, a_mask)
+    a, b = rng.normal(size=(2, sp.size))
+    n_tri = len(sp.triples[0])  # built before tracing: the table keeps them
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = _mul(sp, a, b)
+        _, peak = tracemalloc.get_traced_memory()
+        out_bytes = out.nbytes
+        del out
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert held - before < out_bytes
+    assert peak - before < 2 * 8 * n_tri + out_bytes + 4096
 
 
 def test_incompatible_jets_refused():
@@ -466,8 +484,8 @@ def test_pow_binomial_series():
 @pytest.mark.parametrize("dim,degree,mask", [(6, 8, 0b011011), (4, 5, 0b0101),
                                              (3, 4, 0b100), (2, 6, 0b11)])
 def test_pow_equals_the_full_product_series(dim, degree, mask):
-    # jet_pow restricts both operands to its base jet's variables; the
-    # masks include a pair's r^2 in the planar 3-body configuration
+    # jets that use only the variables in a mask, among them a pair's r^2
+    # in the planar 3-body configuration
     sp = _space(dim, degree)
     rng = np.random.default_rng(dim * 100 + degree)
     for exponent, a0 in ((-0.5, 2.0), (1.5, 0.7), (-3.0, 1.1), (3.0, -1.2)):

@@ -1114,13 +1114,12 @@ def test_a_warm_tower_builds_one_jet_per_result(monkeypatch, masses,
 
 
 def _record_products(monkeypatch, record):
-    """Make every ``_mul`` call first call ``record(sp, a, b, mask,
-    a_mask)``."""
+    """Make every ``_mul`` call first call ``record(sp, a, b)``."""
     mul = jet_algebra._mul
 
-    def recorded(sp, a, b, mask=None, a_mask=None):
-        record(sp, a, b, mask, a_mask)
-        return mul(sp, a, b, mask, a_mask)
+    def recorded(sp, a, b):
+        record(sp, a, b)
+        return mul(sp, a, b)
 
     monkeypatch.setattr(jet_algebra, "_mul", recorded)
 
@@ -1163,9 +1162,8 @@ def test_a_warm_three_body_tower_gathers_only_the_orders_it_holds(
     z = sampler.draw(1, 12, system)
     chains, series = [], []
 
-    def count(sp, a, b, mask, a_mask):
-        tri_i = sp.triples_within(mask, a_mask)[0]
-        series.append(int(np.count_nonzero(tri_i < len(a))) * a[0].size)
+    def count(sp, a, b):
+        series.append(len(sp.triples[0]) * a[0].size)
 
     _record_products(monkeypatch, count)
     _record_chunks(monkeypatch, lambda low, chunk, f: chains.append(
@@ -1235,7 +1233,7 @@ def test_a_three_body_m7_scan_evaluates_one_sample_at_a_time(monkeypatch):
     # On the Cartesian chart, as for a plain polynomial observable, a
     # (12, 7) observable is 50 388 coefficients, so 12 components of a
     # group of two would pass _CHUNK_ELEMENTS: the scan runs groups of one,
-    # on plain arrays and the per-thread gather buffers.  The system's own
+    # on plain arrays.  The system's own
     # inertia runs on the Jacobi chart, whose (8, 7) observable is 6 435
     # coefficients: groups of five, two samples in one stacked chain.
     system = BodySystem(3, 2, (1.0, 1.3, 0.7), NewtonianPotential())
@@ -1332,8 +1330,8 @@ def test_fields_past_63_variables_keep_every_variable():
 
 
 def test_concurrent_towers_equal_serial_ones():
-    # jet_mul gathers into per-thread buffers: threads sharing one table
-    # must not see each other's products.  The N-body field multiplies over
+    # Threads share the tables and the plans cached on them, and must not
+    # see each other's products.  The N-body field multiplies over
     # restricted triples, the dense random field over the full ones, and the
     # threads start from an empty table cache, so they also build the tables
     # and the restricted sets side by side.
@@ -1355,7 +1353,7 @@ def test_concurrent_towers_equal_serial_ones():
                                  m=5).psi.values.tobytes()
                   for r in range(rounds * len(cases))]
         # A scan of the four samples is one group of four, whose stacked
-        # products gather into fresh arrays on the tables the threads share.
+        # products run on the tables the threads share.
         F = cases[offset][0]  # the inertia, then the energy
         return towers + [json.dumps(obstruction_scan(system, F, sampler).to_json_dict())
                          for _ in range(rounds)]

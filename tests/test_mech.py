@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from saarilab.errors import ConfigError, NoConvergenceError, SingularityError
+from saarilab.errors import (
+    CombinabilityError, ConfigError, NoConvergenceError, SingularityError)
 from saarilab.fields import (
     PolynomialObservable,
     random_polynomial_field,
@@ -215,6 +216,18 @@ def test_field_reports_the_colliding_pair_of_the_oracle():
         errors.append((err.value.pair, str(err.value)))
     assert errors[0] == errors[1] == (
         (0, 3), "bodies 0 and 3 are separated by 1.000e-12")
+
+
+def test_a_state_of_the_wrong_length_is_refused():
+    # The field once read a state's first coord_dim entries as q and the
+    # rest as p: a two-body field gave 7 numbers at a 7-entry state.
+    field = build_hamiltonian_field(BodySystem(2, 2, (1.0, 1.3),
+                                               NewtonianPotential()))
+    for size in (7, 9, 16):
+        with pytest.raises(CombinabilityError,
+                           match=f"dim 8 evaluated at a state of {size} entries"):
+            field(np.linspace(-0.9, 0.8, size))
+    assert field(np.linspace(-0.9, 0.8, 8)).shape == (8,)
 
 
 def test_potential_serialization_roundtrip():
@@ -502,8 +515,8 @@ def _dict_kinetic_jets(system, z, degree):
 
 @pytest.mark.parametrize("degree", [7, 9])
 def test_pair_r2_powers_equal_the_full_product_series(degree):
-    # jet_pow restricts each product to r^2's variables.  A planar 3-body
-    # pair's r^2 uses 4 of the 6 variables, a spatial 2-body one all 6
+    # A planar 3-body pair's r^2 uses 4 of the 6 variables, a spatial
+    # 2-body one all 6
     rng = np.random.default_rng(degree)
     for system in (three_body((1.0, 1.3, 0.7)),
                    BodySystem(2, 3, (0.8, 1.1), NewtonianPotential())):
