@@ -295,6 +295,12 @@ def _cmd_rank(cfg: dict, args) -> int:
     z = _build_point(cfg, field, system)
     m = _tower_order(cfg, default_tower_order(field.dim))
     which = cfg.get("jacobian", "F")
+    if which not in ("F", "X"):
+        raise ConfigError(f"jacobian must be 'F' or 'X', got {which!r}")
+    if which == "X":
+        if "observable" not in cfg:
+            raise ConfigError("jacobian 'X' needs an observable block")
+        F = _build_observable(cfg["observable"], field, system)
     threshold = _finite(cfg.get("threshold", RANK_THRESHOLD), "threshold",
                         0.0, strict=True)
     if threshold >= 1.0:
@@ -302,14 +308,8 @@ def _cmd_rank(cfg: dict, args) -> int:
     xf = field.jet_field(z, m - 1)
     if which == "F":
         result = dpsi_wrt_F(xf, m=m, threshold=threshold)
-    elif which == "X":
-        if "observable" not in cfg:
-            raise ConfigError("jacobian 'X' needs an observable block")
-        F = _build_observable(cfg["observable"], field, system)
-        fj = F.jet(z, m)
-        result = dpsi_wrt_X(fj, xf, m=m, threshold=threshold)
     else:
-        raise ConfigError(f"jacobian must be 'F' or 'X', got {which!r}")
+        result = dpsi_wrt_X(F.jet(z, m), xf, m=m, threshold=threshold)
     rank = result.rank_report
     failure = None
     if args.expect_submersion and not rank.submersion:

@@ -372,12 +372,21 @@ class SeparableOscillator:
         return np.atleast_1d(np.asarray(q, float))
 
     def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, float)
+        z = self._state(z)
         return np.array([z[1], -z[0]])
 
     def energy(self, z) -> float:
-        z = np.asarray(z, float)
+        z = self._state(z)
         return float(0.5 * (z[0] ** 2 + z[1] ** 2))
+
+    def _state(self, z) -> np.ndarray:
+        """``z`` as an array of ``(q, p)``; any other length is a
+        :class:`CombinabilityError`."""
+        z = np.asarray(z, float)
+        if len(z) != self.dim:
+            raise CombinabilityError(f"oscillator of dim {self.dim} evaluated "
+                                     f"at a state of {len(z)} entries")
+        return z
 
     def jet_field(self, z, degree: int) -> JetField:
         return _jet_field_at(self, z, degree)

@@ -8,6 +8,12 @@ Three integrators behind one entry point:
 * ``rk4`` — fixed-step classical Runge-Kutta for generic fields;
 * ``dop853`` — adaptive high-order Runge-Kutta with tolerance control.
 
+The two fixed-step methods supply only a one-step map; one loop
+(``_integrate_fixed``) iterates it over the step times, stops where a step
+ends too close and cuts the run at the first step in which bodies pass
+too close between its ends.  ``dop853`` runs under ``solve_ivp`` with a
+terminal collision event.
+
 Every accepted step is recorded together with energy, angular momentum,
 moment of inertia and minimum pairwise separation (NaN where the field has no
 N-body structure).  Integration halts with a partial trajectory when bodies
@@ -35,6 +41,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    CombinabilityError,
     ConfigError,
     InsufficientSamplesError,
     NoConvergenceError,
@@ -71,7 +78,8 @@ __all__ = [
 #: Pairwise separation below which integration halts.
 MIN_SEPARATION = 1e-6
 
-#: Adaptive steps below this count as underflow.
+#: Smallest fixed step: :class:`IntegratorConfig` refuses one below it.
+#: ``dop853`` reports its own underflow (status ``"step_underflow"``).
 STEP_UNDERFLOW = 1e-14
 
 #: Most steps a fixed-step run may take.  Its times and states are
@@ -254,7 +262,18 @@ def _fixed_steps(h: float, max_time: float) -> tuple[np.ndarray, int, float]:
     return times, n_full, remainder if n_steps > n_full else h
 
 
-def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
+def _too_close(system, q) -> bool:
+    """Whether two bodies of ``system`` lie within ``MIN_SEPARATION`` in
+    the configuration that opens ``q``, a configuration or a phase state;
+    never for a field without N-body structure (``system`` is ``None``)."""
+    return (system is not None and pair_distances(
+        system, q[:system.coord_dim]).min() < MIN_SEPARATION)
+
+
+def _verlet_step(field, z0):
+    """Kick-drift-kick with the force carried from one step to the next.
+    The drifted positions are tested before the closing kick, so no force
+    is taken at a collision; the step then gives ``None``."""
     if not getattr(field, "separable", False):
         raise ConfigError(
             "stormer_verlet needs a separable kinetic+potential field"
@@ -262,54 +281,58 @@ def _integrate_verlet(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
     system = _system_of(field)
     minv = np.asarray(field.minv, float)
     nq = minv.size
-    q = z0[:nq].copy()
-    p = z0[nq:].copy()
-    times, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
-    n_steps = len(times) - 1
-    states = np.empty((n_steps + 1, z0.size))
-    states[0] = z0
-    status = "completed"
-    filled = 1
-    g = field.grad_v(q)
-    for k in range(n_steps):
-        h = cfg.step if k < n_full else remainder
-        p_half = p - 0.5 * h * g
-        q = q + h * p_half * minv
-        if (system is not None
-                and pair_distances(system, q).min() < MIN_SEPARATION):
-            status = "singular"
-            break
+    g = field.grad_v(z0[:nq])
+
+    def step(z, h):
+        nonlocal g
+        p_half = z[nq:] - 0.5 * h * g
+        q = z[:nq] + h * p_half * minv
+        if _too_close(system, q):
+            return None
         g = field.grad_v(q)
-        p = p_half - 0.5 * h * g
-        states[filled, :nq] = q
-        states[filled, nq:] = p
-        filled += 1
-    return times[:filled], states[:filled], status
+        return np.concatenate([q, p_half - 0.5 * h * g])
+
+    return step
 
 
-def _integrate_rk4(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
+def _rk4_step(field):
+    """Classical Runge-Kutta; ``None`` when the new state is too close."""
     system = _system_of(field)
-    z = z0.copy()
-    times, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
-    n_steps = len(times) - 1
-    states = np.empty((n_steps + 1, z0.size))
-    states[0] = z0
-    status = "completed"
-    filled = 1
-    for k in range(n_steps):
-        h = cfg.step if k < n_full else remainder
+
+    def step(z, h):
         k1 = np.asarray(field(z), float)
         k2 = np.asarray(field(z + 0.5 * h * k1), float)
         k3 = np.asarray(field(z + 0.5 * h * k2), float)
         k4 = np.asarray(field(z + h * k3), float)
         z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if (system is not None and pair_distances(
-                system, z[:system.coord_dim]).min() < MIN_SEPARATION):
-            status = "singular"
+        return None if _too_close(system, z) else z
+
+    return step
+
+
+def _integrate_fixed(field, z0, cfg, step) -> tuple[np.ndarray, np.ndarray, str]:
+    """Iterate the one-step map ``step(z, h)`` over the times of
+    :func:`_fixed_steps`.  A step that gives ``None`` ended too close and
+    is not kept; the run halts ``"singular"`` there, or earlier at the
+    first step in which a pair comes too close (:func:`_first_close_step`).
+    """
+    times, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
+    states = np.empty((times.size, z0.size))
+    states[0] = z = z0
+    n = 1
+    while n < times.size:
+        z = step(z, cfg.step if n <= n_full else remainder)
+        if z is None:
             break
-        states[filled] = z
-        filled += 1
-    return times[:filled], states[:filled], status
+        states[n] = z
+        n += 1
+    system = _system_of(field)
+    if system is not None:
+        minv = getattr(field, "minv", system._pair_plan.minv)
+        k = _first_close_step(system, times[:n], states[:n], minv)
+        n = n if k is None else k + 1
+    status = "completed" if n == times.size else "singular"
+    return times[:n], states[:n], status
 
 
 def _integrate_dop853(field, z0, cfg) -> tuple[np.ndarray, np.ndarray, str]:
@@ -347,28 +370,26 @@ def integrate(field, z0, cfg: IntegratorConfig) -> Trajectory:
     Halts early (partial trajectory, status ``"singular"``) when bodies of an
     N-body field come within ``MIN_SEPARATION``: ``dop853`` at its event,
     the fixed-step methods at the start of the step in which they do, also
-    when the approach lies inside the step (:func:`_first_close_step`).  A
-    non-finite ``z0`` is a :class:`ConfigError`, raised before the first
-    step.
+    when the approach lies inside the step (:func:`_integrate_fixed`).  A
+    non-finite ``z0`` is a :class:`ConfigError`, and one of another size
+    than the field's ``dim`` (where it has one) a
+    :class:`CombinabilityError`, both raised before the first step.
     """
     z0 = _as_flat(z0)
     if not np.all(np.isfinite(z0)):
         raise ConfigError(f"initial state must be finite, got {z0.tolist()}")
-    system = _system_of(field)
-    if (system is not None and pair_distances(
-            system, z0[:system.coord_dim]).min() < MIN_SEPARATION):
+    dim = getattr(field, "dim", z0.size)
+    if z0.size != dim:
+        raise CombinabilityError(
+            f"field of dim {dim} integrated from a state of {z0.size} entries")
+    if _too_close(_system_of(field), z0):
         raise SingularityError("initial state is already near collision")
     if cfg.method == "dop853":
         times, states, status = _integrate_dop853(field, z0, cfg)
     else:
-        integrator = (_integrate_verlet if cfg.method == "stormer_verlet"
-                      else _integrate_rk4)
-        times, states, status = integrator(field, z0, cfg)
-        if system is not None:
-            minv = getattr(field, "minv", system._pair_plan.minv)
-            k = _first_close_step(system, times, states, minv)
-            if k is not None:
-                times, states, status = times[:k + 1], states[:k + 1], "singular"
+        step = (_verlet_step(field, z0) if cfg.method == "stormer_verlet"
+                else _rk4_step(field))
+        times, states, status = _integrate_fixed(field, z0, cfg, step)
     return Trajectory(field, times, states, status, cfg)
 
 

@@ -215,8 +215,11 @@ class BodySystem:
     """Point masses with a pairwise potential.
 
     ``com_fixed`` declares that states are meant to live in the
-    centre-of-mass frame (total momentum zero, weighted positions zero); the
-    coordinates stay full-dimensional and integrators project the drift.
+    centre-of-mass frame (total momentum zero, weighted positions zero): the
+    ``Sampler`` draws states in it, :meth:`PhaseState.validate` checks it
+    and ``effective_phase_dim`` drops its degrees of freedom.  The
+    coordinates stay full-dimensional, and no integrator projects a state
+    back onto the frame.
 
     ``n_bodies`` is an integer of at least 2, ``space_dim`` one of at least
     1, ``masses`` one finite positive number per body and ``com_fixed`` a
@@ -362,19 +365,29 @@ class PhaseState:
 
 
 def _bodies(system: BodySystem, q) -> np.ndarray:
-    """``q`` as ``(..., n_bodies, space_dim)``; a flat last axis is split."""
+    """``q`` as ``(..., n_bodies, space_dim)``: its trailing shape is
+    ``(coord_dim,)``, which is split, or ``(n_bodies, space_dim)``; any
+    other is a :class:`CombinabilityError`."""
     q = np.asarray(q, float)
-    if q.shape[-1] != system.space_dim:
-        q = q.reshape(q.shape[:-1] + (system.n_bodies, system.space_dim))
+    shape = (system.n_bodies, system.space_dim)
+    if q.shape[-1:] == (system.coord_dim,):
+        return q.reshape(q.shape[:-1] + shape)
+    if q.shape[-2:] != shape:
+        raise CombinabilityError(
+            f"{shape[0]} bodies in {shape[1]}-D read from shape {q.shape}")
     return q
 
 
 def _phase_bodies(system: BodySystem, state) -> tuple[np.ndarray, np.ndarray]:
     """Positions and momenta per body of a :class:`PhaseState` or of flat
-    phase vectors ``(..., phase_dim)``."""
+    phase vectors ``(..., phase_dim)``; any other last axis is a
+    :class:`CombinabilityError`."""
     if isinstance(state, PhaseState):
         return state.q, state.p
     z = np.asarray(state, float)
+    if z.shape[-1:] != (system.phase_dim,):
+        raise CombinabilityError(
+            f"phase states of dim {system.phase_dim} read from shape {z.shape}")
     nc = system.coord_dim
     return _bodies(system, z[..., :nc]), _bodies(system, z[..., nc:])
 
@@ -1160,7 +1173,8 @@ def releq_newton(system: BodySystem, initial_guess,
     if guess.size != system.coord_dim:
         raise ConfigError(f"guess must hold {system.coord_dim} coordinates, "
                           f"got shape {guess.shape}")
-    guess = _recenter(system, _bodies(system, guess))
+    guess = _recenter(system, guess.reshape(system.n_bodies,
+                                            system.space_dim))
     nc = system.coord_dim
     sd = system.space_dim
     m = system.masses

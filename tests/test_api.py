@@ -86,3 +86,31 @@ def test_no_module_imports_threading():
     assert imported
     assert [(name, module) for name, module in imported
             if module.split(".")[0] == "threading"] == []
+
+
+def test_one_fixed_step_loop_and_one_collision_predicate():
+    # The fixed-step methods supply only their step: one function iterates
+    # the step times of flow._fixed_steps, and one predicate compares the
+    # pair distances with MIN_SEPARATION, so the collision exit and the
+    # cut inside a step are one edit for every fixed-step method.
+    loops, predicates = [], []
+    for path in sorted(Path(saarilab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+        def where(node):
+            inside = [f.name for f in functions
+                      if f.lineno <= node.lineno <= f.end_lineno]
+            return path.name, inside[-1] if inside else None
+
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_fixed_steps"):
+                loops.append(where(node))
+            elif isinstance(node, ast.Compare) and {
+                    "pair_distances", "MIN_SEPARATION"} <= {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                predicates.append(where(node))
+    assert loops == [("flow.py", "_integrate_fixed")], loops
+    assert predicates == [("flow.py", "_too_close")], predicates

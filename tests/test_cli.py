@@ -21,6 +21,7 @@ from saarilab.cli import (
 )
 from saarilab.mech import (
     BodySystem,
+    HamiltonianField,
     NewtonianPotential,
     releq_newton,
     releq_trajectory,
@@ -211,6 +212,26 @@ def test_rank_wrt_field_needs_observable(tmp_path, capsys):
     code2, out2, _ = run(capsys, ["rank", cfg2])
     assert code2 == 0
     assert json.loads(out2)["jacobian"] == "X"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ({"jacobian": "Z"}, "jacobian must be"),
+    ({"jacobian": "X"}, "observable block"),
+    ({"jacobian": "X", "observable": {"kind": "spin"}}, "observable")])
+def test_rank_refuses_its_config_before_building_the_field_jet(
+        tmp_path, capsys, monkeypatch, extra, message):
+    # The field jet is the costly step, at the planar three-body default
+    # order m = 13 above all, so the config is checked before it is built.
+    built = []
+    monkeypatch.setattr(HamiltonianField, "jet_field",
+                        lambda *args: built.append(args))
+    state = {"q": [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]],
+             "p": [[0.1, 0.3], [-0.2, -0.1], [0.1, -0.2]]}
+    cfg = write_config(tmp_path, "r.json",
+                       {"system": NBODY3, "state": state, **extra})
+    code, out, err = run(capsys, ["rank", cfg])
+    assert code == 2 and message in err and out == ""
+    assert built == []
 
 
 # -- simulate -------------------------------------------------------------------------

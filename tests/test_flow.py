@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from saarilab.errors import (
+    CombinabilityError,
     ConfigError,
     InsufficientSamplesError,
     NoConvergenceError,
@@ -16,6 +17,7 @@ from saarilab.fields import (
     PolynomialObservable,
     SeparableOscillator,
     linear1d_field,
+    oscillator_field,
 )
 from saarilab.flow import (
     MIN_SEPARATION,
@@ -98,6 +100,36 @@ def test_integrate_rejects_a_non_finite_initial_state(method, step, bad):
     with pytest.raises(ConfigError, match="finite"):
         integrate(field, z0, IntegratorConfig(method, step, max_time=0.1))
     assert evaluated == []
+
+
+@pytest.mark.parametrize("method, step", [
+    ("stormer_verlet", 0.01), ("rk4", 0.01), ("dop853", (1e-10, 1e-12))])
+def test_integrate_rejects_a_state_of_the_wrong_length(method, step):
+    # Refused before the first step: inside it a 6-entry state meets numpy
+    # broadcast errors, on the oscillator and under Verlet on two bodies.
+    cfg = IntegratorConfig(method, step, max_time=0.1)
+    two_body, _, _ = circular_two_body()
+    fields = [SeparableOscillator(), two_body]
+    if method != "stormer_verlet":
+        fields += [oscillator_field(), linear1d_field()]
+    for field in fields:
+        with pytest.raises(CombinabilityError,
+                           match=f"dim {field.dim} integrated from a state "
+                                 f"of 6 entries"):
+            integrate(field, np.linspace(0.1, 0.6, 6), cfg)
+
+
+def test_the_separable_oscillator_refuses_a_state_of_the_wrong_length():
+    # Both read z[0] and z[1] only, so a longer state would give numbers.
+    osc = SeparableOscillator()
+    for size in (1, 3, 6):
+        z = np.linspace(0.1, 0.6, size)
+        for method in (osc, osc.energy):
+            with pytest.raises(CombinabilityError,
+                               match=f"dim 2 evaluated at a state of {size}"):
+                method(z)
+    np.testing.assert_array_equal(osc([0.3, 0.4]), [0.4, -0.3])
+    assert osc.energy([0.3, 0.4]) == 0.5 * (0.3 ** 2 + 0.4 ** 2)
 
 
 def test_pair_plan_is_built_once_per_system_over_an_rk4_run(monkeypatch):

@@ -228,6 +228,25 @@ def test_a_state_of_the_wrong_length_is_refused():
                            match=f"dim 8 evaluated at a state of {size} entries"):
             field(np.linspace(-0.9, 0.8, size))
     assert field(np.linspace(-0.9, 0.8, 8)).shape == (8,)
+    # A last axis of space_dim entries is not one body: read so, these
+    # calls would give -0.188, -1.441, -0.06, 0.1875 and a distance.
+    equal = BodySystem(2, 2, (1.0, 1.0), NewtonianPotential())
+    heavy = BodySystem(2, 2, (1.0, 2.0), NewtonianPotential())
+    calls = [
+        (lambda: energy_observable(equal)(np.linspace(-0.9, 0.8, 6)),
+         "phase states of dim 8 read from shape \\(6,\\)"),
+        (lambda: hamiltonian(heavy, np.linspace(-0.9, 0.8, 6)),
+         "phase states of dim 8 read from shape \\(6,\\)"),
+        (lambda: angular_momentum(heavy, np.linspace(0.1, 0.6, 6)),
+         "phase states of dim 8 read from shape \\(6,\\)"),
+        (lambda: kinetic_energy(heavy, [0.3, 0.4]),
+         "2 bodies in 2-D read from shape \\(2,\\)"),
+        (lambda: pair_distances(heavy, np.zeros((3, 2))),
+         "2 bodies in 2-D read from shape \\(3, 2\\)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(CombinabilityError, match=message):
+            call()
 
 
 def test_potential_serialization_roundtrip():
