@@ -8,11 +8,14 @@ Three integrators behind one entry point:
 * ``rk4`` — fixed-step classical Runge-Kutta for generic fields;
 * ``dop853`` — adaptive high-order Runge-Kutta with tolerance control.
 
-The two fixed-step methods supply only a one-step map; one loop
-(``_integrate_fixed``) iterates it over the step times, stops where a step
-ends too close and cuts the run at the first step in which bodies pass
-too close between its ends.  ``dop853`` runs under ``solve_ivp`` with a
-terminal collision event.
+The two fixed-step methods supply only a pure one-step map; one loop
+(``_integrate_fixed``) iterates it over the step times and owns every
+collision exit.  It stops before a step that raises ``SingularityError``
+or ends too close, then cuts the run at the first step in which a pair's
+path comes too close between the step's ends, tested along two straight
+lines per pair and step: the chord between the end positions and the
+segment along the start velocity.  ``dop853`` runs under ``solve_ivp``
+with a terminal collision event.
 
 Every accepted step is recorded together with energy, angular momentum,
 moment of inertia and minimum pairwise separation (NaN where the field has no
@@ -191,7 +194,8 @@ class Trajectory:
 
     @property
     def energy_drift(self) -> float:
-        """Max absolute energy deviation from the initial value."""
+        """``max |E - E0|`` over the samples; the classifier's
+        ``energy_drift`` is a relative spread instead."""
         if np.any(np.isnan(self.energy)):
             return math.nan
         return float(np.max(np.abs(self.energy - self.energy[0])))
@@ -271,14 +275,11 @@ def _too_close(system, q) -> bool:
 
 
 def _verlet_step(field, z0):
-    """Kick-drift-kick with the force carried from one step to the next.
-    The drifted positions are tested before the closing kick, so no force
-    is taken at a collision; the step then gives ``None``."""
+    """Kick-drift-kick with the force carried from one step to the next."""
     if not getattr(field, "separable", False):
         raise ConfigError(
             "stormer_verlet needs a separable kinetic+potential field"
         )
-    system = _system_of(field)
     minv = np.asarray(field.minv, float)
     nq = minv.size
     g = field.grad_v(z0[:nq])
@@ -287,8 +288,6 @@ def _verlet_step(field, z0):
         nonlocal g
         p_half = z[nq:] - 0.5 * h * g
         q = z[:nq] + h * p_half * minv
-        if _too_close(system, q):
-            return None
         g = field.grad_v(q)
         return np.concatenate([q, p_half - 0.5 * h * g])
 
@@ -296,37 +295,41 @@ def _verlet_step(field, z0):
 
 
 def _rk4_step(field):
-    """Classical Runge-Kutta; ``None`` when the new state is too close."""
-    system = _system_of(field)
+    """Classical Runge-Kutta."""
 
     def step(z, h):
         k1 = np.asarray(field(z), float)
         k2 = np.asarray(field(z + 0.5 * h * k1), float)
         k3 = np.asarray(field(z + 0.5 * h * k2), float)
         k4 = np.asarray(field(z + h * k3), float)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return None if _too_close(system, z) else z
+        return z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
     return step
 
 
 def _integrate_fixed(field, z0, cfg, step) -> tuple[np.ndarray, np.ndarray, str]:
     """Iterate the one-step map ``step(z, h)`` over the times of
-    :func:`_fixed_steps`.  A step that gives ``None`` ended too close and
-    is not kept; the run halts ``"singular"`` there, or earlier at the
-    first step in which a pair comes too close (:func:`_first_close_step`).
+    :func:`_fixed_steps`; the one place a fixed-step run meets a collision.
+    A step that raises :class:`SingularityError` or ends with two bodies
+    within ``MIN_SEPARATION`` is not kept, and the run halts
+    ``"singular"`` at its start, or earlier, at the first kept step along
+    whose chord or start-velocity segment a pair comes that close
+    (:func:`_first_close_step`).
     """
+    system = _system_of(field)
     times, n_full, remainder = _fixed_steps(cfg.step, cfg.max_time)
     states = np.empty((times.size, z0.size))
     states[0] = z = z0
     n = 1
     while n < times.size:
-        z = step(z, cfg.step if n <= n_full else remainder)
-        if z is None:
+        try:
+            z = step(z, cfg.step if n <= n_full else remainder)
+        except SingularityError:
+            break
+        if _too_close(system, z):
             break
         states[n] = z
         n += 1
-    system = _system_of(field)
     if system is not None:
         minv = getattr(field, "minv", system._pair_plan.minv)
         k = _first_close_step(system, times[:n], states[:n], minv)
@@ -369,11 +372,13 @@ def integrate(field, z0, cfg: IntegratorConfig) -> Trajectory:
 
     Halts early (partial trajectory, status ``"singular"``) when bodies of an
     N-body field come within ``MIN_SEPARATION``: ``dop853`` at its event,
-    the fixed-step methods at the start of the step in which they do, also
-    when the approach lies inside the step (:func:`_integrate_fixed`).  A
+    the fixed-step methods at the start of the step in which they do, at
+    its end or along its chord or start-velocity segment, or whose field
+    evaluation raises :class:`SingularityError` (:func:`_integrate_fixed`).
+    An initial state that close raises :class:`SingularityError`, a
     non-finite ``z0`` is a :class:`ConfigError`, and one of another size
     than the field's ``dim`` (where it has one) a
-    :class:`CombinabilityError`, both raised before the first step.
+    :class:`CombinabilityError`, all before the first step.
     """
     z0 = _as_flat(z0)
     if not np.all(np.isfinite(z0)):
@@ -398,41 +403,30 @@ def _first_close_step(system, times, states, minv) -> int | None:
     which a pair of bodies comes within ``MIN_SEPARATION``, or ``None``.
 
     A step's end states can both be far apart while the bodies pass
-    through each other between them, so each pair's relative position
-    ``d(s)``, ``s`` in [0, 1], is taken as the cubic Hermite interpolant
-    of its end positions and velocities ``p * minv``:
-    ``d(s) = d0 + b s + c s**2 + e s**3``.  The triangle inequality bounds
-    ``|d(s)|`` below by the distance of the segment ``d0 + b s`` from 0,
-    less ``|c| + |e|``, on all steps at once; only a pair whose bound falls
-    below ``MIN_SEPARATION`` has its minimum found, at the real roots of the
-    derivative of ``|d(s)|**2`` and at the ends.
+    through each other between them, so each pair's relative position is
+    followed along two straight lines over the step, on all steps at once:
+    the chord between its end positions, which is the path of
+    ``stormer_verlet``'s drift, and the segment along its start velocity
+    ``p * minv``, which sees a passage that a step's end states hide, as
+    ``rk4``'s bounce through a collision does.  A step is close if either
+    line passes within ``MIN_SEPARATION`` of 0.
     """
     nq = system.coord_dim
     plan = system._pair_plan
     q = _bodies(system, states[:, :nq])
-    v = _bodies(system, states[:, nq:] * minv)
-    d, u = q[:, plan.I] - q[:, plan.J], v[:, plan.I] - v[:, plan.J]
+    v = _bodies(system, states[:-1, nq:] * minv)
+    d = q[:, plan.I] - q[:, plan.J]
+    d0 = d[:-1]
     h = np.diff(times)[:, None, None]
-    d0, d1, b, b1 = d[:-1], d[1:], h * u[:-1], h * u[1:]
-    c = 3.0 * (d1 - d0) - 2.0 * b - b1
-    e = 2.0 * (d0 - d1) + b + b1
-
-    def dot(x, y):
-        return np.add.reduce(x * y, axis=-1)
-
-    bb = dot(b, b)
-    nearest = np.clip(-dot(d0, b) / np.where(bb > 0.0, bb, 1.0), 0.0, 1.0)
-    segment = d0 + nearest[..., None] * b
-    bound = np.sqrt(dot(segment, segment)) - np.sqrt(dot(c, c)) - np.sqrt(dot(e, e))
-    poly = np.polynomial.polynomial
-    for k, pair in zip(*np.nonzero(bound < MIN_SEPARATION)):
-        coeffs = np.stack([d0[k, pair], b[k, pair], c[k, pair], e[k, pair]])
-        square = sum(poly.polymul(x, x) for x in coeffs.T)
-        roots = poly.polyroots(poly.polyder(square)).real
-        s = np.concatenate([[0.0, 1.0], np.clip(roots, 0.0, 1.0)])
-        if poly.polyval(s, square).min() < MIN_SEPARATION ** 2:
-            return int(k)
-    return None
+    close = np.zeros(d0.shape[:2], dtype=bool)
+    for b in (d[1:] - d0, h * (v[:, plan.I] - v[:, plan.J])):
+        bb = np.add.reduce(b * b, axis=-1)
+        s = np.clip(-np.add.reduce(d0 * b, axis=-1)
+                    / np.where(bb > 0.0, bb, 1.0), 0.0, 1.0)
+        gap = d0 + s[..., None] * b
+        close |= np.add.reduce(gap * gap, axis=-1) < MIN_SEPARATION ** 2
+    steps = np.nonzero(close.any(axis=1))[0]
+    return int(steps[0]) if steps.size else None
 
 
 class _Reversed:

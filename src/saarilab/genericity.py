@@ -493,10 +493,11 @@ def classify_trajectory(traj: Trajectory, tol_inertia: float | None = None,
 
     ``inertia_rel_variation`` is (max I - min I) / mean I; ``shape_variation``
     the worst relative spread of any mutual distance; ``energy_drift`` the
-    relative energy spread, serving as the integration noise floor.  The
-    inertia tolerance defaults to ``10 x energy_drift`` with a 1e-10 floor so
-    that analytically generated rigid rotations (zero measured drift) still
-    classify.  A given ``tol_inertia`` and ``tol_shape``, ``margin`` and
+    relative energy spread (max E - min E) / |mean E|, serving as the
+    integration noise floor, not the trajectory's own ``energy_drift``,
+    max |E - E0|.  The inertia tolerance defaults to ``10 x energy_drift``
+    with a 1e-10 floor so that analytically generated rigid rotations (zero
+    measured drift) still classify.  A given ``tol_inertia`` and ``tol_shape``, ``margin`` and
     ``tol_eq`` must be finite numbers above 0, else :class:`ConfigError`.
     """
     if tol_inertia is not None:

@@ -37,6 +37,7 @@ from .errors import (
     InternalConsistencyError,
     SingularityError,
     _check_count,
+    _finite,
 )
 from .fields import field_coeffs, observable_coeffs, observable_grads, _check_handles
 from .jet_algebra import (
@@ -419,8 +420,8 @@ def _tower(dim: int, m: int, g: np.ndarray, comps):
     Returns the values, shape ``(m,)`` or ``(m, S)``, and per sample whether
     every coefficient of its chain stayed finite.  A sample that overflowed
     keeps to its own column, so the others' values are unaffected.  A step
-    of ``_ORDER_SCAN_SIZE`` or more coefficients that is zero everywhere, as
-    for a conserved energy, ends the chain: every later step is +0.
+    that is zero everywhere, as for a conserved energy, ends the chain:
+    every later step is +0.
     """
     field = _join(comps)
     values = np.zeros((m,) + g.shape[1:])
@@ -429,7 +430,7 @@ def _tower(dim: int, m: int, g: np.ndarray, comps):
         g = _lie_step(dim, m - k, g, field)
         finite &= np.isfinite(g).all(axis=0)
         values[k] = g[0]
-        if len(g) >= _ORDER_SCAN_SIZE and not g.any():
+        if not g.any():
             break
     return values, finite
 
@@ -634,8 +635,11 @@ def obstruction_at(
     :class:`ConfigError` before ``X(z)`` is evaluated.  The first tower
     entry is cross-checked against an independent ``<grad F(z), X(z)>``
     evaluation whenever the observable carries an analytic gradient.  The
-    one-sample case of :func:`_obstructions`.
+    one-sample case of :func:`_obstructions`.  ``tol_eq`` and ``tol_crit``
+    must be finite numbers > 0, else :class:`ConfigError`.
     """
+    tol_eq = _finite(tol_eq, "tol_eq", 0.0, strict=True)
+    tol_crit = _finite(tol_crit, "tol_crit", 0.0, strict=True)
     values, near_eq, near_crit, singular = _obstructions(
         F, X, [z], m, tol_eq, tol_crit)
     if singular:

@@ -1167,8 +1167,11 @@ def releq_newton(system: BodySystem, initial_guess,
     balance equations with centre-of-mass, scale (inertia of the guess) and
     rotational-gauge constraints.  Raises :class:`NoConvergenceError` with the
     final residual after ``max_iter`` iterations, and :class:`ConfigError`
-    unless the guess holds ``coord_dim`` finite real numbers.
+    unless the guess holds ``coord_dim`` finite real numbers, ``max_iter``
+    is an integer >= 1 and ``tol`` a finite number > 0.
     """
+    _check_count(max_iter, "max_iter")
+    tol = _finite(tol, "tol", 0.0, strict=True)
     guess = _finite_array(initial_guess, "guess")
     if guess.size != system.coord_dim:
         raise ConfigError(f"guess must hold {system.coord_dim} coordinates, "

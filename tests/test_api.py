@@ -92,8 +92,10 @@ def test_one_fixed_step_loop_and_one_collision_predicate():
     # The fixed-step methods supply only their step: one function iterates
     # the step times of flow._fixed_steps, and one predicate compares the
     # pair distances with MIN_SEPARATION, so the collision exit and the
-    # cut inside a step are one edit for every fixed-step method.
-    loops, predicates = [], []
+    # cut inside a step are one edit for every fixed-step method.  The
+    # steps themselves are pure one-step maps: they test no separation, and
+    # the loop alone turns a SingularityError inside a step into a halt.
+    loops, predicates, catches, step_names = [], [], [], set()
     for path in sorted(Path(saarilab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         functions = [node for node in ast.walk(tree)
@@ -104,13 +106,27 @@ def test_one_fixed_step_loop_and_one_collision_predicate():
                       if f.lineno <= node.lineno <= f.end_lineno]
             return path.name, inside[-1] if inside else None
 
+        def names(node):
+            return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "_fixed_steps"):
                 loops.append(where(node))
             elif isinstance(node, ast.Compare) and {
-                    "pair_distances", "MIN_SEPARATION"} <= {
-                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                    "pair_distances", "MIN_SEPARATION"} <= names(node):
                 predicates.append(where(node))
+            elif (path.name == "flow.py"
+                    and isinstance(node, ast.ExceptHandler) and node.type
+                    and "SingularityError" in names(node.type)):
+                catches.append(where(node))
+        if path.name == "flow.py":
+            steps = [f for f in functions
+                     if f.name in ("_verlet_step", "_rk4_step")]
+            assert len(steps) == 2, [f.name for f in steps]
+            for f in steps:
+                step_names |= names(f)
     assert loops == [("flow.py", "_integrate_fixed")], loops
     assert predicates == [("flow.py", "_too_close")], predicates
+    assert catches == [("flow.py", "_integrate_fixed")], catches
+    assert not step_names & {"_too_close", "MIN_SEPARATION"}, step_names

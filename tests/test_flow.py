@@ -203,6 +203,41 @@ def test_fixed_step_collision_inside_a_step_halts(method):
     assert traj.min_sep.min() > MIN_SEPARATION
 
 
+@pytest.mark.parametrize("cfg", [
+    IntegratorConfig("rk4", 0.01, max_time=3.05),
+    IntegratorConfig("stormer_verlet", 0.01, max_time=3.05),
+    IntegratorConfig("dop853", max_time=3.05)], ids=lambda c: c.method)
+def test_head_on_collision_at_speed_halts_under_every_method(cfg):
+    # Bodies of masses 1 and 1.3 closing at 0.6 meet at t ~ 0.554.  rk4's
+    # end states bounce through the collision and stay 0.056 apart, but the
+    # segment along the start velocity of the step that straddles it
+    # passes through 0, so the run stops there, as the other methods do.
+    system = BodySystem(2, 2, (1.0, 1.3), NewtonianPotential())
+    z0 = PhaseState(np.array([[-0.5, 0.0], [0.5, 0.0]]),
+                    np.array([[0.3, 0.0], [-0.3, 0.0]])).flat()
+    traj = integrate(build_hamiltonian_field(system), z0, cfg)
+    assert traj.status == "singular"
+    assert 0.5 < traj.t_final <= 0.56
+
+
+def test_a_singularity_inside_an_rk4_stage_halts_the_run():
+    # dz/dt = -1 from z = 1 in steps of 0.1: the step from z = 0.5 takes its
+    # second stage at 0.45, where the field raises, so the run keeps the
+    # six states up to t = 0.5 and ends "singular" instead of raising.
+    def field(z):
+        if z[0] < 0.47:
+            raise SingularityError("field evaluated past its singular set")
+        return np.array([-1.0])
+
+    traj = integrate(field, [1.0], IntegratorConfig("rk4", 0.1, max_time=1.0))
+    assert traj.status == "singular"
+    assert traj.t_final == 0.5 and traj.times.size == 6
+    ref = integrate(lambda z: np.array([-1.0]), [1.0],
+                    IntegratorConfig("rk4", 0.1, max_time=0.5))
+    assert ref.status == "completed"
+    assert traj.states.tobytes() == ref.states.tobytes()
+
+
 # -- accuracy on the harmonic oscillator ----------------------------------------------
 
 

@@ -620,6 +620,26 @@ def test_obstruction_flags_F_critical():
     assert sample.excluded
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol_eq": -1.0}, {"tol_eq": 0.0}, {"tol_eq": True},
+    {"tol_eq": float("inf")}, {"tol_crit": float("nan")},
+    {"tol_crit": 0.0}, {"tol_crit": "1e-9"},
+], ids=repr)
+def test_obstruction_tolerances_are_config_errors(kwargs):
+    # as obstruction_scan checks them: finite numbers > 0, before X(z)
+    calls = []
+
+    def field(z):
+        calls.append(z)
+        return oscillator_field()(z)
+
+    field.jet_field = oscillator_field().jet_field
+    with pytest.raises(ConfigError, match="tol_"):
+        obstruction_at(oscillator_energy(), field, np.array([0.6, 0.8]),
+                       m=2, **kwargs)
+    assert calls == []
+
+
 def test_obstruction_cross_check_catches_lying_gradient():
     class Lying:
         dim = 2

@@ -767,6 +767,18 @@ def test_newton_refines_two_body_circle():
     assert sol.residual < 1e-12
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": True},
+    {"tol": math.nan}, {"tol": 0.0}, {"tol": -1.0}, {"tol": True},
+], ids=repr)
+def test_newton_arguments_are_config_errors(kwargs):
+    # as figure8_initial_conditions checks them; the exact two-body guess
+    # would otherwise raise NoConvergenceError at residual 0 or a TypeError
+    with pytest.raises(ConfigError):
+        releq_newton(two_body(), np.array([[-0.5, 0.0], [0.5, 0.0]]),
+                     **kwargs)
+
+
 def test_newton_recovers_lagrange_from_rough_guess():
     exact = releq_lagrange(three_body())
     rng = np.random.default_rng(1)
